@@ -12,7 +12,8 @@ transform charfn       price characteristic function report
 heston simulate|charfn|price
 validate               run the named MC-vs-analytic check suite
 
-Exit codes: 0 success, 1 check failure, 2 configuration error.  All reports
+Exit codes: 0 success, 1 check failure, 2 configuration error, 3 numerical
+failure (a transform that blows up or loses its precision).  All reports
 are deterministic for a fixed seed; ``--workers`` never changes numbers.
 """
 
@@ -478,6 +479,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

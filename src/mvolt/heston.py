@@ -314,35 +314,14 @@ def fourier_price_call(
     price = e^(-alpha kappa) / pi * int_0^inf Re[e^(-i v kappa) Phi(v - i
     (alpha + 1)) / (alpha^2 + alpha - v^2 + i (2 alpha + 1) v)] dv with
     kappa = log strike and Phi the marginal characteristic function of
-    P_asset.  The damping strip is probed first: Phi(-i (alpha + 1)) is the
-    (alpha + 1) exponential moment and must be finite.  The reported
-    truncation error integrates the envelope of the last decade of the
-    quadrature range.
+    P_asset.  The damping strip is probed in the same batched solve as the
+    quadrature: Phi(-i (alpha + 1)) is the (alpha + 1) exponential moment
+    and must be finite.  The reported truncation error integrates the
+    envelope of the last decade of the quadrature range.
     """
     if strike <= 0.0:
         raise ValueError("strike must be positive")
-    d = model.d
-    e_i = np.zeros(d)
-    e_i[asset] = 1.0
-
-    # strip probe: moment of order alpha + 1 must exist
-    try:
-        probe = char_function(
-            model, -1j * (alpha + 1.0) * e_i[None, :], maturity,
-            n_steps=riccati_steps,
-        )
-        probe_val = complex(np.asarray(probe).reshape(-1)[0])
-    except FloatingPointError as exc:
-        raise ValueError(
-            f"damping alpha = {alpha} is outside the finite-moment strip "
-            f"({exc}); retry with a smaller alpha"
-        ) from exc
-    if not np.isfinite(probe_val.real):
-        raise ValueError(
-            f"damping alpha = {alpha} is outside the finite-moment strip; "
-            "retry with a smaller alpha"
-        )
-
+    e_i = np.eye(model.d)[asset]
     kappa = float(np.log(strike))
     # Gauss-Legendre panels on [0, v_max]
     nodes, weights = np.polynomial.legendre.leggauss(64)
@@ -354,10 +333,19 @@ def fourier_price_call(
     ws = np.concatenate(
         [0.5 * (b - a) * weights for a, b in zip(edges[:-1], edges[1:])]
     )
-    varg = (vs - 1j * (alpha + 1.0))[:, None] * e_i[None, :]
-    phi = np.asarray(
-        char_function(model, varg, maturity, n_steps=riccati_steps)
-    ).reshape(-1)
+    # row 0 is the strip probe: the moment of order alpha + 1 must exist
+    varg = np.concatenate([[0.0], vs]) - 1j * (alpha + 1.0)
+    try:
+        phi = char_function(model, varg[:, None] * e_i[None, :], maturity,
+                            n_steps=riccati_steps)
+        if not np.isfinite(phi[0].real):
+            raise FloatingPointError(f"Phi(-i (alpha + 1)) = {phi[0]}")
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"damping alpha = {alpha} is outside the finite-moment strip "
+            f"({exc}); retry with a smaller alpha"
+        ) from exc
+    phi = phi[1:]
     denom = alpha**2 + alpha - vs**2 + 1j * (2.0 * alpha + 1.0) * vs
     integrand = np.exp(-1j * vs * kappa) * phi / denom
     integral = float(np.sum(ws * integrand.real))

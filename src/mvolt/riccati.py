@@ -32,7 +32,9 @@ Three related solvers live here.
 3. The joint Riccati for the squared-Gaussian covariance model with a log
    price: node-pair matrices psi(x_i, x_j) with the quadratic interaction
    extended bilinearly from rank-one data, price couplings constant across
-   node pairs, and phi' = n sum_ij Tr(psi_ij nu_i nu_j).
+   node pairs, phi' = n sum_ij Tr(psi_ij nu_j nu_i), pairing sum_ij
+   Tr(psi_ij lam_ji); stacked into one kd x kd matrix it has constant
+   coefficients and is solved exactly through its Hamiltonian (Radon).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
 from .jumps import JumpMeasureSpec
@@ -78,6 +81,7 @@ def lift_riccati_rhs(
     return -nodes[:, None, None] * y + const
 
 
+@np.errstate(over="ignore", invalid="ignore")    # divergence is raised below
 def solve_lift_riccati_jump(
     y0: np.ndarray,
     measure: AtomicMatrixMeasure,
@@ -308,26 +312,6 @@ class JointRiccatiResult:
     char: np.ndarray         # (B,) complex, exp(-phi - <psi, lam0> + w^T P0)
 
 
-def _joint_rhs(psi, nodes, nu, const, rho, w):
-    """Batched right-hand side of the node-pair Riccati system.
-
-    psi has shape (B, k, k, d, d); w = i v is the (B, d) transform argument
-    already multiplied by i.  Returns (dpsi, dphi_integrand) where the
-    latter is n-free (the caller scales by the row count n).
-    """
-    decay = -(nodes[:, None] + nodes[None, :])[None, :, :, None, None] * psi
-    s1 = np.einsum("bimxy,myz->bixz", psi, nu, optimize=True)
-    s2 = np.einsum("lxy,bljyz->bjxz", nu, psi, optimize=True)
-    quad = -2.0 * np.einsum("bixy,bjyz->bijxz", s1, s2, optimize=True)
-    t1 = np.einsum("bixy,y,bz->bixz", s1, rho, w, optimize=True)
-    t2 = np.einsum("bx,y,bjyz->bjxz", w, rho, s2, optimize=True)
-    out = decay + quad + const[:, None, None, :, :]
-    out += t1[:, :, None, :, :]
-    out += t2[:, None, :, :, :]
-    phi_int = np.einsum("bijxy,iyz,jzx->b", psi, nu, nu, optimize=True)
-    return out, phi_int
-
-
 def solve_joint_riccati_heston(
     w: np.ndarray,
     measure: AtomicMatrixMeasure,
@@ -344,59 +328,83 @@ def solve_joint_riccati_heston(
     """Joint transform E[exp(-<psi_0, lam_t> + w^T P_t)], batched over w.
 
     ``w`` has shape (B, d) (one row per transform argument; pass i*v for the
-    characteristic function).  The node-pair system starts at ``psi0``
-    (zero by default, giving the price characteristic function; a constant
-    block c^T c at every pair transforms the covariance process itself) and
-    phi = 0, evolves by classical RK4, and assembles
-
-        exp(-phi_t - sum_ij Tr(psi_ij gamma0_i^T gamma0_j) + w^T P_0).
-
-    A state norm above ``blowup_limit`` aborts with the explosion time.
+    characteristic function).  Stacked into one kd x kd matrix, the node
+    pairs solve Psi' = A^T Psi + Psi A - 2 Psi M M^T Psi + E C E^T (M stacks
+    the nu_i, E stacks k identities, A = -diag(x_i) (x) I + M rho w^T E^T,
+    C = diag(w)/2 - w w^T/2 plus the symmetrized price-jump terms), exactly:
+    Psi = Y X^-1 with [X; Y]' = H [X; Y], H = [[-A, 2 M M^T], [E C E^T, A^T]],
+    from [I; psi0] (psi0 zero by default, giving the price characteristic
+    function; a block c^T c at every pair transforms the covariance itself).
+    The step map of H over t / n_steps carries Psi across ``n_steps``
+    checkpoints, which follow the branch of log det X, and the result is
+    exp(-(n/2)(log det X + t Tr A) - Tr(Psi Lambda) + w^T P_0), Lambda_ij =
+    gamma0_i^T gamma0_j.  The first checkpoint at which X is singular, det X
+    turns by over a quarter turn or |Psi| exceeds ``blowup_limit`` raises.
     """
     w = np.atleast_2d(np.asarray(w, dtype=complex))
     k, d = measure.k, measure.d
+    kd, B = k * d, w.shape[0]
     gamma0 = np.asarray(gamma0, dtype=float)
-    n_rows = gamma0.shape[1]
-    rho = np.asarray(rho, dtype=float)
-    B = w.shape[0]
-    nu = measure.weights
-    nodes = measure.nodes
 
-    # constant (in the node pair) drift block of the psi equation
-    eye_diag = np.zeros((B, d, d), dtype=complex)
-    for a in range(d):
-        eye_diag[:, a, a] = 0.5 * w[:, a]
-    const = eye_diag - 0.5 * np.einsum("bx,by->bxy", w, w)
+    const = 0.5 * (np.einsum("bx,xy->bxy", w, np.eye(d))
+                   - np.einsum("bx,by->bxy", w, w))
     if price_jump_atoms is not None and len(price_jump_atoms):
-        xi = np.asarray(price_jump_atoms, dtype=float)      # (J, d)
-        mw = np.asarray(price_jump_weights, dtype=float)    # (J, d, d)
-        lin = np.einsum("bx,jx->bj", w, (np.exp(xi) - 1.0 - xi))
-        cmp_ = np.exp(np.einsum("bx,jx->bj", w, xi)) - 1.0 - np.einsum(
-            "bx,jx->bj", w, xi
-        )
-        const = const + np.einsum("bj,jxy->bxy", lin - cmp_, mw)
+        xi, mw = np.asarray(price_jump_atoms), np.asarray(price_jump_weights)
+        gain = w @ (np.exp(xi) - 1.0 - xi).T - (np.exp(w @ xi.T) - 1.0 - w @ xi.T)
+        const += np.einsum("bj,jxy->bxy", gain, 0.5 * (mw + mw.swapaxes(1, 2)))
+    M = measure.weights.reshape(kd, d)
+    A = np.einsum("x,by->bxy", M @ np.asarray(rho, dtype=float), np.tile(w, k))
+    A[:, np.arange(kd), np.arange(kd)] -= np.repeat(measure.nodes, d)
+    ham = np.block([[-A, np.broadcast_to(2.0 * M @ M.T, A.shape)],
+                    [np.tile(const, (k, k)), A.swapaxes(1, 2)]])
 
-    psi = np.zeros((B, k, k, d, d), dtype=complex)
-    if psi0 is not None:
-        psi += np.asarray(psi0, dtype=complex)
-    phi = np.zeros(B, dtype=complex)
+    # The step maps psi to P + R^T psi (I + Q psi)^-1 R, R = S11^-1, P = S21 R,
+    # Q = R S12, and multiplies det X by det S11 det(I + Q psi).  S11 grows
+    # as e^(x h) on a node x, so the map is built from exp(H h / 2^j), where
+    # |S - I| <= e^(1/2) - 1 (the growth rate bounded by the 1-norm of H
+    # balanced by diag(I, I / c)), and composed with itself j times.
     h = t / n_steps
-    for m in range(n_steps):
-        k1, f1 = _joint_rhs(psi, nodes, nu, const, rho, w)
-        k2, f2 = _joint_rhs(psi + 0.5 * h * k1, nodes, nu, const, rho, w)
-        k3, f3 = _joint_rhs(psi + 0.5 * h * k2, nodes, nu, const, rho, w)
-        k4, f4 = _joint_rhs(psi + h * k3, nodes, nu, const, rho, w)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        phi = phi + n_rows * (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        mx = float(np.max(np.abs(psi))) if psi.size else 0.0
-        if not np.isfinite(mx) or mx > blowup_limit:
+    norms = [np.linalg.norm(a, o, axis=(1, 2)).max(initial=0.0) for a, o in
+             ((A, 1), (A, np.inf), (ham[:, :kd, kd:], 1), (ham[:, kd:, :kd], 1))]
+    rate = max(norms[:2]) + np.sqrt(norms[2] * norms[3])
+    j = int(np.ceil(np.log2(max(2.0 * rate * h, 1.0))))
+    S = scipy.linalg.expm(ham * (h / 2**j))
+    R = np.linalg.inv(S[:, :kd, :kd])
+    P, Q = S[:, kd:, :kd] @ R, R @ S[:, :kd, kd:]
+    ell, step_turn = _logdet(S[:, :kd, :kd])
+    for _ in range(j):
+        W = np.linalg.inv(np.eye(kd) + Q @ P)
+        RW, Rt = R @ W, R.swapaxes(1, 2)
+        P, Q, R = P + Rt @ P @ W @ R, Q + RW @ Q @ Rt, RW @ R
+        log_w, turn = _logdet(W)
+        ell, step_turn = 2.0 * ell - log_w, max(step_turn, turn)
+    Rt = R.swapaxes(1, 2).copy()
+
+    psi = np.broadcast_to(0.0 if psi0 is None else psi0, (B, k, k, d, d))
+    psi = psi.transpose(0, 1, 3, 2, 4).reshape(B, kd, kd).astype(complex)
+    logdet = n_steps * ell
+    for m in range(1, n_steps + 1):
+        G = np.eye(kd) + psi @ Q      # det(I + psi Q) = det(I + Q psi)
+        log_g, turn = _logdet(G)
+        finite = np.all(np.isfinite(log_g))
+        psi = P + Rt @ (np.linalg.inv(G) @ psi) @ R if finite else psi + np.inf
+        turn, size = max(turn, step_turn), float(np.max(np.abs(psi), initial=0.0))
+        if turn > 0.5 * np.pi or not size <= blowup_limit:
             raise FloatingPointError(
-                f"joint Riccati blow-up at t = {(m + 1) * h:.6g} "
-                f"(|psi| = {mx:.3e}); reduce the damping or the horizon"
+                f"joint Riccati blow-up at t = {m * h:.6g} (det X turned by "
+                f"{turn:.3g} rad, |psi| = {size:.3g}; n_steps = {n_steps})"
             )
-    lam0 = np.einsum("ina,jnb->ijab", gamma0, gamma0)
-    pair = np.einsum("bijxy,ijyx->b", psi, lam0, optimize=True)
-    char = np.exp(-phi - pair)
-    if p0 is not None:
-        char = char * np.exp(w @ np.asarray(p0, dtype=float))
+        logdet += log_g
+    lam0 = np.einsum("ina,jnb->iajb", gamma0, gamma0).reshape(kd, kd)
+    phi = 0.5 * gamma0.shape[1] * (logdet + t * np.trace(A, axis1=1, axis2=2))
+    shift = 0.0 if p0 is None else w @ np.asarray(p0, dtype=float)
+    char = np.exp(-phi - np.einsum("bxy,yx->b", psi, lam0) + shift)
+    psi = psi.reshape(B, k, d, k, d).transpose(0, 1, 3, 2, 4)
     return JointRiccatiResult(phi=phi, psi=psi, char=char)
+
+
+def _logdet(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Principal log det of each matrix and the largest |arg det|."""
+    sign, logabs = np.linalg.slogdet(a)
+    angle = np.angle(sign)
+    return logabs + 1j * angle, float(np.max(np.abs(angle), initial=0.0))

@@ -165,6 +165,25 @@ class TestTransformCommands:
         for entry in rep["entries"]:
             assert entry["modulus"] <= 1.0 + 1e-9
 
+    def test_numerical_failure_exit_three(self, tmp_path, capsys):
+        # V explodes at rate 2 nu = 1e4: the lift Riccati leaves the float
+        # range near t = 0.07 and the CLI must say so in one line, not in a
+        # traceback with the exit code of a failed check
+        model = write(
+            tmp_path / "explosive.cfg",
+            "[measure]\nnodes = [1.0]\nweights = [[[5000.0]]]\nd = 1\n"
+            "[lambda0]\nweights = [[[1.0]]]\n"
+            "[jumps]\natoms = [[[1.0]]]\nweights = [[[0.3]]]\nepsilon = 0.0\n",
+        )
+        u = write(tmp_path / "u.cfg", "u = [[-1.0]]\n")
+        out = tmp_path / "lap.json"
+        rc = main(["transform", "laplace", "--model", model, "--u", u,
+                   "--t", "0.1", "--riccati-steps", "10", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["numerical failure: lift Riccati diverged before t = 0.07"]
+        assert not out.exists()
+
     def test_heston_price_csv(self, tmp_path, heston_model_file):
         out = tmp_path / "price.csv"
         rc = main(["heston", "price", "--model", heston_model_file,

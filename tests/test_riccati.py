@@ -245,6 +245,61 @@ class TestJointRiccati:
             )
 
 
+def node_pair_charfn_dop853(v, measure, gamma0, rho, t):
+    """E[exp(i v^T P_t)] from the node-pair system written from the generator.
+
+    psi_ij' = -(x_i + x_j) psi_ij - 2 S_i T_j + S_i rho w^T + w rho^T T_j + C,
+    S_i = sum_m psi_im nu_m, T_j = sum_l nu_l psi_lj, C = diag(w)/2 - w w^T/2,
+    phi' = n sum_ij Tr(psi_ij nu_j nu_i), value exp(-phi - sum_ij Tr(psi_ij
+    lam_ji)) with lam_ij = gamma0_i^T gamma0_j and w = i v; DOP853 at rtol
+    1e-12.
+    """
+    from scipy.integrate import solve_ivp
+
+    nodes, nu = measure.nodes, measure.weights
+    k, d = measure.k, measure.d
+    n = gamma0.shape[1]
+    w = 1j * np.asarray(v, dtype=float)
+    C = 0.5 * np.diag(w) - 0.5 * np.outer(w, w)
+    decay = nodes[:, None] + nodes[None, :]
+
+    def rhs(_, y):
+        psi = y[1:].reshape(k, k, d, d)
+        S = np.einsum("imab,mbc->iac", psi, nu)
+        T = np.einsum("lab,ljbc->jac", nu, psi)
+        dpsi = (-decay[:, :, None, None] * psi
+                - 2.0 * np.einsum("iab,jbc->ijac", S, T)
+                + np.einsum("iab,b,c->iac", S, rho, w)[:, None]
+                + np.einsum("a,b,jbc->jac", w, rho, T)[None, :] + C)
+        dphi = n * np.einsum("ijab,jbc,ica->", psi, nu, nu)
+        return np.concatenate([[dphi], dpsi.ravel()])
+
+    sol = solve_ivp(rhs, (0.0, t), np.zeros(1 + k * k * d * d, dtype=complex),
+                    method="DOP853", rtol=1e-12, atol=1e-14)
+    assert sol.success
+    phi, psi = sol.y[0, -1], sol.y[1:, -1].reshape(k, k, d, d)
+    lam0 = np.einsum("ina,jnb->ijab", gamma0, gamma0)
+    return np.exp(-phi - np.einsum("ijab,jiba->", psi, lam0))
+
+
+def test_joint_riccati_index_order_non_commuting():
+    # the node-pair blocks are not symmetric once rho != 0 and the nu_i do
+    # not commute, which separates Tr(psi_ij nu_j nu_i) from Tr(psi_ij nu_i
+    # nu_j) and the pairing with lam_ji from the one with lam_ij
+    nu = np.array([[[0.30, 0.0], [0.0, 0.05]],
+                   [[0.10, 0.08], [0.08, 0.20]],
+                   [[0.05, -0.04], [-0.04, 0.15]]])
+    assert np.abs(nu[0] @ nu[1] - nu[1] @ nu[0]).max() > 1e-2
+    measure = AtomicMatrixMeasure([0.4, 1.5, 4.0], nu)
+    gamma0 = np.random.default_rng(11).normal(size=(3, 2, 2)) * 0.3
+    rho = np.array([-0.7, 0.5])
+    vs = np.array([[1.0, 1.0], [-2.0, 0.5], [3.0, -1.0], [6.0, -3.0]])
+    got = solve_joint_riccati_heston(1j * vs, measure, gamma0, rho, 1.0).char
+    for v, value in zip(vs, got):
+        want = node_pair_charfn_dop853(v, measure, gamma0, rho, 1.0)
+        assert abs(value - want) <= 1e-9
+
+
 def test_h_curve_matches_decay():
     measure, lam0, _ = scalar_hawkes()
     ts = np.array([0.0, 0.5, 1.0])
