@@ -23,6 +23,7 @@ from .wishart import (
     simulate_wishart,
 )
 from .jumps import (
+    HawkesPathSimulator,
     JumpLiftState,
     JumpMeasureSpec,
     drift_flow_step,
@@ -39,7 +40,7 @@ from .riccati import (
     solve_volterra_riccati_jump,
 )
 from .heston import HestonModelSpec, char_function, fourier_price_call
-from .mc import Estimate, antithetic_wrap, collect_paths, path_rng, run_paths
+from .mc import Estimate, PerPathBlocks, estimate_mean, path_rng, run_path_blocks
 
 __all__ = [
     "AtomicMatrixMeasure",
@@ -59,6 +60,7 @@ __all__ = [
     "affine_transform_wishart",
     "closed_form_laplace",
     "simulate_wishart",
+    "HawkesPathSimulator",
     "JumpLiftState",
     "JumpMeasureSpec",
     "drift_flow_step",
@@ -75,10 +77,10 @@ __all__ = [
     "char_function",
     "fourier_price_call",
     "Estimate",
-    "antithetic_wrap",
-    "collect_paths",
+    "PerPathBlocks",
+    "estimate_mean",
     "path_rng",
-    "run_paths",
+    "run_path_blocks",
     "__version__",
 ]
 

@@ -13,8 +13,10 @@ heston simulate|charfn|price
 validate               run the named MC-vs-analytic check suite
 
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 numerical
-failure (a transform that blows up or loses its precision).  All reports
-are deterministic for a fixed seed; ``--workers`` never changes numbers.
+failure (a transform that blows up or loses its precision, or a Monte Carlo
+block that fails numerically; the message names the paths and the seed).
+All reports are deterministic for a fixed seed; ``--workers`` never changes
+numbers.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +33,17 @@ from . import configio
 from .configio import ConfigError
 from .fractional import FractionalKernelSpec, fit_fractional_measure
 from .heston import char_function, fourier_price_call, simulate_heston_terminal
-from .jumps import hawkes_jump_spec
+from .jumps import HawkesPathSimulator, hawkes_jump_spec
 from .measures import eval_kernel
-from .mc import estimate_mean, run_path_blocks
-from .ou import simulate_lift_blocks
+from .mc import PerPathBlocks, estimate_mean, run_path_blocks
 from .riccati import laplace_transform_jump
-from .validate import CHECKS, HawkesPathFn, run_checks
-from .wishart import WishartTransformQuery, closed_form_laplace, simulate_wishart
+from .validate import CHECKS, run_checks
+from .wishart import (
+    WishartTransformQuery,
+    XBlock,
+    closed_form_laplace,
+    simulate_wishart,
+)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -98,17 +105,6 @@ def _simulation_times(dt: float, steps: int) -> np.ndarray:
     return np.linspace(dt, steps * dt, steps)
 
 
-class _OUBlock:
-    def __init__(self, measure, gamma0, times):
-        self.measure, self.gamma0, self.times = measure, gamma0, times
-
-    def __call__(self, seed, start, stop):
-        gam = simulate_lift_blocks(
-            self.measure, self.gamma0, self.times, seed, start, stop
-        )
-        return gam.sum(axis=2)  # (B, T, n, d)
-
-
 def cmd_ou_simulate(args) -> int:
     measure = configio.read_measure(args.measure)
     gamma0_m = configio.read_measure(args.gamma0)
@@ -116,7 +112,7 @@ def cmd_ou_simulate(args) -> int:
         raise ConfigError("gamma0 and measure must share the same nodes")
     times = _simulation_times(args.dt, args.steps)
     xs = run_path_blocks(
-        _OUBlock(measure, gamma0_m.weights, times), args.paths, args.seed,
+        XBlock(measure, gamma0_m.weights, times), args.paths, args.seed,
         workers=args.workers,
     )
     n, d = xs.shape[2], xs.shape[3]
@@ -179,6 +175,12 @@ def cmd_wishart_transform(args) -> int:
 
 # hawkes ----------------------------------------------------------------------
 
+def _event_log(record, with_grid: bool):
+    """The parts of one path's record that the CSVs print."""
+    v_path = record.v_path if with_grid else None
+    return record.jump_times, record.jump_atoms, record.intensity_at_jumps, v_path
+
+
 def cmd_hawkes_simulate(args) -> int:
     if args.model is not None:
         measure, lam0, spec = configio.read_jump_model(args.model)
@@ -193,31 +195,24 @@ def cmd_hawkes_simulate(args) -> int:
         measure = configio.read_measure(args.measure)
         lam0 = configio.read_measure(args.lambda0).weights
         spec = hawkes_jump_spec(measure.d)
-    grid_steps = args.grid_steps or max(int(round(args.T / args.thinning_dt)), 1)
-    fn = HawkesPathFn(measure, lam0, spec, horizon=args.T,
-                      thinning_dt=args.thinning_dt, record_times=[args.T],
-                      grid_steps=grid_steps)
-
+    sim = HawkesPathSimulator(measure, lam0, spec, args.T, args.thinning_dt,
+                              grid_steps=args.grid_steps or None)
+    logs = run_path_blocks(
+        PerPathBlocks(sim, partial(_event_log, with_grid=bool(args.out_grid))),
+        args.paths, args.seed, workers=args.workers,
+    )
     events_rows = []
     vgrid_rows = []
-    d = measure.d
-    from .jumps import JumpLiftState, simulate_jump_path
-    from .mc import path_rng
-
-    for p in range(args.paths):
-        state = JumpLiftState(t=0.0, lam=lam0, measure=measure,
-                              counts=np.zeros(spec.n_atoms))
-        rec = simulate_jump_path(state, spec, args.T, path_rng(args.seed, p),
-                                 args.thinning_dt, fn.grid, flow=fn.flow)
-        for jt, atom, rate in zip(rec.jump_times, rec.jump_atoms,
-                                  rec.intensity_at_jumps):
+    for p, (jump_times, atoms, rates, v_path) in enumerate(logs):
+        for jt, atom, rate in zip(jump_times, atoms, rates):
             events_rows.append([p, jt, int(atom), rate])
         if args.out_grid:
-            for j, t in enumerate(fn.grid.times):
-                vgrid_rows.append([p, t] + list(rec.v_path[j].reshape(-1)))
+            for j, t in enumerate(sim.grid.times):
+                vgrid_rows.append([p, t] + list(v_path[j].reshape(-1)))
     _write_text(args.out, configio.format_csv(
         ["path", "t", "atom", "intensity_at_jump"], events_rows))
     if args.out_grid:
+        d = measure.d
         header = ["path", "t"] + [f"V_{i + 1}{j + 1}" for i in range(d)
                                   for j in range(d)]
         _write_text(args.out_grid, configio.format_csv(header, vgrid_rows))

@@ -184,21 +184,6 @@ def read_heston_model(path) -> HestonModelSpec:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def heston_model_to_sections(model: HestonModelSpec) -> dict[str, dict]:
-    sec = {
-        "measure": measure_to_dict(model.measure),
-        "gamma0": {"weights": model.gamma0.tolist()},
-        "price": {
-            "rho": model.rho.tolist(),
-            "p0": model.p0.tolist(),
-        },
-    }
-    if model.n_jumps:
-        sec["price"]["jump_atoms"] = model.jump_atoms.tolist()
-        sec["price"]["jump_weights"] = model.jump_weights.tolist()
-    return sec
-
-
 # CSV helpers ----------------------------------------------------------------
 
 def format_csv(header: list[str], rows) -> str:

@@ -126,7 +126,6 @@ class HestonSimulator:
                 raise ValueError("record times must lie on the step grid")
             self.record_idx.append(m)
         self.record_variance = bool(record_variance)
-        self.gaussian_only = model.n_jumps == 0
 
     @property
     def _draws_per_step(self) -> int:
@@ -228,42 +227,6 @@ def simulate_heston_terminal(
     sim = HestonSimulator(model, horizon, n_steps, record_times,
                           record_variance=record_variance)
     return run_path_blocks(sim, n_paths, seed, workers=workers)
-
-
-@dataclass(frozen=True)
-class PricePathRecord:
-    """One simulated joint path: grid times, log prices and diag V samples."""
-
-    times: np.ndarray      # (T,)
-    p_path: np.ndarray     # (T, d)
-    v_diag: np.ndarray     # (T, d)
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.p_path)):
-            raise ValueError("log prices must be finite")
-        if np.any(np.asarray(self.v_diag) < -1e-12):
-            raise ValueError("variance diagonal must be nonnegative")
-
-
-def simulate_heston_records(
-    model: HestonModelSpec,
-    horizon: float,
-    n_steps: int,
-    n_paths: int,
-    seed: int,
-    workers: int = 1,
-) -> list[PricePathRecord]:
-    """Full-path records on the step grid (P and diag V per grid point)."""
-    times = np.linspace(0.0, float(horizon), int(n_steps) + 1)
-    pv = simulate_heston_terminal(
-        model, horizon, n_steps, n_paths, seed, workers=workers,
-        record_times=times, record_variance=True,
-    )
-    d = model.d
-    return [
-        PricePathRecord(times=times, p_path=pv[p, :, :d], v_diag=pv[p, :, d:])
-        for p in range(pv.shape[0])
-    ]
 
 
 def char_function(model: HestonModelSpec, v, t: float, n_steps: int = 400):

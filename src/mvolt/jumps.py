@@ -99,43 +99,6 @@ def hawkes_jump_spec(d: int, excitation: np.ndarray | None = None) -> JumpMeasur
 
 
 @dataclass(frozen=True)
-class HawkesPreset:
-    """Diagonal multivariate self-exciting preset.
-
-    Both the kernel measure and the baseline lam0 must carry diagonal
-    weights; component i then counts jumps of unit size in entry (i, i)
-    with compensator int V_ii dt.
-    """
-
-    measure: AtomicMatrixMeasure
-    lam0: np.ndarray             # (k, d, d) diagonal
-
-    def __post_init__(self):
-        lam0 = np.array(self.lam0, dtype=float)
-        lam0.setflags(write=False)
-        object.__setattr__(self, "lam0", lam0)
-        d = self.measure.d
-        if lam0.shape != (self.measure.k, d, d):
-            raise ValueError("lam0 must match the measure's (k, d, d) shape")
-        for name, stack in (("measure weight", self.measure.weights),
-                            ("baseline", lam0)):
-            for i, w in enumerate(stack):
-                if np.any(np.abs(w - np.diag(np.diag(w))) > 1e-14):
-                    raise ValueError(f"{name} {i} must be diagonal")
-
-    @property
-    def d(self) -> int:
-        return self.measure.d
-
-    def jump_spec(self) -> "JumpMeasureSpec":
-        return hawkes_jump_spec(self.d)
-
-    def initial_state(self) -> "JumpLiftState":
-        return JumpLiftState(t=0.0, lam=self.lam0, measure=self.measure,
-                             counts=np.zeros(self.d))
-
-
-@dataclass(frozen=True)
 class JumpLiftState:
     """Lift state: time, node matrices, driving measure, jump accumulators."""
 
@@ -167,16 +130,6 @@ class JumpLiftState:
     def total(self) -> np.ndarray:
         """V = sum_i lam(x_i)."""
         return self.lam.sum(axis=0)
-
-    def min_eigenvalues(self) -> tuple[float, float]:
-        """(min eig of V, min over nodes of min eig of lam(x_i)).
-
-        V carries the cone guarantee; per-node values are monitored only,
-        since for non-diagonal nu the node increments need not be PSD.
-        """
-        v = float(np.linalg.eigvalsh(self.total)[0])
-        per_node = min(float(np.linalg.eigvalsh(l)[0]) for l in self.lam)
-        return v, per_node
 
 
 def drift_rhs(lam: np.ndarray, nodes: np.ndarray, nu_w: np.ndarray) -> np.ndarray:
@@ -478,6 +431,32 @@ def simulate_jump_path(
         min_eig_v=float(min_v if np.isfinite(min_v) else np.linalg.eigvalsh(final.total)[0]),
         min_eig_node=float(min_node if np.isfinite(min_node) else 0.0),
     )
+
+
+class HawkesPathSimulator:
+    """Picklable per-path simulator of the jump lift started from lam0.
+
+    The initial state, the recording grid (``grid_steps`` intervals,
+    default horizon / thinning_dt) and the :class:`LinearFlow` are built
+    once; each call returns the :class:`JumpPathRecord` of one path drawn
+    from ``rng``.
+    """
+
+    def __init__(self, measure: AtomicMatrixMeasure, lam0, spec: JumpMeasureSpec,
+                 horizon: float, thinning_dt: float, grid_steps: int | None = None):
+        self.state0 = JumpLiftState(t=0.0, lam=lam0, measure=measure,
+                                    counts=np.zeros(spec.n_atoms))
+        self.spec = spec
+        self.horizon = float(horizon)
+        self.thinning_dt = float(thinning_dt)
+        if grid_steps is None:
+            grid_steps = max(int(round(self.horizon / self.thinning_dt)), 1)
+        self.grid = TimeGrid.regular(self.horizon, grid_steps)
+        self.flow = LinearFlow(measure)
+
+    def __call__(self, rng: np.random.Generator) -> JumpPathRecord:
+        return simulate_jump_path(self.state0, self.spec, self.horizon, rng,
+                                  self.thinning_dt, self.grid, flow=self.flow)
 
 
 def volterra_projection(

@@ -2,9 +2,10 @@
 
 Every path index owns an independent Philox stream derived from
 (master seed, path index), so a draw sequence is bit-identical no matter
-how paths are scheduled across workers.  Reductions are accumulated per
-fixed-size block and the block results are combined in block order on the
-driver, which makes the final numbers byte-identical for 1 or many workers.
+how paths are scheduled across workers.  :func:`run_path_blocks`
+evaluates a block simulator over fixed-size path blocks and joins the block
+results in block order, which makes the final numbers byte-identical for 1
+or many workers.  Per-path simulators enter through :class:`PerPathBlocks`.
 """
 
 from __future__ import annotations
@@ -24,53 +25,6 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def path_rngs(seed: int, indices) -> list[np.random.Generator]:
-    return [path_rng(seed, i) for i in indices]
-
-
-@dataclass(frozen=True)
-class StreamedRng:
-    """Master seed with a counter-based path-index -> stream map.
-
-    ``stream(p)`` is bit-identical for a fixed (seed, p) no matter how many
-    workers run or in which order paths are scheduled.
-    """
-
-    seed: int
-
-    def stream(self, path_index: int) -> np.random.Generator:
-        return path_rng(self.seed, path_index)
-
-
-class GaussianOnlyRng:
-    """Generator facade exposing only ``standard_normal``.
-
-    Restricting the surface is what lets the antithetic wrapper reject
-    simulators that consume any other kind of randomness (thinning
-    uniforms, Poisson counts, ...).
-    """
-
-    _sign = 1.0
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-
-    def standard_normal(self, size=None):
-        return self._sign * self._rng.standard_normal(size)
-
-    def __getattr__(self, name):
-        raise AttributeError(
-            f"antithetic streams only provide standard_normal draws, not {name!r}; "
-            "wrap only simulators that consume Gaussian noise exclusively"
-        )
-
-
-class FlippedGaussianRng(GaussianOnlyRng):
-    """Sign-flipped counterpart of :class:`GaussianOnlyRng`."""
-
-    _sign = -1.0
-
-
 @dataclass(frozen=True)
 class Estimate:
     """Monte Carlo mean with its standard error and batch-mean diagnostics."""
@@ -85,56 +39,98 @@ class Estimate:
         return (self.mean - np.asarray(reference)) / se
 
 
-def _block_ranges(n_paths: int, block_size: int):
-    return [
-        (start, min(start + block_size, n_paths))
-        for start in range(0, n_paths, block_size)
-    ]
+def _with_hint(exc: Exception, hint: str) -> Exception:
+    """A copy of ``exc`` (same type where it can be built) naming the paths.
+
+    The hint is kept in ``replay_hint`` so that an outer layer does not add
+    a coarser one.
+    """
+    try:
+        out = type(exc)(f"{exc} on {hint}")
+    except TypeError:  # a constructor that takes more than a message
+        out = RuntimeError(f"{type(exc).__name__}: {exc} on {hint}")
+    out.replay_hint = hint
+    return out
 
 
-class _PathBlockTask:
-    """Picklable per-block evaluation of a path-level simulator.
+class PerPathBlocks:
+    """Block simulator built from a per-path one.
 
-    In antithetic mode the block ranges over pair indices: pair m consumes
-    stream m twice, once plainly and once sign-flipped, and contributes the
-    pair average as one value (the correct sample for the standard error of
-    an antithetic estimator).
+    ``path_fn(rng)`` simulates one path from its stream
+    ``path_rng(seed, p)``; ``reduce``, if given, maps that output to the
+    value kept, inside the worker.  A block returns the list of its values.
     """
 
-    def __init__(self, fn, seed, antithetic):
-        self.fn = fn
-        self.seed = seed
-        self.antithetic = antithetic
+    def __init__(self, path_fn, reduce=None):
+        self.path_fn = path_fn
+        self.reduce = reduce
 
-    def __call__(self, block):
-        start, stop = block
+    def __call__(self, seed: int, start: int, stop: int) -> list:
         out = []
         for p in range(start, stop):
             try:
-                if self.antithetic:
-                    plus = self.fn(GaussianOnlyRng(path_rng(self.seed, p)))
-                    minus = self.fn(FlippedGaussianRng(path_rng(self.seed, p)))
-                    out.append(
-                        0.5 * (np.asarray(plus, dtype=float)
-                               + np.asarray(minus, dtype=float))
-                    )
-                else:
-                    out.append(np.asarray(self.fn(path_rng(self.seed, p)),
-                                          dtype=float))
+                value = self.path_fn(path_rng(seed, p))
+                out.append(value if self.reduce is None else self.reduce(value))
             except Exception as exc:
-                raise RuntimeError(
-                    f"simulator failed on path {p} (seed {self.seed}); "
-                    f"replay with path_rng({self.seed}, {p})"
+                raise _with_hint(
+                    exc, f"path {p} (seed {seed}); replay with path_rng({seed}, {p})"
                 ) from exc
-        return np.stack(out)
+        return out
 
 
-def _map_blocks(task, blocks, workers: int):
+class _BlockTask:
+    """Picklable evaluation of one path block."""
+
+    def __init__(self, block_fn, seed):
+        self.block_fn = block_fn
+        self.seed = seed
+
+    def __call__(self, block):
+        start, stop = block
+        try:
+            return self.block_fn(self.seed, start, stop)
+        except Exception as exc:
+            if hasattr(exc, "replay_hint"):
+                raise
+            raise _with_hint(
+                exc, f"paths [{start}, {stop}) (seed {self.seed})"
+            ) from exc
+
+
+def run_path_blocks(
+    block_fn,
+    n_paths: int,
+    seed: int,
+    *,
+    workers: int = 1,
+    block_size: int = BLOCK_SIZE,
+):
+    """Evaluate a block simulator over fixed path blocks.
+
+    ``block_fn(seed, start, stop)`` returns the values of paths
+    [start, stop), drawing the noise of path p from ``path_rng(seed, p)``
+    only: an array of shape (stop - start, ...), or a list such as
+    :class:`PerPathBlocks` returns.  Block results are joined in path order
+    (arrays concatenated, lists chained), so the output is independent of
+    the worker count.  An exception keeps its type and names the failing
+    paths and the seed.
+    """
+    if n_paths < 1:
+        raise ValueError("need at least one path")
+    blocks = [
+        (start, min(start + block_size, n_paths))
+        for start in range(0, n_paths, block_size)
+    ]
+    task = _BlockTask(block_fn, seed)
     if workers <= 1 or len(blocks) <= 1:
-        return [task(b) for b in blocks]
-    workers = min(workers, len(blocks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, blocks))
+        chunks = [task(b) for b in blocks]
+    else:
+        workers = min(workers, len(blocks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(task, blocks))
+    if isinstance(chunks[0], list):
+        return [value for chunk in chunks for value in chunk]
+    return np.concatenate([np.asarray(c) for c in chunks], axis=0)
 
 
 def _estimate_from_values(values: np.ndarray, block_size: int) -> Estimate:
@@ -153,124 +149,7 @@ def _estimate_from_values(values: np.ndarray, block_size: int) -> Estimate:
     return Estimate(mean=mean, stderr=stderr, n_paths=n, batch_means=batch_means)
 
 
-def run_paths(
-    fn,
-    n_paths: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    block_size: int = BLOCK_SIZE,
-    antithetic: bool = False,
-) -> Estimate:
-    """Estimate E[fn(stream)] over ``n_paths`` independent path streams.
-
-    ``fn`` receives one Generator per path and returns a float or ndarray.
-    With ``antithetic=True`` the n_paths budget is spent on n_paths / 2
-    stream pairs, each evaluated plainly and with sign-flipped Gaussian
-    draws; the simulator must declare that it consumes Gaussian noise only
-    by exposing a true ``gaussian_only`` attribute.
-    """
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    antithetic = antithetic or bool(getattr(fn, "antithetic", False))
-    if antithetic:
-        if not getattr(fn, "gaussian_only", False):
-            raise ValueError(
-                "antithetic wrapping requires a simulator that declares "
-                "gaussian_only=True (jump/thinning simulators are rejected)"
-            )
-        if n_paths % 2 != 0:
-            raise ValueError("antithetic estimation needs an even path count")
-        n_units = n_paths // 2
-    else:
-        n_units = n_paths
-    blocks = _block_ranges(n_units, block_size)
-    task = _PathBlockTask(fn, seed, antithetic)
-    chunks = _map_blocks(task, blocks, workers)
-    values = np.concatenate(chunks, axis=0)
-    return _estimate_from_values(values, block_size)
-
-
-def collect_paths(
-    fn,
-    n_paths: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    block_size: int = BLOCK_SIZE,
-) -> np.ndarray:
-    """Stack per-path outputs of ``fn`` in path order (no reduction)."""
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    blocks = _block_ranges(n_paths, block_size)
-    task = _PathBlockTask(fn, seed, antithetic=False)
-    chunks = _map_blocks(task, blocks, workers)
-    return np.concatenate(chunks, axis=0)
-
-
-def antithetic_wrap(fn):
-    """Mark a Gaussian-only simulator for antithetic pairing in run_paths."""
-    if not getattr(fn, "gaussian_only", False):
-        raise ValueError(
-            "antithetic wrapping requires a simulator that declares "
-            "gaussian_only=True (jump/thinning simulators are rejected)"
-        )
-
-    class _Antithetic:
-        gaussian_only = True
-        antithetic = True
-
-        def __init__(self, inner):
-            self.inner = inner
-
-        def __call__(self, rng):
-            return self.inner(rng)
-
-    return _Antithetic(fn)
-
-
-class _VectorBlockTask:
-    """Picklable wrapper for block simulators (vectorized across paths)."""
-
-    def __init__(self, block_fn, seed):
-        self.block_fn = block_fn
-        self.seed = seed
-
-    def __call__(self, block):
-        start, stop = block
-        try:
-            return np.asarray(self.block_fn(self.seed, start, stop))
-        except Exception as exc:
-            raise RuntimeError(
-                f"block simulator failed on paths [{start}, {stop}) "
-                f"(seed {self.seed})"
-            ) from exc
-
-
-def run_path_blocks(
-    block_fn,
-    n_paths: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    block_size: int = BLOCK_SIZE,
-) -> np.ndarray:
-    """Evaluate a vectorized simulator over fixed path blocks.
-
-    ``block_fn(seed, start, stop)`` must return per-path values of shape
-    (stop - start, ...), drawing the noise of path p from
-    ``path_rng(seed, p)`` only.  Results are concatenated in path order, so
-    the output is independent of the worker count.
-    """
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    blocks = _block_ranges(n_paths, block_size)
-    task = _VectorBlockTask(block_fn, seed)
-    chunks = _map_blocks(task, blocks, workers)
-    return np.concatenate(chunks, axis=0)
-
-
-def estimate_mean(values: np.ndarray, block_size: int = BLOCK_SIZE) -> Estimate:
+def estimate_mean(values, block_size: int = BLOCK_SIZE) -> Estimate:
     """Estimate from per-path values produced by :func:`run_path_blocks`."""
     values = np.asarray(values)
     if np.iscomplexobj(values):

@@ -115,13 +115,6 @@ class AtomicMatrixMeasure:
         return self.weights.sum(axis=0)
 
 
-def zero_measure(nodes, d: int, shape: str = SHAPE_SYMMETRIC, n: int | None = None) -> AtomicMatrixMeasure:
-    nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
-    rows = d if shape == SHAPE_SYMMETRIC else int(n if n is not None else d)
-    w = np.zeros((nodes.size, rows, d))
-    return AtomicMatrixMeasure(nodes, w, shape=shape)
-
-
 def eval_kernel(measure: AtomicMatrixMeasure, t) -> np.ndarray:
     """Evaluate K(t) = sum_i w_i exp(-x_i t).
 

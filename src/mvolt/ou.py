@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import (
-    SHAPE_GENERAL,
     SHAPE_SYMMETRIC,
     AtomicMatrixMeasure,
     pair_decay_integrals,
@@ -70,17 +69,6 @@ class OULiftState:
     @property
     def k(self) -> int:
         return self.gamma.shape[0]
-
-
-def lift_state_from_measure(
-    gamma0: AtomicMatrixMeasure, measure: AtomicMatrixMeasure
-) -> OULiftState:
-    """Build the initial state from a general-shape measure for gamma_0."""
-    if gamma0.shape != SHAPE_GENERAL and gamma0.shape != SHAPE_SYMMETRIC:
-        raise ValueError("gamma0 must be an atomic matrix measure")
-    if not np.array_equal(gamma0.nodes, measure.nodes):
-        raise ValueError("gamma0 and the driving measure must share nodes")
-    return OULiftState(t=0.0, gamma=gamma0.weights, measure=measure)
 
 
 def node_covariance(measure: AtomicMatrixMeasure, dt: float) -> np.ndarray:
@@ -196,7 +184,6 @@ def simulate_lift_blocks(
     seed: int,
     start: int,
     stop: int,
-    rng_factory=None,
 ) -> np.ndarray:
     """Exact lift states for paths [start, stop) at the requested times.
 
@@ -208,8 +195,6 @@ def simulate_lift_blocks(
     """
     from .mc import path_rng
 
-    if rng_factory is None:
-        rng_factory = path_rng
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(times < 0.0):
         raise ValueError("times must be a nonempty 1-d array of t >= 0")
@@ -230,7 +215,7 @@ def simulate_lift_blocks(
     n_paths = stop - start
     noise = np.empty((n_paths, times.size, n, k * d))
     for row, p in enumerate(range(start, stop)):
-        noise[row] = rng_factory(seed, p).standard_normal((times.size, n, k * d))
+        noise[row] = path_rng(seed, p).standard_normal((times.size, n, k * d))
 
     out = np.empty((n_paths, times.size, k, n, d))
     gamma = np.broadcast_to(gamma0, (n_paths, k, n, d)).copy()

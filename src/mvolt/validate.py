@@ -11,6 +11,8 @@ configuration.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .fractional import (
@@ -20,16 +22,14 @@ from .fractional import (
 )
 from .heston import HestonModelSpec, char_function, fourier_price_call, simulate_heston_terminal
 from .jumps import (
-    JumpLiftState,
+    HawkesPathSimulator,
     JumpMeasureSpec,
-    LinearFlow,
     hawkes_jump_spec,
-    simulate_jump_path,
     volterra_projection,
 )
 from .kernelops import resolvent_residual, resolvent_second_kind
 from .measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
-from .mc import collect_paths, estimate_mean
+from .mc import PerPathBlocks, estimate_mean, run_path_blocks
 from .riccati import laplace_transform_jump
 from .wishart import (
     WishartTransformQuery,
@@ -111,39 +111,16 @@ def check_wishart_scalar(n_paths: int = 100_000, seed: int = 12, workers: int = 
                    max_closed_form_rel_err=worst_form, n_paths=n_paths)
 
 
-class HawkesPathFn:
-    """Picklable per-path simulator returning [counts..., compensators..., V(t_j)...]."""
+def _hawkes_moments(record, grid_idx=()) -> np.ndarray:
+    """[counts..., compensators..., V at grid points grid_idx...] of one path."""
+    v_at = [record.v_path[m].reshape(-1) for m in grid_idx]
+    return np.concatenate([record.counts_path[-1], record.compensators, *v_at])
 
-    def __init__(self, measure, lam0, spec, horizon, thinning_dt, record_times,
-                 grid_steps=None):
-        self.measure = measure
-        self.lam0 = np.asarray(lam0, dtype=float)
-        self.spec = spec
-        self.horizon = float(horizon)
-        self.thinning_dt = float(thinning_dt)
-        if grid_steps is None:
-            grid_steps = max(int(round(self.horizon / self.thinning_dt)), 1)
-        self.grid = TimeGrid.regular(self.horizon, grid_steps)
-        self.record_times = np.asarray(record_times, dtype=float)
-        self.rec_idx = []
-        for rt in self.record_times:
-            m = int(np.argmin(np.abs(self.grid.times - rt)))
-            if abs(self.grid.times[m] - rt) > 1e-9:
-                raise ValueError("record times must lie on the recording grid")
-            self.rec_idx.append(m)
-        self.flow = LinearFlow(self.measure)
 
-    def __call__(self, rng):
-        state = JumpLiftState(
-            t=0.0, lam=self.lam0, measure=self.measure,
-            counts=np.zeros(self.spec.n_atoms),
-        )
-        rec = simulate_jump_path(
-            state, self.spec, self.horizon, rng, self.thinning_dt, self.grid,
-            flow=self.flow,
-        )
-        v_at = [rec.v_path[m].reshape(-1) for m in self.rec_idx]
-        return np.concatenate([rec.counts_path[-1], rec.compensators, *v_at])
+def _representation_gap(record, measure, lam0, spec) -> float:
+    """Sup gap between the lift V of one path and its Volterra reconstruction."""
+    recon = volterra_projection(record, measure, lam0, spec)
+    return float(np.max(np.abs(recon - record.v_path)))
 
 
 def check_hawkes_compensator(
@@ -158,9 +135,9 @@ def check_hawkes_compensator(
         lam0[0, i, i], lam0[1, i, i] = 0.8, 0.4
     measure = AtomicMatrixMeasure(nodes, weights)
     spec = hawkes_jump_spec(d)
-    fn = HawkesPathFn(measure, lam0, spec, horizon=1.0, thinning_dt=0.25,
-                      record_times=[1.0])
-    values = collect_paths(fn, n_paths, seed, workers=workers)
+    sim = HawkesPathSimulator(measure, lam0, spec, horizon=1.0, thinning_dt=0.25)
+    values = np.asarray(run_path_blocks(PerPathBlocks(sim, _hawkes_moments),
+                                        n_paths, seed, workers=workers))
     points, worst = [], 0.0
     for i in range(d):
         diff = values[:, i] - values[:, d + i]
@@ -189,9 +166,12 @@ def check_jump_transform(
     spec = JumpMeasureSpec(atoms=[[[1.0]]], weights=[[[0.3]]])
     ts = [0.5, 1.0]
     us = [-0.5, -1.0, -2.0]
-    fn = HawkesPathFn(measure, lam0, spec, horizon=1.0, thinning_dt=0.25,
-                      record_times=ts, grid_steps=4)
-    values = collect_paths(fn, n_paths, seed, workers=workers)
+    sim = HawkesPathSimulator(measure, lam0, spec, horizon=1.0, thinning_dt=0.25,
+                              grid_steps=4)
+    grid_idx = [int(np.argmin(np.abs(sim.grid.times - t))) for t in ts]
+    reduce = partial(_hawkes_moments, grid_idx=grid_idx)
+    values = np.asarray(run_path_blocks(PerPathBlocks(sim, reduce),
+                                        n_paths, seed, workers=workers))
     v_cols = {t: values[:, 2 + j] for j, t in enumerate(ts)}
     points, worst_z, worst_gap = [], 0.0, 0.0
     for u in us:
@@ -216,30 +196,6 @@ def check_jump_transform(
                    max_route_gap_over_tol=worst_gap, n_paths=n_paths)
 
 
-class RepresentationPathFn:
-    """Per-path sup gap between the lift V and its Volterra reconstruction."""
-
-    def __init__(self, measure, lam0, spec, horizon, grid_steps):
-        self.fn = HawkesPathFn(measure, lam0, spec, horizon, thinning_dt=0.25,
-                               record_times=[horizon], grid_steps=grid_steps)
-        self.measure = measure
-        self.lam0 = np.asarray(lam0, dtype=float)
-        self.spec = spec
-        self.horizon = float(horizon)
-
-    def __call__(self, rng):
-        state = JumpLiftState(
-            t=0.0, lam=self.lam0, measure=self.measure,
-            counts=np.zeros(self.spec.n_atoms),
-        )
-        rec = simulate_jump_path(
-            state, self.spec, self.horizon, rng, self.fn.thinning_dt,
-            self.fn.grid, flow=self.fn.flow,
-        )
-        recon = volterra_projection(rec, self.measure, self.lam0, self.spec)
-        return float(np.max(np.abs(recon - rec.v_path)))
-
-
 def check_representation_equivalence(
     n_paths: int = 100, seed: int = 41, workers: int = 1
 ) -> dict:
@@ -258,11 +214,13 @@ def check_representation_equivalence(
         lam0[0, i, i], lam0[1, i, i] = 0.8, 0.4
     measure = AtomicMatrixMeasure(nodes, weights)
     spec = hawkes_jump_spec(d)
+    reduce = partial(_representation_gap, measure=measure, lam0=lam0, spec=spec)
     gaps = {}
     for steps in (64, 128):
-        fn = RepresentationPathFn(measure, lam0, spec, horizon=1.0,
-                                  grid_steps=steps)
-        vals = collect_paths(fn, n_paths, seed, workers=workers)
+        sim = HawkesPathSimulator(measure, lam0, spec, horizon=1.0,
+                                  thinning_dt=0.25, grid_steps=steps)
+        vals = run_path_blocks(PerPathBlocks(sim, reduce), n_paths, seed,
+                               workers=workers)
         gaps[steps] = float(np.median(vals))
     ratio = gaps[128] / max(gaps[64], 1e-300)
     coarse_ok = gaps[64] <= 40.0 * (1.0 / 64)

@@ -136,66 +136,12 @@ def affine_transform_wishart(
     return float(phi), pairing
 
 
-@dataclass(frozen=True)
-class WishartPathRecord:
-    """One path of (X, V) on a grid with V = X^T X enforced at construction."""
+class XBlock:
+    """Block simulator of X = sum_i gamma(x_i), the OU lift's projection.
 
-    times: np.ndarray        # (T,)
-    x_path: np.ndarray       # (T, n, d)
-    v_path: np.ndarray       # (T, d, d)
-
-    def __post_init__(self):
-        x = np.asarray(self.x_path, dtype=float)
-        v = np.asarray(self.v_path, dtype=float)
-        vv = np.einsum("tna,tnb->tab", x, x)
-        if not np.allclose(v, vv, atol=1e-12, rtol=1e-12):
-            raise ValueError("record violates V = X^T X at some grid point")
-        for mat in v:
-            lo = float(np.linalg.eigvalsh(mat)[0])
-            if lo < -1e-12 * max(float(np.trace(mat)), 1.0):
-                raise ValueError("record contains a non-PSD covariance sample")
-
-
-def simulate_wishart_records(
-    measure: AtomicMatrixMeasure,
-    gamma0,
-    times,
-    n_paths: int,
-    seed: int,
-    workers: int = 1,
-) -> list[WishartPathRecord]:
-    """Per-path (X, V) records; heavier than :func:`simulate_wishart`."""
-    times = np.asarray(times, dtype=float)
-    xs = run_path_blocks(
-        _XSimulator(measure, np.asarray(gamma0, dtype=float), times),
-        n_paths, seed, workers=workers,
-    )
-    out = []
-    for p in range(xs.shape[0]):
-        x = xs[p]
-        out.append(WishartPathRecord(
-            times=times, x_path=x, v_path=np.einsum("tna,tnb->tab", x, x)
-        ))
-    return out
-
-
-class _XSimulator:
-    gaussian_only = True
-
-    def __init__(self, measure, gamma0, times):
-        self.measure, self.gamma0, self.times = measure, gamma0, times
-
-    def __call__(self, seed, start, stop):
-        gam = simulate_lift_blocks(
-            self.measure, self.gamma0, self.times, seed, start, stop
-        )
-        return gam.sum(axis=2)
-
-
-class WishartSimulator:
-    """Vectorized path simulator for V = X^T X at a fixed set of times."""
-
-    gaussian_only = True
+    Picklable; returns samples of shape (paths, len(times), n, d) for paths
+    [start, stop), path p drawing from ``path_rng(seed, p)`` only.
+    """
 
     def __init__(self, measure: AtomicMatrixMeasure, gamma0, times):
         self.measure = measure
@@ -205,11 +151,18 @@ class WishartSimulator:
             raise ValueError("times must be strictly increasing")
 
     def __call__(self, seed: int, start: int, stop: int) -> np.ndarray:
-        """V samples of shape (paths, len(times), d, d) for paths [start, stop)."""
         gam = simulate_lift_blocks(
             self.measure, self.gamma0, self.times, seed, start, stop
         )
-        X = gam.sum(axis=2)  # (paths, times, n, d)
+        return gam.sum(axis=2)
+
+
+class WishartSimulator(XBlock):
+    """Block simulator of V = X^T X at a fixed set of times."""
+
+    def __call__(self, seed: int, start: int, stop: int) -> np.ndarray:
+        """V samples of shape (paths, len(times), d, d) for paths [start, stop)."""
+        X = super().__call__(seed, start, stop)
         return np.einsum("ptna,ptnb->ptab", X, X)
 
 

@@ -184,6 +184,30 @@ class TestTransformCommands:
         assert err == ["numerical failure: lift Riccati diverged before t = 0.07"]
         assert not out.exists()
 
+    def test_mc_numerical_failure_exit_three(self, tmp_path, capsys):
+        # jump rates of order 1e7 push the per-step Poisson inversion past
+        # its 1000 levels inside the MC block; run_path_blocks keeps the type and
+        # names the seed and the block, so the CLI reports one line
+        model = write(
+            tmp_path / "runaway.cfg",
+            "[measure]\nnodes = [0.5, 2.0]\n"
+            "weights = [[[0.1, 0.02], [0.02, 0.08]], "
+            "[[0.06, -0.01], [-0.01, 0.09]]]\nd = 2\n"
+            "[gamma0]\nweights = [[[0.1, 0.0], [0.0, 0.1]], "
+            "[[0.05, 0.02], [0.0, 0.1]]]\n"
+            "[price]\nrho = [-0.5, 0.0]\np0 = [0.0, 0.0]\n"
+            "jump_atoms = [[0.05, -0.02]]\n"
+            "jump_weights = [[[1e7, 0], [0, 1e7]]]\n",
+        )
+        out = tmp_path / "paths.csv"
+        rc = main(["heston", "simulate", "--model", model, "--T", "1.0",
+                   "--steps", "2", "--paths", "4", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["numerical failure: Poisson inversion runaway "
+                       "(rate too large) on paths [0, 4) (seed 0)"]
+        assert not out.exists()
+
     def test_heston_price_csv(self, tmp_path, heston_model_file):
         out = tmp_path / "price.csv"
         rc = main(["heston", "price", "--model", heston_model_file,

@@ -234,13 +234,12 @@ class TestFourierPricing:
 
 class TestPriceRecords:
     def test_records_match_terminal(self):
-        from mvolt.heston import simulate_heston_records
-
         model = heston_reference_model()
-        recs = simulate_heston_records(model, 0.5, 8, 4, seed=7)
-        assert len(recs) == 4
+        grid = np.linspace(0.0, 0.5, 9)
+        pv = simulate_heston_terminal(model, 0.5, 8, 4, seed=7,
+                                      record_times=grid, record_variance=True)
         term = simulate_heston_terminal(model, 0.5, 8, 4, seed=7)
-        for p, rec in enumerate(recs):
-            assert rec.p_path.shape == (9, 2)
-            np.testing.assert_allclose(rec.p_path[-1], term[p, 0], rtol=1e-12)
-            assert np.all(rec.v_diag >= -1e-12)
+        assert pv.shape == (4, 9, 4)
+        np.testing.assert_allclose(pv[:, -1, :2], term[:, 0], rtol=1e-12)
+        assert np.all(np.isfinite(pv[:, :, :2]))
+        assert np.all(pv[:, :, 2:] >= -1e-12)

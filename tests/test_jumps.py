@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from mvolt.mc import PerPathBlocks, run_path_blocks
 from mvolt.measures import AtomicMatrixMeasure, TimeGrid
 from mvolt.jumps import (
+    HawkesPathSimulator,
     JumpLiftState,
     JumpMeasureSpec,
     LinearFlow,
@@ -278,26 +280,6 @@ class TestSpecValidation:
             assert np.sum(spec.atoms[i]) == 1.0
 
 
-class TestHawkesPreset:
-    def test_requires_diagonal_weights(self):
-        from mvolt.jumps import HawkesPreset
-
-        w = np.array([[[0.3, 0.1], [0.1, 0.2]]])
-        m = AtomicMatrixMeasure([1.0], w)
-        with pytest.raises(ValueError, match="diagonal"):
-            HawkesPreset(measure=m, lam0=np.zeros((1, 2, 2)))
-
-    def test_builds_state_and_spec(self):
-        from mvolt.jumps import HawkesPreset
-
-        m = AtomicMatrixMeasure([1.0], [np.diag([0.3, 0.2])])
-        preset = HawkesPreset(measure=m, lam0=[np.diag([0.5, 0.4])])
-        state = preset.initial_state()
-        spec = preset.jump_spec()
-        assert spec.n_atoms == 2
-        np.testing.assert_allclose(intensity(state, spec), [0.5, 0.4])
-
-
 def test_non_diagonal_measure_monitors_eigenvalues():
     # non-diagonal PSD nu: V keeps the cone, per-node matrices may dip and
     # are monitored rather than asserted
@@ -320,3 +302,21 @@ def test_non_diagonal_measure_monitors_eigenvalues():
         worst_v = min(worst_v, rec.min_eig_v)
     trace_scale = float(np.trace(lam0[0]))
     assert worst_v >= -1e-10 * max(trace_scale, 1.0)
+
+
+def test_hawkes_paths_do_not_depend_on_workers():
+    measure, spec, state = diagonal_preset()
+    sim = HawkesPathSimulator(measure, state.lam, spec, horizon=1.0,
+                              thinning_dt=0.25, grid_steps=8)
+    serial, pooled = (
+        run_path_blocks(PerPathBlocks(sim), 200, seed=14, workers=workers,
+                        block_size=64)
+        for workers in (1, 2)
+    )
+    assert len(serial) == len(pooled) == 200
+    assert sum(rec.jump_times.size for rec in serial) > 0
+    for a, b in zip(serial, pooled):
+        np.testing.assert_array_equal(a.jump_times, b.jump_times)
+        np.testing.assert_array_equal(a.jump_atoms, b.jump_atoms)
+        np.testing.assert_array_equal(a.intensity_at_jumps, b.intensity_at_jumps)
+        np.testing.assert_array_equal(a.v_path, b.v_path)

@@ -3,14 +3,18 @@ import pytest
 
 from mvolt.mc import (
     Estimate,
-    FlippedGaussianRng,
-    antithetic_wrap,
-    collect_paths,
+    PerPathBlocks,
     estimate_mean,
     path_rng,
     run_path_blocks,
-    run_paths,
 )
+
+
+def run_paths(fn, n_paths, seed, *, workers=1, block_size=8192):
+    """Estimate E[fn(stream)] over n_paths per-path streams."""
+    values = run_path_blocks(PerPathBlocks(fn), n_paths, seed, workers=workers,
+                             block_size=block_size)
+    return estimate_mean(values, block_size)
 
 
 def test_streams_are_reproducible_and_distinct():
@@ -60,7 +64,8 @@ def test_block_driver_worker_invariance():
 
 
 def test_cross_path_independence():
-    vals = collect_paths(lambda rng: rng.standard_normal(), 10_000, seed=4)
+    vals = np.asarray(run_path_blocks(
+        PerPathBlocks(lambda rng: rng.standard_normal()), 10_000, seed=4))
     first, second = vals[:-1], vals[1:]
     r = np.corrcoef(first, second)[0, 1]
     assert abs(r) <= 4.0 / np.sqrt(len(first))
@@ -82,69 +87,21 @@ def test_failure_reports_path_and_seed():
             raise ValueError("synthetic failure")
         return x
 
-    with pytest.raises(RuntimeError, match=r"path \d+ \(seed 6\)"):
+    with pytest.raises(ValueError, match=r"path \d+ \(seed 6\)") as exc_info:
         run_paths(sim, 2000, seed=6)
+    assert "synthetic failure" in str(exc_info.value)
 
 
-class TestAntithetic:
-    def test_requires_gaussian_declaration(self):
-        with pytest.raises(ValueError, match="gaussian_only"):
-            antithetic_wrap(lambda rng: 0.0)
+def _failing_block(seed, start, stop):
+    if start >= 256:
+        raise FloatingPointError("synthetic blow-up")
+    return np.zeros(stop - start)
 
-    def test_rejects_non_gaussian_consumption(self):
-        class Sim:
-            gaussian_only = True  # wrongly declared
 
-            def __call__(self, rng):
-                return rng.uniform()
-
-        wrapped = antithetic_wrap(Sim())
-        with pytest.raises(RuntimeError, match="simulator failed") as exc_info:
-            run_paths(wrapped, 4, seed=7)
-        assert "standard_normal" in str(exc_info.value.__cause__)
-
-    def test_identity_on_deterministic(self):
-        class Sim:
-            gaussian_only = True
-
-            def __call__(self, rng):
-                return 3.5
-
-        est = run_paths(antithetic_wrap(Sim()), 64, seed=8)
-        assert est.mean == pytest.approx(3.5)
-        assert est.stderr == pytest.approx(0.0)
-
-    def test_variance_reduction_on_linear_functional(self):
-        # exact OU mean: the functional is linear in the driving noise, so
-        # antithetic pairing cancels essentially all variance
-        class Sim:
-            gaussian_only = True
-
-            def __call__(self, rng):
-                return 0.3 + rng.standard_normal(4).sum()
-
-        n = 20_000
-        plain = run_paths(Sim(), n, seed=9)
-        anti = run_paths(antithetic_wrap(Sim()), n, seed=9)
-        assert anti.stderr <= 0.5 * plain.stderr
-        assert anti.mean == pytest.approx(0.3)
-
-    def test_flipped_rng_surface(self):
-        rng = FlippedGaussianRng(path_rng(0, 0))
-        base = path_rng(0, 0).standard_normal(5)
-        np.testing.assert_array_equal(rng.standard_normal(5), -base)
-        with pytest.raises(AttributeError):
-            rng.uniform()
-
-    def test_odd_path_count_rejected(self):
-        class Sim:
-            gaussian_only = True
-
-            def __call__(self, rng):
-                return rng.standard_normal()
-
-        with pytest.raises(ValueError, match="even"):
-            run_paths(antithetic_wrap(Sim()), 7, seed=10)
+def test_block_failure_keeps_type_and_names_block():
+    with pytest.raises(FloatingPointError,
+                       match=r"synthetic blow-up on paths \[256, 300\) \(seed 7\)"):
+        run_path_blocks(_failing_block, 300, seed=7, block_size=256, workers=2)
 
 
 def test_estimate_mean_complex_values():
@@ -154,12 +111,3 @@ def test_estimate_mean_complex_values():
     assert isinstance(est, Estimate)
     assert abs(est.mean - vals.mean()) < 1e-12
     assert est.stderr > 0.0
-
-
-def test_streamed_rng_wrapper():
-    from mvolt.mc import StreamedRng
-
-    streams = StreamedRng(seed=5)
-    a = streams.stream(2).standard_normal(4)
-    b = path_rng(5, 2).standard_normal(4)
-    np.testing.assert_array_equal(a, b)

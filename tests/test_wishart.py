@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvolt.mc import run_path_blocks
 from mvolt.measures import AtomicMatrixMeasure
 from mvolt.wishart import (
     WishartTransformQuery,
+    XBlock,
     affine_transform_wishart,
     argument_from_psd,
     closed_form_laplace,
@@ -178,25 +180,24 @@ class TestArgumentFactorization:
 
 class TestPathRecord:
     def test_construction_identity_enforced(self):
-        from mvolt.wishart import WishartPathRecord
-
-        times = np.array([0.0, 1.0])
-        x = np.random.default_rng(0).normal(size=(2, 3, 2))
-        v = np.einsum("tna,tnb->tab", x, x)
-        rec = WishartPathRecord(times=times, x_path=x, v_path=v)
-        assert rec.v_path.shape == (2, 2, 2)
-        with pytest.raises(ValueError, match="X"):
-            WishartPathRecord(times=times, x_path=x, v_path=v + 1e-6)
+        # V = X^T X holds sample by sample, so every V sample is PSD
+        measure, gamma0, _ = random_setup(23)
+        times = [0.5, 1.0]
+        x = XBlock(measure, gamma0, times)(3, 0, 5)
+        v = simulate_wishart(measure, gamma0, times, 5, seed=3)
+        assert x.shape == (5, 2, 3, 2)
+        np.testing.assert_allclose(v, np.einsum("ptna,ptnb->ptab", x, x),
+                                   rtol=1e-12, atol=1e-12)
+        for mat in v.reshape(-1, 2, 2):
+            assert np.linalg.eigvalsh(mat)[0] >= -1e-12 * max(np.trace(mat), 1.0)
 
     def test_simulated_records(self):
-        from mvolt.wishart import simulate_wishart_records
-
+        # path p of the X block does not depend on how paths are blocked
         measure, gamma0, _ = random_setup(23)
-        recs = simulate_wishart_records(measure, gamma0, [0.5, 1.0], 5, seed=3)
-        assert len(recs) == 5
-        v_direct = simulate_wishart(measure, gamma0, [0.5, 1.0], 5, seed=3)
-        for p, rec in enumerate(recs):
-            np.testing.assert_allclose(rec.v_path, v_direct[p], rtol=1e-12)
+        block = XBlock(measure, gamma0, [0.5, 1.0])
+        np.testing.assert_array_equal(
+            run_path_blocks(block, 5, seed=3, block_size=2), block(3, 0, 5)
+        )
 
 
 class TestLaplaceBoundsProperty:
