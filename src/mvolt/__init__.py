@@ -26,7 +26,6 @@ from .jumps import (
     HawkesPathSimulator,
     JumpLiftState,
     JumpMeasureSpec,
-    drift_flow_step,
     hawkes_jump_spec,
     intensity,
     simulate_jump_path,
@@ -63,7 +62,6 @@ __all__ = [
     "HawkesPathSimulator",
     "JumpLiftState",
     "JumpMeasureSpec",
-    "drift_flow_step",
     "hawkes_jump_spec",
     "intensity",
     "simulate_jump_path",

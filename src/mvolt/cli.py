@@ -13,8 +13,9 @@ heston simulate|charfn|price
 validate               run the named MC-vs-analytic check suite
 
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 numerical
-failure (a transform that blows up or loses its precision, or a Monte Carlo
-block that fails numerically; the message names the paths and the seed).
+failure (a transform that blows up or loses its precision, a singular linear
+solve, or a Monte Carlo block that fails numerically; the message names the
+paths and the seed).
 All reports are deterministic for a fixed seed; ``--workers`` never changes
 numbers.
 """
@@ -474,7 +475,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, FileNotFoundError) as exc:

@@ -16,7 +16,8 @@ which makes the process self-exciting; the diagonal preset with unit
 diagonal atoms reproduces a multivariate Hawkes process whose component i
 has compensator int V_ii dt.  Simulation uses thinning with a per-interval
 dominating rate and automatic bisection when the bound is violated, so the
-jump times are exact in law.  The driving semimartingale
+jump times are exact in law; between jumps :class:`LinearFlow` applies the
+exact exponential of the drift.  The driving semimartingale
 
     X_t = int_0^t V_s ds + sum_{jumps <= t} xi
 
@@ -26,13 +27,14 @@ is accumulated alongside; the Volterra representation
                + int_0^t (K(t-s) V_s + V_s K(t-s)) ds,
     h(t) = sum_i e^(-x_i t) lam_0(x_i),
 
-is reconstructed from the jump log by :func:`volterra_projection` and must
-agree with the lift's V path by path up to quadrature error.
+is reconstructed from the jump log by :func:`volterra_projection` (the ds
+integral as a trapezoid sum carried by k node states) and must agree with
+the lift's V path by path up to quadrature error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -41,9 +43,6 @@ from .measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
 
 # Safety factor for the per-interval dominating rate.
 THINNING_ETA = 0.5
-# Fixed-step bound for the order-4 drift integrator, relative to the
-# spectral scale of the drift operator (decay rates and excitation).
-RK4_STEP_FACTOR = 0.025
 
 
 @dataclass(frozen=True)
@@ -132,39 +131,6 @@ class JumpLiftState:
         return self.lam.sum(axis=0)
 
 
-def drift_rhs(lam: np.ndarray, nodes: np.ndarray, nu_w: np.ndarray) -> np.ndarray:
-    v = lam.sum(axis=0)
-    return -nodes[:, None, None] * lam + nu_w @ v + v @ nu_w.transpose(0, 2, 1)
-
-
-def drift_flow_step(state: JumpLiftState, dt: float) -> JumpLiftState:
-    """Advance the deterministic drift by dt with classical RK4 substeps.
-
-    The substep size is bounded by 0.03 / (max x_i + 2 ||sum nu_i||) so the
-    one-step error O(dt_sub^5) stays below 1e-8 on unit-scale problems.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    nodes = state.measure.nodes
-    nu_w = state.measure.weights
-    scale = float(nodes[-1]) + 2.0 * float(
-        np.linalg.norm(nu_w.sum(axis=0), 2)
-    )
-    cap = RK4_STEP_FACTOR / scale if scale > 0 else dt
-    n_sub = max(int(np.ceil(dt / min(cap, dt))), 1)
-    h = dt / n_sub
-    lam = np.array(state.lam)
-    for _ in range(n_sub):
-        k1 = drift_rhs(lam, nodes, nu_w)
-        k2 = drift_rhs(lam + 0.5 * h * k1, nodes, nu_w)
-        k3 = drift_rhs(lam + 0.5 * h * k2, nodes, nu_w)
-        k4 = drift_rhs(lam + h * k3, nodes, nu_w)
-        lam = lam + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(lam)):
-        raise FloatingPointError("drift flow produced non-finite state")
-    return replace(state, t=state.t + dt, lam=lam)
-
-
 def intensity(state: JumpLiftState, spec: JumpMeasureSpec) -> np.ndarray:
     """Per-atom rates Tr(V mu_r) / (||xi_r|| /\\ 1), clipped at zero."""
     if spec.n_atoms == 0:
@@ -217,7 +183,10 @@ class LinearFlow:
             if np.allclose(probe.imag, 0.0, atol=1e-9) and np.allclose(
                 probe.real, scipy.linalg.expm(M * 0.1), atol=1e-9, rtol=1e-9
             ):
-                self._evals, self._S, self._Sinv = evals, S, Sinv
+                # contiguous, as in the pickled copy a worker receives, so
+                # that ``flow`` rounds the same in every process
+                self._evals, self._S, self._Sinv = (
+                    np.ascontiguousarray(a) for a in (evals, S, Sinv))
                 self._eig_ok = True
         except np.linalg.LinAlgError:
             pass
@@ -469,24 +438,24 @@ def volterra_projection(
 
     Jumps enter as exact Stieltjes terms K(t - s + eps) xi + xi K(t - s +
     eps); the absolutely continuous part int (K(t-s) V_s + V_s K(t-s)) ds is
-    a trapezoid sum over the grid samples, so the reconstruction matches
-    the lift path to O(dt).
+    a trapezoid sum over the grid samples, carried by k node states in
+    O(N k), so the reconstruction matches the lift path to O(dt).
     """
     grid = record.grid
     times = grid.times
-    k_samples = eval_kernel(measure, times)
     lam0 = np.asarray(lam0, dtype=float)
-    h = np.einsum(
+    out = np.einsum(
         "ti,iab->tab", np.exp(-np.multiply.outer(times, measure.nodes)), lam0
     )
-    out = np.array(h)
-    dt = grid.dt
+    # trapezoid node states T_i(t_m) = sum_j w_j e^(-x_i (t_m - t_j)) V_j with
+    # half weights at j = 0 and j = m, so the history sum is sum_i nu_i T_i
+    decay = np.exp(-measure.nodes * grid.dt)[:, None, None]
     v = record.v_path
+    state = np.zeros((measure.k,) + v.shape[1:])
     for m_i in range(1, len(grid)):
-        kern = k_samples[m_i::-1]  # K(t_m - t_j), j = 0..m
-        ac = np.einsum("jab,jbc->ac", kern, v[: m_i + 1], optimize=True)
-        ac = ac - 0.5 * (kern[0] @ v[0] + kern[-1] @ v[m_i])
-        out[m_i] += dt * (ac + ac.T)
+        state = decay * (state + 0.5 * v[m_i - 1]) + 0.5 * v[m_i]
+        ac = np.einsum("iab,ibc->ac", measure.weights, state)
+        out[m_i] += grid.dt * (ac + ac.T)
     eps = spec.epsilon_shift
     for jt, r in zip(record.jump_times, record.jump_atoms):
         mask = times >= jt - 1e-15

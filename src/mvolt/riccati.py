@@ -12,22 +12,16 @@ Three related solvers live here.
    E[exp(<y_0, lam_t>)] = exp(<y_t, lam_0>) with y_0 == u at every node
    turns the solution into the Laplace transform of V_t.
 
-2. The matrix Volterra integral equation for the same transform, marched on
-   a grid.  The one-sided form
+2. The two-sided matrix Volterra integral equation for the same transform,
 
-       psi_t = u K(t) + int_0^t NL(psi_s) K(t-s) ds
+       Psi_t = u K(t) + K(t) u + int_0^t (G_s K(t-s) + K(t-s) G_s) ds,
 
-   is provided as stated (Picard and time-marching variants agree); the
-   transform itself uses the two-sided symmetrized variant
+   which is what the mild form of the lift ODE projects to (G_s is NL(Psi_s)
+   with the jump leg read off the eps-shifted kernel).  It is marched with
+   left-point quadrature on the k node states of K = sum_i e^(-x_i t) nu_i,
+   so the history sums cost O(N k), and the transform value is
 
-       Psi_t = u K(t) + K(t) u + int_0^t (NL(Psi_s) K(t-s) + K(t-s) NL(Psi_s)) ds,
-
-   which is what the mild form of the lift ODE projects to -- the one-sided
-   compression is off by the symmetrization (see the scalar linear case,
-   where only the two-sided form reproduces the deterministic flow).  The
-   transform value is
-
-       E[exp(Tr(u V_t))] = exp(Tr(u h(t)) + int_0^t Tr(NL(Psi_s) h(t-s)) ds).
+       E[exp(Tr(u V_t))] = exp(Tr(u h(t)) + int_0^t Tr(G_s h(t-s)) ds).
 
 3. The joint Riccati for the squared-Gaussian covariance model with a log
    price: node-pair matrices psi(x_i, x_j) with the quadratic interaction
@@ -44,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
+from .measures import AtomicMatrixMeasure, TimeGrid
 from .jumps import JumpMeasureSpec
 
 RK4_FACTOR = 0.025
@@ -53,11 +47,16 @@ RK4_FACTOR = 0.025
 def nonlinearity_R(u: np.ndarray, spec: JumpMeasureSpec) -> np.ndarray:
     """NL(u) = u + sum_r (exp(Tr(u xi_r)) - 1) mu_r / (||xi_r|| /\\ 1)."""
     u = np.asarray(u)
+    return u + _jump_term(u, spec)
+
+
+def _jump_term(u: np.ndarray, spec: JumpMeasureSpec) -> np.ndarray:
+    """sum_r (exp(Tr(u xi_r)) - 1) mu_r / (||xi_r|| /\\ 1); zero without atoms."""
     if spec.n_atoms == 0:
-        return u.copy()
+        return np.zeros_like(u)
     tr = np.einsum("ab,rba->r", u, spec.atoms)
     scale = (np.exp(tr) - 1.0) / np.minimum(spec.atom_norms(), 1.0).clip(min=1e-300)
-    return u + np.tensordot(scale, spec.weights, axes=(0, 0))
+    return np.tensordot(scale, spec.weights, axes=(0, 0))
 
 
 def sym_pairing(y: np.ndarray, weights: np.ndarray, damp=None) -> np.ndarray:
@@ -131,68 +130,34 @@ def solve_volterra_riccati_jump(
     measure: AtomicMatrixMeasure,
     spec: JumpMeasureSpec,
     grid: TimeGrid,
-    *,
-    two_sided: bool = False,
-    method: str = "march",
-    tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> np.ndarray:
-    """Solve the matrix Volterra Riccati equation on the grid.
+    """March the two-sided Volterra system; returns G on the grid, (N+1, d, d).
 
-    With ``two_sided=False`` this is the one-sided equation
-    psi = u K + int NL(psi) K(t-s) ds (left-point quadrature, O(dt)).  With
-    ``two_sided=True`` both the data and the convolution are symmetrized;
-    that variant feeds the transform formula.  ``method`` selects direct
-    time-marching or Picard iteration on the same discretization; the two
-    produce the same fixed point, Picard reporting non-convergence with the
-    residual if the horizon is too aggressive.
+    Psi_t     = u K(t) + K(t) u + int_0^t (G_s K(t-s) + K(t-s) G_s) ds,
+    Psi^eps_t = the same with K(. + eps),
+    G_s       = Psi_s + sum_r (exp(Tr(Psi^eps_s xi_r)) - 1) mu_r / (||xi_r|| /\\ 1),
+
+    with left-point quadrature (O(dt)).  K = sum_i e^(-x_i t) nu_i, so the
+    data and the history sum are carried by k node states
+    y_i(t_m) = e^(-x_i t_m) u + dt sum_{j<m} e^(-x_i (t_m - t_j)) G_j,
+    updated as y_i <- e^(-x_i dt) (y_i + dt G_{m-1}); then Psi = sum_i (y_i
+    nu_i + nu_i y_i) and Psi^eps weights node i by e^(-x_i eps).  With an
+    empty jump measure G is Psi itself.
     """
     u = np.asarray(u, dtype=float)
     d = measure.d
     if u.shape != (d, d):
         raise ValueError(f"u must be ({d}, {d})")
-    n = len(grid)
-    dt = grid.dt
-    K = eval_kernel(measure, grid.times)  # (N+1, d, d)
-    if two_sided:
-        base = np.einsum("ab,tbc->tac", u, K) + np.einsum("tab,bc->tac", K, u)
-    else:
-        base = np.einsum("ab,tbc->tac", u, K)
-
-    def conv_term(nl_vals, m):
-        # left-point: int_0^{t_m} NL(psi_s) K(t_m - s) ds ~ dt sum_{j<m}
-        acc = np.einsum("jab,jbc->ac", nl_vals[:m], K[m:0:-1], optimize=True)
-        if two_sided:
-            acc = acc + np.einsum(
-                "jab,jbc->ac", K[m:0:-1], nl_vals[:m], optimize=True
-            )
-        return dt * acc
-
-    if method == "march":
-        psi = np.zeros((n, d, d))
-        psi[0] = base[0]
-        nl = np.zeros((n, d, d))
-        nl[0] = nonlinearity_R(psi[0], spec)
-        for m in range(1, n):
-            psi[m] = base[m] + conv_term(nl, m)
-            nl[m] = nonlinearity_R(psi[m], spec)
-        return psi
-    if method == "picard":
-        psi = np.array(base)
-        for it in range(max_iter):
-            nl = np.stack([nonlinearity_R(p, spec) for p in psi])
-            new = np.array(base)
-            for m in range(1, n):
-                new[m] = base[m] + conv_term(nl, m)
-            delta = float(np.max(np.abs(new - psi)))
-            psi = new
-            if delta < tol:
-                return psi
-        raise RuntimeError(
-            f"Picard iteration did not converge after {max_iter} sweeps; "
-            f"last sup-norm update {delta:.3e}"
-        )
-    raise ValueError(f"unknown method {method!r}")
+    decay = np.exp(-measure.nodes * grid.dt)[:, None, None]
+    damp = np.exp(-measure.nodes * spec.epsilon_shift)
+    y = np.broadcast_to(u, (measure.k, d, d))
+    g = np.empty((len(grid), d, d))
+    for m in range(len(grid)):
+        if m:
+            y = decay * (y + grid.dt * g[m - 1])
+        psi = sym_pairing(y, measure.weights)
+        g[m] = psi + _jump_term(sym_pairing(y, measure.weights, damp), spec)
+    return g
 
 
 def h_curve(lam0: np.ndarray, measure: AtomicMatrixMeasure, times) -> np.ndarray:
@@ -226,7 +191,8 @@ def laplace_transform_jump(
     """Laplace transform of V_t for NSD u through both analytic routes.
 
     Route one integrates the lift ODE and evaluates exp(<y_t, lam_0>).
-    Route two marches the symmetrized Volterra system and evaluates
+    Route two marches the symmetrized Volterra system
+    (:func:`solve_volterra_riccati_jump`) and evaluates
     exp(Tr(u h(t)) + int_0^t Tr(G_s h(t-s)) ds) with left-point quadrature,
     where G_s collects the linear pairing and the jump nonlinearity.  A
     positive epsilon shift replaces the jump-leg kernel by K(. + eps); with
@@ -245,62 +211,11 @@ def laplace_transform_jump(
     y_traj = solve_lift_riccati_jump(y0, measure, spec, grid)
     lift_value = float(np.exp(pairing_value(y_traj[-1], lam0)))
 
-    volterra_value = _volterra_transform_value(u, lam0, measure, spec, grid)
-    return JumpLaplaceResult(lift_value=lift_value, volterra_value=volterra_value)
-
-
-def _volterra_transform_value(u, lam0, measure, spec, grid) -> float:
-    """March the (possibly eps-shifted) two-sided Volterra system.
-
-    Psi_t     = u K(t) + K(t) u + int (G_s K(t-s) + K(t-s) G_s) ds
-    Psi^eps_t = u K(t+eps) + ... + int (G_s K(t-s+eps) + K(t-s+eps) G_s) ds
-    G_s       = Psi_s + sum_r (exp(Tr(Psi^eps_s xi_r)) - 1) mu_r/(||xi_r|| /\\ 1)
-
-    and the value exp(Tr(u h(t)) + int Tr(G_s h(t-s)) ds); left-point
-    quadrature throughout, O(dt) accurate.
-    """
-    eps = spec.epsilon_shift
-    n = len(grid)
-    dt = grid.dt
-    K = eval_kernel(measure, grid.times)
-    sym_base = np.einsum("ab,tbc->tac", u, K) + np.einsum("tab,bc->tac", K, u)
-    if eps > 0.0:
-        K_eps = eval_kernel(measure, grid.times + eps)
-        base_eps = (np.einsum("ab,tbc->tac", u, K_eps)
-                    + np.einsum("tab,bc->tac", K_eps, u))
-    else:
-        K_eps, base_eps = K, sym_base
-
-    norms = np.minimum(spec.atom_norms(), 1.0).clip(min=1e-300) if spec.n_atoms else None
-
-    def g_of(psi, psi_eps):
-        if spec.n_atoms == 0:
-            return psi
-        tr = np.einsum("ab,rba->r", psi_eps, spec.atoms)
-        return psi + np.tensordot((np.exp(tr) - 1.0) / norms, spec.weights,
-                                  axes=(0, 0))
-
-    g_vals = np.zeros((n,) + u.shape)
-    psi, psi_eps = sym_base[0], base_eps[0]
-    g_vals[0] = g_of(psi, psi_eps)
-    for m in range(1, n):
-        conv = np.einsum("jab,jbc->ac", g_vals[:m], K[m:0:-1], optimize=True)
-        conv = conv + np.einsum("jab,jbc->ac", K[m:0:-1], g_vals[:m],
-                                optimize=True)
-        psi = sym_base[m] + dt * conv
-        if eps > 0.0:
-            conv_e = np.einsum("jab,jbc->ac", g_vals[:m], K_eps[m:0:-1],
-                               optimize=True)
-            conv_e = conv_e + np.einsum("jab,jbc->ac", K_eps[m:0:-1],
-                                        g_vals[:m], optimize=True)
-            psi_eps = base_eps[m] + dt * conv_e
-        else:
-            psi_eps = psi
-        g_vals[m] = g_of(psi, psi_eps)
+    g = solve_volterra_riccati_jump(u, measure, spec, grid)
     h = h_curve(lam0, measure, grid.times)
-    integ = dt * float(np.einsum("jab,jba->", g_vals[:-1], h[:0:-1],
-                                 optimize=True))
-    return float(np.exp(float(np.einsum("ab,ba->", u, h[-1])) + integ))
+    integ = grid.dt * float(np.einsum("jab,jba->", g[:-1], h[:0:-1], optimize=True))
+    volterra_value = float(np.exp(float(np.einsum("ab,ba->", u, h[-1])) + integ))
+    return JumpLaplaceResult(lift_value=lift_value, volterra_value=volterra_value)
 
 
 @dataclass(frozen=True)

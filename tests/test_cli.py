@@ -208,6 +208,29 @@ class TestTransformCommands:
                        "(rate too large) on paths [0, 4) (seed 0)"]
         assert not out.exists()
 
+    def test_singular_solve_exit_three(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError is a ValueError; it must still exit 3, not 2
+        import mvolt.cli as cli_mod
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli_mod, "laplace_transform_jump", singular)
+        model = write(
+            tmp_path / "m.cfg",
+            "[measure]\nnodes = [1.0]\nweights = [[[0.4]]]\nd = 1\n"
+            "[lambda0]\nweights = [[[1.0]]]\n"
+            "[jumps]\natoms = [[[1.0]]]\nweights = [[[0.3]]]\nepsilon = 0.0\n",
+        )
+        u = write(tmp_path / "u.cfg", "u = [[-1.0]]\n")
+        out = tmp_path / "lap.json"
+        rc = main(["transform", "laplace", "--model", model, "--u", u,
+                   "--t", "0.5", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["numerical failure: Singular matrix"]
+        assert not out.exists()
+
     def test_heston_price_csv(self, tmp_path, heston_model_file):
         out = tmp_path / "price.csv"
         rc = main(["heston", "price", "--model", heston_model_file,

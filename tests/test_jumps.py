@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from mvolt.mc import PerPathBlocks, run_path_blocks
-from mvolt.measures import AtomicMatrixMeasure, TimeGrid
+from mvolt.measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
 from mvolt.jumps import (
     HawkesPathSimulator,
     JumpLiftState,
     JumpMeasureSpec,
     LinearFlow,
-    drift_flow_step,
     empty_jump_spec,
     hawkes_jump_spec,
     intensity,
@@ -39,19 +38,45 @@ def diagonal_preset(d=2):
     return measure, spec, state
 
 
+def drift_dop853(measure, lam0, times):
+    """lam(x_i) at the given times from the drift ODE, DOP853 at rtol 1e-12.
+
+    d lam(x_i)/dt = -x_i lam(x_i) + nu_i V + V nu_i, V = sum_i lam(x_i).
+    """
+    from scipy.integrate import solve_ivp
+
+    nodes, nu = measure.nodes, measure.weights
+    shape = np.shape(lam0)
+
+    def rhs(_, y):
+        lam = y.reshape(shape)
+        v = lam.sum(axis=0)
+        return (-nodes[:, None, None] * lam + nu @ v + v @ nu).ravel()
+
+    sol = solve_ivp(rhs, (0.0, times[-1]), np.ravel(lam0), method="DOP853",
+                    t_eval=times, rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return sol.y.T.reshape((len(times),) + shape)
+
+
+def flow_lam(measure, lam, dt):
+    fl = LinearFlow(measure)
+    lam_t, _ = fl.unpack(fl.flow(fl.pack(np.asarray(lam, dtype=float),
+                                         np.zeros((measure.d, measure.d))), dt))
+    return lam_t
+
+
 class TestDriftFlow:
     def test_pure_decay_when_nu_zero(self):
         m = AtomicMatrixMeasure([2.0], [[[0.0]]])
-        s = JumpLiftState(t=0.0, lam=[[[3.0]]], measure=m)
-        out = drift_flow_step(s, 0.7)
-        assert out.total[0, 0] == pytest.approx(3.0 * np.exp(-1.4), rel=1e-8)
+        out = flow_lam(m, [[[3.0]]], 0.7)
+        assert out[0, 0, 0] == pytest.approx(3.0 * np.exp(-1.4), rel=1e-8)
 
     def test_scalar_exponential_growth(self):
         # d=1, k=1, x=0, nu=w: V' = 2 w V, so V(1) = e at w = 0.5
         m = AtomicMatrixMeasure([0.0], [[[0.5]]])
-        s = JumpLiftState(t=0.0, lam=[[[1.0]]], measure=m)
-        out = drift_flow_step(s, 1.0)
-        assert abs(out.total[0, 0] - np.e) <= 1e-8
+        out = flow_lam(m, [[[1.0]]], 1.0)
+        assert abs(out[0, 0, 0] - np.e) <= 1e-8
 
     def test_linearity(self):
         m, _, _ = diagonal_preset()
@@ -60,22 +85,17 @@ class TestDriftFlow:
         lam1 = a + np.swapaxes(a, 1, 2)
         b = rng.normal(size=(2, 2, 2))
         lam2 = b + np.swapaxes(b, 1, 2)
-        s1 = JumpLiftState(t=0.0, lam=lam1, measure=m)
-        s2 = JumpLiftState(t=0.0, lam=lam2, measure=m)
-        s12 = JumpLiftState(t=0.0, lam=lam1 + lam2, measure=m)
-        out = drift_flow_step(s12, 0.4).lam
+        out = flow_lam(m, lam1 + lam2, 0.4)
         np.testing.assert_allclose(
-            out, drift_flow_step(s1, 0.4).lam + drift_flow_step(s2, 0.4).lam,
+            out, flow_lam(m, lam1, 0.4) + flow_lam(m, lam2, 0.4),
             rtol=1e-10, atol=1e-12,
         )
 
-    def test_exact_flow_matches_rk4(self):
+    def test_exact_flow_matches_dop853(self):
         m, _, s = diagonal_preset()
-        fl = LinearFlow(m)
-        z = fl.pack(np.array(s.lam), np.zeros((2, 2)))
-        lam_exact, _ = fl.unpack(fl.flow(z, 0.5))
-        lam_rk4 = drift_flow_step(s, 0.5).lam
-        np.testing.assert_allclose(lam_exact, lam_rk4, rtol=1e-8, atol=1e-10)
+        lam_exact = flow_lam(m, s.lam, 0.5)
+        lam_ref = drift_dop853(m, s.lam, np.array([0.0, 0.5]))[-1]
+        np.testing.assert_allclose(lam_exact, lam_ref, rtol=1e-10, atol=1e-12)
 
     def test_integral_block(self):
         # nu = 0, single node x: int_0^t V ds = V0 (1 - e^{-xt}) / x
@@ -140,11 +160,8 @@ class TestSimulatePath:
         grid = TimeGrid.regular(1.0, 4)
         rec = simulate_jump_path(state, spec, 1.0, np.random.default_rng(0),
                                  0.25, grid)
-        s = state
-        for j in range(1, len(grid)):
-            s = drift_flow_step(s, grid.dt)
-            np.testing.assert_allclose(rec.v_path[j], s.total, rtol=1e-7,
-                                       atol=1e-9)
+        ref = drift_dop853(m, state.lam, grid.times).sum(axis=1)
+        np.testing.assert_allclose(rec.v_path, ref, rtol=1e-10, atol=1e-12)
         assert rec.jump_times.size == 0
 
     def test_symmetry_preserved(self):
@@ -256,6 +273,38 @@ class TestVolterraProjection:
             gaps.append(np.median(vals))
         assert gaps[1] <= 0.6 * gaps[0]
 
+    def test_recursion_matches_direct_trapezoid_sum(self):
+        # non-diagonal nu and an eps shift; the O(N^2) trapezoid sum of the
+        # reconstruction written out directly
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(2, 2, 2)) * 0.3
+        nu = a @ a.transpose(0, 2, 1)
+        measure = AtomicMatrixMeasure([0.7, 3.0], nu)
+        spec = JumpMeasureSpec(atoms=[np.diag([1.0, 0.3])],
+                               weights=[np.eye(2)], epsilon_shift=0.05)
+        lam0 = np.array([np.eye(2) * 0.6, np.eye(2) * 0.3])
+        state = JumpLiftState(t=0.0, lam=lam0, measure=measure,
+                              counts=np.zeros(1))
+        grid = TimeGrid.regular(1.0, 200)
+        rec = simulate_jump_path(state, spec, 1.0, np.random.default_rng(2),
+                                 0.25, grid)
+        assert rec.jump_times.size > 0
+        times, v = grid.times, rec.v_path
+        K = eval_kernel(measure, times)
+        want = np.einsum("ti,iab->tab",
+                         np.exp(-np.multiply.outer(times, measure.nodes)), lam0)
+        for m in range(1, len(grid)):
+            kern = K[m::-1]
+            ac = np.einsum("jab,jbc->ac", kern, v[: m + 1])
+            ac = ac - 0.5 * (kern[0] @ v[0] + kern[-1] @ v[m])
+            want[m] += grid.dt * (ac + ac.T)
+        for jt, r in zip(rec.jump_times, rec.jump_atoms):
+            mask = times >= jt - 1e-15
+            kxi = eval_kernel(measure, np.clip(times[mask] - jt, 0.0, None) + 0.05)
+            want[mask] += kxi @ spec.atoms[r] + spec.atoms[r] @ kxi
+        got = volterra_projection(rec, measure, lam0, spec)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
 
 class TestSpecValidation:
     def test_atoms_must_be_psd(self):
@@ -320,3 +369,5 @@ def test_hawkes_paths_do_not_depend_on_workers():
         np.testing.assert_array_equal(a.jump_atoms, b.jump_atoms)
         np.testing.assert_array_equal(a.intensity_at_jumps, b.intensity_at_jumps)
         np.testing.assert_array_equal(a.v_path, b.v_path)
+        np.testing.assert_array_equal(a.x_path, b.x_path)
+        np.testing.assert_array_equal(a.compensators, b.compensators)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvolt.measures import AtomicMatrixMeasure, TimeGrid
+from mvolt.measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
 from mvolt.jumps import JumpMeasureSpec, empty_jump_spec
 from mvolt.riccati import (
     h_curve,
@@ -91,22 +91,14 @@ class TestVolterraEquation:
                                           empty_jump_spec(1), grid)
         np.testing.assert_array_equal(psi, 0.0)
 
-    def test_one_sided_scalar_linear_closed_form(self):
-        # mu empty, K == w constant: psi_t = u w e^{w t}
+    def test_two_sided_scalar_linear_closed_form(self):
+        # mu empty, K == w constant: Psi' = 2 w Psi, Psi_t = 2 u w e^{2 w t}
         measure = AtomicMatrixMeasure([0.0], [[[0.5]]])
         grid = TimeGrid.regular(1.0, 4000)
         u = np.array([[-1.0]])
         psi = solve_volterra_riccati_jump(u, measure, empty_jump_spec(1), grid)
-        exact = -0.5 * np.exp(0.5 * grid.times)
+        exact = -np.exp(grid.times)
         assert np.max(np.abs(psi[:, 0, 0] - exact)) <= 5e-4
-
-    def test_picard_matches_marching(self):
-        measure, _, spec = scalar_hawkes()
-        grid = TimeGrid.regular(1.0, 100)
-        u = np.array([[-1.0]])
-        a = solve_volterra_riccati_jump(u, measure, spec, grid, method="march")
-        b = solve_volterra_riccati_jump(u, measure, spec, grid, method="picard")
-        np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_first_order_convergence(self):
         measure, lam0, spec = scalar_hawkes()
@@ -131,8 +123,6 @@ class TestLaplaceTransform:
 
     def test_deterministic_flow_oracle(self):
         # mu empty: value = exp(Tr(u V_t)) with V from the drift flow
-        from mvolt.jumps import JumpLiftState, drift_flow_step
-
         measure = AtomicMatrixMeasure([0.0], [[[0.5]]])
         lam0 = np.array([[[1.0]]])
         res = laplace_transform_jump(np.array([[-1.0]]), lam0, measure,
@@ -358,3 +348,49 @@ def test_joint_riccati_reproduces_covariance_closed_form():
     )
     assert abs(complex(res.char[0]).imag) <= 1e-12
     assert complex(res.char[0]).real == pytest.approx(exact, rel=1e-6)
+
+
+def volterra_value_direct(u, lam0, measure, spec, grid):
+    """The two-sided left-point march with its history sums written out.
+
+    Psi and Psi^eps convolve all earlier G_j with K(t_m - t_j) and K(t_m -
+    t_j + eps) directly, O(N^2), and the value pairs G with h(t - s).
+    """
+    eps, dt, n = spec.epsilon_shift, grid.dt, len(grid)
+    K = eval_kernel(measure, grid.times)
+    K_eps = eval_kernel(measure, grid.times + eps)
+    base = np.einsum("ab,tbc->tac", u, K) + np.einsum("tab,bc->tac", K, u)
+    base_eps = (np.einsum("ab,tbc->tac", u, K_eps)
+                + np.einsum("tab,bc->tac", K_eps, u))
+    g = np.zeros((n,) + u.shape)
+    for m in range(n):
+        kern, kern_eps, past = K[m:0:-1], K_eps[m:0:-1], g[:m]
+        psi = base[m] + dt * (np.einsum("jab,jbc->ac", past, kern)
+                              + np.einsum("jab,jbc->ac", kern, past))
+        psi_eps = base_eps[m] + dt * (np.einsum("jab,jbc->ac", past, kern_eps)
+                                      + np.einsum("jab,jbc->ac", kern_eps, past))
+        g[m] = psi + nonlinearity_R(psi_eps, spec) - psi_eps
+    h = h_curve(lam0, measure, grid.times)
+    integ = dt * np.einsum("jab,jba->", g[:-1], h[:0:-1])
+    return float(np.exp(np.einsum("ab,ba->", u, h[-1]) + integ))
+
+
+def test_volterra_route_matches_direct_march_with_eps():
+    # d = 2, k = 2, non-diagonal nu, two non-commuting atoms and eps > 0:
+    # the node-state march is the direct march summed in another order
+    nu = np.array([[[0.30, 0.05], [0.05, 0.12]],
+                   [[0.10, -0.04], [-0.04, 0.20]]])
+    measure = AtomicMatrixMeasure([0.7, 3.0], nu)
+    lam0 = np.array([[[0.6, 0.1], [0.1, 0.5]], [[0.3, -0.05], [-0.05, 0.4]]])
+    spec = JumpMeasureSpec(atoms=[np.diag([1.0, 0.3]), [[0.5, 0.2], [0.2, 0.4]]],
+                           weights=[np.diag([0.2, 0.1]),
+                                    [[0.1, 0.02], [0.02, 0.15]]],
+                           epsilon_shift=0.05)
+    u = np.array([[-0.8, 0.2], [0.2, -0.5]])
+    n_steps = 200
+    for t in (0.5, 1.0):
+        got = laplace_transform_jump(u, lam0, measure, spec, t, n_steps)
+        want = volterra_value_direct(u, lam0, measure, spec,
+                                     TimeGrid.regular(t, n_steps))
+        assert got.volterra_value == pytest.approx(want, rel=1e-12)
+        assert got.discrepancy <= max(1e-4, 5.0 * t / n_steps)
