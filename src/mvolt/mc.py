@@ -3,9 +3,9 @@
 Every path index owns an independent Philox stream derived from
 (master seed, path index), so a draw sequence is bit-identical no matter
 how paths are scheduled across workers.  :func:`run_path_blocks`
-evaluates a block simulator over fixed-size path blocks and joins the block
-results in block order, which makes the final numbers byte-identical for 1
-or many workers.  Per-path simulators enter through :class:`PerPathBlocks`.
+evaluates a block simulator over path blocks and joins the block results in
+block order, which makes the final numbers byte-identical for 1 or many
+workers.  Per-path simulators enter through :class:`PerPathBlocks`.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def run_path_blocks(
     workers: int = 1,
     block_size: int = BLOCK_SIZE,
 ):
-    """Evaluate a block simulator over fixed path blocks.
+    """Evaluate a block simulator over path blocks.
 
     ``block_fn(seed, start, stop)`` returns the values of paths
     [start, stop), drawing the noise of path p from ``path_rng(seed, p)``
@@ -113,14 +113,18 @@ def run_path_blocks(
     :class:`PerPathBlocks` returns.  Block results are joined in path order
     (arrays concatenated, lists chained), so the output is independent of
     the worker count.  An exception keeps its type and names the failing
-    paths and the seed.
+    paths and the seed.  With ``workers`` > 1 and at most ``block_size``
+    paths, the run is split into min(workers, n_paths) path-ordered blocks
+    so that the workers share it.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
-    blocks = [
-        (start, min(start + block_size, n_paths))
-        for start in range(0, n_paths, block_size)
-    ]
+    if workers > 1 and n_paths <= block_size:
+        n_split = min(workers, n_paths)
+        edges = [n_paths * i // n_split for i in range(n_split + 1)]
+    else:
+        edges = [*range(0, n_paths, block_size), n_paths]
+    blocks = list(zip(edges[:-1], edges[1:]))
     task = _BlockTask(block_fn, seed)
     if workers <= 1 or len(blocks) <= 1:
         chunks = [task(b) for b in blocks]

@@ -128,6 +128,32 @@ class TestSimulationCommands:
         assert lines[0] == "path,t,atom,intensity_at_jump"
         assert vgrid.read_text().startswith("path,t,V_11")
 
+    def test_hawkes_workers_share_a_small_run(self, tmp_path, jump_model_file,
+                                              monkeypatch):
+        # 500 paths fit in one block of BLOCK_SIZE; with 2 workers the run is
+        # split into path-ordered blocks that a pool shares, and the files
+        # stay byte-identical to the serial run
+        import mvolt.mc as mc_mod
+
+        mapped = []
+
+        class RecordingPool(mc_mod.ProcessPoolExecutor):
+            def map(self, fn, blocks, **kwargs):
+                mapped.append(list(blocks))
+                return super().map(fn, mapped[-1], **kwargs)
+
+        monkeypatch.setattr(mc_mod, "ProcessPoolExecutor", RecordingPool)
+        files = []
+        for workers in ("1", "2"):
+            out, grid = tmp_path / f"ev{workers}.csv", tmp_path / f"v{workers}.csv"
+            assert main(["hawkes", "simulate", "--model", jump_model_file,
+                         "--T", "1.0", "--paths", "500", "--seed", "9",
+                         "--workers", workers, "--out", str(out),
+                         "--out-grid", str(grid)]) == 0
+            files.append((out.read_bytes(), grid.read_bytes()))
+        assert files[0] == files[1]
+        assert mapped == [[(0, 250), (250, 500)]]
+
 
 class TestTransformCommands:
     def test_wishart_transform_report(self, tmp_path, measure_file, gamma0_file):

@@ -4,6 +4,7 @@ import pytest
 from mvolt.measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
 from mvolt.jumps import JumpMeasureSpec, empty_jump_spec
 from mvolt.riccati import (
+    _lift_operators,
     h_curve,
     laplace_transform_jump,
     nonlinearity_R,
@@ -81,6 +82,82 @@ class TestLiftODE:
         # refinements must not degrade and the final error is tiny
         assert abs(vals[16] - ref) <= abs(vals[4] - ref) + 1e-12
         assert abs(vals[16] - ref) <= 1e-8
+
+
+def noncommuting_lift():
+    """d = 2, k = 3, non-diagonal nu, two non-commuting atoms, ||xi_2|| < 1."""
+    nu = np.array([[[0.30, 0.0], [0.0, 0.05]],
+                   [[0.10, 0.08], [0.08, 0.20]],
+                   [[0.05, -0.04], [-0.04, 0.15]]])
+    measure = AtomicMatrixMeasure([0.4, 1.5, 4.0], nu)
+    spec = JumpMeasureSpec(atoms=[np.diag([1.0, 0.3]), [[0.5, 0.2], [0.2, 0.4]]],
+                           weights=[np.diag([0.2, 0.1]),
+                                    [[0.1, 0.02], [0.02, 0.15]]],
+                           epsilon_shift=0.1)
+    return measure, spec
+
+
+def lift_generator_terms(y, measure, spec):
+    """Sum_j (y_j nu_j + nu_j y_j) and the jump term NL(P_eps y) - P_eps y,
+    written out from the generator with einsum, traces and norms."""
+    nu = measure.weights
+    damp = np.exp(-measure.nodes * spec.epsilon_shift)
+    pair = np.einsum("jab,jbc->ac", y, nu) + np.einsum("jab,jbc->ac", nu, y)
+    pair_eps = (np.einsum("j,jab,jbc->ac", damp, y, nu)
+                + np.einsum("j,jab,jbc->ac", damp, nu, y))
+    jump = sum((np.exp(np.trace(pair_eps @ xi)) - 1.0) * mu
+               / min(np.linalg.norm(xi), 1.0)
+               for xi, mu in zip(spec.atoms, spec.weights))
+    return pair, jump
+
+
+class TestFlatLiftOperators:
+    def test_operators_match_einsum_form(self):
+        measure, spec = noncommuting_lift()
+        assert np.linalg.norm(spec.atoms[1]) < 1.0
+        assert np.abs(spec.atoms[0] @ spec.atoms[1]
+                      - spec.atoms[1] @ spec.atoms[0]).max() > 1e-2
+        lin, pairing, jump_arg, gain = _lift_operators(measure, spec)
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            y = rng.normal(size=(3, 2, 2)) * 0.5
+            pair, jump = lift_generator_terms(y, measure, spec)
+            flat_jump = gain @ (np.exp(jump_arg @ y.ravel()) - 1.0)
+            want = -measure.nodes[:, None, None] * y + pair + jump
+            got = lin @ y.ravel() + np.tile(flat_jump, 3)
+            assert np.abs(got - want.ravel()).max() <= 1e-13
+            got_g = pairing @ y.ravel() + flat_jump
+            assert np.abs(got_g - (pair + jump).ravel()).max() <= 1e-13
+
+    def test_lift_route_matches_dop853(self):
+        from scipy.integrate import solve_ivp
+
+        measure, spec = noncommuting_lift()
+        u = np.array([[-0.8, 0.2], [0.2, -0.5]])
+        y0 = np.broadcast_to(u, (3, 2, 2)).copy()
+        grid = TimeGrid.regular(1.0, 50)
+
+        def rhs(_, flat):
+            y = flat.reshape(3, 2, 2)
+            pair, jump = lift_generator_terms(y, measure, spec)
+            return (-measure.nodes[:, None, None] * y + pair + jump).ravel()
+
+        sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853",
+                        t_eval=grid.times, rtol=1e-12, atol=1e-14)
+        assert sol.success
+        want = sol.y.T.reshape(-1, 3, 2, 2)
+        got = solve_lift_riccati_jump(y0, measure, spec, grid)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_complex_start_with_zero_imaginary_part(self):
+        measure, spec = noncommuting_lift()
+        y0 = np.broadcast_to([[-0.8, 0.2], [0.2, -0.5]], (3, 2, 2)).copy()
+        grid = TimeGrid.regular(0.5, 20)
+        real = solve_lift_riccati_jump(y0, measure, spec, grid)
+        cplx = solve_lift_riccati_jump(y0.astype(complex), measure, spec, grid)
+        assert cplx.dtype == complex
+        np.testing.assert_array_equal(cplx.imag, 0.0)
+        np.testing.assert_allclose(cplx.real, real, rtol=1e-13, atol=0.0)
 
 
 class TestVolterraEquation:
