@@ -54,6 +54,17 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _write_path_csv(path: str | None, prefix: str, times, samples) -> None:
+    """CSV ``path,t,<prefix>_<index>...``: one row per path and time with the
+    sample flattened (1-based indices, e.g. X_12 or P_2); ``samples`` holds
+    one (len(times), ...) array per path."""
+    names = [f"{prefix}_" + "".join(str(i + 1) for i in idx)
+             for idx in np.ndindex(samples[0][0].shape)]
+    rows = [[p, t, *x.flat] for p, path_samples in enumerate(samples)
+            for t, x in zip(times, path_samples)]
+    _write_text(path, configio.format_csv(["path", "t"] + names, rows))
+
+
 def _json_report(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -116,13 +127,7 @@ def cmd_ou_simulate(args) -> int:
         XBlock(measure, gamma0_m.weights, times), args.paths, args.seed,
         workers=args.workers,
     )
-    n, d = xs.shape[2], xs.shape[3]
-    header = ["path", "t"] + [f"X_{a + 1}{b + 1}" for a in range(n) for b in range(d)]
-    rows = []
-    for p in range(xs.shape[0]):
-        for j, t in enumerate(times):
-            rows.append([p, t] + list(xs[p, j].reshape(-1)))
-    _write_text(args.out, configio.format_csv(header, rows))
+    _write_path_csv(args.out, "X", times, xs)
     return 0
 
 
@@ -134,13 +139,7 @@ def cmd_wishart_simulate(args) -> int:
         measure, gamma0_m.weights, times, args.paths, args.seed,
         workers=args.workers,
     )
-    d = vs.shape[-1]
-    header = ["path", "t"] + [f"V_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-    rows = []
-    for p in range(vs.shape[0]):
-        for j, t in enumerate(times):
-            rows.append([p, t] + list(vs[p, j].reshape(-1)))
-    _write_text(args.out, configio.format_csv(header, rows))
+    _write_path_csv(args.out, "V", times, vs)
     return 0
 
 
@@ -202,21 +201,14 @@ def cmd_hawkes_simulate(args) -> int:
         PerPathBlocks(sim, partial(_event_log, with_grid=bool(args.out_grid))),
         args.paths, args.seed, workers=args.workers,
     )
-    events_rows = []
-    vgrid_rows = []
-    for p, (jump_times, atoms, rates, v_path) in enumerate(logs):
-        for jt, atom, rate in zip(jump_times, atoms, rates):
-            events_rows.append([p, jt, int(atom), rate])
-        if args.out_grid:
-            for j, t in enumerate(sim.grid.times):
-                vgrid_rows.append([p, t] + list(v_path[j].reshape(-1)))
+    events_rows = [[p, jt, int(atom), rate]
+                   for p, (jump_times, atoms, rates, _) in enumerate(logs)
+                   for jt, atom, rate in zip(jump_times, atoms, rates)]
     _write_text(args.out, configio.format_csv(
         ["path", "t", "atom", "intensity_at_jump"], events_rows))
     if args.out_grid:
-        d = measure.d
-        header = ["path", "t"] + [f"V_{i + 1}{j + 1}" for i in range(d)
-                                  for j in range(d)]
-        _write_text(args.out_grid, configio.format_csv(header, vgrid_rows))
+        _write_path_csv(args.out_grid, "V", sim.grid.times,
+                        [v_path for *_, v_path in logs])
     return 0
 
 
@@ -268,13 +260,7 @@ def cmd_heston_simulate(args) -> int:
         model, args.T, args.steps, args.paths, args.seed,
         workers=args.workers, record_times=times,
     )
-    d = model.d
-    header = ["path", "t"] + [f"P_{i + 1}" for i in range(d)]
-    rows = []
-    for p in range(ps.shape[0]):
-        for j, t in enumerate(times):
-            rows.append([p, t] + list(ps[p, j]))
-    _write_text(args.out, configio.format_csv(header, rows))
+    _write_path_csv(args.out, "P", times, ps)
     return 0
 
 

@@ -148,32 +148,40 @@ def jump_increment(measure: AtomicMatrixMeasure, xi: np.ndarray, eps: float) -> 
     return damp[:, None, None] * inc
 
 
+def pairing_operator(weights: np.ndarray) -> np.ndarray:
+    """(d^2, k d^2) matrix of y -> sum_j (y_j w_j + w_j y_j) on row-major vec."""
+    eye = np.eye(weights.shape[-1])
+    return np.hstack([np.kron(eye, w.T) + np.kron(w, eye) for w in weights])
+
+
+def lift_operator(measure: AtomicMatrixMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """L = -diag(x_i) (x) I + 1_k (x) P and the pairing P of the weights on
+    y = vec(y_1, ..., y_k): L is the linear part of the jump-lift Riccati and
+    L^T the drift of the node matrices lam(x_i)."""
+    k, n = measure.k, measure.d * measure.d
+    pairing = pairing_operator(measure.weights)
+    lin = np.tile(pairing, (k, 1))
+    lin[np.diag_indices(k * n)] -= np.repeat(measure.nodes, n)
+    return lin, pairing
+
+
 class LinearFlow:
     """Exact propagator of the augmented linear drift (lam blocks, int V ds).
 
-    The stacked vector [vec lam(x_1), ..., vec lam(x_k), vec intV] obeys a
-    constant linear ODE; its matrix exponential is applied through an
-    eigendecomposition.  Falls back to dense expm stepping when the
-    eigenbasis is ill-conditioned.
+    The stacked vector [vec lam(x_1), ..., vec lam(x_k), vec intV] obeys the
+    constant linear ODE with matrix M = [[L^T, 0], [1_k^T (x) I, 0]], L from
+    :func:`lift_operator` (the same operator the lift Riccati steps on); its
+    matrix exponential is applied through an eigendecomposition.  Falls back
+    to dense expm stepping when the eigenbasis is ill-conditioned.
     """
 
     def __init__(self, measure: AtomicMatrixMeasure):
         k, d = measure.k, measure.d
         self.k, self.d = k, d
-        dim = (k + 1) * d * d
-        M = np.zeros((dim, dim))
-        eye = np.eye(d)
-        for i in range(k):
-            ri = slice(i * d * d, (i + 1) * d * d)
-            M[ri, ri] += -measure.nodes[i] * np.eye(d * d)
-            blk = np.kron(measure.weights[i], eye) + np.kron(eye, measure.weights[i])
-            for j in range(k):
-                cj = slice(j * d * d, (j + 1) * d * d)
-                M[ri, cj] += blk
-        last = slice(k * d * d, dim)
-        for j in range(k):
-            cj = slice(j * d * d, (j + 1) * d * d)
-            M[last, cj] += np.eye(d * d)
+        kn = k * d * d
+        M = np.zeros((kn + d * d, kn + d * d))
+        M[:kn, :kn] = lift_operator(measure)[0].T
+        M[kn:, :kn] = np.tile(np.eye(d * d), k)
         self.M = M
         self._eig_ok = False
         try:

@@ -110,10 +110,6 @@ class AtomicMatrixMeasure:
     def nrows(self) -> int:
         return self.weights.shape[1]
 
-    def total_mass(self) -> np.ndarray:
-        """Sum of all weights (the kernel value at t = 0)."""
-        return self.weights.sum(axis=0)
-
 
 def eval_kernel(measure: AtomicMatrixMeasure, t) -> np.ndarray:
     """Evaluate K(t) = sum_i w_i exp(-x_i t).

@@ -96,7 +96,6 @@ class StepOperator:
     decay: np.ndarray          # (k,) e^(-x_i dt)
     noise_factor: np.ndarray   # (k d, k d) with L L^T = C
     measure: AtomicMatrixMeasure
-    cross_w: np.ndarray = field(repr=False)      # (d, k d) Cov(dW row, innovations)
     cond_w_factor: np.ndarray = field(repr=False)  # (d, d) factor of the cond. covariance
     cond_w_gain: np.ndarray = field(repr=False)    # (d, k d) conditional-mean gain
 
@@ -130,7 +129,6 @@ class StepOperator:
             decay=np.exp(-measure.nodes * dt),
             noise_factor=L,
             measure=measure,
-            cross_w=cross,
             cond_w_factor=cond_factor,
             cond_w_gain=gain,
         )

@@ -110,6 +110,24 @@ class TestSimulationCommands:
         header = out.read_text().split("\n")[0]
         assert header == "path,t,V_11,V_12,V_21,V_22"
 
+    def test_heston_simulate_csv(self, tmp_path, heston_model_file):
+        text = (tmp_path / "heston.cfg").read_text()
+        model = write(tmp_path / "p0.cfg",
+                      text.replace("p0 = [0.0, 0.0]", "p0 = [0.1, -0.2]"))
+        out = tmp_path / "prices.csv"
+        rc = main(["heston", "simulate", "--model", model, "--T", "0.5",
+                   "--steps", "4", "--paths", "3", "--seed", "2",
+                   "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "path,t,P_1,P_2"
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert rows.shape == (3 * (4 + 1), 4)
+        np.testing.assert_array_equal(rows[:, 0], np.repeat(np.arange(3), 5))
+        start = rows[rows[:, 1] == 0.0]
+        assert len(start) == 3
+        np.testing.assert_array_equal(start[:, 2:], [[0.1, -0.2]] * 3)
+
     def test_hawkes_simulate(self, tmp_path):
         measure = write(
             tmp_path / "m.cfg", "nodes = [1.0]\nweights = [[[0.4]]]\nd = 1\n"
@@ -192,9 +210,11 @@ class TestTransformCommands:
             assert entry["modulus"] <= 1.0 + 1e-9
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
-        # V explodes at rate 2 nu = 1e4: the lift Riccati leaves the float
-        # range near t = 0.07 and the CLI must say so in one line, not in a
-        # traceback with the exit code of a failed check
+        # V explodes at rate 2 nu = 1e4: the lift Riccati solution is about
+        # -e^(9999 t), still finite at t = 0.07 (-1e304) and past the float
+        # range at t = 0.0710, so the step to t = 0.08 overflows; the CLI must
+        # say so in one line, not in a traceback with the exit code of a
+        # failed check
         model = write(
             tmp_path / "explosive.cfg",
             "[measure]\nnodes = [1.0]\nweights = [[[5000.0]]]\nd = 1\n"
@@ -207,7 +227,7 @@ class TestTransformCommands:
                    "--t", "0.1", "--riccati-steps", "10", "--out", str(out)])
         assert rc == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["numerical failure: lift Riccati diverged before t = 0.07"]
+        assert err == ["numerical failure: lift Riccati diverged before t = 0.08"]
         assert not out.exists()
 
     def test_mc_numerical_failure_exit_three(self, tmp_path, capsys):

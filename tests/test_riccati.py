@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from mvolt.fractional import FractionalKernelSpec, fit_fractional_measure
 from mvolt.measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
-from mvolt.jumps import JumpMeasureSpec, empty_jump_spec
+from mvolt.jumps import JumpMeasureSpec, empty_jump_spec, hawkes_jump_spec
 from mvolt.riccati import (
     _lift_operators,
     h_curve,
@@ -78,10 +79,12 @@ class TestLiftODE:
         ref = solve_lift_riccati_jump(
             y0, measure, spec, TimeGrid.regular(1.0, 512)
         )[-1, 0, 0, 0]
-        # errors are dominated by the internal substep cap; successive
-        # refinements must not degrade and the final error is tiny
-        assert abs(vals[16] - ref) <= abs(vals[4] - ref) + 1e-12
-        assert abs(vals[16] - ref) <= 1e-8
+        errs = [abs(vals[n] - ref) for n in (4, 8, 16)]
+        assert errs[2] <= errs[0] + 1e-12
+        assert errs[2] <= 1e-8
+        # fourth order: each halving of the step cuts the error by about 16
+        assert errs[1] <= errs[0] / 8.0
+        assert errs[2] <= errs[1] / 8.0
 
 
 def noncommuting_lift():
@@ -148,6 +151,33 @@ class TestFlatLiftOperators:
         want = sol.y.T.reshape(-1, 3, 2, 2)
         got = solve_lift_riccati_jump(y0, measure, spec, grid)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_stiff_rough_fit_matches_radau(self):
+        # the k = 40, H = 0.1 fit has nodes up to 7.7e4, so L h reaches -192
+        # at 200 steps; the linear part is taken exactly, with no substeps
+        from scipy.integrate import solve_ivp
+
+        measure = fit_fractional_measure(
+            FractionalKernelSpec(np.array([[0.1]]), 1e-3, 10.0, 40)).measure
+        assert measure.nodes[-1] > 7e4
+        spec = hawkes_jump_spec(1, [0.3])
+        lin, _, jump_arg, gain = _lift_operators(measure, spec)
+        gain = np.tile(gain, (measure.k, 1))
+        y0 = np.full(measure.k, -0.5)
+
+        def rhs(_, y):
+            return lin @ y + gain @ (np.exp(jump_arg @ y) - 1.0)
+
+        def jac(_, y):
+            return lin + (gain * np.exp(jump_arg @ y)) @ jump_arg
+
+        sol = solve_ivp(rhs, (0.0, 0.5), y0, method="Radau", jac=jac,
+                        rtol=1e-11, atol=1e-14)
+        assert sol.success
+        want = sol.y[:, -1]
+        got = solve_lift_riccati_jump(y0.reshape(-1, 1, 1), measure, spec,
+                                      TimeGrid.regular(0.5, 200))[-1].ravel()
+        assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
 
     def test_complex_start_with_zero_imaginary_part(self):
         measure, spec = noncommuting_lift()
