@@ -2,7 +2,13 @@
 
 Every path index owns an independent Philox stream derived from
 (master seed, path index), so a draw sequence is bit-identical no matter
-how paths are scheduled across workers.  :func:`run_path_blocks`
+how paths are scheduled across workers.  :func:`path_rng` defines the
+stream of one path.  A block draws the same streams in one pass:
+:func:`path_keys` computes the Philox keys of all its paths at once, and
+:func:`path_streams` resets the counter and key of one reused Philox per
+path (counter-based generators make this a plain state reset; Salmon et al.
+2011, "Parallel random numbers: as easy as 1, 2, 3").  The Generator it
+yields is valid only until the next path's reset.  :func:`run_path_blocks`
 evaluates a block simulator over path blocks and joins the block results in
 block order, which makes the final numbers byte-identical for 1 or many
 workers.  Per-path simulators enter through :class:`PerPathBlocks`.
@@ -17,12 +23,121 @@ from dataclasses import dataclass, field
 import numpy as np
 
 BLOCK_SIZE = 8192
+_MASK32 = 0xFFFFFFFF
+# The pool size and hash constants of numpy's SeedSequence.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
     """Independent, scheduling-invariant stream for one path."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(path_index),))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _check_seed(seed) -> int:
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of n >= 0, as SeedSequence splits an int."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _seed_sequence_keys(entropy: np.ndarray) -> np.ndarray:
+    """``generate_state(2, np.uint64)`` of the SeedSequences whose assembled
+    entropy words are the columns of ``entropy`` (uint32, (words, paths))."""
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * np.uint32(hash_a)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ (out >> _XSHIFT)
+
+    # A spawned SeedSequence pads its run entropy to the pool size, so the
+    # pool is filled from entropy words alone.
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_b = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _MASK32
+        word = word * np.uint32(hash_b)
+        state.append((word ^ (word >> _XSHIFT)).astype(np.uint64))
+    shift = np.uint64(32)
+    return np.stack([state[0] | state[1] << shift, state[2] | state[3] << shift], axis=1)
+
+
+def path_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """Philox keys of paths [start, stop), shape (stop - start, 2), uint64.
+
+    Row p - start equals ``SeedSequence(entropy=seed, spawn_key=(p,))
+    .generate_state(2, np.uint64)``, the key of ``path_rng(seed, p)``,
+    computed for the whole block in one pass of uint32 array arithmetic.
+    Path indices must lie in [0, 2**64).
+    """
+    run = _uint32_words(_check_seed(seed))
+    run += [0] * (_POOL_SIZE - len(run))
+    if not 0 <= start <= stop <= 2**64:
+        raise ValueError(f"need 0 <= start <= stop <= 2**64, got [{start}, {stop})")
+    keys = np.empty((stop - start, 2), dtype=np.uint64)
+    # A path index below 2**32 is one spawn-key word, above it two.
+    for lo, hi, n_words in ((start, min(stop, 2**32), 1), (max(start, 2**32), stop, 2)):
+        if lo >= hi:
+            continue
+        paths = np.arange(lo, hi, dtype=np.uint64)
+        entropy = np.empty((len(run) + n_words, hi - lo), dtype=np.uint32)
+        entropy[: len(run)] = np.array(run, dtype=np.uint32)[:, None]
+        for j in range(n_words):
+            entropy[len(run) + j] = (paths >> np.uint64(32 * j)) & np.uint64(_MASK32)
+        keys[lo - start : hi - start] = _seed_sequence_keys(entropy)
+    return keys
+
+
+def path_streams(seed: int, start: int, stop: int):
+    """Yield the streams ``path_rng(seed, p)`` for p in [start, stop).
+
+    One Generator on one Philox is reset to path p's key and a zero counter
+    before it is yielded, so it draws exactly what ``path_rng(seed, p)``
+    draws.  It is the same object for every path: use it only until the
+    next one is yielded.
+    """
+    keys = path_keys(seed, start, stop).tolist()
+    bit_gen = np.random.Philox(0)
+    rng = np.random.Generator(bit_gen)
+    # The state of a freshly seeded Philox: empty output buffer, no
+    # half-used 64-bit word.
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys:
+        state["state"]["key"] = key
+        bit_gen.state = state
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -57,8 +172,11 @@ class PerPathBlocks:
     """Block simulator built from a per-path one.
 
     ``path_fn(rng)`` simulates one path from its stream
-    ``path_rng(seed, p)``; ``reduce``, if given, maps that output to the
-    value kept, inside the worker.  A block returns the list of its values.
+    ``path_rng(seed, p)``, drawn through :func:`path_streams`: the ``rng``
+    is valid only during the call, as it is reset for the next path, so
+    ``path_fn`` must not keep it.  ``reduce``, if given, maps that output to
+    the value kept, inside the worker.  A block returns the list of its
+    values.
     """
 
     def __init__(self, path_fn, reduce=None):
@@ -67,9 +185,9 @@ class PerPathBlocks:
 
     def __call__(self, seed: int, start: int, stop: int) -> list:
         out = []
-        for p in range(start, stop):
+        for p, rng in zip(range(start, stop), path_streams(seed, start, stop)):
             try:
-                value = self.path_fn(path_rng(seed, p))
+                value = self.path_fn(rng)
                 out.append(value if self.reduce is None else self.reduce(value))
             except Exception as exc:
                 raise _with_hint(
@@ -119,6 +237,7 @@ def run_path_blocks(
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
+    seed = _check_seed(seed)
     if workers > 1 and n_paths <= block_size:
         n_split = min(workers, n_paths)
         edges = [n_paths * i // n_split for i in range(n_split + 1)]

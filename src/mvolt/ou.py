@@ -188,10 +188,12 @@ def simulate_lift_blocks(
     Returns gamma samples of shape (stop-start, len(times), k, n, d).  Path
     p draws its noise from ``path_rng(seed, p)`` exclusively, one
     (len(times), n, k d) Gaussian tensor per path, so results are
-    scheduling-independent.  Steps are taken between consecutive distinct
-    times; exactness of the one-step law makes the grid choice immaterial.
+    scheduling-independent; the block draws them through
+    :func:`~mvolt.mc.path_streams`.  Steps are taken between consecutive
+    distinct times; exactness of the one-step law makes the grid choice
+    immaterial.
     """
-    from .mc import path_rng
+    from .mc import path_streams
 
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(times < 0.0):
@@ -212,8 +214,8 @@ def simulate_lift_blocks(
 
     n_paths = stop - start
     noise = np.empty((n_paths, times.size, n, k * d))
-    for row, p in enumerate(range(start, stop)):
-        noise[row] = path_rng(seed, p).standard_normal((times.size, n, k * d))
+    for row, rng in enumerate(path_streams(seed, start, stop)):
+        rng.standard_normal(out=noise[row])
 
     out = np.empty((n_paths, times.size, k, n, d))
     gamma = np.broadcast_to(gamma0, (n_paths, k, n, d)).copy()

@@ -101,6 +101,17 @@ class TestSimulationCommands:
         assert lines[0] == "path,t,X_11,X_12,X_21,X_22"
         assert len(lines) == 1 + 3 * 4
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, measure_file,
+                                           gamma0_file):
+        out = tmp_path / "paths.csv"
+        rc = main(["ou", "simulate", "--measure", measure_file,
+                   "--gamma0", gamma0_file, "--dt", "0.25", "--steps", "4",
+                   "--paths", "4", "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: seed must be a non-negative integer, got -1"]
+        assert not out.exists()
+
     def test_wishart_simulate_csv(self, tmp_path, measure_file, gamma0_file):
         out = tmp_path / "v.csv"
         rc = main(["wishart", "simulate", "--measure", measure_file,

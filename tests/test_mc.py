@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
 
+import mvolt.mc
+from mvolt.jumps import HawkesPathSimulator, JumpMeasureSpec
 from mvolt.mc import (
     Estimate,
     PerPathBlocks,
     estimate_mean,
+    path_keys,
     path_rng,
+    path_streams,
     run_path_blocks,
 )
+from mvolt.measures import AtomicMatrixMeasure
+from mvolt.wishart import XBlock
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7]
+PATH_RANGES = [(0, 50), (2**32 - 3, 2**32 + 3)]
 
 
 def run_paths(fn, n_paths, seed, *, workers=1, block_size=8192):
@@ -23,6 +32,84 @@ def test_streams_are_reproducible_and_distinct():
     b = path_rng(7, 4).standard_normal(8)
     np.testing.assert_array_equal(a1, a2)
     assert not np.allclose(a1, b)
+
+
+@pytest.mark.parametrize("start, stop", PATH_RANGES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_path_keys_match_seed_sequence(seed, start, stop):
+    want = np.array([
+        np.random.SeedSequence(entropy=seed, spawn_key=(p,)).generate_state(2, np.uint64)
+        for p in range(start, stop)
+    ])
+    got = path_keys(seed, start, stop)
+    assert got.dtype == np.uint64
+    np.testing.assert_array_equal(got, want)
+
+
+def _thinning_draws(rng):
+    """The draw mix of Hawkes thinning, interleaved, plus a block of normals."""
+    out = [rng.standard_normal(3)]
+    for _ in range(4):
+        out += [rng.exponential(0.5), rng.uniform(), rng.choice(3, p=[0.2, 0.5, 0.3])]
+    out.append(rng.standard_normal((2, 5)))
+    return out
+
+
+@pytest.mark.parametrize("start, stop", PATH_RANGES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_path_streams_draw_what_path_rng_draws(seed, start, stop):
+    n = 0
+    for p, rng in zip(range(start, stop), path_streams(seed, start, stop)):
+        for got, want in zip(_thinning_draws(rng), _thinning_draws(path_rng(seed, p))):
+            np.testing.assert_array_equal(got, want)
+        n += 1
+    assert n == stop - start
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError):
+        path_rng(-1, 0)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        path_keys(-1, 0, 4)
+    with pytest.raises(ValueError, match="got -1"):
+        next(path_streams(-1, 0, 4))
+    with pytest.raises(ValueError, match="got -2"):
+        run_path_blocks(_failing_block, 10, seed=-2)
+
+
+def _path_rng_loop(seed, start, stop):
+    return (path_rng(seed, p) for p in range(start, stop))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_x_block_matches_path_rng_loop(workers, monkeypatch):
+    rng = np.random.default_rng(8)
+    measure = AtomicMatrixMeasure([0.4, 3.0], [np.eye(2) * 0.3, [[0.2, 0.05], [0.05, 0.1]]])
+    block = XBlock(measure, rng.normal(size=(2, 3, 2)) * 0.2, [0.25, 0.5, 1.0])
+    seed = 2**40 + 3
+    with monkeypatch.context() as m:
+        m.setattr(mvolt.mc, "path_streams", _path_rng_loop)
+        want = block(seed, 0, 300)
+    got = run_path_blocks(block, 300, seed, workers=workers, block_size=128)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_hawkes_paths_match_path_rng_loop(workers):
+    measure = AtomicMatrixMeasure([0.6, 2.5], [np.eye(2) * 0.35, np.eye(2) * 0.2])
+    # two atoms, so that accepted candidates draw their atom with ``choice``
+    spec = JumpMeasureSpec(atoms=[np.eye(2), [[0.5, 0.5], [0.5, 0.5]]],
+                           weights=[np.eye(2) * 0.4, np.eye(2) * 0.3])
+    sim = HawkesPathSimulator(measure, [np.eye(2) * 0.8, np.eye(2) * 0.4], spec,
+                              horizon=1.0, thinning_dt=0.25, grid_steps=8)
+    want = [sim(rng) for rng in _path_rng_loop(17, 0, 120)]
+    got = run_path_blocks(PerPathBlocks(sim), 120, 17, workers=workers, block_size=50)
+    assert sum(rec.jump_times.size for rec in want) > 0
+    assert len(np.unique(np.concatenate([rec.jump_atoms for rec in want]))) == 2
+    for a, b in zip(got, want, strict=True):
+        for field in ("jump_times", "jump_atoms", "intensity_at_jumps", "v_path",
+                      "x_path", "compensators"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_constant_simulator():
