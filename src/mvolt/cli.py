@@ -281,10 +281,11 @@ def cmd_heston_price(args) -> int:
         fp = fourier_price_call(model, args.asset, strike, args.maturity,
                                 alpha=args.alpha, riccati_steps=args.riccati_steps)
         est = estimate_mean(np.clip(spot - strike, 0.0, None))
-        rows.append([strike, args.maturity, fp.price, float(est.mean),
-                     float(est.stderr)])
+        rows.append([strike, args.maturity, fp.price, fp.truncation_error,
+                     float(est.mean), float(est.stderr)])
     _write_text(args.out, configio.format_csv(
-        ["strike", "maturity", "fourier_price", "mc_price", "mc_stderr"], rows))
+        ["strike", "maturity", "fourier_price", "truncation_error", "mc_price",
+         "mc_stderr"], rows))
     return 0
 
 

@@ -105,7 +105,20 @@ def _poisson_from_uniform(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 class HestonSimulator:
-    """Vectorized terminal-state simulator for (P_T, auxiliary records)."""
+    """Vectorized terminal-state simulator for (P_T, auxiliary records).
+
+    A block's lift state is one contiguous (B n, k d) array: row (b, a) holds
+    row a of every node matrix of path b, node by node, which is the layout
+    of the node innovations themselves.  Each linear map of a step is then
+    one flat 2-D product, and the constant ones are folded here, once:
+
+    - ``_sum_nodes`` = 1_k (x) I_d (k d, d), so X = gamma @ _sum_nodes and
+      the node update is decay * gamma + z_node @ noise_factor^T;
+    - ``_db_map`` (draws, n), dB from a step's raw draws: the node draws
+      through noise_factor^T cond_w_gain^T rho, the W draws through
+      cond_w_factor^T rho, and sqrt(1 - rho^T rho) sqrt(dt) on the Btilde
+      draws.
+    """
 
     def __init__(self, model: HestonModelSpec, horizon: float, n_steps: int,
                  record_times: np.ndarray | None = None,
@@ -122,10 +135,31 @@ class HestonSimulator:
         self.record_idx = []
         for rt in self.record_times:
             m = int(round(rt / self.dt))
-            if abs(times[m] - rt) > 1e-9 * max(self.horizon, 1.0):
-                raise ValueError("record times must lie on the step grid")
+            if not (0 <= m <= self.n_steps
+                    and abs(times[m] - rt) <= 1e-9 * max(self.horizon, 1.0)):
+                raise ValueError("record times must lie on the step grid [0, T]")
             self.record_idx.append(m)
+        if np.any(np.diff(self.record_idx) < 0):
+            raise ValueError("record times must be non-decreasing")
         self.record_variance = bool(record_variance)
+
+        n, d, k = model.n, model.d, model.measure.k
+        op = self.op
+        rho = model.rho
+        rho_orth = float(np.sqrt(max(1.0 - rho @ rho, 0.0)))
+        self._decay = np.repeat(op.decay, d)
+        self._sum_nodes = np.tile(np.eye(d), (k, 1))
+        eye_n = np.eye(n)
+        self._db_map = np.concatenate([
+            np.kron(eye_n, (op.noise_factor.T @ (op.cond_w_gain.T @ rho))[:, None]),
+            np.kron(eye_n, (op.cond_w_factor.T @ rho)[:, None]),
+            rho_orth * np.sqrt(self.dt) * eye_n,
+        ])
+        self._gamma0 = model.gamma0.transpose(1, 0, 2).reshape(n, k * d)
+        # V (B, d^2) @ _jump_trace = Tr(V m_r); the compensator and the
+        # -xi_r Tr(V m_r) dt term of dP fold into (e^(xi_r) - 1) dt
+        self._jump_trace = model.jump_weights.reshape(model.n_jumps, d * d).T
+        self._jump_comp = np.expm1(model.jump_atoms) * self.dt
 
     @property
     def _draws_per_step(self) -> int:
@@ -137,22 +171,22 @@ class HestonSimulator:
         """Samples of shape (paths, len(record_times), d), the log prices;
         with ``record_variance`` the last axis doubles to [P, diag V]."""
         model = self.model
-        op = self.op
-        dt = self.dt
-        n, d, k = model.n, model.d, model.measure.k
+        n, d, kd = model.n, model.d, model.measure.k * model.d
         J = model.n_jumps
         B = stop - start
+        # One path_rng per path, not mc.path_streams: the benchmark's tracing
+        # wraps mvolt.heston.path_rng by name, so the move to path_streams
+        # waits for a change to the benchmark.  The draws are the same.
         gauss = np.empty((B, self.n_steps, self._draws_per_step))
         jump_u = np.empty((B, self.n_steps, J)) if J else None
         for row, p in enumerate(range(start, stop)):
             rng = path_rng(seed, p)
-            gauss[row] = rng.standard_normal((self.n_steps, self._draws_per_step))
+            rng.standard_normal(out=gauss[row])
             if J:
                 jump_u[row] = rng.uniform(size=(self.n_steps, J))
 
-        rho = model.rho
-        rho_orth = float(np.sqrt(max(1.0 - rho @ rho, 0.0)))
-        gamma = np.broadcast_to(model.gamma0, (B, k, n, d)).copy()
+        half_dt = 0.5 * self.dt
+        gamma = np.tile(self._gamma0, (B, 1))            # (B n, k d)
         P = np.broadcast_to(model.p0, (B, d)).copy()
         width = 2 * d if self.record_variance else d
         out = np.empty((B, len(self.record_times), width))
@@ -160,50 +194,29 @@ class HestonSimulator:
         def record(pos):
             out[:, pos, :d] = P
             if self.record_variance:
-                x_now = gamma.sum(axis=1)
-                out[:, pos, d:] = np.einsum("bnx,bnx->bx", x_now, x_now)
+                X = gamma @ self._sum_nodes
+                out[:, pos, d:] = (X * X).reshape(B, n, d).sum(axis=1)
 
         rec_pos = 0
         while rec_pos < len(self.record_idx) and self.record_idx[rec_pos] == 0:
             record(rec_pos)
             rec_pos += 1
 
-        sl_node = slice(0, n * k * d)
-        sl_w = slice(n * k * d, n * k * d + n * d)
-        sl_bt = slice(n * k * d + n * d, n * k * d + n * d + n)
-
         for m in range(self.n_steps):
-            z = gauss[:, m]
-            z_node = z[:, sl_node].reshape(B, n, k * d)
-            z_w = z[:, sl_w].reshape(B, n, d)
-            z_bt = z[:, sl_bt]
-
-            X = gamma.sum(axis=1)                       # (B, n, d)
-            V = np.einsum("bnx,bny->bxy", X, X)         # (B, d, d)
-            diagV = np.einsum("bxx->bx", V)
-
-            zeta = z_node @ op.noise_factor.T           # (B, n, k d) innovations
-            dW = zeta @ op.cond_w_gain.T + z_w @ op.cond_w_factor.T
-            dB = dW @ rho + rho_orth * np.sqrt(dt) * z_bt   # (B, n)
-
-            drift = -0.5 * diagV * dt
-            dP = drift + np.einsum("bna,bn->ba", X, dB)
+            z = gauss[:, m]                               # (B, draws)
+            z_node = z[:, :n * kd].reshape(B * n, kd)
+            X = gamma @ self._sum_nodes                   # (B n, d)
+            dB = (z @ self._db_map).reshape(B * n, 1)
+            # X^T dB - 1/2 diag(V) dt in one contraction over the n rows
+            P += (X * (dB - half_dt * X)).reshape(B, n, d).sum(axis=1)
             if J:
-                rates = np.einsum("bxy,jxy->bj", V, model.jump_weights)
-                rates = np.clip(rates, 0.0, None)
-                counts = _poisson_from_uniform(jump_u[:, m], rates * dt)
-                exp_drift = np.einsum(
-                    "jx,bj->bx", np.exp(model.jump_atoms) - 1.0 - model.jump_atoms,
-                    rates,
-                ) * dt
-                dP = dP - exp_drift
-                dP = dP + np.einsum("jx,bj->bx", model.jump_atoms, counts)
-                dP = dP - np.einsum("jx,bj->bx", model.jump_atoms, rates) * dt
-
-            P = P + dP
-            gamma = op.decay[None, :, None, None] * gamma + zeta.reshape(
-                B, n, k, d
-            ).transpose(0, 2, 1, 3)
+                X3 = X.reshape(B, n, d)
+                V = (X3[:, :, :, None] * X3[:, :, None, :]).sum(axis=1)
+                rates = np.clip(V.reshape(B, d * d) @ self._jump_trace, 0.0, None)
+                counts = _poisson_from_uniform(jump_u[:, m], rates * self.dt)
+                P += counts @ model.jump_atoms - rates @ self._jump_comp
+            gamma *= self._decay
+            gamma += z_node @ self.op.noise_factor.T
             while rec_pos < len(self.record_idx) and self.record_idx[rec_pos] == m + 1:
                 record(rec_pos)
                 rec_pos += 1
@@ -280,7 +293,8 @@ def fourier_price_call(
     P_asset.  The damping strip is probed in the same batched solve as the
     quadrature: Phi(-i (alpha + 1)) is the (alpha + 1) exponential moment
     and must be finite.  The reported truncation error integrates the
-    envelope of the last decade of the quadrature range.
+    envelope of the last decade of the quadrature range, in price units
+    (scaled by e^(-alpha kappa) / pi like the price).
     """
     if strike <= 0.0:
         raise ValueError("strike must be positive")
@@ -313,13 +327,14 @@ def fourier_price_call(
     integrand = np.exp(-1j * vs * kappa) * phi / denom
     integral = float(np.sum(ws * integrand.real))
     tail_mask = vs > 0.9 * v_max
-    tail = float(np.sum(np.abs(phi[tail_mask] / denom[tail_mask]) * ws[tail_mask]))
-    price = np.exp(-alpha * kappa) / np.pi * integral
+    scale = np.exp(-alpha * kappa) / np.pi
+    tail = scale * float(np.sum(np.abs(phi[tail_mask] / denom[tail_mask]) * ws[tail_mask]))
+    price = scale * integral
     return CallPrice(
         price=float(price),
         strike=float(strike),
         maturity=float(maturity),
         asset=int(asset),
         damping=float(alpha),
-        truncation_error=tail,
+        truncation_error=float(tail),
     )

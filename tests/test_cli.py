@@ -296,8 +296,11 @@ class TestTransformCommands:
                    "--out", str(out)])
         assert rc == 0
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "strike,maturity,fourier_price,mc_price,mc_stderr"
+        assert lines[0] == ("strike,maturity,fourier_price,truncation_error,"
+                            "mc_price,mc_stderr")
         assert len(lines) == 4
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert np.all(rows[:, 3] >= 0.0) and np.all(np.isfinite(rows[:, 3]))
 
 
 class TestValidate:

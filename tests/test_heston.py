@@ -5,11 +5,13 @@ from scipy.stats import norm
 from mvolt.measures import AtomicMatrixMeasure
 from mvolt.heston import (
     HestonModelSpec,
+    HestonSimulator,
     _poisson_from_uniform,
     char_function,
     fourier_price_call,
     simulate_heston_terminal,
 )
+from mvolt.mc import path_rng
 from mvolt.validate import heston_reference_model
 
 
@@ -17,6 +19,78 @@ def bs_call(spot, strike, total_var):
     s = np.sqrt(total_var)
     d1 = (np.log(spot / strike) + 0.5 * total_var) / s
     return spot * norm.cdf(d1) - strike * norm.cdf(d1 - s)
+
+
+def two_atom_jump_model():
+    base = heston_reference_model()
+    return HestonModelSpec(
+        measure=base.measure, gamma0=base.gamma0, rho=base.rho, p0=base.p0,
+        jump_atoms=np.array([[0.15, 0.0], [-0.1, 0.05]]),
+        jump_weights=np.array([np.eye(2) * 0.5, np.eye(2) * 0.8]),
+    )
+
+
+def einsum_step_reference(sim, seed, start, stop):
+    """Reference step on per-path matrices: gamma as (B, k, n, d), one
+    einsum per contraction, the W increment rebuilt explicitly and dB taken
+    from it, from the same draws as ``sim``."""
+    model, op, dt = sim.model, sim.op, sim.dt
+    n, d, k = model.n, model.d, model.measure.k
+    J = model.n_jumps
+    B = stop - start
+    draws = n * k * d + n * d + n
+    gauss = np.empty((B, sim.n_steps, draws))
+    jump_u = np.empty((B, sim.n_steps, J)) if J else None
+    for row, p in enumerate(range(start, stop)):
+        rng = path_rng(seed, p)
+        gauss[row] = rng.standard_normal((sim.n_steps, draws))
+        if J:
+            jump_u[row] = rng.uniform(size=(sim.n_steps, J))
+
+    rho = model.rho
+    rho_orth = float(np.sqrt(max(1.0 - rho @ rho, 0.0)))
+    gamma = np.broadcast_to(model.gamma0, (B, k, n, d)).copy()
+    P = np.broadcast_to(model.p0, (B, d)).copy()
+    width = 2 * d if sim.record_variance else d
+    out = np.empty((B, len(sim.record_times), width))
+
+    def record(pos):
+        out[:, pos, :d] = P
+        if sim.record_variance:
+            x_now = gamma.sum(axis=1)
+            out[:, pos, d:] = np.einsum("bnx,bnx->bx", x_now, x_now)
+
+    for pos, m in enumerate(sim.record_idx):
+        if m == 0:
+            record(pos)
+    for m in range(sim.n_steps):
+        z = gauss[:, m]
+        z_node = z[:, :n * k * d].reshape(B, n, k * d)
+        z_w = z[:, n * k * d:n * k * d + n * d].reshape(B, n, d)
+        z_bt = z[:, n * k * d + n * d:]
+
+        X = gamma.sum(axis=1)
+        V = np.einsum("bnx,bny->bxy", X, X)
+        diagV = np.einsum("bxx->bx", V)
+        zeta = z_node @ op.noise_factor.T
+        dW = zeta @ op.cond_w_gain.T + z_w @ op.cond_w_factor.T
+        dB = dW @ rho + rho_orth * np.sqrt(dt) * z_bt
+
+        dP = -0.5 * diagV * dt + np.einsum("bna,bn->ba", X, dB)
+        if J:
+            rates = np.clip(np.einsum("bxy,jxy->bj", V, model.jump_weights), 0.0, None)
+            counts = _poisson_from_uniform(jump_u[:, m], rates * dt)
+            atoms = model.jump_atoms
+            dP = dP - np.einsum("jx,bj->bx", np.exp(atoms) - 1.0 - atoms, rates) * dt
+            dP = dP + np.einsum("jx,bj->bx", atoms, counts)
+            dP = dP - np.einsum("jx,bj->bx", atoms, rates) * dt
+        P = P + dP
+        gamma = op.decay[None, :, None, None] * gamma + zeta.reshape(
+            B, n, k, d).transpose(0, 2, 1, 3)
+        for pos, r in enumerate(sim.record_idx):
+            if r == m + 1:
+                record(pos)
+    return out
 
 
 def degenerate_model():
@@ -116,12 +190,7 @@ class TestSimulation:
             assert abs(g.mean() - 1.0) <= 3.5 * se
 
     def test_martingale_with_jumps(self):
-        base = heston_reference_model()
-        model = HestonModelSpec(
-            measure=base.measure, gamma0=base.gamma0, rho=base.rho, p0=base.p0,
-            jump_atoms=np.array([[0.15, 0.0], [-0.1, 0.05]]),
-            jump_weights=np.array([np.eye(2) * 0.5, np.eye(2) * 0.8]),
-        )
+        model = two_atom_jump_model()
         p = simulate_heston_terminal(model, 1.0, 128, 40_000, seed=3)[:, 0, :]
         for a in range(2):
             g = np.exp(p[:, a])
@@ -131,13 +200,7 @@ class TestSimulation:
     def test_martingale_identity_deterministic(self):
         # E[exp(P_a)] = exp(p0_a) through the transform itself: resolves a
         # 1e-4 bias that 40k-path MC cannot see
-        base = heston_reference_model()
-        jumps = HestonModelSpec(
-            measure=base.measure, gamma0=base.gamma0, rho=base.rho, p0=base.p0,
-            jump_atoms=np.array([[0.15, 0.0], [-0.1, 0.05]]),
-            jump_weights=np.array([np.eye(2) * 0.5, np.eye(2) * 0.8]),
-        )
-        for model in (base, jumps):
+        for model in (heston_reference_model(), two_atom_jump_model()):
             for a in range(2):
                 e_a = np.eye(2)[a]
                 value = char_function(model, -1j * e_a, 1.0)
@@ -196,6 +259,27 @@ class TestSimulation:
         a = simulate_heston_terminal(model, 0.5, 16, 2000, seed=6, workers=1)
         b = simulate_heston_terminal(model, 0.5, 16, 2000, seed=6, workers=4)
         np.testing.assert_array_equal(a, b)
+        grid = np.linspace(0.0, 0.5, 9)
+        a, b = (simulate_heston_terminal(two_atom_jump_model(), 0.5, 16, 2000, seed=6,
+                                         workers=w, record_times=grid,
+                                         record_variance=True)
+                for w in (1, 4))
+        np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("case", ["reference", "jumps", "variance_records"])
+    def test_flat_step_matches_einsum_reference(self, case):
+        if case == "reference":
+            sim = HestonSimulator(heston_reference_model(), 1.0, 64)
+        elif case == "jumps":
+            sim = HestonSimulator(two_atom_jump_model(), 1.0, 64)
+        else:
+            sim = HestonSimulator(two_atom_jump_model(), 0.5, 16,
+                                  record_times=np.linspace(0.0, 0.5, 9),
+                                  record_variance=True)
+        got = sim(11, 3, 403)
+        want = einsum_step_reference(sim, 11, 3, 403)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 class TestFourierPricing:
@@ -222,6 +306,19 @@ class TestFourierPricing:
         second = np.diff(prices, 2)
         assert np.all(second >= -1e-8)
 
+    def test_truncation_error_in_price_units(self):
+        # cut at v_max = 15 the Gaussian integrand's tail is visible; the
+        # envelope does not depend on the strike, the e^(-alpha kappa) / pi
+        # factor of the price does
+        model = degenerate_model()
+        var = 0.25**2 * (1.0 - np.exp(-0.6)) / 0.6
+        low, high = (fourier_price_call(model, 0, k, 1.0, v_max=15.0, n_quad=512)
+                     for k in (0.8, 1.25))
+        for fp in (low, high):
+            assert 0.0 < abs(fp.price - bs_call(1.0, fp.strike, var)) <= fp.truncation_error
+        assert low.truncation_error == pytest.approx(
+            high.truncation_error * (1.25 / 0.8) ** 1.5, rel=1e-12)
+
     def test_invalid_strike(self):
         with pytest.raises(ValueError, match="strike"):
             fourier_price_call(degenerate_model(), 0, -1.0, 1.0)
@@ -243,3 +340,19 @@ class TestPriceRecords:
         np.testing.assert_allclose(pv[:, -1, :2], term[:, 0], rtol=1e-12)
         assert np.all(np.isfinite(pv[:, :, :2]))
         assert np.all(pv[:, :, 2:] >= -1e-12)
+
+    def test_record_time_past_horizon(self):
+        with pytest.raises(ValueError, match=r"step grid \[0, T\]"):
+            simulate_heston_terminal(heston_reference_model(), 1.0, 4, 3, 0,
+                                     record_times=[2.0])
+
+    def test_decreasing_record_times(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            simulate_heston_terminal(heston_reference_model(), 1.0, 4, 3, 0,
+                                     record_times=[0.5, 0.25])
+
+    def test_repeated_record_time(self):
+        p = simulate_heston_terminal(heston_reference_model(), 1.0, 4, 3, 0,
+                                     record_times=[0.0, 0.5, 0.5])
+        np.testing.assert_array_equal(p[:, 0], 0.0)
+        np.testing.assert_array_equal(p[:, 1], p[:, 2])
