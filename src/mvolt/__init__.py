@@ -39,7 +39,7 @@ from .riccati import (
     solve_volterra_riccati_jump,
 )
 from .heston import HestonModelSpec, char_function, fourier_price_call
-from .mc import Estimate, PerPathBlocks, estimate_mean, path_rng, run_path_blocks
+from .mc import Estimate, estimate_mean, path_rng, run_path_blocks
 
 __all__ = [
     "AtomicMatrixMeasure",
@@ -75,7 +75,6 @@ __all__ = [
     "char_function",
     "fourier_price_call",
     "Estimate",
-    "PerPathBlocks",
     "estimate_mean",
     "path_rng",
     "run_path_blocks",

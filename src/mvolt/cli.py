@@ -36,7 +36,7 @@ from .fractional import FractionalKernelSpec, fit_fractional_measure
 from .heston import char_function, fourier_price_call, simulate_heston_terminal
 from .jumps import HawkesPathSimulator, hawkes_jump_spec
 from .measures import eval_kernel
-from .mc import PerPathBlocks, estimate_mean, run_path_blocks
+from .mc import estimate_mean, run_path_blocks
 from .riccati import laplace_transform_jump
 from .validate import CHECKS, run_checks
 from .wishart import (
@@ -198,7 +198,7 @@ def cmd_hawkes_simulate(args) -> int:
     sim = HawkesPathSimulator(measure, lam0, spec, args.T, args.thinning_dt,
                               grid_steps=args.grid_steps or None)
     logs = run_path_blocks(
-        PerPathBlocks(sim, partial(_event_log, with_grid=bool(args.out_grid))),
+        partial(sim.block, reduce=partial(_event_log, with_grid=bool(args.out_grid))),
         args.paths, args.seed, workers=args.workers,
     )
     events_rows = [[p, jt, int(atom), rate]

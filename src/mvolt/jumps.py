@@ -16,8 +16,14 @@ which makes the process self-exciting; the diagonal preset with unit
 diagonal atoms reproduces a multivariate Hawkes process whose component i
 has compensator int V_ii dt.  Simulation uses thinning with a per-interval
 dominating rate and automatic bisection when the bound is violated, so the
-jump times are exact in law; between jumps :class:`LinearFlow` applies the
-exact exponential of the drift.  The driving semimartingale
+jump times are exact in law (Lewis & Shedler 1979; Ogata 1981); between
+jumps :class:`LinearFlow` applies the exact exponential of the drift to a
+batch of states.  A block of paths is thinned in lockstep: one loop keeps
+every path's state in arrays and advances them together, while path p
+draws from its own stream exactly what it would draw alone, so each record
+is bit-identical to the one a lone path gets.  A control interval whose
+dominating rate runs away raises FloatingPointError.  The driving
+semimartingale
 
     X_t = int_0^t V_s ds + sum_{jumps <= t} xi
 
@@ -39,10 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .mc import _with_hint, path_generators
 from .measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
 
 # Safety factor for the per-interval dominating rate.
 THINNING_ETA = 0.5
+# Largest expected number of thinning candidates, bound * h, in one control
+# interval; beyond it the rate has run away within the interval.
+MAX_INTERVAL_CANDIDATES = 1e6
 
 
 @dataclass(frozen=True)
@@ -125,6 +135,15 @@ class JumpLiftState:
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
+    @classmethod
+    def _unchecked(cls, t, lam, measure, x_accum, counts) -> "JumpLiftState":
+        """A state from arrays the simulator built, without the checks above."""
+        state = object.__new__(cls)
+        for name, value in (("t", t), ("lam", lam), ("measure", measure),
+                            ("x_accum", x_accum), ("counts", counts)):
+            object.__setattr__(state, name, value)
+        return state
+
     @property
     def total(self) -> np.ndarray:
         """V = sum_i lam(x_i)."""
@@ -206,13 +225,21 @@ class LinearFlow:
         k, d = self.k, self.d
         return z[: k * d * d].reshape(k, d, d), z[k * d * d :].reshape(d, d)
 
-    def flow(self, z: np.ndarray, dt: float) -> np.ndarray:
-        if dt == 0.0:
-            return z
+    def flow(self, z: np.ndarray, dt) -> np.ndarray:
+        """Flow the states z (..., n) over the times dt (broadcast to z.shape[:-1]).
+
+        Each state is flowed by its own stacked matrix-vector products, so a
+        batch rounds exactly as its states flowed one by one; a state with
+        dt == 0 is returned unchanged.
+        """
+        z = np.asarray(z, dtype=float)
+        dt = np.broadcast_to(np.asarray(dt, dtype=float), z.shape[:-1])
         if self._eig_ok:
-            out = self._S @ (np.exp(self._evals * dt) * (self._Sinv @ z))
-            return out.real
-        return scipy.linalg.expm(self.M * dt) @ z
+            growth = np.exp(self._evals * dt[..., None])[..., None]
+            out = (self._S @ (growth * (self._Sinv @ z[..., None]))).real
+        else:
+            out = scipy.linalg.expm(self.M * dt[..., None, None]) @ z[..., None]
+        return np.where(dt[..., None] == 0.0, z, out[..., 0])
 
 
 @dataclass
@@ -249,7 +276,8 @@ def simulate_jump_path(
     accepted with probability current/dominating and a violation of the
     bound restarts the interval with half the length, never silently
     biasing.  The deterministic flow and int V ds between events are exact
-    (linear propagator).
+    (linear propagator).  This is :func:`_thin_paths` on the one stream
+    ``rng``.
     """
     if thinning_dt <= 0.0:
         raise ValueError("thinning_dt must be positive")
@@ -257,166 +285,238 @@ def simulate_jump_path(
         grid = TimeGrid.regular(horizon, max(int(round(horizon / thinning_dt)), 1))
     if abs(grid.horizon - horizon) > 1e-12 * max(horizon, 1.0):
         raise ValueError("grid horizon must match the simulation horizon")
-    measure = state0.measure
     if flow is None:
-        flow = LinearFlow(measure)
-    eps = spec.epsilon_shift
-    norms = np.minimum(spec.atom_norms(), 1.0).clip(min=1e-300) if spec.n_atoms else np.zeros(0)
-    weights_scaled = spec.weights / norms[:, None, None] if spec.n_atoms else spec.weights
-    jump_incs = (
-        np.stack([jump_increment(measure, xi, eps) for xi in spec.atoms])
-        if spec.n_atoms
-        else np.zeros((0, measure.k, measure.d, measure.d))
-    )
+        flow = LinearFlow(state0.measure)
+    return _thin_paths(state0, spec, horizon, [rng], thinning_dt, grid, flow,
+                      monitor_eigs)[0]
 
-    def rates_of(lam):
-        if spec.n_atoms == 0:
-            return np.zeros(0)
-        v = lam.sum(axis=0)
-        return np.clip(np.einsum("ab,rab->r", v, weights_scaled), 0.0, None)
 
-    d = measure.d
-    m_atoms = spec.n_atoms
-    z = flow.pack(np.array(state0.lam), np.zeros((d, d)))
-    t = 0.0
-    x_jumpsum = np.array(state0.x_accum)
-    counts = np.zeros(m_atoms) if state0.counts.size != m_atoms else np.array(state0.counts)
+def _thin_paths(
+    state0: JumpLiftState,
+    spec: JumpMeasureSpec,
+    horizon: float,
+    rngs,
+    thinning_dt: float,
+    grid: TimeGrid,
+    flow: LinearFlow,
+    monitor_eigs: bool = False,
+    path_hint=None,
+    reduce=None,
+) -> list:
+    """Thin one path per stream in ``rngs``, all paths in lockstep.
 
-    n_rec = len(grid)
-    v_path = np.zeros((n_rec, d, d))
-    x_path = np.zeros((n_rec, d, d))
-    counts_path = np.zeros((n_rec, m_atoms))
-    lam0_arr, _ = flow.unpack(z)
-    v_path[0] = lam0_arr.sum(axis=0)
-    x_path[0] = x_jumpsum
-    rec_idx = 1
+    Every path keeps its own state, time, control step, dominating rate and
+    grid position in per-path arrays.  Each pass of the loop starts the
+    control interval of the paths that need one (one batched flow to its end
+    and one rate evaluation) and tests one candidate on every other path.
+    Path i draws from ``rngs[i]`` only, with the calls and arguments of a
+    lone path, and flows, rates, grid records, the rewind of a violated
+    interval and jumps are masked array operations that round as a lone
+    path's do; so each record is the one the path would get on its own.
 
-    jump_times, jump_atoms, jump_rates = [], [], []
-    min_v = np.inf
-    min_node = np.inf
+    A control interval whose expected candidate count bound * h is not
+    finite or exceeds ``MAX_INTERVAL_CANDIDATES`` raises FloatingPointError;
+    ``path_hint(i)``, if given, names path i in the message.  Returns the
+    records, or ``reduce`` of each as it is built if given.
+    """
+    measure = state0.measure
+    k, d, m = measure.k, measure.d, spec.n_atoms
+    kn = k * d * d
+    n_paths = len(rngs)
+    times = grid.times
+    n_rec = len(times)
+    norms = np.minimum(spec.atom_norms(), 1.0).clip(min=1e-300) if m else np.zeros(0)
+    weights_scaled = spec.weights / norms[:, None, None] if m else np.zeros((0, d, d))
+    jump_incs = np.stack(
+        [jump_increment(measure, xi, spec.epsilon_shift).reshape(-1) for xi in spec.atoms]
+    ) if m else np.zeros((0, kn))
 
-    def comp_value(intv):
-        # int_0^t rate_r ds = Tr(intV * mu_r)/(||xi_r|| /\ 1); exact since the
-        # augmented block integrates V along the flow and jumps leave V cadlag.
-        if m_atoms == 0:
-            return np.zeros(0)
-        return np.einsum("ab,rab->r", intv, weights_scaled)
+    def rates_of(z):
+        v = z[:, :kn].reshape(-1, k, d, d).sum(axis=1)
+        return np.clip(np.einsum("pab,rab->pr", v, weights_scaled), 0.0, None)
 
-    def advance_to(z, t, target):
-        """Flow z deterministically to `target`, recording grid crossings."""
-        nonlocal rec_idx, min_v, min_node
-        while rec_idx < n_rec and grid.times[rec_idx] <= target + 1e-15:
-            z = flow.flow(z, grid.times[rec_idx] - t)
-            t = grid.times[rec_idx]
-            lam, intv = flow.unpack(z)
-            v = lam.sum(axis=0)
-            v_path[rec_idx] = v
-            x_path[rec_idx] = intv + x_jumpsum
-            counts_path[rec_idx] = counts
-            if monitor_eigs:
-                min_v = min(min_v, float(np.linalg.eigvalsh(v)[0]))
-                min_node = min(
-                    min_node, min(float(np.linalg.eigvalsh(l)[0]) for l in lam)
-                )
-            rec_idx += 1
-        if target > t:
-            z = flow.flow(z, target - t)
-            t = target
-        return z, t
+    def fail(i, message):
+        exc = FloatingPointError(message)
+        raise exc if path_hint is None else _with_hint(exc, path_hint(i))
 
-    h_ctrl = thinning_dt
-    while t < horizon - 1e-14:
-        h = min(h_ctrl, horizon - t)
-        z_start, t_start = z, t
-        counts_start = counts.copy()
-        xjs_start = x_jumpsum.copy()
-        rec_start = rec_idx
-        lam_now, _ = flow.unpack(z)
-        rates_now = rates_of(lam_now)
-        lam_end, _ = flow.unpack(flow.flow(z, h))
-        rates_end = rates_of(lam_end)
-        bound = (1.0 + THINNING_ETA) * max(rates_now.sum(), rates_end.sum())
-        if bound <= 0.0:
-            z, t = advance_to(z, t, t + h)
-            h_ctrl = thinning_dt
-            continue
-        violated = False
-        jumped = False
-        local_jumps = []
-        tau = t
-        t_end = t_start + h
+    lam0 = np.array(state0.lam)
+    z = np.tile(flow.pack(lam0, np.zeros((d, d))), (n_paths, 1))
+    t = np.zeros(n_paths)
+    x_jumpsum = np.tile(np.array(state0.x_accum), (n_paths, 1, 1))
+    counts = np.zeros((n_paths, m))
+    if state0.counts.size == m:
+        counts[:] = state0.counts
+    v_path = np.zeros((n_paths, n_rec, d, d))
+    x_path = np.zeros((n_paths, n_rec, d, d))
+    counts_path = np.zeros((n_paths, n_rec, m))
+    v_path[:, 0] = lam0.sum(axis=0)
+    x_path[:, 0] = x_jumpsum
+    rec_idx = np.ones(n_paths, dtype=np.intp)
+    min_v = np.full(n_paths, np.inf)
+    min_node = np.full(n_paths, np.inf)
+
+    def advance_to(idx, target):
+        """Flow paths idx to the times target, recording grid crossings."""
+        if not idx.size:
+            return
         while True:
-            tau = tau + rng.exponential(1.0 / bound)
-            if tau >= t_end - 1e-15:
+            nxt = times[np.minimum(rec_idx[idx], n_rec - 1)]
+            cross = (rec_idx[idx] < n_rec) & (nxt <= target + 1e-15)
+            if not cross.any():
                 break
-            z_c, t_c = advance_to(z, t, tau)
-            lam_c, _ = flow.unpack(z_c)
-            rates_c = rates_of(lam_c)
-            total_c = rates_c.sum()
-            if total_c > bound * (1.0 + 1e-12):
-                violated = True
-                break
-            z, t = z_c, t_c
-            if rng.uniform() * bound <= total_c:
-                r = int(rng.choice(m_atoms, p=rates_c / total_c)) if m_atoms > 1 else 0
-                lam_c = lam_c + jump_incs[r]
-                _, intv_c = flow.unpack(z)
-                z = flow.pack(lam_c, intv_c)
-                x_jumpsum = x_jumpsum + spec.atoms[r]
-                counts[r] += 1.0
-                local_jumps.append((t, r, total_c))
-                jumped = True
-                break  # rate jumped up: restart control interval from here
-        if violated:
-            # rewind and redo the interval at half length
-            z, t = z_start, t_start
-            counts = counts_start
-            x_jumpsum = xjs_start
-            rec_idx = rec_start
-            h_ctrl = h / 2.0
-            continue
-        if not jumped:
-            z, t = advance_to(z, t, t_end)
-            h_ctrl = thinning_dt
-        else:
-            for jt, r, tot in local_jumps:
-                jump_times.append(jt)
-                jump_atoms.append(r)
-                jump_rates.append(tot)
-            h_ctrl = thinning_dt
-    z, t = advance_to(z, t, horizon)
+            j, tj = idx[cross], nxt[cross]
+            z[j] = flow.flow(z[j], tj - t[j])
+            t[j] = tj
+            lam = z[j, :kn].reshape(-1, k, d, d)
+            v = lam.sum(axis=1)
+            r = rec_idx[j]
+            v_path[j, r] = v
+            x_path[j, r] = z[j, kn:].reshape(-1, d, d) + x_jumpsum[j]
+            counts_path[j, r] = counts[j]
+            if monitor_eigs:
+                min_v[j] = np.minimum(min_v[j], np.linalg.eigvalsh(v)[:, 0])
+                min_node[j] = np.minimum(min_node[j],
+                                         np.linalg.eigvalsh(lam)[..., 0].min(axis=1))
+            rec_idx[j] += 1
+        go = target > t[idx]
+        j = idx[go]
+        z[j] = flow.flow(z[j], target[go] - t[j])
+        t[j] = target[go]
 
-    lam_T, intv_T = flow.unpack(z)
-    compens = comp_value(intv_T)
-    final = JumpLiftState(
-        t=horizon,
-        lam=0.5 * (lam_T + np.swapaxes(lam_T, 1, 2)),
-        measure=measure,
-        x_accum=intv_T + x_jumpsum,
-        counts=counts,
-    )
-    return JumpPathRecord(
-        grid=grid,
-        v_path=v_path,
-        x_path=x_path,
-        counts_path=counts_path,
-        jump_times=np.asarray(jump_times, dtype=float),
-        jump_atoms=np.asarray(jump_atoms, dtype=int),
-        intensity_at_jumps=np.asarray(jump_rates, dtype=float),
-        compensators=compens,
-        final_state=final,
-        min_eig_v=float(min_v if np.isfinite(min_v) else np.linalg.eigvalsh(final.total)[0]),
-        min_eig_node=float(min_node if np.isfinite(min_node) else 0.0),
-    )
+    # per-path thinning state: control step, the interval's start (for a
+    # rewind), length, end and dominating rate, and the last candidate time
+    h_ctrl = np.full(n_paths, float(thinning_dt))
+    z_start, t_start = np.empty_like(z), np.zeros(n_paths)
+    rec_start = np.ones(n_paths, dtype=np.intp)
+    h_int, t_end, bound, tau = (np.zeros(n_paths) for _ in range(4))
+    live = np.ones(n_paths, dtype=bool)   # horizon not yet reached
+    starting = np.ones(n_paths, dtype=bool)  # at the start of a control interval
+    events = []  # (paths, times, atoms, total rates) of the accepted jumps
+
+    while live.any():
+        done = np.flatnonzero(live & starting & (t >= horizon - 1e-14))
+        if done.size:
+            advance_to(done, np.full(done.size, float(horizon)))
+            live[done] = False
+
+        a = np.flatnonzero(live & starting)
+        if a.size:
+            rem = horizon - t[a]
+            h = np.where(rem < h_ctrl[a], rem, h_ctrl[a])
+            z_start[a], t_start[a], rec_start[a] = z[a], t[a], rec_idx[a]
+            total = rates_of(np.concatenate([z[a], flow.flow(z[a], h)])).sum(axis=1)
+            now, end = total[: a.size], total[a.size :]
+            b_a = (1.0 + THINNING_ETA) * np.where(end > now, end, now)
+            idle = b_a <= 0.0
+            if idle.any():
+                advance_to(a[idle], t[a[idle]] + h[idle])
+                h_ctrl[a[idle]] = thinning_dt
+            mass = b_a * h
+            bad = np.flatnonzero(~idle & ~(mass <= MAX_INTERVAL_CANDIDATES))
+            if bad.size:
+                i = bad[0]
+                fail(a[i], f"runaway thinning at t = {t[a[i]]:.6g}: dominating rate "
+                           f"{b_a[i]:.6g} over a control interval of {h[i]:.6g} "
+                           f"(bound * h = {mass[i]:.6g} > {MAX_INTERVAL_CANDIDATES:g})")
+            a, h = a[~idle], h[~idle]
+            h_int[a], t_end[a], bound[a], tau[a] = h, t[a] + h, b_a[~idle], t[a]
+            starting[a] = False
+
+        b = np.flatnonzero(live & ~starting)
+        if not b.size:
+            continue
+        scale = (1.0 / bound[b]).tolist()
+        tau[b] += [rngs[i].exponential(s) for i, s in zip(b.tolist(), scale)]
+        over = tau[b] >= t_end[b] - 1e-15
+        ended = b[over]
+        advance_to(ended, t_end[ended])
+        h_ctrl[ended] = thinning_dt
+        starting[ended] = True
+
+        c = b[~over]
+        advance_to(c, tau[c])
+        rates_c = rates_of(z[c])
+        total_c = rates_c.sum(axis=1)
+        violated = total_c > bound[c] * (1.0 + 1e-12)
+        back = c[violated]  # rewind and redo the interval at half length
+        z[back], t[back], rec_idx[back] = z_start[back], t_start[back], rec_start[back]
+        h_ctrl[back] = h_int[back] / 2.0
+        starting[back] = True
+
+        c, rates_c, total_c = c[~violated], rates_c[~violated], total_c[~violated]
+        u = np.array([rngs[i].uniform() for i in c.tolist()])
+        hit = u * bound[c] <= total_c
+        j, rates_j, total_j = c[hit], rates_c[hit], total_c[hit]
+        if not j.size:
+            continue
+        if m > 1:
+            p = rates_j / total_j[:, None]
+            atoms = np.array([rngs[i].choice(m, p=pi) for i, pi in zip(j.tolist(), p)],
+                             dtype=int)
+        else:
+            atoms = np.zeros(j.size, dtype=int)
+        z[j, :kn] += jump_incs[atoms]
+        x_jumpsum[j] += spec.atoms[atoms]
+        counts[j, atoms] += 1.0
+        events.append((j, t[j], atoms, total_j))
+        # the rate jumped up: restart the control interval from here
+        h_ctrl[j] = thinning_dt
+        starting[j] = True
+
+    lam_T = z[:, :kn].reshape(n_paths, k, d, d)
+    intv_T = z[:, kn:].reshape(n_paths, d, d)
+    bad = np.flatnonzero(~np.isfinite(z).all(axis=1))
+    if bad.size:
+        fail(bad[0], "the lift state is not finite at the horizon")
+    # int_0^T rate_r ds = Tr(intV mu_r) / (||xi_r|| /\ 1); exact since the
+    # augmented block integrates V along the flow and jumps leave V cadlag
+    compens = np.einsum("pab,rab->pr", intv_T, weights_scaled)
+    lam_T = 0.5 * (lam_T + np.swapaxes(lam_T, 2, 3))
+    x_T = intv_T + x_jumpsum
+    lam_T.setflags(write=False)
+    x_T.setflags(write=False)
+    counts.setflags(write=False)
+    if not np.isfinite(min_v).all():
+        min_v = np.where(np.isfinite(min_v), min_v,
+                         np.linalg.eigvalsh(lam_T.sum(axis=1))[:, 0])
+    min_node = np.where(np.isfinite(min_node), min_node, 0.0)
+
+    paths, ev_t, ev_atom, ev_rate = (
+        np.concatenate(cols) for cols in zip(*events)
+    ) if events else (np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=int),
+                      np.zeros(0))
+    order = np.argsort(paths, kind="stable")
+    cuts = np.searchsorted(paths[order], np.arange(n_paths + 1))
+    ev_t, ev_atom, ev_rate = ev_t[order], ev_atom[order], ev_rate[order]
+    records = []
+    for i in range(n_paths):
+        s = slice(cuts[i], cuts[i + 1])
+        rec = JumpPathRecord(
+            grid=grid,
+            v_path=v_path[i],
+            x_path=x_path[i],
+            counts_path=counts_path[i],
+            jump_times=ev_t[s],
+            jump_atoms=ev_atom[s],
+            intensity_at_jumps=ev_rate[s],
+            compensators=compens[i],
+            final_state=JumpLiftState._unchecked(horizon, lam_T[i], measure, x_T[i], counts[i]),
+            min_eig_v=float(min_v[i]),
+            min_eig_node=float(min_node[i]),
+        )
+        records.append(rec if reduce is None else reduce(rec))
+    return records
 
 
 class HawkesPathSimulator:
-    """Picklable per-path simulator of the jump lift started from lam0.
+    """Picklable simulator of the jump lift started from lam0.
 
     The initial state, the recording grid (``grid_steps`` intervals,
     default horizon / thinning_dt) and the :class:`LinearFlow` are built
-    once; each call returns the :class:`JumpPathRecord` of one path drawn
-    from ``rng``.
+    once.  ``sim(rng)`` returns the :class:`JumpPathRecord` of one path
+    drawn from ``rng``; ``sim.block(seed, start, stop)``, the block entry of
+    :func:`mc.run_path_blocks`, thins paths [start, stop) in lockstep, path
+    p drawn from ``path_rng(seed, p)``.
     """
 
     def __init__(self, measure: AtomicMatrixMeasure, lam0, spec: JumpMeasureSpec,
@@ -434,6 +534,15 @@ class HawkesPathSimulator:
     def __call__(self, rng: np.random.Generator) -> JumpPathRecord:
         return simulate_jump_path(self.state0, self.spec, self.horizon, rng,
                                   self.thinning_dt, self.grid, flow=self.flow)
+
+    def block(self, seed: int, start: int, stop: int, reduce=None) -> list:
+        """Records of paths [start, stop), or ``reduce`` of each if given."""
+        def hint(i):
+            return f"path {start + i} (seed {seed}); replay with path_rng({seed}, {start + i})"
+
+        return _thin_paths(self.state0, self.spec, self.horizon,
+                           path_generators(seed, start, stop), self.thinning_dt,
+                           self.grid, self.flow, path_hint=hint, reduce=reduce)
 
 
 def volterra_projection(

@@ -8,10 +8,11 @@ stream of one path.  A block draws the same streams in one pass:
 :func:`path_streams` resets the counter and key of one reused Philox per
 path (counter-based generators make this a plain state reset; Salmon et al.
 2011, "Parallel random numbers: as easy as 1, 2, 3").  The Generator it
-yields is valid only until the next path's reset.  :func:`run_path_blocks`
-evaluates a block simulator over path blocks and joins the block results in
-block order, which makes the final numbers byte-identical for 1 or many
-workers.  Per-path simulators enter through :class:`PerPathBlocks`.
+yields is valid only until the next path's reset; :func:`path_generators`
+builds one Generator per path instead, for a block that draws from all its
+paths in turn.  :func:`run_path_blocks` evaluates a block simulator over
+path blocks and joins the block results in block order, which makes the
+final numbers byte-identical for 1 or many workers.
 """
 
 from __future__ import annotations
@@ -119,6 +120,13 @@ def path_keys(seed: int, start: int, stop: int) -> np.ndarray:
     return keys
 
 
+def _philox_state(key) -> dict:
+    """The state of a freshly seeded Philox with this key: zero counter,
+    empty output buffer, no half-used 64-bit word."""
+    return {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def path_streams(seed: int, start: int, stop: int):
     """Yield the streams ``path_rng(seed, p)`` for p in [start, stop).
 
@@ -130,14 +138,28 @@ def path_streams(seed: int, start: int, stop: int):
     keys = path_keys(seed, start, stop).tolist()
     bit_gen = np.random.Philox(0)
     rng = np.random.Generator(bit_gen)
-    # The state of a freshly seeded Philox: empty output buffer, no
-    # half-used 64-bit word.
-    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state = _philox_state(None)
     for key in keys:
         state["state"]["key"] = key
         bit_gen.state = state
         yield rng
+
+
+def path_generators(seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """The streams ``path_rng(seed, p)`` for p in [start, stop), one
+    Generator each, so that a block can draw from all of them in turn.
+
+    Each is a Philox seeded from one shared, throwaway SeedSequence and then
+    reset to path p's key and a zero counter, which is cheaper than hashing
+    a SeedSequence per path.
+    """
+    seed_seq = np.random.SeedSequence(0)
+    out = []
+    for key in path_keys(seed, start, stop).tolist():
+        bit_gen = np.random.Philox(seed_seq)
+        bit_gen.state = _philox_state(key)
+        out.append(np.random.Generator(bit_gen))
+    return out
 
 
 @dataclass(frozen=True)
@@ -166,34 +188,6 @@ def _with_hint(exc: Exception, hint: str) -> Exception:
         out = RuntimeError(f"{type(exc).__name__}: {exc} on {hint}")
     out.replay_hint = hint
     return out
-
-
-class PerPathBlocks:
-    """Block simulator built from a per-path one.
-
-    ``path_fn(rng)`` simulates one path from its stream
-    ``path_rng(seed, p)``, drawn through :func:`path_streams`: the ``rng``
-    is valid only during the call, as it is reset for the next path, so
-    ``path_fn`` must not keep it.  ``reduce``, if given, maps that output to
-    the value kept, inside the worker.  A block returns the list of its
-    values.
-    """
-
-    def __init__(self, path_fn, reduce=None):
-        self.path_fn = path_fn
-        self.reduce = reduce
-
-    def __call__(self, seed: int, start: int, stop: int) -> list:
-        out = []
-        for p, rng in zip(range(start, stop), path_streams(seed, start, stop)):
-            try:
-                value = self.path_fn(rng)
-                out.append(value if self.reduce is None else self.reduce(value))
-            except Exception as exc:
-                raise _with_hint(
-                    exc, f"path {p} (seed {seed}); replay with path_rng({seed}, {p})"
-                ) from exc
-        return out
 
 
 class _BlockTask:
@@ -227,8 +221,8 @@ def run_path_blocks(
 
     ``block_fn(seed, start, stop)`` returns the values of paths
     [start, stop), drawing the noise of path p from ``path_rng(seed, p)``
-    only: an array of shape (stop - start, ...), or a list such as
-    :class:`PerPathBlocks` returns.  Block results are joined in path order
+    only: an array of shape (stop - start, ...), or a list of per-path
+    values.  Block results are joined in path order
     (arrays concatenated, lists chained), so the output is independent of
     the worker count.  An exception keeps its type and names the failing
     paths and the seed.  With ``workers`` > 1 and at most ``block_size``

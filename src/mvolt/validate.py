@@ -29,7 +29,7 @@ from .jumps import (
 )
 from .kernelops import resolvent_residual, resolvent_second_kind
 from .measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
-from .mc import PerPathBlocks, estimate_mean, run_path_blocks
+from .mc import estimate_mean, run_path_blocks
 from .riccati import laplace_transform_jump
 from .wishart import (
     WishartTransformQuery,
@@ -136,7 +136,7 @@ def check_hawkes_compensator(
     measure = AtomicMatrixMeasure(nodes, weights)
     spec = hawkes_jump_spec(d)
     sim = HawkesPathSimulator(measure, lam0, spec, horizon=1.0, thinning_dt=0.25)
-    values = np.asarray(run_path_blocks(PerPathBlocks(sim, _hawkes_moments),
+    values = np.asarray(run_path_blocks(partial(sim.block, reduce=_hawkes_moments),
                                         n_paths, seed, workers=workers))
     points, worst = [], 0.0
     for i in range(d):
@@ -170,7 +170,7 @@ def check_jump_transform(
                               grid_steps=4)
     grid_idx = [int(np.argmin(np.abs(sim.grid.times - t))) for t in ts]
     reduce = partial(_hawkes_moments, grid_idx=grid_idx)
-    values = np.asarray(run_path_blocks(PerPathBlocks(sim, reduce),
+    values = np.asarray(run_path_blocks(partial(sim.block, reduce=reduce),
                                         n_paths, seed, workers=workers))
     v_cols = {t: values[:, 2 + j] for j, t in enumerate(ts)}
     points, worst_z, worst_gap = [], 0.0, 0.0
@@ -219,7 +219,7 @@ def check_representation_equivalence(
     for steps in (64, 128):
         sim = HawkesPathSimulator(measure, lam0, spec, horizon=1.0,
                                   thinning_dt=0.25, grid_steps=steps)
-        vals = run_path_blocks(PerPathBlocks(sim, reduce), n_paths, seed,
+        vals = run_path_blocks(partial(sim.block, reduce=reduce), n_paths, seed,
                                workers=workers)
         gaps[steps] = float(np.median(vals))
     ratio = gaps[128] / max(gaps[64], 1e-300)

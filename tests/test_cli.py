@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -263,6 +264,30 @@ class TestTransformCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["numerical failure: Poisson inversion runaway "
                        "(rate too large) on paths [0, 4) (seed 0)"]
+        assert not out.exists()
+
+    def test_runaway_thinning_exit_three(self, tmp_path, capsys):
+        # node 0.5 with weight 200 grows the rate by about e^100 over one
+        # control interval of 0.25; the dominating rate of 1.2e44 would make
+        # thinning crawl forever, so the first interval stops the run and
+        # the message names the path to replay
+        model = write(
+            tmp_path / "runaway.cfg",
+            "[measure]\nnodes = [0.5, 3.0]\nweights = [[[200.0]], [[1.0]]]\nd = 1\n"
+            "[lambda0]\nweights = [[[1.0]], [[1.0]]]\n"
+            "[jumps]\natoms = [[[1.0]]]\nweights = [[[1.0]]]\nepsilon = 0.0\n",
+        )
+        out = tmp_path / "events.csv"
+        start = time.perf_counter()
+        rc = main(["hawkes", "simulate", "--model", model, "--T", "10.0",
+                   "--thinning-dt", "0.25", "--paths", "3", "--seed", "5",
+                   "--out", str(out)])
+        assert time.perf_counter() - start < 10.0
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: runaway thinning at t = 0: ")
+        assert err[0].endswith("on path 0 (seed 5); replay with path_rng(5, 0)")
         assert not out.exists()
 
     def test_singular_solve_exit_three(self, tmp_path, capsys, monkeypatch):

@@ -1,9 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from mvolt.mc import PerPathBlocks, run_path_blocks
+from mvolt.mc import path_rng, run_path_blocks
 from mvolt.measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
 from mvolt.jumps import (
+    THINNING_ETA,
     HawkesPathSimulator,
     JumpLiftState,
     JumpMeasureSpec,
@@ -358,7 +362,7 @@ def test_hawkes_paths_do_not_depend_on_workers():
     sim = HawkesPathSimulator(measure, state.lam, spec, horizon=1.0,
                               thinning_dt=0.25, grid_steps=8)
     serial, pooled = (
-        run_path_blocks(PerPathBlocks(sim), 200, seed=14, workers=workers,
+        run_path_blocks(sim.block, 200, seed=14, workers=workers,
                         block_size=64)
         for workers in (1, 2)
     )
@@ -371,3 +375,250 @@ def test_hawkes_paths_do_not_depend_on_workers():
         np.testing.assert_array_equal(a.v_path, b.v_path)
         np.testing.assert_array_equal(a.x_path, b.x_path)
         np.testing.assert_array_equal(a.compensators, b.compensators)
+
+
+# Reference for the lockstep engine: the per-path thinning loop it replaced,
+# kept here as it was, one path and one stream at a time.
+
+def _flow_one(flow, z, dt):
+    """One state flowed as the per-path loop flowed it."""
+    if dt == 0.0:
+        return z
+    if flow._eig_ok:
+        out = flow._S @ (np.exp(flow._evals * dt) * (flow._Sinv @ z))
+        return out.real
+    return scipy.linalg.expm(flow.M * dt) @ z
+
+
+def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
+    """Per-path thinning; returns the record's fields and the rewind count."""
+    measure = state0.measure
+    eps = spec.epsilon_shift
+    norms = np.minimum(spec.atom_norms(), 1.0).clip(min=1e-300) if spec.n_atoms else np.zeros(0)
+    weights_scaled = spec.weights / norms[:, None, None] if spec.n_atoms else spec.weights
+    jump_incs = (
+        np.stack([jump_increment(measure, xi, eps) for xi in spec.atoms])
+        if spec.n_atoms
+        else np.zeros((0, measure.k, measure.d, measure.d))
+    )
+
+    def rates_of(lam):
+        if spec.n_atoms == 0:
+            return np.zeros(0)
+        v = lam.sum(axis=0)
+        return np.clip(np.einsum("ab,rab->r", v, weights_scaled), 0.0, None)
+
+    d = measure.d
+    m_atoms = spec.n_atoms
+    z = flow.pack(np.array(state0.lam), np.zeros((d, d)))
+    t = 0.0
+    x_jumpsum = np.array(state0.x_accum)
+    counts = np.zeros(m_atoms) if state0.counts.size != m_atoms else np.array(state0.counts)
+
+    n_rec = len(grid)
+    v_path = np.zeros((n_rec, d, d))
+    x_path = np.zeros((n_rec, d, d))
+    counts_path = np.zeros((n_rec, m_atoms))
+    lam0_arr, _ = flow.unpack(z)
+    v_path[0] = lam0_arr.sum(axis=0)
+    x_path[0] = x_jumpsum
+    rec_idx = 1
+    jump_times, jump_atoms, jump_rates = [], [], []
+    rewinds = 0
+
+    def advance_to(z, t, target):
+        nonlocal rec_idx
+        while rec_idx < n_rec and grid.times[rec_idx] <= target + 1e-15:
+            z = _flow_one(flow, z, grid.times[rec_idx] - t)
+            t = grid.times[rec_idx]
+            lam, intv = flow.unpack(z)
+            v_path[rec_idx] = lam.sum(axis=0)
+            x_path[rec_idx] = intv + x_jumpsum
+            counts_path[rec_idx] = counts
+            rec_idx += 1
+        if target > t:
+            z = _flow_one(flow, z, target - t)
+            t = target
+        return z, t
+
+    h_ctrl = thinning_dt
+    while t < horizon - 1e-14:
+        h = min(h_ctrl, horizon - t)
+        z_start, t_start = z, t
+        counts_start = counts.copy()
+        xjs_start = x_jumpsum.copy()
+        rec_start = rec_idx
+        lam_now, _ = flow.unpack(z)
+        rates_now = rates_of(lam_now)
+        lam_end, _ = flow.unpack(_flow_one(flow, z, h))
+        rates_end = rates_of(lam_end)
+        bound = (1.0 + THINNING_ETA) * max(rates_now.sum(), rates_end.sum())
+        if bound <= 0.0:
+            z, t = advance_to(z, t, t + h)
+            h_ctrl = thinning_dt
+            continue
+        violated = False
+        jumped = False
+        local_jumps = []
+        tau = t
+        t_end = t_start + h
+        while True:
+            tau = tau + rng.exponential(1.0 / bound)
+            if tau >= t_end - 1e-15:
+                break
+            z_c, t_c = advance_to(z, t, tau)
+            lam_c, _ = flow.unpack(z_c)
+            rates_c = rates_of(lam_c)
+            total_c = rates_c.sum()
+            if total_c > bound * (1.0 + 1e-12):
+                violated = True
+                break
+            z, t = z_c, t_c
+            if rng.uniform() * bound <= total_c:
+                r = int(rng.choice(m_atoms, p=rates_c / total_c)) if m_atoms > 1 else 0
+                lam_c = lam_c + jump_incs[r]
+                _, intv_c = flow.unpack(z)
+                z = flow.pack(lam_c, intv_c)
+                x_jumpsum = x_jumpsum + spec.atoms[r]
+                counts[r] += 1.0
+                local_jumps.append((t, r, total_c))
+                jumped = True
+                break
+        if violated:
+            z, t = z_start, t_start
+            counts = counts_start
+            x_jumpsum = xjs_start
+            rec_idx = rec_start
+            h_ctrl = h / 2.0
+            rewinds += 1
+            continue
+        if not jumped:
+            z, t = advance_to(z, t, t_end)
+            h_ctrl = thinning_dt
+        else:
+            for jt, r, tot in local_jumps:
+                jump_times.append(jt)
+                jump_atoms.append(r)
+                jump_rates.append(tot)
+            h_ctrl = thinning_dt
+    z, t = advance_to(z, t, horizon)
+
+    lam_T, intv_T = flow.unpack(z)
+    lam_T = 0.5 * (lam_T + np.swapaxes(lam_T, 1, 2))
+    fields = {
+        "v_path": v_path,
+        "x_path": x_path,
+        "counts_path": counts_path,
+        "jump_times": np.asarray(jump_times, dtype=float),
+        "jump_atoms": np.asarray(jump_atoms, dtype=int),
+        "intensity_at_jumps": np.asarray(jump_rates, dtype=float),
+        "compensators": np.einsum("ab,rab->r", intv_T, weights_scaled)
+        if m_atoms else np.zeros(0),
+        "min_eig_v": np.linalg.eigvalsh(lam_T.sum(axis=0))[0],
+        "min_eig_node": 0.0,
+    }
+    final = {"lam": lam_T, "x_accum": intv_T + x_jumpsum, "counts": counts}
+    return fields, final, rewinds
+
+
+def _critical_model():
+    """Node 0.6 with weight 0.3: the drift matrix of LinearFlow is nilpotent,
+    so the flow takes its expm fallback."""
+    return (AtomicMatrixMeasure([0.6], [[[0.3]]]), [[[1.0]]],
+            JumpMeasureSpec(atoms=[[[1.0]]], weights=[[[1.0]]]))
+
+
+def _reference_models():
+    """(name, simulator, seed) for the engine's reference comparison."""
+    eye = np.eye(2)
+    scalar_m, scalar_spec, scalar_state = scalar_hawkes()
+    diag_m, diag_spec, diag_state = diagonal_preset()
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(2, 2, 2)) * 0.3
+    yield "d1", HawkesPathSimulator(scalar_m, scalar_state.lam, scalar_spec, 1.0, 0.25), 3
+    yield "diagonal_d2", HawkesPathSimulator(diag_m, diag_state.lam, diag_spec, 1.0, 0.25,
+                                             grid_steps=8), 4
+    yield "two_atom_eps", HawkesPathSimulator(
+        AtomicMatrixMeasure([0.7, 3.0], a @ a.transpose(0, 2, 1)), [eye * 0.6, eye * 0.3],
+        JumpMeasureSpec(atoms=[np.diag([1.0, 0.3]), [[0.5, 0.5], [0.5, 0.5]]],
+                        weights=[eye, eye * 0.5], epsilon_shift=0.05),
+        1.0, 0.25, grid_steps=16), 5
+    yield "critical", HawkesPathSimulator(*_critical_model(), 1.0, 0.25, grid_steps=8), 6
+    # V = 5 e^(-2t) - 4.75 e^(-50t) peaks inside a control interval of 0.5
+    # well above 1.5 times its value at either end, so candidates there
+    # violate the dominating rate and the interval is rewound
+    yield "rewind", HawkesPathSimulator(
+        AtomicMatrixMeasure([2.0, 50.0], [[[0.1]], [[0.05]]]), [[[5.0]], [[-4.75]]],
+        JumpMeasureSpec(atoms=[[[1.0]]], weights=[[[1.0]]]), 1.0, 0.5, grid_steps=3), 7
+
+
+REFERENCE_PATHS = 100
+
+
+def _reference_model(name):
+    return next((sim, seed) for n, sim, seed in _reference_models() if n == name)
+
+
+@functools.cache
+def _reference_records(name):
+    """Per-path reference records of one model, computed once per session."""
+    sim, seed = _reference_model(name)
+    return [_reference_path(sim.state0, sim.spec, sim.horizon, path_rng(seed, p),
+                            sim.thinning_dt, sim.grid, sim.flow)
+            for p in range(REFERENCE_PATHS)]
+
+
+def test_critical_model_flow_takes_the_expm_fallback():
+    measure, _, _ = _critical_model()
+    fl = LinearFlow(measure)
+    assert not fl._eig_ok
+    # lam' = 0 and (int V)' = lam: [1, 0] -> [1, dt]
+    z = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
+    np.testing.assert_allclose(fl.flow(z, [0.5, 0.0, 1.0]),
+                               [[1.0, 0.5], [1.0, 0.0], [2.0, 3.0]], rtol=1e-14)
+    np.testing.assert_array_equal(fl.flow(z[0], 0.5), [1.0, 0.5])
+
+
+@pytest.mark.parametrize("name", ["d1", "diagonal_d2", "two_atom_eps", "critical"])
+def test_batched_flow_matches_one_state_flow(name):
+    sim, _ = _reference_model(name)
+    rng = np.random.default_rng(1)
+    n = sim.flow.M.shape[0]
+    z = rng.normal(size=(40, n))
+    dt = rng.uniform(0.0, 0.3, size=40)
+    dt[::5] = 0.0
+    want = np.array([_flow_one(sim.flow, zi, float(di)) for zi, di in zip(z, dt)])
+    np.testing.assert_array_equal(sim.flow.flow(z, dt), want)
+
+
+def test_reference_model_rewinds_an_interval():
+    rewinds = [r for _, _, r in _reference_records("rewind")]
+    assert sum(rewinds) > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("block_size", [1, 7, 64])
+@pytest.mark.parametrize("name", ["d1", "diagonal_d2", "two_atom_eps", "critical", "rewind"])
+def test_lockstep_thinning_matches_per_path_loop(name, block_size, workers):
+    sim, seed = _reference_model(name)
+    got = run_path_blocks(sim.block, REFERENCE_PATHS, seed, workers=workers,
+                          block_size=block_size)
+    want = _reference_records(name)
+    assert sum(rec.jump_times.size for rec in got) > 0
+    for rec, (fields, final, _) in zip(got, want, strict=True):
+        for field, value in fields.items():
+            np.testing.assert_array_equal(getattr(rec, field), value, err_msg=field)
+        for field, value in final.items():
+            np.testing.assert_array_equal(getattr(rec.final_state, field), value,
+                                          err_msg=field)
+
+
+def test_state_that_overflows_without_candidates_raises():
+    # zero jump weights keep the rate at 0, so no control interval has a
+    # bound to check, while the drift e^(800 t) overflows the state
+    measure = AtomicMatrixMeasure([0.0], [[[400.0]]])
+    spec = JumpMeasureSpec(atoms=[[[1.0]]], weights=[[[0.0]]])
+    state = JumpLiftState(t=0.0, lam=[[[1.0]]], measure=measure, counts=np.zeros(1))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="not finite at the horizon"):
+        simulate_jump_path(state, spec, 1.0, np.random.default_rng(0), 0.25)

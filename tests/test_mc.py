@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ import mvolt.mc
 from mvolt.jumps import HawkesPathSimulator, JumpMeasureSpec
 from mvolt.mc import (
     Estimate,
-    PerPathBlocks,
     estimate_mean,
+    path_generators,
     path_keys,
     path_rng,
     path_streams,
@@ -19,10 +21,15 @@ SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7]
 PATH_RANGES = [(0, 50), (2**32 - 3, 2**32 + 3)]
 
 
+def _stream_block(fn, seed, start, stop):
+    """Block function: fn of each path's stream, drawn through path_streams."""
+    return np.array([fn(rng) for rng in path_streams(seed, start, stop)])
+
+
 def run_paths(fn, n_paths, seed, *, workers=1, block_size=8192):
     """Estimate E[fn(stream)] over n_paths per-path streams."""
-    values = run_path_blocks(PerPathBlocks(fn), n_paths, seed, workers=workers,
-                             block_size=block_size)
+    values = run_path_blocks(partial(_stream_block, fn), n_paths, seed,
+                             workers=workers, block_size=block_size)
     return estimate_mean(values, block_size)
 
 
@@ -66,6 +73,20 @@ def test_path_streams_draw_what_path_rng_draws(seed, start, stop):
     assert n == stop - start
 
 
+@pytest.mark.parametrize("start, stop", PATH_RANGES)
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_path_generators_draw_what_path_rng_draws(seed, start, stop):
+    gens = path_generators(seed, start, stop)
+    assert len(gens) == stop - start
+    assert len({id(rng) for rng in gens}) == len(gens)
+    refs = [path_rng(seed, p) for p in range(start, stop)]
+    # draw from all paths in turn, as lockstep thinning does
+    for _ in range(3):
+        for rng, ref in zip(gens, refs):
+            for got, want in zip(_thinning_draws(rng), _thinning_draws(ref)):
+                np.testing.assert_array_equal(got, want)
+
+
 def test_negative_seed_is_rejected():
     with pytest.raises(ValueError):
         path_rng(-1, 0)
@@ -103,7 +124,7 @@ def test_hawkes_paths_match_path_rng_loop(workers):
     sim = HawkesPathSimulator(measure, [np.eye(2) * 0.8, np.eye(2) * 0.4], spec,
                               horizon=1.0, thinning_dt=0.25, grid_steps=8)
     want = [sim(rng) for rng in _path_rng_loop(17, 0, 120)]
-    got = run_path_blocks(PerPathBlocks(sim), 120, 17, workers=workers, block_size=50)
+    got = run_path_blocks(sim.block, 120, 17, workers=workers, block_size=50)
     assert sum(rec.jump_times.size for rec in want) > 0
     assert len(np.unique(np.concatenate([rec.jump_atoms for rec in want]))) == 2
     for a, b in zip(got, want, strict=True):
@@ -151,8 +172,8 @@ def test_block_driver_worker_invariance():
 
 
 def test_cross_path_independence():
-    vals = np.asarray(run_path_blocks(
-        PerPathBlocks(lambda rng: rng.standard_normal()), 10_000, seed=4))
+    vals = run_path_blocks(partial(_stream_block, lambda rng: rng.standard_normal()),
+                           10_000, seed=4)
     first, second = vals[:-1], vals[1:]
     r = np.corrcoef(first, second)[0, 1]
     assert abs(r) <= 4.0 / np.sqrt(len(first))
@@ -174,7 +195,7 @@ def test_failure_reports_path_and_seed():
             raise ValueError("synthetic failure")
         return x
 
-    with pytest.raises(ValueError, match=r"path \d+ \(seed 6\)") as exc_info:
+    with pytest.raises(ValueError, match=r"paths \[0, 2000\) \(seed 6\)") as exc_info:
         run_paths(sim, 2000, seed=6)
     assert "synthetic failure" in str(exc_info.value)
 

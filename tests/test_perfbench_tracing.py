@@ -37,3 +37,47 @@ def test_tracing_install_and_off_restore_originals(monkeypatch):
     assert mvolt.heston.path_rng is path_rng
     assert mvolt.mc.path_rng is mc_path_rng
     assert mvolt.heston.HestonSimulator.__dict__["__call__"] is call
+
+
+def test_tracing_wraps_the_hawkes_entry_points(monkeypatch, tmp_path):
+    # a 20-path ``hawkes simulate`` and one single-stream path through the
+    # wrappers: the block runs the lockstep engine, whose flows are counted,
+    # and ``simulate_jump_path`` still takes its stream as the 4th argument
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    import mvolt.cli
+    import mvolt.configio
+    import mvolt.jumps
+
+    model = tmp_path / "model.cfg"
+    model.write_text(
+        "[measure]\nnodes = [0.6, 2.5]\n"
+        "weights = [[[0.35, 0.0], [0.0, 0.35]], [[0.2, 0.0], [0.0, 0.2]]]\nd = 2\n"
+        "[lambda0]\nweights = [[[0.8, 0.0], [0.0, 0.8]], [[0.4, 0.0], [0.0, 0.4]]]\n"
+        "[jumps]\natoms = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]\n"
+        "weights = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]\n")
+    simulate = mvolt.jumps.simulate_jump_path
+    flow = mvolt.jumps.LinearFlow.__dict__["flow"]
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        assert mvolt.cli.main([
+            "hawkes", "simulate", "--model", str(model), "--T", "1.0",
+            "--paths", "20", "--seed", "3", "--out", str(tmp_path / "ev.csv"),
+            "--out-grid", str(tmp_path / "v.csv")]) == 0
+        metrics = tracing.layer_metrics(tracer, rounds=1)
+        assert metrics["jumps.LinearFlow.flow.calls"] > 0
+        assert metrics["cli.hawkes_simulate.self_ms"] > 0.0
+        assert metrics["configio.format_csv.mb"] > 0.0
+
+        measure, lam0, spec = mvolt.configio.read_jump_model(str(model))
+        sim = mvolt.jumps.HawkesPathSimulator(measure, lam0, spec, 1.0, 0.25)
+        sim(mvolt.mc.path_rng(3, 0))
+        metrics = tracing.layer_metrics(tracer, rounds=1)
+        assert metrics["jumps.simulate_jump_path.us_per_path"] > 0.0
+        assert metrics["jumps.thinning.candidates"] > 0
+    finally:
+        patches.off()
+    assert mvolt.jumps.simulate_jump_path is simulate
+    assert mvolt.jumps.LinearFlow.__dict__["flow"] is flow
