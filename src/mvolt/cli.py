@@ -56,13 +56,16 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _write_path_csv(path: str | None, prefix: str, times, samples) -> None:
     """CSV ``path,t,<prefix>_<index>...``: one row per path and time with the
-    sample flattened (1-based indices, e.g. X_12 or P_2); ``samples`` holds
-    one (len(times), ...) array per path."""
+    sample flattened (1-based indices, e.g. X_12 or P_2); ``samples`` is a
+    (paths, len(times), ...) array or one (len(times), ...) array per path."""
+    samples = np.asarray(samples)
+    n_paths, n_times = samples.shape[:2]
     names = [f"{prefix}_" + "".join(str(i + 1) for i in idx)
-             for idx in np.ndindex(samples[0][0].shape)]
-    rows = [[p, t, *x.flat] for p, path_samples in enumerate(samples)
-            for t, x in zip(times, path_samples)]
-    _write_text(path, configio.format_csv(["path", "t"] + names, rows))
+             for idx in np.ndindex(samples.shape[2:])]
+    values = samples.reshape(n_paths * n_times, len(names))
+    columns = [np.repeat(np.arange(n_paths), n_times),
+               np.tile(times, n_paths), *values.T]
+    _write_text(path, configio.format_csv(["path", "t"] + names, columns))
 
 
 def _json_report(obj) -> str:
@@ -103,11 +106,8 @@ def cmd_kernel_eval(args) -> int:
     times = configio.parse_float_list(args.times)
     d = measure.d
     header = ["t"] + [f"K_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-    rows = []
-    for t in times:
-        K = eval_kernel(measure, t)
-        rows.append([t] + [K[i, j] for i in range(d) for j in range(d)])
-    _write_text(args.out, configio.format_csv(header, rows))
+    values = np.reshape([eval_kernel(measure, t) for t in times], (-1, d * d))
+    _write_text(args.out, configio.format_csv(header, [np.array(times), *values.T]))
     return 0
 
 
@@ -201,11 +201,11 @@ def cmd_hawkes_simulate(args) -> int:
         partial(sim.block, reduce=partial(_event_log, with_grid=bool(args.out_grid))),
         args.paths, args.seed, workers=args.workers,
     )
-    events_rows = [[p, jt, int(atom), rate]
-                   for p, (jump_times, atoms, rates, _) in enumerate(logs)
-                   for jt, atom, rate in zip(jump_times, atoms, rates)]
+    jump_times, atoms, rates, _ = zip(*logs)
+    events = [np.repeat(np.arange(len(logs)), [ts.size for ts in jump_times]),
+              np.concatenate(jump_times), np.concatenate(atoms), np.concatenate(rates)]
     _write_text(args.out, configio.format_csv(
-        ["path", "t", "atom", "intensity_at_jump"], events_rows))
+        ["path", "t", "atom", "intensity_at_jump"], events))
     if args.out_grid:
         _write_path_csv(args.out_grid, "V", sim.grid.times,
                         [v_path for *_, v_path in logs])
@@ -285,7 +285,7 @@ def cmd_heston_price(args) -> int:
                      float(est.mean), float(est.stderr)])
     _write_text(args.out, configio.format_csv(
         ["strike", "maturity", "fourier_price", "truncation_error", "mc_price",
-         "mc_stderr"], rows))
+         "mc_stderr"], np.reshape(rows, (-1, 6)).T))
     return 0
 
 

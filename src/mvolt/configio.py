@@ -141,12 +141,15 @@ def read_jump_model(path) -> tuple[AtomicMatrixMeasure, np.ndarray, JumpMeasureS
         )
     jumps = sec.get("jumps", {})
     d = measure.d
+
+    def stack(key):
+        # an empty list is an empty stack of d x d matrices
+        arr = np.asarray(jumps.get(key, []), dtype=float)
+        return arr if arr.size else arr.reshape(0, d, d)
+
     try:
-        spec = JumpMeasureSpec(
-            atoms=np.asarray(jumps.get("atoms", np.zeros((0, d, d))), dtype=float),
-            weights=np.asarray(jumps.get("weights", np.zeros((0, d, d))), dtype=float),
-            epsilon_shift=float(jumps.get("epsilon", 0.0)),
-        )
+        spec = JumpMeasureSpec(atoms=stack("atoms"), weights=stack("weights"),
+                               epsilon_shift=float(jumps.get("epsilon", 0.0)))
     except ValueError as exc:
         raise ConfigError(f"{path}[jumps]: {exc}") from exc
     return measure, lam0, spec
@@ -186,20 +189,19 @@ def read_heston_model(path) -> HestonModelSpec:
 
 # CSV helpers ----------------------------------------------------------------
 
-def format_csv(header: list[str], rows) -> str:
-    """CSV with a mandatory header row, '.' decimal separators via repr."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for x in row:
-            if isinstance(x, (float, np.floating)):
-                cells.append(repr(float(x)))
-            elif isinstance(x, (int, np.integer)):
-                cells.append(str(int(x)))
-            else:
-                cells.append(str(x))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def format_csv(header: list[str], columns) -> str:
+    """CSV with a mandatory header row and one column per header name.
+
+    Float columns are written with ``repr`` (the shortest round-trip form,
+    '.' decimal separator), other columns with ``str``; each column is
+    converted by one ``tolist`` call.
+    """
+    columns = [np.asarray(col) for col in columns]
+    if len(columns) != len(header) or any(
+            col.ndim != 1 or len(col) != len(columns[0]) for col in columns):
+        raise ValueError("format_csv needs one 1-D column of equal length per header name")
+    cells = [map(repr if col.dtype.kind == "f" else str, col.tolist()) for col in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 def parse_float_list(text: str) -> list[float]:

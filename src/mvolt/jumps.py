@@ -53,6 +53,8 @@ THINNING_ETA = 0.5
 # Largest expected number of thinning candidates, bound * h, in one control
 # interval; beyond it the rate has run away within the interval.
 MAX_INTERVAL_CANDIDATES = 1e6
+# Tolerance of Generator.choice on the sum of a float64 probability vector.
+CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,12 @@ class JumpMeasureSpec:
     epsilon_shift: float = 0.0
 
     def __post_init__(self):
-        atoms = np.array(self.atoms, dtype=float).reshape(-1, *np.shape(self.atoms)[-2:]) if np.size(self.atoms) else np.zeros((0, 1, 1))
+        atoms = np.array(self.atoms, dtype=float)
+        # an empty (0, d, d) stack keeps its d; only a shapeless [] has none
+        if atoms.ndim >= 3 or atoms.size:
+            atoms = atoms.reshape(-1, *atoms.shape[-2:])
+        else:
+            atoms = np.zeros((0, 1, 1))
         weights = np.array(self.weights, dtype=float).reshape(atoms.shape) if np.size(self.weights) else np.zeros_like(atoms)
         atoms.setflags(write=False)
         weights.setflags(write=False)
@@ -291,6 +298,26 @@ def simulate_jump_path(
                       monitor_eigs)[0]
 
 
+def _choice_rows(p: np.ndarray, rngs) -> np.ndarray:
+    """Index drawn from each row of p as ``rngs[i].choice(m, p=p[i])`` draws it.
+
+    Like ``Generator.choice``, rejects a row with a negative entry or a sum
+    off 1 by more than ``CHOICE_ATOL``, then takes cdf = cumsum(p_i) /
+    its last entry, one ``random()`` u from ``rngs[i]`` and the index
+    ``searchsorted(cdf, u, side="right")``, here the count of cdf <= u.
+    Every row makes the draw and the rounding of ``choice``, so it returns
+    the same index and leaves its stream at the same position.
+    """
+    if (p < 0.0).any():
+        raise ValueError("probabilities are not non-negative")
+    if not (np.abs(p.sum(axis=1) - 1.0) <= CHOICE_ATOL).all():
+        raise ValueError("probabilities do not sum to 1")
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    u = np.array([rng.random() for rng in rngs])
+    return np.count_nonzero(cdf <= u[:, None], axis=1)
+
+
 def _thin_paths(
     state0: JumpLiftState,
     spec: JumpMeasureSpec,
@@ -309,10 +336,14 @@ def _thin_paths(
     grid position in per-path arrays.  Each pass of the loop starts the
     control interval of the paths that need one (one batched flow to its end
     and one rate evaluation) and tests one candidate on every other path.
-    Path i draws from ``rngs[i]`` only, with the calls and arguments of a
-    lone path, and flows, rates, grid records, the rewind of a violated
-    interval and jumps are masked array operations that round as a lone
-    path's do; so each record is the one the path would get on its own.
+    Path i draws from ``rngs[i]`` only and in the order of a per-path loop:
+    ``exponential(1 / bound)`` per candidate, ``uniform()`` per tested
+    candidate and, with more than one atom, the atom of an accepted one as
+    ``choice(m, p=rates / total)`` would draw it, one ``random()`` per path
+    and the cdf arithmetic batched over the paths that jumped
+    (:func:`_choice_rows`).  Flows, rates, grid records, the rewind of a
+    violated interval and jumps are masked array operations that round as a
+    lone path's do; so each record is the one the path would get on its own.
 
     A control interval whose expected candidate count bound * h is not
     finite or exceeds ``MAX_INTERVAL_CANDIDATES`` raises FloatingPointError;
@@ -325,11 +356,11 @@ def _thin_paths(
     n_paths = len(rngs)
     times = grid.times
     n_rec = len(times)
-    norms = np.minimum(spec.atom_norms(), 1.0).clip(min=1e-300) if m else np.zeros(0)
-    weights_scaled = spec.weights / norms[:, None, None] if m else np.zeros((0, d, d))
-    jump_incs = np.stack(
+    norms = np.minimum(spec.atom_norms(), 1.0).clip(min=1e-300)
+    weights_scaled = spec.weights / norms[:, None, None]
+    jump_incs = np.array(
         [jump_increment(measure, xi, spec.epsilon_shift).reshape(-1) for xi in spec.atoms]
-    ) if m else np.zeros((0, kn))
+    ).reshape(m, kn)
 
     def rates_of(z):
         v = z[:, :kn].reshape(-1, k, d, d).sum(axis=1)
@@ -450,9 +481,7 @@ def _thin_paths(
         if not j.size:
             continue
         if m > 1:
-            p = rates_j / total_j[:, None]
-            atoms = np.array([rngs[i].choice(m, p=pi) for i, pi in zip(j.tolist(), p)],
-                             dtype=int)
+            atoms = _choice_rows(rates_j / total_j[:, None], [rngs[i] for i in j.tolist()])
         else:
             atoms = np.zeros(j.size, dtype=int)
         z[j, :kn] += jump_incs[atoms]

@@ -184,6 +184,67 @@ class TestSimulationCommands:
         assert files[0] == files[1]
         assert mapped == [[(0, 250), (250, 500)]]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_hawkes_files_match_per_path_loop_and_per_cell_csv(self, tmp_path, workers):
+        # the two-atom model with non-diagonal nu and eps = 0.05, thinned by
+        # the per-path loop that draws atoms with rng.choice and written by
+        # the per-cell formatter: the CLI's files are the same bytes
+        from test_configio import per_cell_csv
+        from test_jumps import _reference_model, _reference_path
+
+        from mvolt.configio import measure_to_dict, write_sections
+        from mvolt.mc import path_rng
+
+        sim, _ = _reference_model("two_atom_eps")
+        spec = sim.spec
+        model = tmp_path / "two_atom.cfg"
+        write_sections(model, {
+            "measure": measure_to_dict(sim.state0.measure),
+            "lambda0": {"weights": sim.state0.lam},
+            "jumps": {"atoms": spec.atoms, "weights": spec.weights,
+                      "epsilon": spec.epsilon_shift}})
+        seed, paths = 12, 200
+        records = [_reference_path(sim.state0, spec, sim.horizon, path_rng(seed, p),
+                                   sim.thinning_dt, sim.grid, sim.flow)[0]
+                   for p in range(paths)]
+        want_events = per_cell_csv(
+            ["path", "t", "atom", "intensity_at_jump"],
+            [[p, t, int(r), rate] for p, rec in enumerate(records)
+             for t, r, rate in zip(rec["jump_times"], rec["jump_atoms"],
+                                   rec["intensity_at_jumps"])])
+        want_grid = per_cell_csv(
+            ["path", "t", "V_11", "V_12", "V_21", "V_22"],
+            [[p, t, *v.flat] for p, rec in enumerate(records)
+             for t, v in zip(sim.grid.times, rec["v_path"])])
+        assert len(set(r for rec in records for r in rec["jump_atoms"])) == 2
+
+        out, grid = tmp_path / "ev.csv", tmp_path / "v.csv"
+        assert main(["hawkes", "simulate", "--model", str(model), "--T", "1.0",
+                     "--thinning-dt", "0.25", "--grid-steps", "16",
+                     "--paths", str(paths), "--seed", str(seed), "--workers", workers,
+                     "--out", str(out), "--out-grid", str(grid)]) == 0
+        assert out.read_text() == want_events
+        assert grid.read_text() == want_grid
+
+    def test_hawkes_model_without_atoms(self, tmp_path):
+        # d = 2 with atoms = []: no event, every path is the same pure drift
+        model = write(
+            tmp_path / "none.cfg",
+            "[measure]\nnodes = [0.6, 2.5]\n"
+            "weights = [[[0.35, 0.0], [0.0, 0.35]], [[0.2, 0.0], [0.0, 0.2]]]\nd = 2\n"
+            "[lambda0]\nweights = [[[0.8, 0.0], [0.0, 0.8]], [[0.4, 0.0], [0.0, 0.4]]]\n"
+            "[jumps]\natoms = []\nweights = []\n")
+        out, grid = tmp_path / "ev.csv", tmp_path / "v.csv"
+        assert main(["hawkes", "simulate", "--model", model, "--T", "1.0",
+                     "--paths", "3", "--seed", "1", "--out", str(out),
+                     "--out-grid", str(grid)]) == 0
+        assert out.read_text() == "path,t,atom,intensity_at_jump\n"
+        rows = np.loadtxt(grid, delimiter=",", skiprows=1)
+        assert rows.shape == (15, 6)
+        np.testing.assert_array_equal(rows[:5, 1:], rows[5:10, 1:])
+        np.testing.assert_array_equal(rows[:5, 1:], rows[10:, 1:])
+        assert rows[0, 2:].tolist() == [1.2000000000000002, 0.0, 0.0, 1.2000000000000002]
+
 
 class TestTransformCommands:
     def test_wishart_transform_report(self, tmp_path, measure_file, gamma0_file):

@@ -126,13 +126,55 @@ class TestModelFiles:
             read_heston_model(p)
 
 
+def per_cell_csv(header, rows) -> str:
+    """The row-by-row formatter format_csv replaced, kept as its reference."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for x in row:
+            if isinstance(x, (float, np.floating)):
+                cells.append(repr(float(x)))
+            elif isinstance(x, (int, np.integer)):
+                cells.append(str(int(x)))
+            else:
+                cells.append(str(x))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 class TestCsv:
     def test_header_and_floats(self):
-        text = format_csv(["a", "b"], [[1, 0.5], [2, 0.25]])
+        text = format_csv(["a", "b"], [[1, 2], [0.5, 0.25]])
         lines = text.strip().split("\n")
         assert lines[0] == "a,b"
         assert lines[1] == "1,0.5"
         assert "." in lines[2]
+
+    def test_matches_per_cell_formatter(self):
+        special = [-0.0, 0.0, 1e-300, 1e300, np.nan, np.inf, -np.inf, 0.1 + 0.2, 2.0,
+                   -3.0, 5e-324, 1.0 / 3.0, 123456789.125]
+        rng = np.random.default_rng(0)
+        floats = np.array(special + list(rng.normal(size=40) * 10.0 ** rng.integers(-20, 20, 40)))
+        n = floats.size
+        ints = rng.integers(-10**12, 10**12, size=n)
+        columns = [np.arange(n), floats, ints, floats[::-1], ints.astype(np.int32)]
+        header = ["path", "x", "big", "y", "small"]
+        want = per_cell_csv(header, [list(row) for row in zip(*columns)])
+        assert format_csv(header, columns) == want
+        # python lists of floats and ints format as their arrays do
+        assert format_csv(header, [col.tolist() for col in columns]) == want
+
+    def test_empty_columns_give_the_header_alone(self):
+        header = ["path", "t", "atom", "intensity_at_jump"]
+        columns = [np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0)]
+        assert format_csv(header, columns) == "path,t,atom,intensity_at_jump\n"
+        assert format_csv(header, columns) == per_cell_csv(header, [])
+
+    def test_columns_must_match_the_header(self):
+        with pytest.raises(ValueError):
+            format_csv(["a", "b"], [np.zeros(3)])
+        with pytest.raises(ValueError):
+            format_csv(["a", "b"], [np.zeros(3), np.zeros(2)])
 
     def test_parse_float_list(self):
         assert parse_float_list("0.5, 1.0,2") == [0.5, 1.0, 2.0]

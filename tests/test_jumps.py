@@ -7,11 +7,13 @@ import scipy.linalg
 from mvolt.mc import path_rng, run_path_blocks
 from mvolt.measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
 from mvolt.jumps import (
+    CHOICE_ATOL,
     THINNING_ETA,
     HawkesPathSimulator,
     JumpLiftState,
     JumpMeasureSpec,
     LinearFlow,
+    _choice_rows,
     empty_jump_spec,
     hawkes_jump_spec,
     intensity,
@@ -325,6 +327,11 @@ class TestSpecValidation:
             JumpMeasureSpec(atoms=[[[1.0]]], weights=[[[1.0]]],
                             epsilon_shift=-0.1)
 
+    def test_empty_spec_keeps_d(self):
+        spec = empty_jump_spec(2)
+        assert spec.atoms.shape == spec.weights.shape == (0, 2, 2)
+        assert JumpMeasureSpec(atoms=[], weights=[]).atoms.shape == (0, 1, 1)
+
     def test_hawkes_preset_shape(self):
         spec = hawkes_jump_spec(3)
         assert spec.n_atoms == 3
@@ -375,6 +382,41 @@ def test_hawkes_paths_do_not_depend_on_workers():
         np.testing.assert_array_equal(a.v_path, b.v_path)
         np.testing.assert_array_equal(a.x_path, b.x_path)
         np.testing.assert_array_equal(a.compensators, b.compensators)
+
+
+def _choice_test_rows(m, n, rng):
+    """n probability rows over m atoms: generic rows, rows with zero
+    entries, one-hot rows and rows whose sum is off 1 within CHOICE_ATOL."""
+    p = rng.dirichlet(np.ones(m), size=n)
+    p[1::5, rng.integers(m)] = 0.0
+    p[1::5] /= p[1::5].sum(axis=1, keepdims=True)
+    p[2::5] = np.eye(m)[rng.integers(m, size=p[2::5].shape[0])]
+    p[3::5] *= 1.0 + 0.9 * CHOICE_ATOL
+    p[4::5] *= 1.0 - 0.9 * CHOICE_ATOL
+    return p
+
+
+@pytest.mark.parametrize("m", [2, 3, 7])
+def test_choice_rows_draws_as_generator_choice(m):
+    n = 10_000
+    p = _choice_test_rows(m, n, np.random.default_rng(m))
+    batched = [path_rng(m, i) for i in range(n)]
+    single = [path_rng(m, i) for i in range(n)]
+    # two rounds over interleaved subsets, as the thinning loop calls it
+    for rows in (np.arange(0, n, 2), np.arange(n)):
+        got = _choice_rows(p[rows], [batched[i] for i in rows])
+        want = [single[i].choice(m, p=p[i]) for i in rows]
+        np.testing.assert_array_equal(got, want)
+    assert [g.random() for g in batched] == [g.random() for g in single]
+
+
+@pytest.mark.parametrize("bad", [[0.5, 0.6, -0.1], [0.5, 0.5, 1e-6], [0.5, np.nan, 0.5]])
+def test_choice_rows_rejects_what_choice_rejects(bad):
+    p = np.array([[0.2, 0.3, 0.5], bad])
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(3, p=p[1])
+    with pytest.raises(ValueError):
+        _choice_rows(p, [np.random.default_rng(0), np.random.default_rng(1)])
 
 
 # Reference for the lockstep engine: the per-path thinning loop it replaced,
