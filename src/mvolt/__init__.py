@@ -3,19 +3,14 @@
 Simulators (exact Gaussian OU lift, squared lift, PSD jump/Hawkes lift,
 covariance-modulated log price) paired with their analytic Laplace and
 characteristic transforms (closed forms and matrix Riccati solvers), plus
-kernel tooling (fractional fits, grid convolution, resolvents) and a
-reproducible parallel Monte Carlo engine.
+kernel tooling (fractional fits, resolvents) and a reproducible parallel
+Monte Carlo engine.
 """
 
-from .measures import (
-    AtomicMatrixMeasure,
-    TimeGrid,
-    eval_kernel,
-    semigroup_apply,
-)
+from .measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
 from .fractional import FractionalKernelSpec, fit_fractional_measure
-from .kernelops import convolve, resolvent_second_kind
-from .ou import OULiftState, StepOperator, exact_step, forward_curve, project_volterra_ou
+from .kernelops import resolvent_second_kind
+from .ou import StepOperator
 from .wishart import (
     WishartTransformQuery,
     affine_transform_wishart,
@@ -33,7 +28,6 @@ from .jumps import (
 )
 from .riccati import (
     laplace_transform_jump,
-    nonlinearity_R,
     solve_joint_riccati_heston,
     solve_lift_riccati_jump,
     solve_volterra_riccati_jump,
@@ -45,16 +39,10 @@ __all__ = [
     "AtomicMatrixMeasure",
     "TimeGrid",
     "eval_kernel",
-    "semigroup_apply",
     "FractionalKernelSpec",
     "fit_fractional_measure",
-    "convolve",
     "resolvent_second_kind",
-    "OULiftState",
     "StepOperator",
-    "exact_step",
-    "forward_curve",
-    "project_volterra_ou",
     "WishartTransformQuery",
     "affine_transform_wishart",
     "closed_form_laplace",
@@ -67,7 +55,6 @@ __all__ = [
     "simulate_jump_path",
     "volterra_projection",
     "laplace_transform_jump",
-    "nonlinearity_R",
     "solve_joint_riccati_heston",
     "solve_lift_riccati_jump",
     "solve_volterra_riccati_jump",

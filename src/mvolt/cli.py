@@ -38,13 +38,8 @@ from .jumps import HawkesPathSimulator, hawkes_jump_spec
 from .measures import eval_kernel
 from .mc import estimate_mean, run_path_blocks
 from .riccati import laplace_transform_jump
-from .validate import CHECKS, run_checks
-from .wishart import (
-    WishartTransformQuery,
-    XBlock,
-    closed_form_laplace,
-    simulate_wishart,
-)
+from .validate import CHECKS, run_checks, wishart_transform_points
+from .wishart import XBlock, simulate_wishart
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -155,18 +150,8 @@ def cmd_wishart_transform(args) -> int:
         measure, gamma0_m.weights, times, args.paths, args.seed,
         workers=args.workers,
     )
-    u = c.T @ c
-    entries = []
-    for j, t in enumerate(times):
-        analytic = closed_form_laplace(
-            WishartTransformQuery(t=float(t), c=c, gamma0=gamma0_m.weights),
-            measure,
-        )
-        est = estimate_mean(np.exp(-np.einsum("ab,pab->p", u, vs[:, j])))
-        entries.append(
-            {"t": float(t), "analytic": analytic, "mc": float(est.mean),
-             "stderr": float(est.stderr), "z_score": float(est.z_score(analytic))}
-        )
+    entries = wishart_transform_points(measure, gamma0_m.weights, [c] * times.size,
+                                       times, vs)
     _write_text(args.out, _json_report(_clean({"entries": entries,
                                                "paths": args.paths,
                                                "seed": args.seed})))
@@ -271,6 +256,8 @@ def cmd_heston_charfn(args) -> int:
 def cmd_heston_price(args) -> int:
     model = configio.read_heston_model(args.model)
     strikes = configio.parse_float_list(args.strikes)
+    if not 0 <= args.asset < model.d:
+        raise ConfigError(f"--asset must lie in [0, {model.d}), got {args.asset}")
     ps = simulate_heston_terminal(
         model, args.maturity, args.steps, args.paths, args.seed,
         workers=args.workers,

@@ -298,6 +298,8 @@ def fourier_price_call(
     """
     if strike <= 0.0:
         raise ValueError("strike must be positive")
+    if not 0 <= asset < model.d:
+        raise ValueError(f"asset must lie in [0, {model.d}), got {asset}")
     e_i = np.eye(model.d)[asset]
     kappa = float(np.log(strike))
     # Gauss-Legendre panels on [0, v_max]

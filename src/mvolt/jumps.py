@@ -262,8 +262,11 @@ class JumpPathRecord:
     intensity_at_jumps: np.ndarray  # (J,) total rate just before each jump
     compensators: np.ndarray    # (m,) int_0^T rate_r dt
     final_state: JumpLiftState
-    min_eig_v: float
-    min_eig_node: float
+
+
+def _check_thinning_dt(thinning_dt: float) -> None:
+    if not 0.0 < thinning_dt < np.inf:
+        raise ValueError(f"thinning_dt must be positive and finite, got {thinning_dt}")
 
 
 def simulate_jump_path(
@@ -274,7 +277,6 @@ def simulate_jump_path(
     thinning_dt: float,
     grid: TimeGrid | None = None,
     flow: LinearFlow | None = None,
-    monitor_eigs: bool = False,
 ) -> JumpPathRecord:
     """Thinning simulation of the jump lift on [0, horizon].
 
@@ -286,16 +288,14 @@ def simulate_jump_path(
     (linear propagator).  This is :func:`_thin_paths` on the one stream
     ``rng``.
     """
-    if thinning_dt <= 0.0:
-        raise ValueError("thinning_dt must be positive")
+    _check_thinning_dt(thinning_dt)
     if grid is None:
         grid = TimeGrid.regular(horizon, max(int(round(horizon / thinning_dt)), 1))
     if abs(grid.horizon - horizon) > 1e-12 * max(horizon, 1.0):
         raise ValueError("grid horizon must match the simulation horizon")
     if flow is None:
         flow = LinearFlow(state0.measure)
-    return _thin_paths(state0, spec, horizon, [rng], thinning_dt, grid, flow,
-                      monitor_eigs)[0]
+    return _thin_paths(state0, spec, horizon, [rng], thinning_dt, grid, flow)[0]
 
 
 def _choice_rows(p: np.ndarray, rngs) -> np.ndarray:
@@ -326,7 +326,6 @@ def _thin_paths(
     thinning_dt: float,
     grid: TimeGrid,
     flow: LinearFlow,
-    monitor_eigs: bool = False,
     path_hint=None,
     reduce=None,
 ) -> list:
@@ -383,8 +382,6 @@ def _thin_paths(
     v_path[:, 0] = lam0.sum(axis=0)
     x_path[:, 0] = x_jumpsum
     rec_idx = np.ones(n_paths, dtype=np.intp)
-    min_v = np.full(n_paths, np.inf)
-    min_node = np.full(n_paths, np.inf)
 
     def advance_to(idx, target):
         """Flow paths idx to the times target, recording grid crossings."""
@@ -398,16 +395,10 @@ def _thin_paths(
             j, tj = idx[cross], nxt[cross]
             z[j] = flow.flow(z[j], tj - t[j])
             t[j] = tj
-            lam = z[j, :kn].reshape(-1, k, d, d)
-            v = lam.sum(axis=1)
             r = rec_idx[j]
-            v_path[j, r] = v
+            v_path[j, r] = z[j, :kn].reshape(-1, k, d, d).sum(axis=1)
             x_path[j, r] = z[j, kn:].reshape(-1, d, d) + x_jumpsum[j]
             counts_path[j, r] = counts[j]
-            if monitor_eigs:
-                min_v[j] = np.minimum(min_v[j], np.linalg.eigvalsh(v)[:, 0])
-                min_node[j] = np.minimum(min_node[j],
-                                         np.linalg.eigvalsh(lam)[..., 0].min(axis=1))
             rec_idx[j] += 1
         go = target > t[idx]
         j = idx[go]
@@ -505,10 +496,6 @@ def _thin_paths(
     lam_T.setflags(write=False)
     x_T.setflags(write=False)
     counts.setflags(write=False)
-    if not np.isfinite(min_v).all():
-        min_v = np.where(np.isfinite(min_v), min_v,
-                         np.linalg.eigvalsh(lam_T.sum(axis=1))[:, 0])
-    min_node = np.where(np.isfinite(min_node), min_node, 0.0)
 
     paths, ev_t, ev_atom, ev_rate = (
         np.concatenate(cols) for cols in zip(*events)
@@ -530,8 +517,6 @@ def _thin_paths(
             intensity_at_jumps=ev_rate[s],
             compensators=compens[i],
             final_state=JumpLiftState._unchecked(horizon, lam_T[i], measure, x_T[i], counts[i]),
-            min_eig_v=float(min_v[i]),
-            min_eig_node=float(min_node[i]),
         )
         records.append(rec if reduce is None else reduce(rec))
     return records
@@ -555,6 +540,7 @@ class HawkesPathSimulator:
         self.spec = spec
         self.horizon = float(horizon)
         self.thinning_dt = float(thinning_dt)
+        _check_thinning_dt(self.thinning_dt)
         if grid_steps is None:
             grid_steps = max(int(round(self.horizon / self.thinning_dt)), 1)
         self.grid = TimeGrid.regular(self.horizon, grid_steps)

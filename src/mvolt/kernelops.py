@@ -1,6 +1,6 @@
 """Grid convolution and the symmetrized resolvent of the second kind.
 
-Matrix kernels sampled on a uniform grid are convolved with the trapezoid
+Matrix kernels sampled on a uniform grid are convolved with Simpson's
 rule.  The resolvent R of a kernel K solves
 
     K * R + R * K = K - R,
@@ -29,36 +29,18 @@ def _check_samples(f: np.ndarray, grid: TimeGrid, name: str) -> np.ndarray:
     return f
 
 
-def convolve(f: np.ndarray, g: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Trapezoid discretization of (f * g)(t) = int_0^t f(t-s) g(s) ds.
+def convolve_simpson(f: np.ndarray, g: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Simpson discretization of (f * g)(t) = int_0^t f(t-s) g(s) ds.
 
     ``f`` and ``g`` are matrix samples of shape (N+1, a, b) and (N+1, b, c);
-    the result has shape (N+1, a, c) with a zero first entry.  Exact for
-    constant scalar samples up to round-off.
+    the result has shape (N+1, a, c) with a zero first entry.  Composite
+    Simpson on even prefixes; odd prefixes finish with one trapezoid panel.
+    First two entries fall back to the trapezoid value.
     """
     f = _check_samples(f, grid, "f")
     g = _check_samples(g, grid, "g")
     if f.shape[2] != g.shape[1]:
         raise ValueError(f"inner matrix dimensions differ: {f.shape} vs {g.shape}")
-    n = len(grid)
-    dt = grid.dt
-    out = np.zeros((n, f.shape[1], g.shape[2]))
-    for m in range(1, n):
-        # f(t_m - t_j) g(t_j) for j = 0..m with half weights at the ends
-        prod = np.einsum("jab,jbc->ac", f[m::-1], g[: m + 1], optimize=True)
-        ends = 0.5 * (f[m] @ g[0] + f[0] @ g[m])
-        out[m] = dt * (prod - ends)
-    return out
-
-
-def convolve_simpson(f: np.ndarray, g: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Simpson-rule version of :func:`convolve`, used as an independent check.
-
-    Composite Simpson on even prefixes; odd prefixes finish with one
-    trapezoid panel.  First two entries fall back to the trapezoid value.
-    """
-    f = _check_samples(f, grid, "f")
-    g = _check_samples(g, grid, "g")
     n = len(grid)
     dt = grid.dt
     out = np.zeros((n, f.shape[1], g.shape[2]))

@@ -1,4 +1,4 @@
-"""Atomic matrix measures and the exponential-decay semigroup acting on them.
+"""Atomic matrix measures, kernel evaluation and decay integrals.
 
 A convolution kernel K is represented as the Laplace transform of a finite
 atomic measure with matrix weights,
@@ -7,10 +7,9 @@ atomic measure with matrix weights,
 
 where the nodes x_i >= 0 are mean-reversion rates and the w_i are d x d
 symmetric matrices (or n x d matrices for the Gaussian-lift initial data).
-The decay semigroup acts on such a measure by damping each weight,
-w_i -> exp(-x_i * t) * w_i, which keeps everything inside the same
-finite-rank family.  These two operations, together with the pairwise
-integrals
+The decay semigroup damps each weight, w_i -> exp(-x_i * t) * w_i, which
+keeps everything inside the same finite-rank family; the lifts apply it to
+their node states.  The kernel, together with the pairwise integrals
 
     E_ij(t) = int_0^t exp(-(x_i + x_j) s) ds,
 
@@ -125,20 +124,6 @@ def eval_kernel(measure: AtomicMatrixMeasure, t) -> np.ndarray:
     damp = np.exp(-np.multiply.outer(t_arr, measure.nodes))  # (..., k)
     out = np.tensordot(damp, measure.weights, axes=([-1], [0]))
     return out
-
-
-def semigroup_apply(measure: AtomicMatrixMeasure, t: float) -> AtomicMatrixMeasure:
-    """Apply the decay semigroup: weights w_i -> exp(-x_i t) w_i, nodes kept."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("semigroup time must be >= 0")
-    damp = np.exp(-measure.nodes * t)
-    return AtomicMatrixMeasure(
-        measure.nodes,
-        damp[:, None, None] * measure.weights,
-        shape=measure.shape,
-        psd_required=measure.psd_required,
-    )
 
 
 def decay_integral(rate, t):

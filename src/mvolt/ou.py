@@ -15,12 +15,8 @@ column b) gives
 
 independent across the n rows.  Sampling from the factorized C makes each
 step exact in law for any dt, so downstream transform validations carry no
-time-discretization bias.  The projections
-
-    X_t = sum_i gamma_t(x_i)            (nonlocal state -> matrix process)
-    f_t(x) = sum_i e^(-x_i x) gamma_t(x_i)   (conditional forward curve)
-
-recover the Volterra process and its forward curve.
+time-discretization bias.  The projection X_t = sum_i gamma_t(x_i)
+recovers the Volterra process.
 """
 
 from __future__ import annotations
@@ -29,46 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import (
-    SHAPE_SYMMETRIC,
-    AtomicMatrixMeasure,
-    pair_decay_integrals,
-)
-
-
-@dataclass(frozen=True)
-class OULiftState:
-    """Node matrices gamma(x_i) plus the driving measure at time t."""
-
-    t: float
-    gamma: np.ndarray  # (k, n, d)
-    measure: AtomicMatrixMeasure
-
-    def __post_init__(self):
-        g = np.array(self.gamma, dtype=float)
-        g.setflags(write=False)
-        object.__setattr__(self, "gamma", g)
-        if self.measure.shape != SHAPE_SYMMETRIC:
-            raise ValueError("driving measure must be symmetric-shape")
-        k, d = self.measure.k, self.measure.d
-        if g.ndim != 3 or g.shape[0] != k or g.shape[2] != d:
-            raise ValueError(
-                f"gamma must have shape (k={k}, n, d={d}), got {g.shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gamma entries must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.gamma.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.gamma.shape[2]
-
-    @property
-    def k(self) -> int:
-        return self.gamma.shape[0]
+from .measures import AtomicMatrixMeasure, pair_decay_integrals
 
 
 def node_covariance(measure: AtomicMatrixMeasure, dt: float) -> np.ndarray:
@@ -95,7 +52,6 @@ class StepOperator:
     dt: float
     decay: np.ndarray          # (k,) e^(-x_i dt)
     noise_factor: np.ndarray   # (k d, k d) with L L^T = C
-    measure: AtomicMatrixMeasure
     cond_w_factor: np.ndarray = field(repr=False)  # (d, d) factor of the cond. covariance
     cond_w_gain: np.ndarray = field(repr=False)    # (d, k d) conditional-mean gain
 
@@ -128,51 +84,25 @@ class StepOperator:
             dt=float(dt),
             decay=np.exp(-measure.nodes * dt),
             noise_factor=L,
-            measure=measure,
             cond_w_factor=cond_factor,
             cond_w_gain=gain,
         )
 
+    def step(self, gamma: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Advance a batch of lift states gamma (B, k, n, d) by one exact step.
 
-def exact_step(state: OULiftState, op: StepOperator, noise: np.ndarray) -> OULiftState:
-    """Advance the lift by one exact step using n x (k d) standard normals."""
-    if op.measure is not state.measure and not (
-        np.array_equal(op.measure.nodes, state.measure.nodes)
-        and np.array_equal(op.measure.weights, state.measure.weights)
-    ):
-        raise ValueError("step operator was built for a different measure")
-    k, n, d = state.k, state.n, state.d
-    noise = np.asarray(noise, dtype=float)
-    if noise.shape != (n, k * d):
-        raise ValueError(f"noise must have shape ({n}, {k * d}), got {noise.shape}")
-    if not np.all(np.isfinite(noise)):
-        raise ValueError("noise entries must be finite")
-    innov = (noise @ op.noise_factor.T).reshape(n, k, d)
-    gamma = op.decay[:, None, None] * state.gamma + innov.transpose(1, 0, 2)
-    return OULiftState(t=state.t + op.dt, gamma=gamma, measure=state.measure)
-
-
-def project_volterra_ou(state: OULiftState) -> np.ndarray:
-    """Total-mass projection X_t = sum_i gamma_t(x_i)."""
-    return state.gamma.sum(axis=0)
-
-
-def forward_curve(state: OULiftState, x: float) -> np.ndarray:
-    """Conditional forward value f_t(x) = sum_i e^(-x_i x) gamma_t(x_i)."""
-    if x < 0.0:
-        raise ValueError("forward horizon must be >= 0")
-    damp = np.exp(-state.measure.nodes * float(x))
-    return np.einsum("i,iab->ab", damp, state.gamma)
-
-
-def decay_gamma(gamma0: np.ndarray, nodes: np.ndarray, t: float) -> np.ndarray:
-    """Deterministic part e^(-x_i t) gamma_0(x_i) of the node matrices."""
-    return np.exp(-np.asarray(nodes) * t)[:, None, None] * np.asarray(gamma0)
-
-
-def mean_volterra_ou(gamma0: np.ndarray, nodes: np.ndarray, t: float) -> np.ndarray:
-    """E[X_t] = sum_i e^(-x_i t) gamma_0(x_i)."""
-    return decay_gamma(gamma0, nodes, t).sum(axis=0)
+        ``noise`` holds the (B, n, k d) standard normals of the step, one
+        row of k d per path and lift row.
+        """
+        B, k, n, d = gamma.shape
+        kd = self.noise_factor.shape[0]
+        if self.decay.shape != (k,) or k * d != kd or noise.shape != (B, n, kd):
+            raise ValueError(
+                f"gamma and noise must have shapes (B, {self.decay.size}, n, d) and "
+                f"(B, n, {kd}) with k d = {kd}, got {gamma.shape} and {noise.shape}"
+            )
+        innov = (noise @ self.noise_factor.T).reshape(B, n, k, d)
+        return self.decay[None, :, None, None] * gamma + innov.transpose(0, 2, 1, 3)
 
 
 def simulate_lift_blocks(
@@ -221,7 +151,6 @@ def simulate_lift_blocks(
     gamma = np.broadcast_to(gamma0, (n_paths, k, n, d)).copy()
     for m, op in enumerate(ops):
         if op is not None:
-            innov = (noise[:, m] @ op.noise_factor.T).reshape(n_paths, n, k, d)
-            gamma = op.decay[None, :, None, None] * gamma + innov.transpose(0, 2, 1, 3)
+            gamma = op.step(gamma, noise[:, m])
         out[:, m] = gamma
     return out

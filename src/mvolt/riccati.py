@@ -50,11 +50,8 @@ from .measures import AtomicMatrixMeasure, TimeGrid
 from .jumps import JumpMeasureSpec, lift_operator, pairing_operator
 
 
-def nonlinearity_R(u: np.ndarray, spec: JumpMeasureSpec) -> np.ndarray:
-    """NL(u) = u + sum_r (exp(Tr(u xi_r)) - 1) mu_r / (||xi_r|| /\\ 1)."""
-    u = np.asarray(u)
-    xi, gain = _jump_operators(spec, u.shape[-1])
-    return u + (gain @ (np.exp(xi @ u.ravel()) - 1.0)).reshape(u.shape)
+# the joint Riccati raises once |Psi| exceeds this at a checkpoint
+BLOWUP_LIMIT = 1e8
 
 
 def _jump_operators(spec: JumpMeasureSpec, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +257,6 @@ def solve_joint_riccati_heston(
     price_jump_weights: np.ndarray | None = None,
     p0: np.ndarray | None = None,
     n_steps: int = 400,
-    blowup_limit: float = 1e8,
     psi0: np.ndarray | None = None,
 ) -> JointRiccatiResult:
     """Joint transform E[exp(-<psi_0, lam_t> + w^T P_t)], batched over w.
@@ -277,7 +273,7 @@ def solve_joint_riccati_heston(
     checkpoints, which follow the branch of log det X, and the result is
     exp(-(n/2)(log det X + t Tr A) - Tr(Psi Lambda) + w^T P_0), Lambda_ij =
     gamma0_i^T gamma0_j.  The first checkpoint at which X is singular, det X
-    turns by over a quarter turn or |Psi| exceeds ``blowup_limit`` raises.
+    turns by over a quarter turn or |Psi| exceeds ``BLOWUP_LIMIT`` raises.
     """
     w = np.atleast_2d(np.asarray(w, dtype=complex))
     k, d = measure.k, measure.d
@@ -327,7 +323,7 @@ def solve_joint_riccati_heston(
         finite = np.all(np.isfinite(log_g))
         psi = P + Rt @ (np.linalg.inv(G) @ psi) @ R if finite else psi + np.inf
         turn, size = max(turn, step_turn), float(np.max(np.abs(psi), initial=0.0))
-        if turn > 0.5 * np.pi or not size <= blowup_limit:
+        if turn > 0.5 * np.pi or not size <= BLOWUP_LIMIT:
             raise FloatingPointError(
                 f"joint Riccati blow-up at t = {m * h:.6g} (det X turned by "
                 f"{turn:.3g} rad, |psi| = {size:.3g}; n_steps = {n_steps})"

@@ -60,24 +60,30 @@ def random_wishart_setup(seed: int = 2024, d: int = 2, n: int = 3, k: int = 4):
     return measure, gamma0, cs, ts
 
 
+def wishart_transform_points(measure, gamma0, cs, ts, v_samples) -> list[dict]:
+    """MC mean of exp(-Tr(c^T c V_t)) vs the closed form, one point per (c, t).
+
+    ``v_samples[:, j]`` holds the V samples at time ``ts[j]``.
+    """
+    points = []
+    for j, (c, t) in enumerate(zip(cs, ts)):
+        analytic = closed_form_laplace(
+            WishartTransformQuery(t=float(t), c=c, gamma0=gamma0), measure
+        )
+        est = estimate_mean(np.exp(-np.einsum("ab,pab->p", c.T @ c, v_samples[:, j])))
+        points.append(
+            {"t": float(t), "analytic": analytic, "mc": float(est.mean),
+             "stderr": float(est.stderr), "z_score": float(est.z_score(analytic))}
+        )
+    return points
+
+
 def check_wishart_transform(n_paths: int = 100_000, seed: int = 11, workers: int = 1) -> dict:
     """MC mean of exp(-Tr(c^T c V_t)) vs the closed form at 6 (c, t) points."""
     measure, gamma0, cs, ts = random_wishart_setup()
     v_samples = simulate_wishart(measure, gamma0, ts, n_paths, seed, workers=workers)
-    points = []
-    worst = 0.0
-    for j, (c, t) in enumerate(zip(cs, ts)):
-        u = c.T @ c
-        analytic = closed_form_laplace(
-            WishartTransformQuery(t=float(t), c=c, gamma0=gamma0), measure
-        )
-        est = estimate_mean(np.exp(-np.einsum("ab,pab->p", u, v_samples[:, j])))
-        z = float(est.z_score(analytic))
-        worst = max(worst, abs(z))
-        points.append(
-            {"t": float(t), "analytic": analytic, "mc": float(est.mean),
-             "stderr": float(est.stderr), "z_score": z}
-        )
+    points = wishart_transform_points(measure, gamma0, cs, ts, v_samples)
+    worst = max([0.0] + [abs(p["z_score"]) for p in points])
     return _result("wishart_transform", worst <= 3.0, points=points,
                    max_abs_z=worst, n_paths=n_paths)
 
@@ -123,18 +129,21 @@ def _representation_gap(record, measure, lam0, spec) -> float:
     return float(np.max(np.abs(recon - record.v_path)))
 
 
-def check_hawkes_compensator(
-    n_paths: int = 100_000, seed: int = 21, workers: int = 1, d: int = 2
-) -> dict:
-    """E[N_i(T)] vs E[int_0^T V_ii dt] per component, diagonal preset."""
-    nodes = np.array([0.6, 2.5])
+def _diagonal_hawkes_model(d: int):
+    """Diagonal-preset model on nodes (0.6, 2.5): (measure, lam0, spec)."""
     weights = np.zeros((2, d, d))
     lam0 = np.zeros((2, d, d))
     for i in range(d):
         weights[0, i, i], weights[1, i, i] = 0.35, 0.2
         lam0[0, i, i], lam0[1, i, i] = 0.8, 0.4
-    measure = AtomicMatrixMeasure(nodes, weights)
-    spec = hawkes_jump_spec(d)
+    return AtomicMatrixMeasure(np.array([0.6, 2.5]), weights), lam0, hawkes_jump_spec(d)
+
+
+def check_hawkes_compensator(
+    n_paths: int = 100_000, seed: int = 21, workers: int = 1, d: int = 2
+) -> dict:
+    """E[N_i(T)] vs E[int_0^T V_ii dt] per component, diagonal preset."""
+    measure, lam0, spec = _diagonal_hawkes_model(d)
     sim = HawkesPathSimulator(measure, lam0, spec, horizon=1.0, thinning_dt=0.25)
     values = np.asarray(run_path_blocks(partial(sim.block, reduce=_hawkes_moments),
                                         n_paths, seed, workers=workers))
@@ -205,15 +214,7 @@ def check_representation_equivalence(
     least halves the median gap (with 10 percent slack) and the coarse
     median stays below an absolute O(dt) budget.
     """
-    d = 2
-    nodes = np.array([0.6, 2.5])
-    weights = np.zeros((2, d, d))
-    lam0 = np.zeros((2, d, d))
-    for i in range(d):
-        weights[0, i, i], weights[1, i, i] = 0.35, 0.2
-        lam0[0, i, i], lam0[1, i, i] = 0.8, 0.4
-    measure = AtomicMatrixMeasure(nodes, weights)
-    spec = hawkes_jump_spec(d)
+    measure, lam0, spec = _diagonal_hawkes_model(2)
     reduce = partial(_representation_gap, measure=measure, lam0=lam0, spec=spec)
     gaps = {}
     for steps in (64, 128):

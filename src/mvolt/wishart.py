@@ -28,7 +28,7 @@ import numpy as np
 
 from .measures import AtomicMatrixMeasure, pair_decay_integrals
 from .mc import run_path_blocks
-from .ou import decay_gamma, simulate_lift_blocks
+from .ou import simulate_lift_blocks
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,12 @@ class WishartTransformQuery:
             raise ValueError("c must be (n, d) and gamma0 (k, n, d)")
         if c.shape[1] != g.shape[2]:
             raise ValueError("c and gamma0 disagree on d")
+
+
+def mean_projection(gamma0: np.ndarray, nodes: np.ndarray, t: float) -> np.ndarray:
+    """H_t = sum_i e^(-x_i t) gamma_0(x_i), the mean of the projection X_t."""
+    decayed = np.exp(-np.asarray(nodes) * t)[:, None, None] * np.asarray(gamma0)
+    return decayed.sum(axis=0)
 
 
 def noise_variance(measure: AtomicMatrixMeasure, t: float) -> np.ndarray:
@@ -89,7 +95,7 @@ def argument_from_psd(u: np.ndarray, n: int) -> np.ndarray:
 def _transform_pieces(query: WishartTransformQuery, measure: AtomicMatrixMeasure):
     U = query.c.T @ query.c
     Q = noise_variance(measure, query.t)
-    H = decay_gamma(query.gamma0, measure.nodes, query.t).sum(axis=0)
+    H = mean_projection(query.gamma0, measure.nodes, query.t)
     return U, Q, H
 
 
@@ -187,5 +193,5 @@ def mean_wishart(measure: AtomicMatrixMeasure, gamma0, t: float) -> np.ndarray:
     """E[V_t] = H_t^T H_t + n * Q_t, the two stochastic terms being mean-zero."""
     gamma0 = np.asarray(gamma0, dtype=float)
     n = gamma0.shape[1]
-    H = decay_gamma(gamma0, measure.nodes, t).sum(axis=0)
+    H = mean_projection(gamma0, measure.nodes, t)
     return H.T @ H + n * noise_variance(measure, t)

@@ -158,6 +158,19 @@ class TestSimulationCommands:
         assert lines[0] == "path,t,atom,intensity_at_jump"
         assert vgrid.read_text().startswith("path,t,V_11")
 
+    @pytest.mark.parametrize("thinning_dt", ["0", "-0.25"])
+    def test_hawkes_rejects_nonpositive_thinning_dt(self, tmp_path, capsys,
+                                                    jump_model_file, thinning_dt):
+        # 0 divided by zero and -0.25 never returned
+        out = tmp_path / "events.csv"
+        rc = main(["hawkes", "simulate", "--model", jump_model_file, "--T", "1.0",
+                   "--thinning-dt", thinning_dt, "--paths", "5", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: thinning_dt must be positive and finite, "
+                       f"got {float(thinning_dt)}"]
+        assert not out.exists()
+
     def test_hawkes_workers_share_a_small_run(self, tmp_path, jump_model_file,
                                               monkeypatch):
         # 500 paths fit in one block of BLOCK_SIZE; with 2 workers the run is
@@ -372,6 +385,25 @@ class TestTransformCommands:
         assert rc == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["numerical failure: Singular matrix"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("asset", ["2", "-1"])
+    def test_heston_price_asset_out_of_range(self, tmp_path, capsys, monkeypatch,
+                                             heston_model_file, asset):
+        # checked before the Monte Carlo runs; -1 would price the last asset
+        import mvolt.cli as cli_mod
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking --asset")
+
+        monkeypatch.setattr(cli_mod, "simulate_heston_terminal", no_simulation)
+        out = tmp_path / "price.csv"
+        rc = main(["heston", "price", "--model", heston_model_file,
+                   "--asset", asset, "--strikes", "1.0", "--maturity", "1.0",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: --asset must lie in [0, 2), got {asset}"]
         assert not out.exists()
 
     def test_heston_price_csv(self, tmp_path, heston_model_file):

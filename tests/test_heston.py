@@ -323,6 +323,12 @@ class TestFourierPricing:
         with pytest.raises(ValueError, match="strike"):
             fourier_price_call(degenerate_model(), 0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("asset", [2, -1])
+    def test_asset_out_of_range(self, asset):
+        # -1 would index the last asset
+        with pytest.raises(ValueError, match="asset"):
+            fourier_price_call(heston_reference_model(), asset, 1.0, 1.0)
+
     def test_bad_damping_reported(self):
         model = heston_reference_model()
         with pytest.raises(ValueError, match="alpha"):

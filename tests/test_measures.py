@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from mvolt.measures import (
     AtomicMatrixMeasure,
@@ -8,7 +7,6 @@ from mvolt.measures import (
     decay_integral,
     eval_kernel,
     pair_decay_integrals,
-    semigroup_apply,
 )
 
 
@@ -55,36 +53,6 @@ class TestEvalKernel:
         m = make_measure([0.2, 1.0, 5.0], ws)
         for t in np.linspace(0.0, 4.0, 9):
             assert np.linalg.eigvalsh(eval_kernel(m, t))[0] >= -1e-12
-
-
-class TestSemigroup:
-    def test_identity_at_zero(self):
-        m = make_measure([0.5, 2.0], np.broadcast_to(np.eye(2), (2, 2, 2)))
-        m0 = semigroup_apply(m, 0.0)
-        np.testing.assert_array_equal(m0.weights, m.weights)
-
-    def test_halving_at_log2(self):
-        w = np.array([[[2.0, 0.4], [0.4, 1.0]]])
-        m = make_measure([1.0], w)
-        m2 = semigroup_apply(m, np.log(2.0))
-        np.testing.assert_allclose(m2.weights, w / 2.0, rtol=1e-14)
-
-    def test_negative_time_rejected(self):
-        m = make_measure([1.0], [[[1.0]]])
-        with pytest.raises(ValueError):
-            semigroup_apply(m, -1e-9)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        s=st.floats(min_value=0.0, max_value=5.0),
-        t=st.floats(min_value=0.0, max_value=5.0),
-    )
-    def test_semigroup_law(self, s, t):
-        w = np.array([[[1.0, 0.3], [0.3, 2.0]], [[0.5, 0.0], [0.0, 0.1]]])
-        m = make_measure([0.3, 1.7], w)
-        left = semigroup_apply(semigroup_apply(m, s), t)
-        right = semigroup_apply(m, s + t)
-        np.testing.assert_allclose(left.weights, right.weights, atol=1e-12)
 
 
 class TestValidation:

@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 
 from mvolt.measures import AtomicMatrixMeasure
-from mvolt.ou import (
-    OULiftState,
-    StepOperator,
-    exact_step,
-    forward_curve,
-    mean_volterra_ou,
-    node_covariance,
-    project_volterra_ou,
-    simulate_lift_blocks,
-)
+from mvolt.ou import StepOperator, node_covariance, simulate_lift_blocks
+from mvolt.wishart import mean_projection
 
 
 def two_node_measure():
@@ -21,22 +13,20 @@ def two_node_measure():
 
 def test_deterministic_decay_with_zero_noise():
     m = two_node_measure()
-    state = OULiftState(t=0.0, gamma=np.ones((2, 1, 2)), measure=m)
+    gamma = np.ones((1, 2, 1, 2))
     op = StepOperator.build(m, 0.5)
-    new = exact_step(state, op, np.zeros((1, 4)))
-    expected = np.exp(-m.nodes * 0.5)[:, None, None] * state.gamma
-    np.testing.assert_allclose(new.gamma, expected, rtol=1e-14)
-    assert new.t == pytest.approx(0.5)
+    new = op.step(gamma, np.zeros((1, 1, 4)))
+    expected = np.exp(-m.nodes * 0.5)[None, :, None, None] * gamma
+    np.testing.assert_allclose(new, expected, rtol=1e-14)
 
 
 def test_brownian_special_case():
     # single node at x = 0 with unit weight: increments are sqrt(dt) normals
     m = AtomicMatrixMeasure([0.0], [[[1.0]]])
     op = StepOperator.build(m, 0.25)
-    state = OULiftState(t=0.0, gamma=np.zeros((1, 1, 1)), measure=m)
-    z = np.array([[1.7]])
-    new = exact_step(state, op, z)
-    assert new.gamma[0, 0, 0] == pytest.approx(np.sqrt(0.25) * 1.7)
+    z = np.array([[[1.7]]])
+    new = op.step(np.zeros((1, 1, 1, 1)), z)
+    assert new[0, 0, 0, 0] == pytest.approx(np.sqrt(0.25) * 1.7)
 
 
 def test_step_covariance_matches_formula():
@@ -56,24 +46,14 @@ def test_exactness_one_big_step_equals_two_small():
     dt = 0.3
     op1 = StepOperator.build(m, dt)
     op2 = StepOperator.build(m, 2 * dt)
-    gamma0 = np.full((2, 1, 2), 0.5)
     n_mc = 400_000
+    gamma0 = np.full((n_mc, 2, 1, 2), 0.5)
     rng = np.random.default_rng(11)
 
-    z = rng.standard_normal((n_mc, 1, 4))
-    big = np.einsum("pnj,ij->pni", z, op2.noise_factor).reshape(n_mc, 1, 2, 2)
-    big = np.exp(-m.nodes * 2 * dt)[None, :, None, None] * gamma0 + big.transpose(0, 2, 1, 3)
-
+    big = op2.step(gamma0, rng.standard_normal((n_mc, 1, 4)))
     z1 = rng.standard_normal((n_mc, 1, 4))
     z2 = rng.standard_normal((n_mc, 1, 4))
-    small = np.exp(-m.nodes * dt)[None, :, None, None] * gamma0
-    small = small + np.einsum("pnj,ij->pni", z1, op1.noise_factor).reshape(
-        n_mc, 1, 2, 2
-    ).transpose(0, 2, 1, 3)
-    small = np.exp(-m.nodes * dt)[None, :, None, None] * small
-    small = small + np.einsum("pnj,ij->pni", z2, op1.noise_factor).reshape(
-        n_mc, 1, 2, 2
-    ).transpose(0, 2, 1, 3)
+    small = op1.step(op1.step(gamma0, z1), z2)
 
     fb, fs = big.reshape(n_mc, -1), small.reshape(n_mc, -1)
     se_mean = fb.std(axis=0, ddof=1) / np.sqrt(n_mc)
@@ -98,50 +78,13 @@ def test_affine_in_initial_condition_with_frozen_noise():
     m = two_node_measure()
     op = StepOperator.build(m, 0.4)
     rng = np.random.default_rng(5)
-    noise = rng.standard_normal((3, 4))
-    g1 = rng.normal(size=(2, 3, 2))
-    g2 = rng.normal(size=(2, 3, 2))
-    s1 = OULiftState(t=0.0, gamma=g1, measure=m)
-    s2 = OULiftState(t=0.0, gamma=g2, measure=m)
-    s12 = OULiftState(t=0.0, gamma=g1 + g2, measure=m)
-    out12 = exact_step(s12, op, noise).gamma
-    out1 = exact_step(s1, op, noise).gamma
-    out2 = exact_step(s2, op, np.zeros_like(noise)).gamma
+    noise = rng.standard_normal((1, 3, 4))
+    g1 = rng.normal(size=(1, 2, 3, 2))
+    g2 = rng.normal(size=(1, 2, 3, 2))
+    out12 = op.step(g1 + g2, noise)
+    out1 = op.step(g1, noise)
+    out2 = op.step(g2, np.zeros_like(noise))
     np.testing.assert_allclose(out12, out1 + out2, rtol=1e-12, atol=1e-14)
-
-
-class TestProjections:
-    def test_zero_state(self):
-        m = two_node_measure()
-        s = OULiftState(t=0.0, gamma=np.zeros((2, 1, 2)), measure=m)
-        np.testing.assert_array_equal(project_volterra_ou(s), 0.0)
-
-    def test_single_node(self):
-        m = AtomicMatrixMeasure([1.0], [[[1.0]]])
-        s = OULiftState(t=0.0, gamma=np.array([[[2.5]]]), measure=m)
-        assert project_volterra_ou(s)[0, 0] == pytest.approx(2.5)
-
-    def test_forward_curve_at_zero_is_projection(self):
-        m = two_node_measure()
-        rng = np.random.default_rng(0)
-        s = OULiftState(t=0.0, gamma=rng.normal(size=(2, 3, 2)), measure=m)
-        np.testing.assert_allclose(forward_curve(s, 0.0), project_volterra_ou(s))
-
-    def test_forward_curve_deterministic_flow(self):
-        m = two_node_measure()
-        g0 = np.random.default_rng(1).normal(size=(2, 1, 2))
-        s = OULiftState(t=0.0, gamma=g0, measure=m)
-        op = StepOperator.build(m, 0.3)
-        s2 = exact_step(s, op, np.zeros((1, 4)))
-        np.testing.assert_allclose(
-            forward_curve(s2, 0.6), mean_volterra_ou(g0, m.nodes, 0.9), rtol=1e-12
-        )
-
-    def test_negative_horizon_rejected(self):
-        m = two_node_measure()
-        s = OULiftState(t=0.0, gamma=np.zeros((2, 1, 2)), measure=m)
-        with pytest.raises(ValueError):
-            forward_curve(s, -0.1)
 
 
 def test_mc_mean_matches_decay():
@@ -151,7 +94,7 @@ def test_mc_mean_matches_decay():
     gam = simulate_lift_blocks(m, g0, times, seed=9, start=0, stop=30_000)
     xs = gam.sum(axis=2)
     for j, t in enumerate(times):
-        target = mean_volterra_ou(g0, m.nodes, t)
+        target = mean_projection(g0, m.nodes, t)
         mean = xs[:, j].mean(axis=0)
         se = xs[:, j].std(axis=0, ddof=1) / np.sqrt(xs.shape[0])
         assert np.all(np.abs(mean - target) <= 3.5 * se)
@@ -165,7 +108,7 @@ def test_tower_property_of_forward_curve():
     gam = simulate_lift_blocks(m, g0, np.array([s]), seed=13, start=0, stop=30_000)
     damp = np.exp(-m.nodes * (t - s))
     fwd = np.einsum("i,pina->pna", damp, gam[:, 0])
-    target = mean_volterra_ou(g0, m.nodes, t)
+    target = mean_projection(g0, m.nodes, t)
     se = fwd.std(axis=0, ddof=1) / np.sqrt(fwd.shape[0])
     assert np.all(np.abs(fwd.mean(axis=0) - target) <= 3.5 * se)
 
@@ -174,17 +117,8 @@ class TestStepOperatorValidation:
     def test_rejects_wrong_noise_shape(self):
         m = two_node_measure()
         op = StepOperator.build(m, 0.1)
-        s = OULiftState(t=0.0, gamma=np.zeros((2, 1, 2)), measure=m)
         with pytest.raises(ValueError, match="shape"):
-            exact_step(s, op, np.zeros((1, 3)))
-
-    def test_rejects_nonfinite_noise(self):
-        m = two_node_measure()
-        op = StepOperator.build(m, 0.1)
-        s = OULiftState(t=0.0, gamma=np.zeros((2, 1, 2)), measure=m)
-        bad = np.full((1, 4), np.nan)
-        with pytest.raises(ValueError, match="finite"):
-            exact_step(s, op, bad)
+            op.step(np.zeros((1, 2, 1, 2)), np.zeros((1, 1, 3)))
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,10 @@ from mvolt.fractional import FractionalKernelSpec, fit_fractional_measure
 from mvolt.measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
 from mvolt.jumps import JumpMeasureSpec, empty_jump_spec, hawkes_jump_spec
 from mvolt.riccati import (
+    _jump_operators,
     _lift_operators,
     h_curve,
     laplace_transform_jump,
-    nonlinearity_R,
     pairing_value,
     solve_joint_riccati_heston,
     solve_lift_riccati_jump,
@@ -21,6 +21,15 @@ def scalar_hawkes():
     lam0 = np.array([[[1.0]]])
     spec = JumpMeasureSpec(atoms=[[[1.0]]], weights=[[[0.3]]])
     return measure, lam0, spec
+
+
+def nonlinearity_R(u, spec):
+    """Oracle NL(u) = u + sum_r (exp(Tr(u xi_r)) - 1) mu_r / (||xi_r|| /\\ 1),
+    summed atom by atom from the formula."""
+    out = np.asarray(u)
+    for xi, mu in zip(spec.atoms, spec.weights):
+        out = out + (np.exp(np.trace(u @ xi)) - 1.0) * mu / min(np.linalg.norm(xi), 1.0)
+    return out
 
 
 class TestNonlinearity:
@@ -42,6 +51,16 @@ class TestNonlinearity:
         spec = JumpMeasureSpec(atoms=[[[0.5]]], weights=[[[1.0]]])
         got = nonlinearity_R(np.array([[-2.0]]), spec)[0, 0]
         assert got == pytest.approx(-2.0 + (np.exp(-1.0) - 1.0) / 0.5, rel=1e-14)
+
+    def test_jump_operators_match_oracle(self):
+        # W (e^(Xi vec u) - 1) on row-major vec is NL(u) - u, for
+        # non-symmetric u and non-commuting atoms of norm below and above 1
+        spec = JumpMeasureSpec(atoms=[np.diag([1.0, 0.3]), [[0.3, 0.1], [0.1, 0.2]]],
+                               weights=[np.diag([0.2, 0.1]), [[0.1, 0.02], [0.02, 0.15]]])
+        u = np.array([[-0.8, 0.3], [-0.1, -0.5]])
+        xi, gain = _jump_operators(spec, 2)
+        got = (gain @ (np.exp(xi @ u.ravel()) - 1.0)).reshape(2, 2)
+        np.testing.assert_allclose(got, nonlinearity_R(u, spec) - u, rtol=1e-13, atol=1e-15)
 
 
 class TestLiftODE:
