@@ -249,30 +249,24 @@ def cmd_heston_simulate(args) -> int:
     return 0
 
 
-def cmd_heston_charfn(args) -> int:
-    return cmd_transform_charfn(args)
-
-
 def cmd_heston_price(args) -> int:
     model = configio.read_heston_model(args.model)
-    strikes = configio.parse_float_list(args.strikes)
+    strikes = np.array(configio.parse_float_list(args.strikes))
     if not 0 <= args.asset < model.d:
         raise ConfigError(f"--asset must lie in [0, {model.d}), got {args.asset}")
+    # priced first, so a bad strike or damping fails before the Monte Carlo
+    fp = fourier_price_call(model, args.asset, strikes, args.maturity,
+                            alpha=args.alpha, riccati_steps=args.riccati_steps)
     ps = simulate_heston_terminal(
         model, args.maturity, args.steps, args.paths, args.seed,
         workers=args.workers,
     )[:, 0, :]
-    spot = np.exp(ps[:, args.asset])
-    rows = []
-    for strike in strikes:
-        fp = fourier_price_call(model, args.asset, strike, args.maturity,
-                                alpha=args.alpha, riccati_steps=args.riccati_steps)
-        est = estimate_mean(np.clip(spot - strike, 0.0, None))
-        rows.append([strike, args.maturity, fp.price, fp.truncation_error,
-                     float(est.mean), float(est.stderr)])
+    payoffs = np.clip(np.exp(ps[:, args.asset]) - strikes[:, None], 0.0, None)
+    mc = np.array([[est.mean, est.stderr] for est in map(estimate_mean, payoffs)])
     _write_text(args.out, configio.format_csv(
         ["strike", "maturity", "fourier_price", "truncation_error", "mc_price",
-         "mc_stderr"], np.reshape(rows, (-1, 6)).T))
+         "mc_stderr"], [strikes, np.full_like(strikes, args.maturity), fp.price,
+                        fp.truncation_error, *mc.T]))
     return 0
 
 
@@ -420,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     hch.add_argument("--t", type=float, required=True)
     hch.add_argument("--riccati-steps", type=int, default=400)
     hch.add_argument("--out", default="-")
-    hch.set_defaults(fn=cmd_heston_charfn)
+    hch.set_defaults(fn=cmd_transform_charfn)
     hp = hesub.add_parser("price")
     hp.add_argument("--model", required=True)
     hp.add_argument("--asset", type=int, default=0)

@@ -13,8 +13,8 @@ sampled node innovations by conditional-Gaussian augmentation, so the
 leverage correlation survives the exact stepping; the price itself is an
 Euler step (weak error O(dt), every exp(P_i) remains a martingale of the
 discrete chain by construction).  The characteristic function delegates to
-the node-pair Riccati system and single strikes are priced by a damped
-inverse transform along one asset direction.
+the node-pair Riccati system, and a strike ladder is priced by a damped
+inverse transform along one asset direction from one solve of it.
 """
 
 from __future__ import annotations
@@ -267,41 +267,49 @@ def char_function(model: HestonModelSpec, v, t: float, n_steps: int = 400):
 
 @dataclass(frozen=True)
 class CallPrice:
-    price: float
-    strike: float
+    price: float | np.ndarray
+    strike: float | np.ndarray
     maturity: float
     asset: int
     damping: float
-    truncation_error: float
+    truncation_error: float | np.ndarray
 
 
 def fourier_price_call(
     model: HestonModelSpec,
     asset: int,
-    strike: float,
+    strike,
     maturity: float,
     alpha: float = 1.5,
     v_max: float = 200.0,
     n_quad: int = 2048,
     riccati_steps: int = 400,
 ) -> CallPrice:
-    """European call on exp(P_asset) by the damped inverse transform.
+    """European calls on exp(P_asset) by the damped inverse transform.
 
     price = e^(-alpha kappa) / pi * int_0^inf Re[e^(-i v kappa) Phi(v - i
     (alpha + 1)) / (alpha^2 + alpha - v^2 + i (2 alpha + 1) v)] dv with
     kappa = log strike and Phi the marginal characteristic function of
-    P_asset.  The damping strip is probed in the same batched solve as the
-    quadrature: Phi(-i (alpha + 1)) is the (alpha + 1) exponential moment
-    and must be finite.  The reported truncation error integrates the
-    envelope of the last decade of the quadrature range, in price units
-    (scaled by e^(-alpha kappa) / pi like the price).
+    P_asset.  Phi does not depend on the strike, so a 1-D strike ladder is
+    priced from one batched solve (price, strike and truncation_error come
+    back as arrays; a float strike gives floats).  The damping strip is
+    probed in that solve: Phi(-i (alpha + 1)) is the (alpha + 1) exponential
+    moment and must be finite.  The truncation error integrates the envelope
+    of the last decade of the quadrature range, in price units (scaled by
+    e^(-alpha kappa) / pi like the price).
     """
-    if strike <= 0.0:
-        raise ValueError("strike must be positive")
+    strikes = np.array(strike, dtype=float)
+    if strikes.ndim > 1 or strikes.size == 0:
+        raise ValueError("strike must be a float or a non-empty 1-D ladder")
+    for k in strikes.reshape(-1):
+        if not 0.0 < k < np.inf:
+            raise ValueError(f"strike must be positive and finite, got {k}")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"damping alpha must be positive and finite, got {alpha}")
     if not 0 <= asset < model.d:
         raise ValueError(f"asset must lie in [0, {model.d}), got {asset}")
     e_i = np.eye(model.d)[asset]
-    kappa = float(np.log(strike))
+    kappa = np.log(strikes.reshape(-1))
     # Gauss-Legendre panels on [0, v_max]
     nodes, weights = np.polynomial.legendre.leggauss(64)
     n_panels = max(n_quad // 64, 8)
@@ -326,17 +334,19 @@ def fourier_price_call(
         ) from exc
     phi = phi[1:]
     denom = alpha**2 + alpha - vs**2 + 1j * (2.0 * alpha + 1.0) * vs
-    integrand = np.exp(-1j * vs * kappa) * phi / denom
-    integral = float(np.sum(ws * integrand.real))
+    integrand = np.exp(-1j * vs * kappa[:, None]) * phi / denom
+    integral = np.sum(ws * integrand.real, axis=1)
     tail_mask = vs > 0.9 * v_max
     scale = np.exp(-alpha * kappa) / np.pi
     tail = scale * float(np.sum(np.abs(phi[tail_mask] / denom[tail_mask]) * ws[tail_mask]))
     price = scale * integral
+    if strikes.ndim == 0:
+        price, strikes, tail = float(price[0]), float(strikes), float(tail[0])
     return CallPrice(
-        price=float(price),
-        strike=float(strike),
+        price=price,
+        strike=strikes,
         maturity=float(maturity),
         asset=int(asset),
         damping=float(alpha),
-        truncation_error=float(tail),
+        truncation_error=tail,
     )

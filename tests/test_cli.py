@@ -406,13 +406,53 @@ class TestTransformCommands:
         assert err == [f"config error: --asset must lie in [0, 2), got {asset}"]
         assert not out.exists()
 
-    def test_heston_price_csv(self, tmp_path, heston_model_file):
+    @pytest.mark.parametrize("flags, message", [
+        (["--strikes=-1.0"], "error: strike must be positive and finite, got -1.0"),
+        (["--strikes", "1.0,nan"], "error: strike must be positive and finite, got nan"),
+        (["--strikes", "inf"], "error: strike must be positive and finite, got inf"),
+        (["--strikes", ""], "error: strike must be a float or a non-empty 1-D ladder"),
+        (["--strikes", "1.0", "--alpha", "0"],
+         "error: damping alpha must be positive and finite, got 0.0"),
+        (["--strikes", "1.0", "--alpha", "nan"],
+         "error: damping alpha must be positive and finite, got nan"),
+        (["--strikes", "1.0", "--alpha", "200"],
+         "error: damping alpha = 200.0 is outside the finite-moment strip"),
+    ], ids=["negative", "nan", "inf", "empty", "alpha-zero", "alpha-nan", "alpha-strip"])
+    def test_heston_price_bad_strike_or_damping(self, tmp_path, capsys, monkeypatch,
+                                                heston_model_file, flags, message):
+        # checked before the Monte Carlo runs
+        import mvolt.cli as cli_mod
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking --strikes and --alpha")
+
+        monkeypatch.setattr(cli_mod, "simulate_heston_terminal", no_simulation)
+        out = tmp_path / "price.csv"
+        rc = main(["heston", "price", "--model", heston_model_file, *flags,
+                   "--maturity", "1.0", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert not out.exists()
+
+    def test_heston_price_csv(self, tmp_path, heston_model_file, monkeypatch):
+        import mvolt.heston as heston_mod
+
+        solves = []
+        solve = heston_mod.solve_joint_riccati_heston
+
+        def counting(*args, **kwargs):
+            solves.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(heston_mod, "solve_joint_riccati_heston", counting)
         out = tmp_path / "price.csv"
         rc = main(["heston", "price", "--model", heston_model_file,
                    "--strikes", "0.9,1.0,1.1", "--maturity", "1.0",
                    "--paths", "4000", "--steps", "64", "--seed", "4",
                    "--out", str(out)])
         assert rc == 0
+        assert len(solves) == 1  # one joint Riccati solve for the whole ladder
         lines = out.read_text().strip().split("\n")
         assert lines[0] == ("strike,maturity,fourier_price,truncation_error,"
                             "mc_price,mc_stderr")

@@ -12,6 +12,7 @@ from mvolt.heston import (
     simulate_heston_terminal,
 )
 from mvolt.mc import path_rng
+from mvolt.riccati import solve_joint_riccati_heston
 from mvolt.validate import heston_reference_model
 
 
@@ -287,9 +288,9 @@ class TestFourierPricing:
         model = degenerate_model()
         t = 1.0
         var = 0.25**2 * (1.0 - np.exp(-0.6 * t)) / 0.6
-        for strike in (0.8, 1.0, 1.2):
-            fp = fourier_price_call(model, 0, strike, t)
-            assert abs(fp.price - bs_call(1.0, strike, var)) <= 1e-4
+        fp = fourier_price_call(model, 0, np.array([0.8, 1.0, 1.2]), t)
+        for strike, price in zip(fp.strike, fp.price):
+            assert abs(price - bs_call(1.0, strike, var)) <= 1e-4
 
     def test_deep_itm_lower_bound(self):
         model = degenerate_model()
@@ -299,9 +300,7 @@ class TestFourierPricing:
     def test_monotone_and_convex_in_strike(self):
         model = heston_reference_model()
         strikes = np.linspace(0.85, 1.15, 5)  # uniform 5-point stencil
-        prices = np.array(
-            [fourier_price_call(model, 0, k, 1.0).price for k in strikes]
-        )
+        prices = fourier_price_call(model, 0, strikes, 1.0).price
         assert np.all(np.diff(prices) < 0.0)
         second = np.diff(prices, 2)
         assert np.all(second >= -1e-8)
@@ -312,16 +311,61 @@ class TestFourierPricing:
         # factor of the price does
         model = degenerate_model()
         var = 0.25**2 * (1.0 - np.exp(-0.6)) / 0.6
-        low, high = (fourier_price_call(model, 0, k, 1.0, v_max=15.0, n_quad=512)
-                     for k in (0.8, 1.25))
-        for fp in (low, high):
-            assert 0.0 < abs(fp.price - bs_call(1.0, fp.strike, var)) <= fp.truncation_error
-        assert low.truncation_error == pytest.approx(
-            high.truncation_error * (1.25 / 0.8) ** 1.5, rel=1e-12)
+        fp = fourier_price_call(model, 0, np.array([0.8, 1.25]), 1.0, v_max=15.0,
+                                n_quad=512)
+        for strike, price, error in zip(fp.strike, fp.price, fp.truncation_error):
+            assert 0.0 < abs(price - bs_call(1.0, strike, var)) <= error
+        low, high = fp.truncation_error
+        assert low == pytest.approx(high * (1.25 / 0.8) ** 1.5, rel=1e-12)
+
+    @pytest.mark.parametrize("model", [heston_reference_model, two_atom_jump_model])
+    def test_ladder_equals_scalar_calls(self, model):
+        model = model()
+        strikes = np.linspace(0.8, 1.2, 5)
+        kw = dict(n_quad=512, riccati_steps=100)
+        ladder = fourier_price_call(model, 0, strikes, 1.0, **kw)
+        assert ladder.strike.tolist() == strikes.tolist()
+        for i, strike in enumerate(strikes):
+            fp = fourier_price_call(model, 0, float(strike), 1.0, **kw)
+            assert type(fp.price) is float and type(fp.truncation_error) is float
+            assert fp.price == ladder.price[i]
+            assert fp.truncation_error == ladder.truncation_error[i]
+
+    def test_one_riccati_solve_per_ladder(self, monkeypatch):
+        import mvolt.heston as heston_mod
+
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(args[0].shape)
+            return solve_joint_riccati_heston(*args, **kwargs)
+
+        monkeypatch.setattr(heston_mod, "solve_joint_riccati_heston", counting)
+        fp = fourier_price_call(heston_reference_model(), 0, np.linspace(0.8, 1.2, 9),
+                                1.0, n_quad=512, riccati_steps=100)
+        assert fp.price.shape == (9,)
+        assert solves == [(513, 2)]  # the strip probe and the 512 nodes
 
     def test_invalid_strike(self):
         with pytest.raises(ValueError, match="strike"):
             fourier_price_call(degenerate_model(), 0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("strike, message", [
+        (0.0, "positive and finite, got 0.0"),
+        (np.nan, "positive and finite, got nan"),
+        (np.inf, "positive and finite, got inf"),
+        ([1.0, np.nan], "positive and finite, got nan"),
+        ([], "non-empty 1-D ladder"),
+        ([[1.0]], "non-empty 1-D ladder"),
+    ])
+    def test_strike_not_positive_finite_or_ladder(self, strike, message):
+        with pytest.raises(ValueError, match=f"^strike must be .*{message}"):
+            fourier_price_call(degenerate_model(), 0, strike, 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, np.nan])
+    def test_nonpositive_damping(self, alpha):
+        with pytest.raises(ValueError, match="damping alpha must be positive"):
+            fourier_price_call(heston_reference_model(), 0, 1.0, 1.0, alpha=alpha)
 
     @pytest.mark.parametrize("asset", [2, -1])
     def test_asset_out_of_range(self, asset):
