@@ -37,9 +37,10 @@ from .heston import char_function, fourier_price_call, simulate_heston_terminal
 from .jumps import HawkesPathSimulator, hawkes_jump_spec
 from .measures import eval_kernel
 from .mc import estimate_mean, run_path_blocks
+from .ou import simulate_lift_blocks
 from .riccati import laplace_transform_jump
 from .validate import CHECKS, run_checks, wishart_transform_points
-from .wishart import XBlock, simulate_wishart
+from .wishart import simulate_wishart
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -109,49 +110,42 @@ def cmd_kernel_eval(args) -> int:
 # ou / wishart ----------------------------------------------------------------
 
 def _simulation_times(dt: float, steps: int) -> np.ndarray:
+    if not (dt > 0.0 and steps >= 1):
+        raise ConfigError(f"need --dt > 0 and --steps >= 1, got {dt} and {steps}")
     return np.linspace(dt, steps * dt, steps)
 
 
 def cmd_ou_simulate(args) -> int:
     measure = configio.read_measure(args.measure)
-    gamma0_m = configio.read_measure(args.gamma0)
-    if not np.array_equal(gamma0_m.nodes, measure.nodes):
-        raise ConfigError("gamma0 and measure must share the same nodes")
+    gamma0 = configio.read_gamma0(args.gamma0, measure)
     times = _simulation_times(args.dt, args.steps)
-    xs = run_path_blocks(
-        XBlock(measure, gamma0_m.weights, times), args.paths, args.seed,
-        workers=args.workers,
-    )
+    xs = run_path_blocks(partial(simulate_lift_blocks, measure, gamma0, times),
+                         args.paths, args.seed, workers=args.workers)
     _write_path_csv(args.out, "X", times, xs)
     return 0
 
 
 def cmd_wishart_simulate(args) -> int:
     measure = configio.read_measure(args.measure)
-    gamma0_m = configio.read_measure(args.gamma0)
+    gamma0 = configio.read_gamma0(args.gamma0, measure)
     times = _simulation_times(args.dt, args.steps)
-    vs = simulate_wishart(
-        measure, gamma0_m.weights, times, args.paths, args.seed,
-        workers=args.workers,
-    )
+    vs = simulate_wishart(measure, gamma0, times, args.paths, args.seed,
+                          workers=args.workers)
     _write_path_csv(args.out, "V", times, vs)
     return 0
 
 
 def cmd_wishart_transform(args) -> int:
     measure = configio.read_measure(args.measure)
-    gamma0_m = configio.read_measure(args.gamma0)
+    gamma0 = configio.read_gamma0(args.gamma0, measure)
     c_sec = configio.read_sections(args.c)[""]
     if "c" not in c_sec:
         raise ConfigError(f"{args.c}: missing 'c' field (n x d matrix)")
     c = np.asarray(c_sec["c"], dtype=float)
     times = np.asarray(configio.parse_float_list(args.times))
-    vs = simulate_wishart(
-        measure, gamma0_m.weights, times, args.paths, args.seed,
-        workers=args.workers,
-    )
-    entries = wishart_transform_points(measure, gamma0_m.weights, [c] * times.size,
-                                       times, vs)
+    vs = simulate_wishart(measure, gamma0, times, args.paths, args.seed,
+                          workers=args.workers)
+    entries = wishart_transform_points(measure, gamma0, [c] * times.size, times, vs)
     _write_text(args.out, _json_report(_clean({"entries": entries,
                                                "paths": args.paths,
                                                "seed": args.seed})))

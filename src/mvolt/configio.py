@@ -122,6 +122,16 @@ def read_measure(path) -> AtomicMatrixMeasure:
     return measure_from_dict(read_sections(path)[""], source=str(path))
 
 
+def read_gamma0(path, measure: AtomicMatrixMeasure) -> np.ndarray:
+    """Initial lift data (k, n, d) from a measure file on the measure's nodes."""
+    gamma0 = read_measure(path)
+    if not np.array_equal(gamma0.nodes, measure.nodes):
+        raise ConfigError(f"{path}: gamma0 and measure must share the same nodes")
+    if gamma0.d != measure.d:
+        raise ConfigError(f"{path}: gamma0 has d = {gamma0.d}, the measure d = {measure.d}")
+    return gamma0.weights
+
+
 # jump model files ----------------------------------------------------------
 
 def read_jump_model(path) -> tuple[AtomicMatrixMeasure, np.ndarray, JumpMeasureSpec]:

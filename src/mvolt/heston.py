@@ -126,6 +126,8 @@ class HestonSimulator:
         self.model = model
         self.horizon = float(horizon)
         self.n_steps = int(n_steps)
+        if self.n_steps < 1:
+            raise ValueError(f"need at least one step, got n_steps = {self.n_steps}")
         self.dt = self.horizon / self.n_steps
         self.op = StepOperator.build(model.measure, self.dt)
         times = np.linspace(0.0, self.horizon, self.n_steps + 1)

@@ -91,8 +91,13 @@ class JumpMeasureSpec:
         return self.atoms.shape[0]
 
     def atom_norms(self) -> np.ndarray:
-        """Frobenius norms ||xi_r||, floored at 1 in the intensity scaling."""
+        """Frobenius norms ||xi_r||."""
         return np.sqrt(np.einsum("rab,rab->r", self.atoms, self.atoms))
+
+    def rate_weights(self) -> np.ndarray:
+        """mu_r / (||xi_r|| /\\ 1), so that atom r fires at rate Tr(V rate_weights_r)."""
+        scale = np.minimum(self.atom_norms(), 1.0).clip(min=1e-300)
+        return self.weights / scale[:, None, None]
 
 
 def empty_jump_spec(d: int) -> JumpMeasureSpec:
@@ -161,10 +166,7 @@ def intensity(state: JumpLiftState, spec: JumpMeasureSpec) -> np.ndarray:
     """Per-atom rates Tr(V mu_r) / (||xi_r|| /\\ 1), clipped at zero."""
     if spec.n_atoms == 0:
         return np.zeros(0)
-    v = state.total
-    raw = np.einsum("ab,rab->r", v, spec.weights)
-    raw = raw / np.minimum(spec.atom_norms(), 1.0).clip(min=1e-300)
-    return np.clip(raw, 0.0, None)
+    return np.clip(np.einsum("ab,rab->r", state.total, spec.rate_weights()), 0.0, None)
 
 
 def jump_increment(measure: AtomicMatrixMeasure, xi: np.ndarray, eps: float) -> np.ndarray:
@@ -355,8 +357,7 @@ def _thin_paths(
     n_paths = len(rngs)
     times = grid.times
     n_rec = len(times)
-    norms = np.minimum(spec.atom_norms(), 1.0).clip(min=1e-300)
-    weights_scaled = spec.weights / norms[:, None, None]
+    weights_scaled = spec.rate_weights()
     jump_incs = np.array(
         [jump_increment(measure, xi, spec.epsilon_shift).reshape(-1) for xi in spec.atoms]
     ).reshape(m, kn)

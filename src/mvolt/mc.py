@@ -250,7 +250,9 @@ def run_path_blocks(
     return np.concatenate([np.asarray(c) for c in chunks], axis=0)
 
 
-def _estimate_from_values(values: np.ndarray, block_size: int) -> Estimate:
+def estimate_mean(values, block_size: int = BLOCK_SIZE) -> Estimate:
+    """Estimate from real per-path values produced by :func:`run_path_blocks`."""
+    values = np.asarray(values).astype(float)
     n = values.shape[0]
     mean = values.mean(axis=0)
     if n > 1:
@@ -264,18 +266,3 @@ def _estimate_from_values(values: np.ndarray, block_size: int) -> Estimate:
         [values[a:b].mean(axis=0) for a, b in zip(edges[:-1], edges[1:])]
     )
     return Estimate(mean=mean, stderr=stderr, n_paths=n, batch_means=batch_means)
-
-
-def estimate_mean(values, block_size: int = BLOCK_SIZE) -> Estimate:
-    """Estimate from per-path values produced by :func:`run_path_blocks`."""
-    values = np.asarray(values)
-    if np.iscomplexobj(values):
-        re = _estimate_from_values(values.real, block_size)
-        im = _estimate_from_values(values.imag, block_size)
-        return Estimate(
-            mean=re.mean + 1j * im.mean,
-            stderr=np.sqrt(re.stderr**2 + im.stderr**2),
-            n_paths=re.n_paths,
-            batch_means=re.batch_means + 1j * im.batch_means,
-        )
-    return _estimate_from_values(values.astype(float), block_size)

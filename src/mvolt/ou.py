@@ -105,6 +105,27 @@ class StepOperator:
         return self.decay[None, :, None, None] * gamma + innov.transpose(0, 2, 1, 3)
 
 
+def check_lift_inputs(
+    measure: AtomicMatrixMeasure, gamma0, times
+) -> tuple[np.ndarray, np.ndarray]:
+    """gamma0 (k, n, d) and times as float arrays, checked against the measure.
+
+    Raises ValueError unless gamma0 has the measure's k and d and the times
+    form a nonempty, strictly increasing 1-d array of t >= 0.
+    """
+    gamma0 = np.asarray(gamma0, dtype=float)
+    if gamma0.ndim != 3 or gamma0.shape[::2] != (measure.k, measure.d):
+        raise ValueError(
+            f"gamma0 must have shape ({measure.k}, n, {measure.d}), got {gamma0.shape}"
+        )
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or np.any(times < 0.0):
+        raise ValueError("times must be a nonempty 1-d array of t >= 0")
+    if np.any(np.diff(times) <= 0.0):
+        raise ValueError("times must be strictly increasing")
+    return gamma0, times
+
+
 def simulate_lift_blocks(
     measure: AtomicMatrixMeasure,
     gamma0: np.ndarray,
@@ -113,26 +134,20 @@ def simulate_lift_blocks(
     start: int,
     stop: int,
 ) -> np.ndarray:
-    """Exact lift states for paths [start, stop) at the requested times.
+    """The projection X = sum_i gamma(x_i) for paths [start, stop).
 
-    Returns gamma samples of shape (stop-start, len(times), k, n, d).  Path
-    p draws its noise from ``path_rng(seed, p)`` exclusively, one
-    (len(times), n, k d) Gaussian tensor per path, so results are
-    scheduling-independent; the block draws them through
-    :func:`~mvolt.mc.path_streams`.  Steps are taken between consecutive
-    distinct times; exactness of the one-step law makes the grid choice
-    immaterial.
+    Returns X samples of shape (stop-start, len(times), n, d); the nodes are
+    summed after each step, so no per-node record is kept.  Path p draws its
+    noise from ``path_rng(seed, p)`` exclusively, one (len(times), n, k d)
+    Gaussian tensor per path, so results are scheduling-independent; the
+    block draws them through :func:`~mvolt.mc.path_streams`.  Steps are
+    taken between consecutive times; exactness of the one-step law makes
+    the grid choice immaterial.
     """
     from .mc import path_streams
 
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(times < 0.0):
-        raise ValueError("times must be a nonempty 1-d array of t >= 0")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be strictly increasing")
-    k, d = measure.k, measure.d
-    gamma0 = np.asarray(gamma0, dtype=float)
-    n = gamma0.shape[1]
+    gamma0, times = check_lift_inputs(measure, gamma0, times)
+    k, n, d = gamma0.shape
     steps = np.diff(np.concatenate([[0.0], times]))
     ops = []
     cache: dict[float, StepOperator] = {}
@@ -147,10 +162,10 @@ def simulate_lift_blocks(
     for row, rng in enumerate(path_streams(seed, start, stop)):
         rng.standard_normal(out=noise[row])
 
-    out = np.empty((n_paths, times.size, k, n, d))
+    out = np.empty((n_paths, times.size, n, d))
     gamma = np.broadcast_to(gamma0, (n_paths, k, n, d)).copy()
     for m, op in enumerate(ops):
         if op is not None:
             gamma = op.step(gamma, noise[:, m])
-        out[:, m] = gamma
+        out[:, m] = gamma.sum(axis=1)
     return out

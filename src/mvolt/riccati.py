@@ -59,8 +59,7 @@ def _jump_operators(spec: JumpMeasureSpec, d: int) -> tuple[np.ndarray, np.ndarr
     column r of W is vec(mu_r) / (||xi_r|| /\\ 1); both empty without atoms."""
     r = spec.n_atoms
     xi = spec.atoms.transpose(0, 2, 1).reshape(r, d * d)
-    scale = np.minimum(spec.atom_norms(), 1.0).clip(min=1e-300)
-    return xi, (spec.weights.reshape(r, d * d) / scale[:, None]).T
+    return xi, spec.rate_weights().reshape(r, d * d).T
 
 
 def _lift_operators(measure: AtomicMatrixMeasure, spec: JumpMeasureSpec):
@@ -274,7 +273,11 @@ def solve_joint_riccati_heston(
     exp(-(n/2)(log det X + t Tr A) - Tr(Psi Lambda) + w^T P_0), Lambda_ij =
     gamma0_i^T gamma0_j.  The first checkpoint at which X is singular, det X
     turns by over a quarter turn or |Psi| exceeds ``BLOWUP_LIMIT`` raises.
+    Raises ValueError unless 0 <= t < inf and n_steps >= 1.
     """
+    if not (0.0 <= t < np.inf and n_steps >= 1):
+        raise ValueError(f"need 0 <= t < inf and n_steps >= 1, got t = {t}, "
+                         f"n_steps = {n_steps}")
     w = np.atleast_2d(np.asarray(w, dtype=complex))
     k, d = measure.k, measure.d
     kd, B = k * d, w.shape[0]

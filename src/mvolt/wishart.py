@@ -23,12 +23,13 @@ Monte Carlo validation in the test suite arbitrates it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .measures import AtomicMatrixMeasure, pair_decay_integrals
 from .mc import run_path_blocks
-from .ou import simulate_lift_blocks
+from .ou import check_lift_inputs, simulate_lift_blocks
 
 
 @dataclass(frozen=True)
@@ -64,32 +65,6 @@ def noise_variance(measure: AtomicMatrixMeasure, t: float) -> np.ndarray:
     """Q_t = int_0^t K(s)^2 ds, the per-row covariance of the OU projection."""
     E = pair_decay_integrals(measure.nodes, t)
     return np.einsum("ij,iab,jbc->ac", E, measure.weights, measure.weights)
-
-
-def argument_from_psd(u: np.ndarray, n: int) -> np.ndarray:
-    """Factor a PSD matrix u as c^T c with c of row count n.
-
-    The symmetric square root is padded with zero rows when n > d; a u of
-    rank exceeding n admits no such factorization and is rejected.
-    """
-    u = np.asarray(u, dtype=float)
-    d = u.shape[0]
-    evals, Q = np.linalg.eigh(0.5 * (u + u.T))
-    tol = 1e-12 * max(float(evals[-1]), 1.0)
-    if evals[0] < -tol:
-        raise ValueError("argument u must be positive semidefinite")
-    evals = np.clip(evals, 0.0, None)
-    rank = int(np.sum(evals > tol))
-    if rank > n:
-        raise ValueError(
-            f"u has rank {rank} > n = {n}; u = c^T c requires rank <= n"
-        )
-    root = (Q * np.sqrt(evals)[None, :]) @ Q.T
-    if n >= d:
-        return np.vstack([root, np.zeros((n - d, d))])
-    # n < d with rank <= n: keep the n leading spectral rows
-    order = np.argsort(evals)[::-1][:n]
-    return (np.sqrt(evals[order])[:, None] * Q[:, order].T)
 
 
 def _transform_pieces(query: WishartTransformQuery, measure: AtomicMatrixMeasure):
@@ -142,36 +117,6 @@ def affine_transform_wishart(
     return float(phi), pairing
 
 
-class XBlock:
-    """Block simulator of X = sum_i gamma(x_i), the OU lift's projection.
-
-    Picklable; returns samples of shape (paths, len(times), n, d) for paths
-    [start, stop), path p drawing from ``path_rng(seed, p)`` only.
-    """
-
-    def __init__(self, measure: AtomicMatrixMeasure, gamma0, times):
-        self.measure = measure
-        self.gamma0 = np.asarray(gamma0, dtype=float)
-        self.times = np.asarray(times, dtype=float)
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-
-    def __call__(self, seed: int, start: int, stop: int) -> np.ndarray:
-        gam = simulate_lift_blocks(
-            self.measure, self.gamma0, self.times, seed, start, stop
-        )
-        return gam.sum(axis=2)
-
-
-class WishartSimulator(XBlock):
-    """Block simulator of V = X^T X at a fixed set of times."""
-
-    def __call__(self, seed: int, start: int, stop: int) -> np.ndarray:
-        """V samples of shape (paths, len(times), d, d) for paths [start, stop)."""
-        X = super().__call__(seed, start, stop)
-        return np.einsum("ptna,ptnb->ptab", X, X)
-
-
 def simulate_wishart(
     measure: AtomicMatrixMeasure,
     gamma0,
@@ -185,8 +130,10 @@ def simulate_wishart(
     Deterministic given (seed, n_paths): path p consumes only its own
     stream, so the result is independent of workers and blocking.
     """
-    sim = WishartSimulator(measure, gamma0, times)
-    return run_path_blocks(sim, n_paths, seed, workers=workers)
+    gamma0, times = check_lift_inputs(measure, gamma0, times)
+    X = run_path_blocks(partial(simulate_lift_blocks, measure, gamma0, times),
+                        n_paths, seed, workers=workers)
+    return np.einsum("ptna,ptnb->ptab", X, X)
 
 
 def mean_wishart(measure: AtomicMatrixMeasure, gamma0, t: float) -> np.ndarray:

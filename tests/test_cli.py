@@ -122,6 +122,63 @@ class TestSimulationCommands:
         header = out.read_text().split("\n")[0]
         assert header == "path,t,V_11,V_12,V_21,V_22"
 
+    @pytest.mark.parametrize("gamma0, message", [
+        ("nodes = [0.5, 3.0]\nweights = [[[0.1, 0.0]], [[0.0, 0.1]]]\n"
+         "d = 2\nn = 1\nshape = 'general'\n",
+         "gamma0 and measure must share the same nodes"),
+        ("nodes = [0.5]\nweights = [[[0.1, 0.0]]]\nd = 2\nn = 1\nshape = 'general'\n",
+         "gamma0 and measure must share the same nodes"),
+        ("nodes = [0.5, 2.0]\nweights = [[[0.1]], [[0.2]]]\nd = 1\nn = 1\n"
+         "shape = 'general'\n", "gamma0 has d = 1, the measure d = 2"),
+    ], ids=["other-nodes", "k1-against-k2", "other-d"])
+    def test_gamma0_must_match_the_measure(self, tmp_path, capsys, measure_file,
+                                           gamma0, message):
+        # every command that reads --gamma0 checks it before any block runs
+        bad = write(tmp_path / "bad.cfg", gamma0)
+        cfile = write(tmp_path / "c.cfg", "c = [[0.5, 0.0], [0.0, 0.5]]\n")
+        out = tmp_path / "out.txt"
+        for cmd in (["ou", "simulate", "--dt", "0.5", "--steps", "2"],
+                    ["wishart", "simulate", "--dt", "0.5", "--steps", "2"],
+                    ["wishart", "transform", "--c", cfile, "--times", "0.5"]):
+            rc = main([*cmd, "--measure", measure_file, "--gamma0", bad,
+                       "--paths", "4", "--out", str(out)])
+            assert rc == 2, cmd
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"config error: {bad}: {message}"], cmd
+            assert not out.exists()
+
+    @pytest.mark.parametrize("cmd, message", [
+        (["ou", "simulate", "--dt", "0.5", "--steps", "0"],
+         "config error: need --dt > 0 and --steps >= 1, got 0.5 and 0"),
+        (["wishart", "simulate", "--dt", "0.5", "--steps", "0"],
+         "config error: need --dt > 0 and --steps >= 1, got 0.5 and 0"),
+        (["wishart", "simulate", "--dt=-0.5", "--steps", "2"],
+         "config error: need --dt > 0 and --steps >= 1, got -0.5 and 2"),
+        (["wishart", "transform", "--times=-0.5,1.0"],
+         "error: times must be a nonempty 1-d array of t >= 0"),
+    ], ids=["ou-steps-0", "wishart-steps-0", "wishart-negative-dt", "transform-negative"])
+    def test_bad_times_exit_two_before_any_block(self, tmp_path, capsys, measure_file,
+                                                 gamma0_file, cmd, message):
+        cfile = write(tmp_path / "c.cfg", "c = [[0.5, 0.0], [0.0, 0.5]]\n")
+        if cmd[1] == "transform":
+            cmd = [*cmd, "--c", cfile]
+        out = tmp_path / "out.txt"
+        rc = main([*cmd, "--measure", measure_file, "--gamma0", gamma0_file,
+                   "--paths", "4", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [message]
+        assert not out.exists()
+
+    def test_heston_simulate_needs_a_step(self, tmp_path, capsys, heston_model_file):
+        out = tmp_path / "prices.csv"
+        rc = main(["heston", "simulate", "--model", heston_model_file, "--T", "0.5",
+                   "--steps", "0", "--paths", "3", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: need at least one step, got n_steps = 0"]
+        assert not out.exists()
+
     def test_heston_simulate_csv(self, tmp_path, heston_model_file):
         text = (tmp_path / "heston.cfg").read_text()
         model = write(tmp_path / "p0.cfg",
@@ -294,6 +351,21 @@ class TestTransformCommands:
         assert len(rep["entries"]) == 2
         for entry in rep["entries"]:
             assert entry["modulus"] <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--t", "-1"], "got t = -1.0, n_steps = 400"),
+        (["--t", "nan"], "got t = nan, n_steps = 400"),
+        (["--t", "1.0", "--riccati-steps", "0"], "got t = 1.0, n_steps = 0"),
+    ], ids=["negative-t", "nan-t", "no-steps"])
+    def test_transform_charfn_bad_t_or_steps(self, tmp_path, capsys, heston_model_file,
+                                             flags, message):
+        out = tmp_path / "cf.json"
+        rc = main(["transform", "charfn", "--model", heston_model_file,
+                   "--v", "1.0,0.0", *flags, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: need 0 <= t < inf and n_steps >= 1, {message}"]
+        assert not out.exists()
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         # V explodes at rate 2 nu = 1e4: the lift Riccati solution is about

@@ -373,6 +373,13 @@ class TestFourierPricing:
         with pytest.raises(ValueError, match="asset"):
             fourier_price_call(heston_reference_model(), asset, 1.0, 1.0)
 
+    @pytest.mark.parametrize("maturity", [-1.0, np.nan, np.inf])
+    def test_maturity_outside_zero_to_inf(self, maturity):
+        # T = -1 used to return a price of -0.856
+        with pytest.raises(ValueError, match="0 <= t < inf"):
+            fourier_price_call(heston_reference_model(), 0, 1.0, maturity,
+                               n_quad=512, riccati_steps=100)
+
     def test_bad_damping_reported(self):
         model = heston_reference_model()
         with pytest.raises(ValueError, match="alpha"):
@@ -390,6 +397,10 @@ class TestPriceRecords:
         np.testing.assert_allclose(pv[:, -1, :2], term[:, 0], rtol=1e-12)
         assert np.all(np.isfinite(pv[:, :, :2]))
         assert np.all(pv[:, :, 2:] >= -1e-12)
+
+    def test_needs_a_step(self):
+        with pytest.raises(ValueError, match="at least one step"):
+            simulate_heston_terminal(heston_reference_model(), 1.0, 0, 3, 0)
 
     def test_record_time_past_horizon(self):
         with pytest.raises(ValueError, match=r"step grid \[0, T\]"):

@@ -171,11 +171,13 @@ class TestSimulatePath:
         assert rec.jump_times.size == 0
 
     def test_symmetry_preserved(self):
-        m, spec, state = diagonal_preset()
-        rec = simulate_jump_path(state, spec, 2.0, np.random.default_rng(3),
-                                 0.25, TimeGrid.regular(2.0, 8))
-        lam = rec.final_state.lam
-        np.testing.assert_allclose(lam, np.swapaxes(lam, 1, 2), atol=1e-12)
+        # the recorded V is not symmetrized, and on this model's non-diagonal
+        # nodes and atoms the flow and the jumps could break its symmetry
+        sim, _ = _reference_model("two_atom_eps")
+        rec = sim(np.random.default_rng(3))
+        assert rec.jump_times.size > 0
+        v = rec.v_path
+        np.testing.assert_allclose(v, np.swapaxes(v, 1, 2), atol=1e-12)
 
     def test_diagonal_cone_preserved(self):
         _, spec, state = diagonal_preset()

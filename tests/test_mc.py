@@ -6,7 +6,6 @@ import pytest
 import mvolt.mc
 from mvolt.jumps import HawkesPathSimulator, JumpMeasureSpec
 from mvolt.mc import (
-    Estimate,
     estimate_mean,
     path_generators,
     path_keys,
@@ -15,7 +14,7 @@ from mvolt.mc import (
     run_path_blocks,
 )
 from mvolt.measures import AtomicMatrixMeasure
-from mvolt.wishart import XBlock
+from mvolt.ou import simulate_lift_blocks
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7]
 PATH_RANGES = [(0, 50), (2**32 - 3, 2**32 + 3)]
@@ -106,7 +105,8 @@ def _path_rng_loop(seed, start, stop):
 def test_x_block_matches_path_rng_loop(workers, monkeypatch):
     rng = np.random.default_rng(8)
     measure = AtomicMatrixMeasure([0.4, 3.0], [np.eye(2) * 0.3, [[0.2, 0.05], [0.05, 0.1]]])
-    block = XBlock(measure, rng.normal(size=(2, 3, 2)) * 0.2, [0.25, 0.5, 1.0])
+    block = partial(simulate_lift_blocks, measure, rng.normal(size=(2, 3, 2)) * 0.2,
+                    [0.25, 0.5, 1.0])
     seed = 2**40 + 3
     with monkeypatch.context() as m:
         m.setattr(mvolt.mc, "path_streams", _path_rng_loop)
@@ -210,12 +210,3 @@ def test_block_failure_keeps_type_and_names_block():
     with pytest.raises(FloatingPointError,
                        match=r"synthetic blow-up on paths \[256, 300\) \(seed 7\)"):
         run_path_blocks(_failing_block, 300, seed=7, block_size=256, workers=2)
-
-
-def test_estimate_mean_complex_values():
-    rng = np.random.default_rng(0)
-    vals = np.exp(1j * rng.normal(size=4000))
-    est = estimate_mean(vals)
-    assert isinstance(est, Estimate)
-    assert abs(est.mean - vals.mean()) < 1e-12
-    assert est.stderr > 0.0

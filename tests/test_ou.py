@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvolt.mc import path_streams
 from mvolt.measures import AtomicMatrixMeasure
 from mvolt.ou import StepOperator, node_covariance, simulate_lift_blocks
 from mvolt.wishart import mean_projection
@@ -91,8 +92,7 @@ def test_mc_mean_matches_decay():
     m = two_node_measure()
     g0 = np.random.default_rng(2).normal(size=(2, 2, 2))
     times = np.array([0.4, 1.1])
-    gam = simulate_lift_blocks(m, g0, times, seed=9, start=0, stop=30_000)
-    xs = gam.sum(axis=2)
+    xs = simulate_lift_blocks(m, g0, times, seed=9, start=0, stop=30_000)
     for j, t in enumerate(times):
         target = mean_projection(g0, m.nodes, t)
         mean = xs[:, j].mean(axis=0)
@@ -105,12 +105,21 @@ def test_tower_property_of_forward_curve():
     m = two_node_measure()
     g0 = np.random.default_rng(4).normal(size=(2, 1, 2))
     s, t = 0.5, 1.2
-    gam = simulate_lift_blocks(m, g0, np.array([s]), seed=13, start=0, stop=30_000)
+    noise = np.array([rng.standard_normal((1, 4)) for rng in path_streams(13, 0, 30_000)])
+    gam = StepOperator.build(m, s).step(np.broadcast_to(g0, (30_000, 2, 1, 2)), noise)
     damp = np.exp(-m.nodes * (t - s))
-    fwd = np.einsum("i,pina->pna", damp, gam[:, 0])
+    fwd = np.einsum("i,pina->pna", damp, gam)
     target = mean_projection(g0, m.nodes, t)
     se = fwd.std(axis=0, ddof=1) / np.sqrt(fwd.shape[0])
     assert np.all(np.abs(fwd.mean(axis=0) - target) <= 3.5 * se)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 2), (3, 1, 2), (2, 1, 1), (2, 2)],
+                         ids=["k1", "k3", "d1", "2d"])
+def test_lift_blocks_reject_gamma0_off_the_measure(shape):
+    # a k = 1 gamma0 used to be broadcast to both nodes
+    with pytest.raises(ValueError, match=r"gamma0 must have shape \(2, n, 2\)"):
+        simulate_lift_blocks(two_node_measure(), np.ones(shape), [0.5], 0, 0, 3)
 
 
 class TestStepOperatorValidation:

@@ -361,6 +361,22 @@ class TestJointRiccati:
             )
 
 
+    @pytest.mark.parametrize("t, n_steps", [(-1.0, 50), (np.nan, 50), (np.inf, 50),
+                                            (1.0, 0)])
+    def test_rejects_bad_time_or_step_count(self, t, n_steps):
+        measure, gamma0 = self.heston_like()
+        with pytest.raises(ValueError, match="need 0 <= t < inf and n_steps >= 1"):
+            solve_joint_riccati_heston(1j * np.array([[1.0, 0.5]]), measure, gamma0,
+                                       np.array([-0.5, 0.0]), t, n_steps=n_steps)
+
+    def test_time_zero_is_the_initial_price(self):
+        measure, gamma0 = self.heston_like()
+        v, p0 = np.array([[1.0, 0.5], [-2.0, 3.0]]), np.array([0.1, -0.2])
+        res = solve_joint_riccati_heston(1j * v, measure, gamma0, np.array([-0.5, 0.0]),
+                                         0.0, p0=p0, n_steps=50)
+        np.testing.assert_allclose(res.char, np.exp(1j * v @ p0), rtol=1e-14)
+
+
 def node_pair_charfn_dop853(v, measure, gamma0, rho, t):
     """E[exp(i v^T P_t)] from the node-pair system written from the generator.
 

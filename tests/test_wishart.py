@@ -1,14 +1,15 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvolt.mc import run_path_blocks
 from mvolt.measures import AtomicMatrixMeasure
+from mvolt.ou import simulate_lift_blocks
 from mvolt.wishart import (
     WishartTransformQuery,
-    XBlock,
     affine_transform_wishart,
-    argument_from_psd,
     closed_form_laplace,
     mean_wishart,
     noise_variance,
@@ -153,37 +154,12 @@ class TestSimulation:
         np.testing.assert_array_equal(a, b)
 
 
-class TestArgumentFactorization:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(21)
-        a = rng.normal(size=(2, 2))
-        u = a @ a.T
-        c = argument_from_psd(u, n=3)
-        assert c.shape == (3, 2)
-        np.testing.assert_allclose(c.T @ c, u, atol=1e-12)
-
-    def test_rank_exceeds_n_rejected(self):
-        u = np.eye(3)
-        with pytest.raises(ValueError, match="rank"):
-            argument_from_psd(u, n=2)
-
-    def test_non_psd_rejected(self):
-        with pytest.raises(ValueError, match="semidefinite"):
-            argument_from_psd(np.array([[1.0, 0.0], [0.0, -0.5]]), n=2)
-
-    def test_low_rank_with_small_n(self):
-        u = np.outer([1.0, 2.0], [1.0, 2.0])
-        c = argument_from_psd(u, n=1)
-        assert c.shape == (1, 2)
-        np.testing.assert_allclose(c.T @ c, u, atol=1e-12)
-
-
 class TestPathRecord:
     def test_construction_identity_enforced(self):
         # V = X^T X holds sample by sample, so every V sample is PSD
         measure, gamma0, _ = random_setup(23)
         times = [0.5, 1.0]
-        x = XBlock(measure, gamma0, times)(3, 0, 5)
+        x = simulate_lift_blocks(measure, gamma0, times, 3, 0, 5)
         v = simulate_wishart(measure, gamma0, times, 5, seed=3)
         assert x.shape == (5, 2, 3, 2)
         np.testing.assert_allclose(v, np.einsum("ptna,ptnb->ptab", x, x),
@@ -194,7 +170,7 @@ class TestPathRecord:
     def test_simulated_records(self):
         # path p of the X block does not depend on how paths are blocked
         measure, gamma0, _ = random_setup(23)
-        block = XBlock(measure, gamma0, [0.5, 1.0])
+        block = partial(simulate_lift_blocks, measure, gamma0, [0.5, 1.0])
         np.testing.assert_array_equal(
             run_path_blocks(block, 5, seed=3, block_size=2), block(3, 0, 5)
         )
