@@ -22,7 +22,6 @@ from .jumps import (
     JumpLiftState,
     JumpMeasureSpec,
     hawkes_jump_spec,
-    intensity,
     simulate_jump_path,
     volterra_projection,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "JumpLiftState",
     "JumpMeasureSpec",
     "hawkes_jump_spec",
-    "intensity",
     "simulate_jump_path",
     "volterra_projection",
     "laplace_transform_jump",

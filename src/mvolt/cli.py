@@ -142,6 +142,9 @@ def cmd_wishart_transform(args) -> int:
     if "c" not in c_sec:
         raise ConfigError(f"{args.c}: missing 'c' field (n x d matrix)")
     c = np.asarray(c_sec["c"], dtype=float)
+    if c.ndim != 2 or c.shape[1] != measure.d:
+        raise ConfigError(f"{args.c}: c must be a matrix with d = {measure.d} columns, "
+                          f"got shape {c.shape}")
     times = np.asarray(configio.parse_float_list(args.times))
     vs = simulate_wishart(measure, gamma0, times, args.paths, args.seed,
                           workers=args.workers)

@@ -60,7 +60,10 @@ class HestonModelSpec:
         )
         jw = np.zeros((0, d, d)) if self.jump_weights is None else np.array(
             self.jump_weights, dtype=float
-        ).reshape(ja.shape[0], d, d)
+        )
+        if ja.ndim != 2 or ja.shape[1] != d or jw.shape != (ja.shape[0], d, d):
+            raise ValueError(f"need jump atoms of shape (J, {d}) and one {d} x {d} "
+                             f"weight per atom, got atoms {ja.shape} and weights {jw.shape}")
         for a in (g, rho, p0, ja, jw):
             a.setflags(write=False)
         object.__setattr__(self, "gamma0", g)

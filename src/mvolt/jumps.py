@@ -22,12 +22,11 @@ batch of states.  A block of paths is thinned in lockstep: one loop keeps
 every path's state in arrays and advances them together, while path p
 draws from its own stream exactly what it would draw alone, so each record
 is bit-identical to the one a lone path gets.  A control interval whose
-dominating rate runs away raises FloatingPointError.  The driving
-semimartingale
-
-    X_t = int_0^t V_s ds + sum_{jumps <= t} xi
-
-is accumulated alongside; the Volterra representation
+dominating rate runs away raises FloatingPointError.  A path's record
+holds V and the cumulative atom counts on a time grid, the jump log (times,
+atoms, total rate just before each jump) and the compensators
+int_0^T rate_r dt.  With X^jump_t = sum_{jumps <= t} xi, the Volterra
+representation
 
     V_t = h(t) + int_0^t K(t-s+eps) dX^jump_s + (mirror)
                + int_0^t (K(t-s) V_s + V_s K(t-s)) ds,
@@ -57,6 +56,15 @@ MAX_INTERVAL_CANDIDATES = 1e6
 CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
+def _matrix_stack(values) -> np.ndarray:
+    """values as an (m, d, d) stack; an empty (0, d, d) stack keeps its d and
+    only a shapeless [] becomes (0, 1, 1)."""
+    arr = np.array(values, dtype=float)
+    if arr.ndim >= 3 or arr.size:
+        return arr.reshape(-1, *arr.shape[-2:])
+    return np.zeros((0, 1, 1))
+
+
 @dataclass(frozen=True)
 class JumpMeasureSpec:
     """Finite jump measure: PSD atom sizes, PSD weight matrices, eps shift."""
@@ -66,13 +74,10 @@ class JumpMeasureSpec:
     epsilon_shift: float = 0.0
 
     def __post_init__(self):
-        atoms = np.array(self.atoms, dtype=float)
-        # an empty (0, d, d) stack keeps its d; only a shapeless [] has none
-        if atoms.ndim >= 3 or atoms.size:
-            atoms = atoms.reshape(-1, *atoms.shape[-2:])
-        else:
-            atoms = np.zeros((0, 1, 1))
-        weights = np.array(self.weights, dtype=float).reshape(atoms.shape) if np.size(self.weights) else np.zeros_like(atoms)
+        atoms, weights = (_matrix_stack(a) for a in (self.atoms, self.weights))
+        if weights.shape != atoms.shape:
+            raise ValueError(f"need one d x d weight per atom, got atoms {atoms.shape} "
+                             f"and weights {weights.shape}")
         atoms.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
@@ -121,13 +126,10 @@ def hawkes_jump_spec(d: int, excitation: np.ndarray | None = None) -> JumpMeasur
 
 @dataclass(frozen=True)
 class JumpLiftState:
-    """Lift state: time, node matrices, driving measure, jump accumulators."""
+    """Initial lift state: the node matrices lam(x_i) of the driving measure."""
 
-    t: float
     lam: np.ndarray            # (k, d, d) symmetric
     measure: AtomicMatrixMeasure
-    x_accum: np.ndarray = None  # (d, d) running X_t (AC part + jumps)
-    counts: np.ndarray = None   # (m,) jumps per atom
 
     def __post_init__(self):
         lam = np.array(self.lam, dtype=float)
@@ -140,33 +142,6 @@ class JumpLiftState:
             raise ValueError("lam entries must be finite")
         if not np.allclose(lam, np.swapaxes(lam, 1, 2), atol=1e-9):
             raise ValueError("lam matrices must be symmetric")
-        x = np.zeros((d, d)) if self.x_accum is None else np.array(self.x_accum, dtype=float)
-        x.setflags(write=False)
-        object.__setattr__(self, "x_accum", x)
-        c = np.zeros(0) if self.counts is None else np.array(self.counts, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
-
-    @classmethod
-    def _unchecked(cls, t, lam, measure, x_accum, counts) -> "JumpLiftState":
-        """A state from arrays the simulator built, without the checks above."""
-        state = object.__new__(cls)
-        for name, value in (("t", t), ("lam", lam), ("measure", measure),
-                            ("x_accum", x_accum), ("counts", counts)):
-            object.__setattr__(state, name, value)
-        return state
-
-    @property
-    def total(self) -> np.ndarray:
-        """V = sum_i lam(x_i)."""
-        return self.lam.sum(axis=0)
-
-
-def intensity(state: JumpLiftState, spec: JumpMeasureSpec) -> np.ndarray:
-    """Per-atom rates Tr(V mu_r) / (||xi_r|| /\\ 1), clipped at zero."""
-    if spec.n_atoms == 0:
-        return np.zeros(0)
-    return np.clip(np.einsum("ab,rab->r", state.total, spec.rate_weights()), 0.0, None)
 
 
 def jump_increment(measure: AtomicMatrixMeasure, xi: np.ndarray, eps: float) -> np.ndarray:
@@ -253,17 +228,16 @@ class LinearFlow:
 
 @dataclass
 class JumpPathRecord:
-    """One simulated lift path: grid samples, jump log and accumulators."""
+    """One simulated lift path: V and the atom counts on the grid, the jump
+    log and the compensators."""
 
     grid: TimeGrid
     v_path: np.ndarray          # (N+1, d, d) V at grid times
-    x_path: np.ndarray          # (N+1, d, d) X at grid times (AC + jumps)
     counts_path: np.ndarray     # (N+1, m) cumulative atom counts at grid times
     jump_times: np.ndarray      # (J,)
     jump_atoms: np.ndarray      # (J,) atom indices
     intensity_at_jumps: np.ndarray  # (J,) total rate just before each jump
     compensators: np.ndarray    # (m,) int_0^T rate_r dt
-    final_state: JumpLiftState
 
 
 def _check_thinning_dt(thinning_dt: float) -> None:
@@ -280,7 +254,7 @@ def simulate_jump_path(
     grid: TimeGrid | None = None,
     flow: LinearFlow | None = None,
 ) -> JumpPathRecord:
-    """Thinning simulation of the jump lift on [0, horizon].
+    """Thinning simulation of the jump lift from ``state0`` on [0, horizon].
 
     Within each control interval the dominating rate is
     (1 + eta) * max(rate at start, rate at the flowed end); candidates are
@@ -370,18 +344,13 @@ def _thin_paths(
         exc = FloatingPointError(message)
         raise exc if path_hint is None else _with_hint(exc, path_hint(i))
 
-    lam0 = np.array(state0.lam)
+    lam0 = state0.lam
     z = np.tile(flow.pack(lam0, np.zeros((d, d))), (n_paths, 1))
     t = np.zeros(n_paths)
-    x_jumpsum = np.tile(np.array(state0.x_accum), (n_paths, 1, 1))
     counts = np.zeros((n_paths, m))
-    if state0.counts.size == m:
-        counts[:] = state0.counts
     v_path = np.zeros((n_paths, n_rec, d, d))
-    x_path = np.zeros((n_paths, n_rec, d, d))
     counts_path = np.zeros((n_paths, n_rec, m))
     v_path[:, 0] = lam0.sum(axis=0)
-    x_path[:, 0] = x_jumpsum
     rec_idx = np.ones(n_paths, dtype=np.intp)
 
     def advance_to(idx, target):
@@ -398,7 +367,6 @@ def _thin_paths(
             t[j] = tj
             r = rec_idx[j]
             v_path[j, r] = z[j, :kn].reshape(-1, k, d, d).sum(axis=1)
-            x_path[j, r] = z[j, kn:].reshape(-1, d, d) + x_jumpsum[j]
             counts_path[j, r] = counts[j]
             rec_idx[j] += 1
         go = target > t[idx]
@@ -477,26 +445,18 @@ def _thin_paths(
         else:
             atoms = np.zeros(j.size, dtype=int)
         z[j, :kn] += jump_incs[atoms]
-        x_jumpsum[j] += spec.atoms[atoms]
         counts[j, atoms] += 1.0
         events.append((j, t[j], atoms, total_j))
         # the rate jumped up: restart the control interval from here
         h_ctrl[j] = thinning_dt
         starting[j] = True
 
-    lam_T = z[:, :kn].reshape(n_paths, k, d, d)
-    intv_T = z[:, kn:].reshape(n_paths, d, d)
     bad = np.flatnonzero(~np.isfinite(z).all(axis=1))
     if bad.size:
         fail(bad[0], "the lift state is not finite at the horizon")
     # int_0^T rate_r ds = Tr(intV mu_r) / (||xi_r|| /\ 1); exact since the
     # augmented block integrates V along the flow and jumps leave V cadlag
-    compens = np.einsum("pab,rab->pr", intv_T, weights_scaled)
-    lam_T = 0.5 * (lam_T + np.swapaxes(lam_T, 2, 3))
-    x_T = intv_T + x_jumpsum
-    lam_T.setflags(write=False)
-    x_T.setflags(write=False)
-    counts.setflags(write=False)
+    compens = np.einsum("pab,rab->pr", z[:, kn:].reshape(n_paths, d, d), weights_scaled)
 
     paths, ev_t, ev_atom, ev_rate = (
         np.concatenate(cols) for cols in zip(*events)
@@ -511,13 +471,11 @@ def _thin_paths(
         rec = JumpPathRecord(
             grid=grid,
             v_path=v_path[i],
-            x_path=x_path[i],
             counts_path=counts_path[i],
             jump_times=ev_t[s],
             jump_atoms=ev_atom[s],
             intensity_at_jumps=ev_rate[s],
             compensators=compens[i],
-            final_state=JumpLiftState._unchecked(horizon, lam_T[i], measure, x_T[i], counts[i]),
         )
         records.append(rec if reduce is None else reduce(rec))
     return records
@@ -536,8 +494,7 @@ class HawkesPathSimulator:
 
     def __init__(self, measure: AtomicMatrixMeasure, lam0, spec: JumpMeasureSpec,
                  horizon: float, thinning_dt: float, grid_steps: int | None = None):
-        self.state0 = JumpLiftState(t=0.0, lam=lam0, measure=measure,
-                                    counts=np.zeros(spec.n_atoms))
+        self.state0 = JumpLiftState(lam=lam0, measure=measure)
         self.spec = spec
         self.horizon = float(horizon)
         self.thinning_dt = float(thinning_dt)

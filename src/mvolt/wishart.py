@@ -37,7 +37,7 @@ class WishartTransformQuery:
     """Time, argument matrix c (with u = c^T c) and initial lift data."""
 
     t: float
-    c: np.ndarray        # (n, d)
+    c: np.ndarray        # (r, d), any row count r: only U = c^T c enters
     gamma0: np.ndarray   # (k, n, d)
 
     def __post_init__(self):
@@ -79,7 +79,7 @@ def closed_form_laplace(
 ) -> float:
     """E[exp(-Tr(c^T c V_t))] in closed form; always in (0, 1]."""
     U, Q, H = _transform_pieces(query, measure)
-    n = query.c.shape[0]
+    n = query.gamma0.shape[1]
     d = U.shape[0]
     uev, uQmat = np.linalg.eigh(U)
     uev = np.clip(uev, 0.0, None)
@@ -105,7 +105,7 @@ def affine_transform_wishart(
     1e-12 relative.
     """
     U, Q, H = _transform_pieces(query, measure)
-    n = query.c.shape[0]
+    n = query.gamma0.shape[1]
     d = U.shape[0]
     M = np.eye(d) + 2.0 * Q @ U
     sign, logdet = np.linalg.slogdet(M)

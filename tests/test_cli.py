@@ -170,6 +170,60 @@ class TestSimulationCommands:
         assert err == [message]
         assert not out.exists()
 
+    @pytest.mark.parametrize("c, shape", [("[0.5, 0.0]", (2,)),
+                                          ("[[0.5, 0.0, 0.1]]", (1, 3))],
+                             ids=["1-d", "three-columns"])
+    def test_wishart_transform_checks_c_before_the_monte_carlo(
+            self, tmp_path, capsys, monkeypatch, measure_file, gamma0_file, c, shape):
+        import mvolt.cli as cli_mod
+
+        def no_monte_carlo(*args, **kwargs):
+            raise AssertionError("simulate_wishart ran before c was checked")
+
+        monkeypatch.setattr(cli_mod, "simulate_wishart", no_monte_carlo)
+        cfile = write(tmp_path / "c.cfg", f"c = {c}\n")
+        out = tmp_path / "report.json"
+        rc = main(["wishart", "transform", "--measure", measure_file,
+                   "--gamma0", gamma0_file, "--c", cfile, "--times", "0.5",
+                   "--paths", "4", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: {cfile}: c must be a matrix with d = 2 columns, "
+                       f"got shape {shape}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", [["heston", "simulate", "--T", "0.5"],
+                                     ["heston", "charfn", "--v", "1.0,0.0", "--t", "1.0"],
+                                     ["transform", "charfn", "--v", "1.0,0.0", "--t", "1.0"]],
+                             ids=["heston-simulate", "heston-charfn", "transform-charfn"])
+    def test_price_jump_atoms_need_weights(self, tmp_path, capsys, heston_model_file, cmd):
+        model = write(tmp_path / "jumps.cfg", (tmp_path / "heston.cfg").read_text()
+                      + "jump_atoms = [[0.05, -0.02]]\n")
+        out = tmp_path / "out.txt"
+        rc = main([*cmd, "--model", model, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: {model}: need jump atoms of shape (J, 2) and one "
+                       f"2 x 2 weight per atom, got atoms (1, 2) and weights (0, 2, 2)"]
+        assert not out.exists()
+
+    def test_hawkes_jump_atoms_need_weights(self, tmp_path, capsys):
+        model = write(
+            tmp_path / "m.cfg",
+            "[measure]\nnodes = [1.0]\nweights = [[[0.4]]]\nd = 1\n"
+            "[lambda0]\nweights = [[[1.0]]]\n"
+            "[jumps]\natoms = [[[1.0]]]\n")
+        out = tmp_path / "events.csv"
+        for cmd in (["hawkes", "simulate", "--T", "1.0", "--paths", "5"],
+                    ["transform", "laplace", "--u", write(tmp_path / "u.cfg", "u = [[-1.0]]\n"),
+                     "--t", "0.5"]):
+            rc = main([*cmd, "--model", model, "--out", str(out)])
+            assert rc == 2, cmd
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"config error: {model}[jumps]: need one d x d weight per atom, "
+                           f"got atoms (1, 1, 1) and weights (0, 1, 1)"], cmd
+            assert not out.exists()
+
     def test_heston_simulate_needs_a_step(self, tmp_path, capsys, heston_model_file):
         out = tmp_path / "prices.csv"
         rc = main(["heston", "simulate", "--model", heston_model_file, "--T", "0.5",

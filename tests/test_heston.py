@@ -114,6 +114,19 @@ class TestModelValidation:
             HestonModelSpec(measure=m, gamma0=np.zeros((2, 2, 2)),
                             rho=[0.0, 0.0], p0=[0.0, 0.0])
 
+    @pytest.mark.parametrize("atoms, weights", [
+        ([[0.1, 0.0]], None),
+        ([[0.1, 0.0], [0.0, 0.1]], [np.eye(2)]),
+        (None, [np.eye(2)]),
+        ([[0.1, 0.0]], [np.eye(3)]),
+        ([[0.1, 0.0, 0.0]], [np.eye(2)]),
+    ], ids=["no-weights", "fewer-weights", "no-atoms", "other-d-weight", "other-d-atom"])
+    def test_one_weight_per_jump_atom(self, atoms, weights):
+        m = AtomicMatrixMeasure([0.5], np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError, match="weight per atom"):
+            HestonModelSpec(measure=m, gamma0=np.zeros((1, 2, 2)), rho=[0.0, 0.0],
+                            p0=[0.0, 0.0], jump_atoms=atoms, jump_weights=weights)
+
 
 class TestPoissonInversion:
     def test_matches_cdf_levels(self):

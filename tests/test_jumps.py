@@ -16,7 +16,6 @@ from mvolt.jumps import (
     _choice_rows,
     empty_jump_spec,
     hawkes_jump_spec,
-    intensity,
     jump_increment,
     simulate_jump_path,
     volterra_projection,
@@ -26,8 +25,7 @@ from mvolt.jumps import (
 def scalar_hawkes():
     measure = AtomicMatrixMeasure([1.0], [[[0.4]]])
     spec = JumpMeasureSpec(atoms=[[[1.0]]], weights=[[[0.3]]])
-    state = JumpLiftState(t=0.0, lam=[[[1.0]]], measure=measure,
-                          counts=np.zeros(1))
+    state = JumpLiftState(lam=[[[1.0]]], measure=measure)
     return measure, spec, state
 
 
@@ -40,7 +38,7 @@ def diagonal_preset(d=2):
         lam0[0, i, i], lam0[1, i, i] = 0.8, 0.4
     measure = AtomicMatrixMeasure(nodes, weights)
     spec = hawkes_jump_spec(d)
-    state = JumpLiftState(t=0.0, lam=lam0, measure=measure, counts=np.zeros(d))
+    state = JumpLiftState(lam=lam0, measure=measure)
     return measure, spec, state
 
 
@@ -112,27 +110,26 @@ class TestDriftFlow:
         assert intv[0, 0] == pytest.approx(3.0 * (1 - np.exp(-2.0)) / 2.0, rel=1e-10)
 
 
+def atom_rates(state, spec):
+    """Tr(V rate_weights_r), the rate at which atom r fires in state."""
+    return np.einsum("ab,rab->r", state.lam.sum(axis=0), spec.rate_weights())
+
+
 class TestIntensity:
     def test_hawkes_rate_is_diagonal(self):
         _, spec, state = diagonal_preset()
-        rates = intensity(state, spec)
-        np.testing.assert_allclose(rates, np.diag(state.total))
-
-    def test_zero_state(self):
-        m, spec, _ = diagonal_preset()
-        s = JumpLiftState(t=0.0, lam=np.zeros((2, 2, 2)), measure=m,
-                          counts=np.zeros(2))
-        np.testing.assert_array_equal(intensity(s, spec), 0.0)
+        rates = atom_rates(state, spec)
+        np.testing.assert_allclose(rates, np.diag(state.lam.sum(axis=0)))
 
     def test_trace_pairing_with_large_atom(self):
         m, _, state = diagonal_preset()
         spec = JumpMeasureSpec(atoms=[2.0 * np.eye(2)], weights=[np.eye(2)])
-        rates = intensity(state, spec)
-        assert rates[0] == pytest.approx(np.trace(state.total))
+        rates = atom_rates(state, spec)
+        assert rates[0] == pytest.approx(np.trace(state.lam.sum(axis=0)))
 
     def test_empty_spec(self):
         m, _, state = diagonal_preset()
-        assert intensity(state, empty_jump_spec(2)).size == 0
+        assert atom_rates(state, empty_jump_spec(2)).size == 0
 
 
 class TestJumpIncrement:
@@ -242,7 +239,7 @@ class TestVolterraProjection:
     def test_no_jumps_nu_zero_gives_h(self):
         m = AtomicMatrixMeasure([0.5, 2.0], np.zeros((2, 1, 1)))
         lam0 = np.array([[[0.7]], [[0.3]]])
-        state = JumpLiftState(t=0.0, lam=lam0, measure=m, counts=np.zeros(0))
+        state = JumpLiftState(lam=lam0, measure=m)
         grid = TimeGrid.regular(1.0, 20)
         rec = simulate_jump_path(state, empty_jump_spec(1), 1.0,
                                  np.random.default_rng(0), 0.25, grid)
@@ -291,8 +288,7 @@ class TestVolterraProjection:
         spec = JumpMeasureSpec(atoms=[np.diag([1.0, 0.3])],
                                weights=[np.eye(2)], epsilon_shift=0.05)
         lam0 = np.array([np.eye(2) * 0.6, np.eye(2) * 0.3])
-        state = JumpLiftState(t=0.0, lam=lam0, measure=measure,
-                              counts=np.zeros(1))
+        state = JumpLiftState(lam=lam0, measure=measure)
         grid = TimeGrid.regular(1.0, 200)
         rec = simulate_jump_path(state, spec, 1.0, np.random.default_rng(2),
                                  0.25, grid)
@@ -329,6 +325,14 @@ class TestSpecValidation:
             JumpMeasureSpec(atoms=[[[1.0]]], weights=[[[1.0]]],
                             epsilon_shift=-0.1)
 
+    @pytest.mark.parametrize("weights", [[], np.zeros((0, 2, 2)), [np.eye(2)],
+                                         [np.eye(3)] * 2],
+                             ids=["shapeless-empty", "empty-stack", "one-weight", "other-d"])
+    def test_one_weight_per_atom(self, weights):
+        atoms = [np.eye(2), np.diag([1.0, 0.0])]
+        with pytest.raises(ValueError, match="one d x d weight per atom"):
+            JumpMeasureSpec(atoms=atoms, weights=weights)
+
     def test_empty_spec_keeps_d(self):
         spec = empty_jump_spec(2)
         assert spec.atoms.shape == spec.weights.shape == (0, 2, 2)
@@ -351,8 +355,7 @@ def test_non_diagonal_measure_monitors_eigenvalues():
     spec = JumpMeasureSpec(atoms=[np.diag([1.0, 0.3])],
                            weights=[np.eye(2) * 0.4])
     lam0 = np.array([np.eye(2) * 0.6])
-    state = JumpLiftState(t=0.0, lam=lam0, measure=measure,
-                          counts=np.zeros(1))
+    state = JumpLiftState(lam=lam0, measure=measure)
     grid = TimeGrid.regular(1.5, 12)
     worst_v = 0.0
     for seed in range(6):
@@ -381,7 +384,7 @@ def test_hawkes_paths_do_not_depend_on_workers():
         np.testing.assert_array_equal(a.jump_atoms, b.jump_atoms)
         np.testing.assert_array_equal(a.intensity_at_jumps, b.intensity_at_jumps)
         np.testing.assert_array_equal(a.v_path, b.v_path)
-        np.testing.assert_array_equal(a.x_path, b.x_path)
+        np.testing.assert_array_equal(a.counts_path, b.counts_path)
         np.testing.assert_array_equal(a.compensators, b.compensators)
 
 
@@ -455,16 +458,13 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
     m_atoms = spec.n_atoms
     z = flow.pack(np.array(state0.lam), np.zeros((d, d)))
     t = 0.0
-    x_jumpsum = np.array(state0.x_accum)
-    counts = np.zeros(m_atoms) if state0.counts.size != m_atoms else np.array(state0.counts)
+    counts = np.zeros(m_atoms)
 
     n_rec = len(grid)
     v_path = np.zeros((n_rec, d, d))
-    x_path = np.zeros((n_rec, d, d))
     counts_path = np.zeros((n_rec, m_atoms))
     lam0_arr, _ = flow.unpack(z)
     v_path[0] = lam0_arr.sum(axis=0)
-    x_path[0] = x_jumpsum
     rec_idx = 1
     jump_times, jump_atoms, jump_rates = [], [], []
     rewinds = 0
@@ -474,9 +474,8 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
         while rec_idx < n_rec and grid.times[rec_idx] <= target + 1e-15:
             z = _flow_one(flow, z, grid.times[rec_idx] - t)
             t = grid.times[rec_idx]
-            lam, intv = flow.unpack(z)
+            lam, _ = flow.unpack(z)
             v_path[rec_idx] = lam.sum(axis=0)
-            x_path[rec_idx] = intv + x_jumpsum
             counts_path[rec_idx] = counts
             rec_idx += 1
         if target > t:
@@ -489,7 +488,6 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
         h = min(h_ctrl, horizon - t)
         z_start, t_start = z, t
         counts_start = counts.copy()
-        xjs_start = x_jumpsum.copy()
         rec_start = rec_idx
         lam_now, _ = flow.unpack(z)
         rates_now = rates_of(lam_now)
@@ -522,7 +520,6 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
                 lam_c = lam_c + jump_incs[r]
                 _, intv_c = flow.unpack(z)
                 z = flow.pack(lam_c, intv_c)
-                x_jumpsum = x_jumpsum + spec.atoms[r]
                 counts[r] += 1.0
                 local_jumps.append((t, r, total_c))
                 jumped = True
@@ -530,7 +527,6 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
         if violated:
             z, t = z_start, t_start
             counts = counts_start
-            x_jumpsum = xjs_start
             rec_idx = rec_start
             h_ctrl = h / 2.0
             rewinds += 1
@@ -546,11 +542,9 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
             h_ctrl = thinning_dt
     z, t = advance_to(z, t, horizon)
 
-    lam_T, intv_T = flow.unpack(z)
-    lam_T = 0.5 * (lam_T + np.swapaxes(lam_T, 1, 2))
+    _, intv_T = flow.unpack(z)
     fields = {
         "v_path": v_path,
-        "x_path": x_path,
         "counts_path": counts_path,
         "jump_times": np.asarray(jump_times, dtype=float),
         "jump_atoms": np.asarray(jump_atoms, dtype=int),
@@ -558,8 +552,7 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
         "compensators": np.einsum("ab,rab->r", intv_T, weights_scaled)
         if m_atoms else np.zeros(0),
     }
-    final = {"lam": lam_T, "x_accum": intv_T + x_jumpsum, "counts": counts}
-    return fields, final, rewinds
+    return fields, rewinds
 
 
 def _critical_model():
@@ -633,7 +626,7 @@ def test_batched_flow_matches_one_state_flow(name):
 
 
 def test_reference_model_rewinds_an_interval():
-    rewinds = [r for _, _, r in _reference_records("rewind")]
+    rewinds = [r for _, r in _reference_records("rewind")]
     assert sum(rewinds) > 0
 
 
@@ -646,12 +639,9 @@ def test_lockstep_thinning_matches_per_path_loop(name, block_size, workers):
                           block_size=block_size)
     want = _reference_records(name)
     assert sum(rec.jump_times.size for rec in got) > 0
-    for rec, (fields, final, _) in zip(got, want, strict=True):
+    for rec, (fields, _) in zip(got, want, strict=True):
         for field, value in fields.items():
             np.testing.assert_array_equal(getattr(rec, field), value, err_msg=field)
-        for field, value in final.items():
-            np.testing.assert_array_equal(getattr(rec.final_state, field), value,
-                                          err_msg=field)
 
 
 def test_state_that_overflows_without_candidates_raises():
@@ -659,7 +649,7 @@ def test_state_that_overflows_without_candidates_raises():
     # bound to check, while the drift e^(800 t) overflows the state
     measure = AtomicMatrixMeasure([0.0], [[[400.0]]])
     spec = JumpMeasureSpec(atoms=[[[1.0]]], weights=[[[0.0]]])
-    state = JumpLiftState(t=0.0, lam=[[[1.0]]], measure=measure, counts=np.zeros(1))
+    state = JumpLiftState(lam=[[[1.0]]], measure=measure)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(FloatingPointError, match="not finite at the horizon"):
         simulate_jump_path(state, spec, 1.0, np.random.default_rng(0), 0.25)

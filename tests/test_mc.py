@@ -129,7 +129,7 @@ def test_hawkes_paths_match_path_rng_loop(workers):
     assert len(np.unique(np.concatenate([rec.jump_atoms for rec in want]))) == 2
     for a, b in zip(got, want, strict=True):
         for field in ("jump_times", "jump_atoms", "intensity_at_jumps", "v_path",
-                      "x_path", "compensators"):
+                      "counts_path", "compensators"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 

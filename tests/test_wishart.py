@@ -75,6 +75,21 @@ class TestClosedForm:
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_only_c_transpose_c_enters(self, rows):
+        # n = 3 rows of X; a c with another row count and its zero-padded or
+        # truncated n-row copy share U = c^T c, so they share the transform
+        measure, gamma0, rng = random_setup(13)
+        c = rng.normal(size=(rows, 2))
+        c[3:] = 0.0
+        c_n = np.zeros((3, 2))
+        c_n[:min(rows, 3)] = c[:3]
+        q, q_n = (WishartTransformQuery(t=0.8, c=cc, gamma0=gamma0) for cc in (c, c_n))
+        assert closed_form_laplace(q, measure) == pytest.approx(
+            closed_form_laplace(q_n, measure), rel=1e-12)
+        np.testing.assert_allclose(affine_transform_wishart(q, measure),
+                                   affine_transform_wishart(q_n, measure), rtol=1e-12)
+
 
 class TestAffineSplit:
     def test_matches_closed_form(self):
