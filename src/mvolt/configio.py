@@ -162,6 +162,9 @@ def read_jump_model(path) -> tuple[AtomicMatrixMeasure, np.ndarray, JumpMeasureS
                                epsilon_shift=float(jumps.get("epsilon", 0.0)))
     except ValueError as exc:
         raise ConfigError(f"{path}[jumps]: {exc}") from exc
+    if spec.atoms.shape[1:] != (d, d):
+        raise ConfigError(f"{path}[jumps]: atoms and weights must be {d} x {d} like the "
+                          f"measure, got shape {spec.atoms.shape}")
     return measure, lam0, spec
 
 

@@ -251,7 +251,10 @@ def char_function(model: HestonModelSpec, v, t: float, n_steps: int = 400):
     """E[exp(i v^T P_t)] through the node-pair Riccati system.
 
     ``v`` is one real d-vector or a batch (B, d); complex v is accepted for
-    damped-transform use (the argument passed down is w = i v).
+    damped-transform use (the argument passed down is w = i v).  The
+    transform is exact; ``n_steps`` is the floor on 2^J for the J doublings
+    of its flow map (:func:`riccati.solve_joint_riccati_heston`), so the cost
+    grows with log2 n_steps.
     """
     v_arr = np.asarray(v)
     single = v_arr.ndim == 1
@@ -301,7 +304,8 @@ def fourier_price_call(
     probed in that solve: Phi(-i (alpha + 1)) is the (alpha + 1) exponential
     moment and must be finite.  The truncation error integrates the envelope
     of the last decade of the quadrature range, in price units (scaled by
-    e^(-alpha kappa) / pi like the price).
+    e^(-alpha kappa) / pi like the price).  ``riccati_steps`` is the
+    ``n_steps`` floor of :func:`char_function`.
     """
     strikes = np.array(strike, dtype=float)
     if strikes.ndim > 1 or strikes.size == 0:

@@ -35,8 +35,8 @@ Three related solvers live here.
    price: node-pair matrices psi(x_i, x_j) with the quadratic interaction
    extended bilinearly from rank-one data, price couplings constant across
    node pairs, phi' = n sum_ij Tr(psi_ij nu_j nu_i), pairing sum_ij
-   Tr(psi_ij lam_ji); stacked into one kd x kd matrix it has constant
-   coefficients and is solved exactly through its Hamiltonian (Radon).
+   Tr(psi_ij lam_ji); one kd x kd matrix with constant coefficients, solved
+   exactly by its Hamiltonian (Radon) flow map, doubled until it covers t.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .measures import AtomicMatrixMeasure, TimeGrid
 from .jumps import JumpMeasureSpec, lift_operator, pairing_operator
 
 
-# the joint Riccati raises once |Psi| exceeds this at a checkpoint
+# the joint Riccati raises once |Psi| exceeds this after a composition
 BLOWUP_LIMIT = 1e8
 
 
@@ -268,11 +268,12 @@ def solve_joint_riccati_heston(
     Psi = Y X^-1 with [X; Y]' = H [X; Y], H = [[-A, 2 M M^T], [E C E^T, A^T]],
     from [I; psi0] (psi0 zero by default, giving the price characteristic
     function; a block c^T c at every pair transforms the covariance itself).
-    The step map of H over t / n_steps carries Psi across ``n_steps``
-    checkpoints, which follow the branch of log det X, and the result is
-    exp(-(n/2)(log det X + t Tr A) - Tr(Psi Lambda) + w^T P_0), Lambda_ij =
-    gamma0_i^T gamma0_j.  The first checkpoint at which X is singular, det X
-    turns by over a quarter turn or |Psi| exceeds ``BLOWUP_LIMIT`` raises.
+    The map of H over t / 2^J, J = ceil(log2 max(n_steps, 2 rate t, 1)) with
+    rate the growth bound below, is doubled J times to reach t (``n_steps``
+    is a floor on 2^J), and the result is exp(-(n/2)(log det X + t Tr A) -
+    Tr(Psi Lambda) + w^T P_0), Lambda_ij = gamma0_i^T gamma0_j.  A doubling
+    (or the application to psi0) at which det X turns by over a quarter turn,
+    log det X is not finite or |Psi| exceeds ``BLOWUP_LIMIT`` raises.
     Raises ValueError unless 0 <= t < inf and n_steps >= 1.
     """
     if not (0.0 <= t < np.inf and n_steps >= 1):
@@ -295,49 +296,47 @@ def solve_joint_riccati_heston(
     ham = np.block([[-A, np.broadcast_to(2.0 * M @ M.T, A.shape)],
                     [np.tile(const, (k, k)), A.swapaxes(1, 2)]])
 
-    # The step maps psi to P + R^T psi (I + Q psi)^-1 R, R = S11^-1, P = S21 R,
-    # Q = R S12, and multiplies det X by det S11 det(I + Q psi).  S11 grows
-    # as e^(x h) on a node x, so the map is built from exp(H h / 2^j), where
-    # |S - I| <= e^(1/2) - 1 (the growth rate bounded by the 1-norm of H
-    # balanced by diag(I, I / c)), and composed with itself j times.
-    h = t / n_steps
+    # The map over a span s takes psi to P + R^T psi (I + Q psi)^-1 R, R =
+    # S11^-1, P = S21 R, Q = R S12 (S = exp(H s)), and multiplies det X by
+    # det S11 det(I + Q psi).  S11 grows as e^(x s) on a node x, so the base
+    # span keeps |S - I| <= e^(1/2) - 1 (rate bounds the growth by the 1-norm
+    # of H balanced by diag(I, I / c)).
     norms = [np.linalg.norm(a, o, axis=(1, 2)).max(initial=0.0) for a, o in
              ((A, 1), (A, np.inf), (ham[:, :kd, kd:], 1), (ham[:, kd:, :kd], 1))]
     rate = max(norms[:2]) + np.sqrt(norms[2] * norms[3])
-    j = int(np.ceil(np.log2(max(2.0 * rate * h, 1.0))))
-    S = scipy.linalg.expm(ham * (h / 2**j))
+    J = int(np.ceil(np.log2(max(n_steps, 2.0 * rate * t, 1.0))))
+    S = scipy.linalg.expm(ham * (t / 2**J))
     R = np.linalg.inv(S[:, :kd, :kd])
     P, Q = S[:, kd:, :kd] @ R, R @ S[:, :kd, kd:]
-    ell, step_turn = _logdet(S[:, :kd, :kd])
-    for _ in range(j):
+    ell, turn = _logdet(S[:, :kd, :kd])
+    _check_span(t / 2**J, turn, ell, P, n_steps)
+    for m in range(J - 1, -1, -1):
         W = np.linalg.inv(np.eye(kd) + Q @ P)
         RW, Rt = R @ W, R.swapaxes(1, 2)
         P, Q, R = P + Rt @ P @ W @ R, Q + RW @ Q @ Rt, RW @ R
         log_w, turn = _logdet(W)
-        ell, step_turn = 2.0 * ell - log_w, max(step_turn, turn)
-    Rt = R.swapaxes(1, 2).copy()
-
-    psi = np.broadcast_to(0.0 if psi0 is None else psi0, (B, k, k, d, d))
-    psi = psi.transpose(0, 1, 3, 2, 4).reshape(B, kd, kd).astype(complex)
-    logdet = n_steps * ell
-    for m in range(1, n_steps + 1):
+        ell = 2.0 * ell - log_w
+        _check_span(t / 2**m, turn, ell, P, n_steps)
+    if psi0 is not None:     # from psi = 0, Psi is P
+        psi = np.broadcast_to(psi0, (B, k, k, d, d)).transpose(0, 1, 3, 2, 4).reshape(B, kd, kd)
         G = np.eye(kd) + psi @ Q      # det(I + psi Q) = det(I + Q psi)
         log_g, turn = _logdet(G)
-        finite = np.all(np.isfinite(log_g))
-        psi = P + Rt @ (np.linalg.inv(G) @ psi) @ R if finite else psi + np.inf
-        turn, size = max(turn, step_turn), float(np.max(np.abs(psi), initial=0.0))
-        if turn > 0.5 * np.pi or not size <= BLOWUP_LIMIT:
-            raise FloatingPointError(
-                f"joint Riccati blow-up at t = {m * h:.6g} (det X turned by "
-                f"{turn:.3g} rad, |psi| = {size:.3g}; n_steps = {n_steps})"
-            )
-        logdet += log_g
+        P, ell = P + R.swapaxes(1, 2) @ (np.linalg.inv(G) @ psi) @ R, ell + log_g
+        _check_span(t, turn, ell, P, n_steps)
     lam0 = np.einsum("ina,jnb->iajb", gamma0, gamma0).reshape(kd, kd)
-    phi = 0.5 * gamma0.shape[1] * (logdet + t * np.trace(A, axis1=1, axis2=2))
+    phi = 0.5 * gamma0.shape[1] * (ell + t * np.trace(A, axis1=1, axis2=2))
     shift = 0.0 if p0 is None else w @ np.asarray(p0, dtype=float)
-    char = np.exp(-phi - np.einsum("bxy,yx->b", psi, lam0) + shift)
-    psi = psi.reshape(B, k, d, k, d).transpose(0, 1, 3, 2, 4)
+    char = np.exp(-phi - np.einsum("bxy,yx->b", P, lam0) + shift)
+    psi = P.reshape(B, k, d, k, d).transpose(0, 1, 3, 2, 4)
     return JointRiccatiResult(phi=phi, psi=psi, char=char)
+
+
+def _check_span(span: float, turn: float, logdet, psi, n_steps: int) -> None:
+    """Raise unless the map over ``span`` kept the branch and stayed bounded."""
+    size = float(np.max(np.abs(psi), initial=0.0))
+    if turn > 0.5 * np.pi or not (np.all(np.isfinite(logdet)) and size <= BLOWUP_LIMIT):
+        raise FloatingPointError(f"joint Riccati blow-up before t = {span:.6g} (det X turned "
+                                 f"by {turn:.3g} rad, |psi| = {size:.3g}; n_steps = {n_steps})")
 
 
 def _logdet(a: np.ndarray) -> tuple[np.ndarray, float]:

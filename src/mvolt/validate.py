@@ -331,10 +331,19 @@ def check_heston_charfn(
                    martingale=mart, max_abs_z=worst, n_paths=n_paths)
 
 
+# bound on each price's truncation_error: 100x under the 1e-4 tolerance of
+# the degenerate closed-form check
+TRUNCATION_TOL = 1e-6
+
+
 def check_fourier_price(
     n_paths: int = 200_000, seed: int = 61, workers: int = 1, n_steps: int = 256
 ) -> dict:
-    """Degenerate model vs the Gaussian closed form; generic model vs MC."""
+    """Degenerate model vs the Gaussian closed form; generic model vs MC.
+
+    Every price also reports its truncation_error, which must not exceed
+    ``TRUNCATION_TOL``.
+    """
     from scipy.stats import norm
 
     # deterministic-V degenerate model
@@ -345,14 +354,15 @@ def check_fourier_price(
     var0 = 0.25**2 * (1.0 - np.exp(-2.0 * 0.3 * t)) / (2.0 * 0.3)
     det_points, det_ok = [], True
     fp = fourier_price_call(m0, 0, (0.8, 1.0, 1.2), t)
-    for strike, price in zip(fp.strike, fp.price):
+    for strike, price, tail in zip(fp.strike, fp.price, fp.truncation_error):
         s = np.sqrt(var0)
         d1 = (np.log(1.0 / strike) + 0.5 * var0) / s
         bs = float(norm.cdf(d1) - strike * norm.cdf(d1 - s))
         err = abs(price - bs)
         det_ok = det_ok and err <= 1e-4
         det_points.append({"strike": strike, "fourier": price,
-                           "gaussian_closed_form": bs, "abs_err": err})
+                           "gaussian_closed_form": bs, "abs_err": err,
+                           "truncation_error": tail})
 
     # generic model vs MC at three strikes
     model = heston_reference_model()
@@ -362,14 +372,15 @@ def check_fourier_price(
     spot = np.exp(p_samples[:, 0])
     gen_points, worst = [], 0.0
     fp = fourier_price_call(model, 0, (0.9, 1.0, 1.1), t)
-    for strike, price in zip(fp.strike, fp.price):
+    for strike, price, tail in zip(fp.strike, fp.price, fp.truncation_error):
         est = estimate_mean(np.clip(spot - strike, 0.0, None))
         z = float(est.z_score(price))
         worst = max(worst, abs(z))
         gen_points.append({"strike": strike, "fourier": price,
                            "mc": float(est.mean), "stderr": float(est.stderr),
-                           "z_score": z})
-    return _result("fourier_price", det_ok and worst <= 3.0,
+                           "z_score": z, "truncation_error": tail})
+    tail_ok = all(p["truncation_error"] <= TRUNCATION_TOL for p in det_points + gen_points)
+    return _result("fourier_price", det_ok and worst <= 3.0 and tail_ok,
                    degenerate=det_points, generic=gen_points,
                    max_abs_z=worst, n_paths=n_paths)
 

@@ -224,6 +224,27 @@ class TestSimulationCommands:
                            f"got atoms (1, 1, 1) and weights (0, 1, 1)"], cmd
             assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", [["hawkes", "simulate", "--T", "1.0", "--paths", "3"],
+                                     ["transform", "laplace", "--t", "0.5"]],
+                             ids=["hawkes-simulate", "transform-laplace"])
+    def test_jump_atoms_must_match_the_measure_d(self, tmp_path, capsys, cmd):
+        # a d = 1 atom on a d = 2 measure is a config error before any block
+        # or solve runs, not a shape error from inside one
+        model = write(
+            tmp_path / "m.cfg",
+            "[measure]\nnodes = [1.0]\nweights = [[[0.4, 0.0], [0.0, 0.4]]]\nd = 2\n"
+            "[lambda0]\nweights = [[[1.0, 0.0], [0.0, 1.0]]]\n"
+            "[jumps]\natoms = [[[1.0]]]\nweights = [[[0.3]]]\n")
+        if cmd[0] == "transform":
+            cmd = [*cmd, "--u", write(tmp_path / "u.cfg", "u = [[-1.0, 0.0], [0.0, -1.0]]\n")]
+        out = tmp_path / "out.txt"
+        rc = main([*cmd, "--model", model, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: {model}[jumps]: atoms and weights must be 2 x 2 "
+                       f"like the measure, got shape (1, 1, 1)"]
+        assert not out.exists()
+
     def test_heston_simulate_needs_a_step(self, tmp_path, capsys, heston_model_file):
         out = tmp_path / "prices.csv"
         rc = main(["heston", "simulate", "--model", heston_model_file, "--T", "0.5",
@@ -543,7 +564,13 @@ class TestTransformCommands:
          "error: damping alpha must be positive and finite, got nan"),
         (["--strikes", "1.0", "--alpha", "200"],
          "error: damping alpha = 200.0 is outside the finite-moment strip"),
-    ], ids=["negative", "nan", "inf", "empty", "alpha-zero", "alpha-nan", "alpha-strip"])
+        # the strip probe is the moment E[exp(30 P_0)], whose Riccati has its
+        # pole at t ~ 0.708; the doubling over [0.5, 1] catches it
+        (["--strikes", "1.0", "--alpha", "29", "--riccati-steps", "3"],
+         "error: damping alpha = 29.0 is outside the finite-moment strip (joint "
+         "Riccati blow-up before t = 1 (det X turned by 3.14 rad"),
+    ], ids=["negative", "nan", "inf", "empty", "alpha-zero", "alpha-nan", "alpha-strip",
+            "alpha-moment-pole"])
     def test_heston_price_bad_strike_or_damping(self, tmp_path, capsys, monkeypatch,
                                                 heston_model_file, flags, message):
         # checked before the Monte Carlo runs

@@ -174,6 +174,21 @@ class TestCharFunction:
         b = char_function(shifted, v, 0.5, n_steps=100)
         assert b == pytest.approx(a * np.exp(1j * 1.2 * 0.7), rel=1e-10)
 
+    def test_doubling_floor_does_not_move_the_value(self):
+        # n_steps is only a floor on the doublings of the exact flow map; at
+        # the damped Fourier points of fourier_price_call (alpha = 1.5,
+        # v <= 200) it does not move the value
+        model = heston_reference_model()
+        nodes, _ = np.polynomial.legendre.leggauss(64)
+        edges = np.linspace(0.0, 200.0, 9)
+        vs = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * nodes
+                             for a, b in zip(edges[:-1], edges[1:])]) - 2.5j
+        args = np.stack([vs, np.zeros_like(vs)], 1)
+        ref = char_function(model, args, 1.0, n_steps=400)
+        for n_steps in (1, 25):
+            np.testing.assert_allclose(char_function(model, args, 1.0, n_steps=n_steps),
+                                       ref, rtol=1e-12, atol=0.0)
+
 
 class TestSimulation:
     def test_frozen_model_constant_price(self):
@@ -224,7 +239,7 @@ class TestSimulation:
         # k = 40 fractional fit, nodes up to 7.7e4: exp(H t / 400) alone
         # spans e^192 between the node scales, so the step map is built by
         # doubling; the identity must hold and the value must not depend on
-        # the checkpoint count
+        # n_steps
         from mvolt.fractional import FractionalKernelSpec, fit_fractional_measure
 
         spec = FractionalKernelSpec(np.array([[0.1, 0.2], [0.2, 0.3]]), 1e-3,
@@ -358,6 +373,16 @@ class TestFourierPricing:
                                 1.0, n_quad=512, riccati_steps=100)
         assert fp.price.shape == (9,)
         assert solves == [(513, 2)]  # the strip probe and the 512 nodes
+
+    def test_validate_gates_truncation_error(self, monkeypatch):
+        import mvolt.validate as validate
+
+        res = validate.check_fourier_price(n_paths=2000)
+        tails = [p["truncation_error"] for p in res["degenerate"] + res["generic"]]
+        assert len(tails) == 6 and 0.0 < max(tails) <= validate.TRUNCATION_TOL
+        assert res["passed"]
+        monkeypatch.setattr(validate, "TRUNCATION_TOL", 0.5 * max(tails))
+        assert not validate.check_fourier_price(n_paths=2000)["passed"]
 
     def test_invalid_strike(self):
         with pytest.raises(ValueError, match="strike"):

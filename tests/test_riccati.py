@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from mvolt.riccati import (
     solve_lift_riccati_jump,
     solve_volterra_riccati_jump,
 )
+from mvolt.validate import heston_reference_model
 
 
 def scalar_hawkes():
@@ -360,6 +363,43 @@ class TestJointRiccati:
                 n_steps=400,
             )
 
+    @pytest.mark.parametrize("n_steps", [1, 3, 50, 400])
+    def test_moment_blowup_names_a_span_past_the_pole(self, n_steps):
+        # E[exp(30 P_0)] on the reference model is finite up to t = 0.7 and
+        # infinite from the pole at t ~ 0.708, where X turns singular; every
+        # doubling count must see it, and the span it names must cover the pole
+        model = heston_reference_model()
+        args = (np.array([[30.0, 0.0]]), model.measure, model.gamma0, model.rho)
+        assert np.isfinite(solve_joint_riccati_heston(*args, 0.7, n_steps=n_steps).char[0])
+        with pytest.raises(FloatingPointError, match="blow-up before t = ") as exc:
+            solve_joint_riccati_heston(*args, 1.0, n_steps=n_steps)
+        span = float(re.search(r"before t = (\S+) ", str(exc.value)).group(1))
+        assert 0.708 <= span <= 1.0
+
+    @pytest.mark.parametrize("n_steps", [1, 25, 400])
+    def test_doubling_count(self, monkeypatch, n_steps):
+        # the base span is t / 2^J, J = ceil(log2 max(n_steps, 2 rate t, 1)),
+        # and each of the J compositions takes one log det after the base's
+        import mvolt.riccati as riccati
+
+        logdet, calls = riccati._logdet, []
+        monkeypatch.setattr(riccati, "_logdet",
+                            lambda a: calls.append(a.shape) or logdet(a))
+        model, t = heston_reference_model(), 1.0
+        w = 1j * np.stack([np.linspace(0.0, 200.0, 101) - 2.5j, np.zeros(101)], 1)
+        solve_joint_riccati_heston(w, model.measure, model.gamma0, model.rho, t,
+                                   n_steps=n_steps)
+        k, d = model.measure.k, model.d
+        M = model.measure.weights.reshape(k * d, d)
+        A = np.einsum("x,by->bxy", M @ model.rho, np.tile(w, k))
+        A[:, np.arange(k * d), np.arange(k * d)] -= np.repeat(model.measure.nodes, d)
+        const = 0.5 * (np.einsum("bx,xy->bxy", w, np.eye(d))
+                       - np.einsum("bx,by->bxy", w, w))
+        rate = (max(np.linalg.norm(A, o, axis=(1, 2)).max() for o in (1, np.inf))
+                + np.sqrt(np.linalg.norm(2.0 * M @ M.T, 1)
+                          * np.linalg.norm(np.tile(const, (k, k)), 1, axis=(1, 2)).max()))
+        doublings = int(np.ceil(np.log2(max(n_steps, 2.0 * rate * t, 1.0))))
+        assert len(calls) == doublings + 1
 
     @pytest.mark.parametrize("t, n_steps", [(-1.0, 50), (np.nan, 50), (np.inf, 50),
                                             (1.0, 0)])
