@@ -178,7 +178,7 @@ def cmd_hawkes_simulate(args) -> int:
         lam0 = configio.read_measure(args.lambda0).weights
         spec = hawkes_jump_spec(measure.d)
     sim = HawkesPathSimulator(measure, lam0, spec, args.T, args.thinning_dt,
-                              grid_steps=args.grid_steps or None)
+                              grid_steps=args.grid_steps)
     logs = run_path_blocks(
         partial(sim.block, reduce=partial(_event_log, with_grid=bool(args.out_grid))),
         args.paths, args.seed, workers=args.workers,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import AtomicMatrixMeasure, SHAPE_SYMMETRIC
+from .measures import EPS_PSD, AtomicMatrixMeasure, SHAPE_SYMMETRIC
 from .mc import path_rng, run_path_blocks
 from .ou import StepOperator
 from .riccati import solve_joint_riccati_heston
@@ -50,8 +50,6 @@ class HestonModelSpec:
         rho = np.array(self.rho, dtype=float).reshape(-1)
         if rho.size != d:
             raise ValueError(f"rho must have length d={d}")
-        if rho @ rho > 1.0 + 1e-12:
-            raise ValueError("rho^T rho must not exceed 1")
         p0 = np.array(self.p0, dtype=float).reshape(-1)
         if p0.size != d:
             raise ValueError(f"p0 must have length d={d}")
@@ -64,6 +62,18 @@ class HestonModelSpec:
         if ja.ndim != 2 or ja.shape[1] != d or jw.shape != (ja.shape[0], d, d):
             raise ValueError(f"need jump atoms of shape (J, {d}) and one {d} x {d} "
                              f"weight per atom, got atoms {ja.shape} and weights {jw.shape}")
+        for name, a in (("gamma0", g), ("rho", rho), ("p0", p0), ("jump atoms", ja),
+                        ("jump weights", jw)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} entries must be finite")
+        if rho @ rho > 1.0 + 1e-12:
+            raise ValueError("rho^T rho must not exceed 1")
+        # the simulator clips the rate Tr(V m_r) at 0 and the Riccati does
+        # not, so the two model one law only while every rate is >= 0
+        for r, w in enumerate(jw):
+            lo = float(np.linalg.eigvalsh(0.5 * (w + w.T))[0])
+            if lo < -EPS_PSD * (1.0 + abs(np.trace(w))):
+                raise ValueError(f"jump weight {r} must be PSD, min eigenvalue {lo:.3e}")
         for a in (g, rho, p0, ja, jw):
             a.setflags(write=False)
         object.__setattr__(self, "gamma0", g)
@@ -115,8 +125,9 @@ class HestonSimulator:
     of the node innovations themselves.  Each linear map of a step is then
     one flat 2-D product, and the constant ones are folded here, once:
 
-    - ``_sum_nodes`` = 1_k (x) I_d (k d, d), so X = gamma @ _sum_nodes and
-      the node update is decay * gamma + z_node @ noise_factor^T;
+    - ``_sum_nodes`` = 1_k (x) I_d (k d, d), so X = gamma @ _sum_nodes, and
+      the node update is :meth:`ou.StepOperator.step` on these rows, the
+      step of the Gaussian lift itself;
     - ``_db_map`` (draws, n), dB from a step's raw draws: the node draws
       through noise_factor^T cond_w_gain^T rho, the W draws through
       cond_w_factor^T rho, and sqrt(1 - rho^T rho) sqrt(dt) on the Btilde
@@ -152,7 +163,6 @@ class HestonSimulator:
         op = self.op
         rho = model.rho
         rho_orth = float(np.sqrt(max(1.0 - rho @ rho, 0.0)))
-        self._decay = np.repeat(op.decay, d)
         self._sum_nodes = np.tile(np.eye(d), (k, 1))
         eye_n = np.eye(n)
         self._db_map = np.concatenate([
@@ -220,8 +230,7 @@ class HestonSimulator:
                 rates = np.clip(V.reshape(B, d * d) @ self._jump_trace, 0.0, None)
                 counts = _poisson_from_uniform(jump_u[:, m], rates * self.dt)
                 P += counts @ model.jump_atoms - rates @ self._jump_comp
-            gamma *= self._decay
-            gamma += z_node @ self.op.noise_factor.T
+            self.op.step(gamma, z_node)
             while rec_pos < len(self.record_idx) and self.record_idx[rec_pos] == m + 1:
                 record(rec_pos)
                 rec_pos += 1

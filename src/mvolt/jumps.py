@@ -14,7 +14,9 @@ shift that mollifies the kernel at lag zero.  Atom r fires with intensity
 
 which makes the process self-exciting; the diagonal preset with unit
 diagonal atoms reproduces a multivariate Hawkes process whose component i
-has compensator int V_ii dt.  Simulation uses thinning with a per-interval
+has compensator int V_ii dt.  :func:`jump_operators` builds the increments
+and rate weights once; the thinning engine and both lift Riccati routes of
+:mod:`mvolt.riccati` read them.  Simulation uses thinning with a per-interval
 dominating rate and automatic bisection when the bound is violated, so the
 jump times are exact in law (Lewis & Shedler 1979; Ogata 1981); between
 jumps :class:`LinearFlow` applies the exact exponential of the drift to a
@@ -45,7 +47,7 @@ import numpy as np
 import scipy.linalg
 
 from .mc import _with_hint, path_generators
-from .measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
+from .measures import EPS_PSD, AtomicMatrixMeasure, TimeGrid, decay_sum, eval_kernel
 
 # Safety factor for the per-interval dominating rate.
 THINNING_ETA = 0.5
@@ -88,7 +90,8 @@ class JumpMeasureSpec:
             for i, m in enumerate(stack):
                 if not np.allclose(m, m.T, atol=1e-12):
                     raise ValueError(f"{name} {i} must be symmetric")
-                if np.size(m) and np.linalg.eigvalsh(m)[0] < -1e-10 * (1.0 + abs(np.trace(m))):
+                if np.size(m) and (np.linalg.eigvalsh(m)[0]
+                                   < -EPS_PSD * (1.0 + abs(np.trace(m)))):
                     raise ValueError(f"{name} {i} must be PSD")
 
     @property
@@ -144,28 +147,36 @@ class JumpLiftState:
             raise ValueError("lam matrices must be symmetric")
 
 
-def jump_increment(measure: AtomicMatrixMeasure, xi: np.ndarray, eps: float) -> np.ndarray:
-    """Node increments e^(-x_i eps) (nu_i xi + xi nu_i) of one jump."""
-    damp = np.exp(-measure.nodes * eps)
-    inc = measure.weights @ xi + xi @ measure.weights.transpose(0, 2, 1)
-    return damp[:, None, None] * inc
-
-
-def pairing_operator(weights: np.ndarray) -> np.ndarray:
-    """(d^2, k d^2) matrix of y -> sum_j (y_j w_j + w_j y_j) on row-major vec."""
-    eye = np.eye(weights.shape[-1])
-    return np.hstack([np.kron(eye, w.T) + np.kron(w, eye) for w in weights])
-
-
 def lift_operator(measure: AtomicMatrixMeasure) -> tuple[np.ndarray, np.ndarray]:
     """L = -diag(x_i) (x) I + 1_k (x) P and the pairing P of the weights on
-    y = vec(y_1, ..., y_k): L is the linear part of the jump-lift Riccati and
-    L^T the drift of the node matrices lam(x_i)."""
+    y = vec(y_1, ..., y_k): P y = sum_j (y_j nu_j + nu_j y_j) on row-major
+    vec, L is the linear part of the jump-lift Riccati and L^T the drift of
+    the node matrices lam(x_i)."""
     k, n = measure.k, measure.d * measure.d
-    pairing = pairing_operator(measure.weights)
+    eye = np.eye(measure.d)
+    pairing = np.hstack([np.kron(eye, w.T) + np.kron(w, eye) for w in measure.weights])
     lin = np.tile(pairing, (k, 1))
     lin[np.diag_indices(k * n)] -= np.repeat(measure.nodes, n)
     return lin, pairing
+
+
+def jump_operators(measure: AtomicMatrixMeasure,
+                   spec: JumpMeasureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The jump lift's atom operators A (R, k d^2) and W (d^2, R), row-major vec.
+
+    Row r of A is the node increment e^(-x_i eps) (nu_i xi_r + xi_r nu_i)
+    that a jump of atom r adds to vec(lam(x_1), ..., lam(x_k)); column r of W
+    is vec(mu_r) / (||xi_r|| /\\ 1), so atom r fires at rate vec(V) . W[:, r].
+    The Riccati side reads the same two matrices as the dual maps: A y =
+    (Tr(P_eps(y) xi_r))_r with P_eps damping nu_j by e^(-x_j eps), and the
+    jump term of the generator is W (e^(A y) - 1).  Both are empty without
+    atoms.
+    """
+    k, d, r = measure.k, measure.d, spec.n_atoms
+    damp = np.exp(-measure.nodes * spec.epsilon_shift)[:, None, None]
+    xi = spec.atoms[:, None]
+    inc = measure.weights @ xi + xi @ measure.weights.transpose(0, 2, 1)
+    return (damp * inc).reshape(r, k * d * d), spec.rate_weights().reshape(r, d * d).T
 
 
 class LinearFlow:
@@ -331,14 +342,11 @@ def _thin_paths(
     n_paths = len(rngs)
     times = grid.times
     n_rec = len(times)
-    weights_scaled = spec.rate_weights()
-    jump_incs = np.array(
-        [jump_increment(measure, xi, spec.epsilon_shift).reshape(-1) for xi in spec.atoms]
-    ).reshape(m, kn)
+    jump_incs, rate_weights = jump_operators(measure, spec)
 
     def rates_of(z):
-        v = z[:, :kn].reshape(-1, k, d, d).sum(axis=1)
-        return np.clip(np.einsum("pab,rab->pr", v, weights_scaled), 0.0, None)
+        v = z[:, :kn].reshape(-1, k, d * d).sum(axis=1)
+        return np.clip(np.einsum("px,xr->pr", v, rate_weights), 0.0, None)
 
     def fail(i, message):
         exc = FloatingPointError(message)
@@ -456,7 +464,7 @@ def _thin_paths(
         fail(bad[0], "the lift state is not finite at the horizon")
     # int_0^T rate_r ds = Tr(intV mu_r) / (||xi_r|| /\ 1); exact since the
     # augmented block integrates V along the flow and jumps leave V cadlag
-    compens = np.einsum("pab,rab->pr", z[:, kn:].reshape(n_paths, d, d), weights_scaled)
+    compens = np.einsum("px,xr->pr", z[:, kn:], rate_weights)
 
     paths, ev_t, ev_atom, ev_rate = (
         np.concatenate(cols) for cols in zip(*events)
@@ -533,10 +541,7 @@ def volterra_projection(
     """
     grid = record.grid
     times = grid.times
-    lam0 = np.asarray(lam0, dtype=float)
-    out = np.einsum(
-        "ti,iab->tab", np.exp(-np.multiply.outer(times, measure.nodes)), lam0
-    )
+    out = decay_sum(measure.nodes, lam0, times)
     # trapezoid node states T_i(t_m) = sum_j w_j e^(-x_i (t_m - t_j)) V_j with
     # half weights at j = 0 and j = m, so the history sum is sum_i nu_i T_i
     decay = np.exp(-measure.nodes * grid.dt)[:, None, None]

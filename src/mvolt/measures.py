@@ -121,9 +121,18 @@ def eval_kernel(measure: AtomicMatrixMeasure, t) -> np.ndarray:
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("kernel evaluation requires t >= 0")
-    damp = np.exp(-np.multiply.outer(t_arr, measure.nodes))  # (..., k)
-    out = np.tensordot(damp, measure.weights, axes=([-1], [0]))
-    return out
+    return decay_sum(measure.nodes, measure.weights, t_arr)
+
+
+def decay_sum(nodes, weights, t) -> np.ndarray:
+    """sum_i e^(-x_i t) w_i for weights (k, ...) of any trailing shape.
+
+    The one decay sum of the package: the kernel K(t), the mean h(t) of a
+    jump lift from lam0 and the mean H_t of the Gaussian projection from
+    gamma0.  The result has shape t.shape + weights.shape[1:].
+    """
+    damp = np.exp(-np.multiply.outer(np.asarray(t, dtype=float), nodes))  # (..., k)
+    return np.tensordot(damp, np.asarray(weights, dtype=float), axes=([-1], [0]))
 
 
 def decay_integral(rate, t):

@@ -15,8 +15,9 @@ column b) gives
 
 independent across the n rows.  Sampling from the factorized C makes each
 step exact in law for any dt, so downstream transform validations carry no
-time-discretization bias.  The projection X_t = sum_i gamma_t(x_i)
-recovers the Volterra process.
+time-discretization bias.  :meth:`StepOperator.step` steps these rows of
+k d, which :mod:`mvolt.heston` shares.  The projection X_t = sum_i
+gamma_t(x_i) recovers the Volterra process.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class StepOperator:
     """Precomputed exact one-step sampler for a fixed (measure, dt) pair."""
 
     dt: float
-    decay: np.ndarray          # (k,) e^(-x_i dt)
+    decay: np.ndarray          # (k d,) e^(-x_i dt) on column (i, b) of a node row
     noise_factor: np.ndarray   # (k d, k d) with L L^T = C
     cond_w_factor: np.ndarray = field(repr=False)  # (d, d) factor of the cond. covariance
     cond_w_gain: np.ndarray = field(repr=False)    # (d, k d) conditional-mean gain
@@ -82,27 +83,26 @@ class StepOperator:
         cond_factor = _psd_factor(cond_cov)
         return cls(
             dt=float(dt),
-            decay=np.exp(-measure.nodes * dt),
+            decay=np.repeat(np.exp(-measure.nodes * dt), d),
             noise_factor=L,
             cond_w_factor=cond_factor,
             cond_w_gain=gain,
         )
 
-    def step(self, gamma: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """Advance a batch of lift states gamma (B, k, n, d) by one exact step.
+    def step(self, gamma: np.ndarray, noise: np.ndarray) -> None:
+        """Advance lift rows gamma (..., k d) in place by one exact step.
 
-        ``noise`` holds the (B, n, k d) standard normals of the step, one
-        row of k d per path and lift row.
+        Row (..., a) of ``gamma`` holds row a of every node matrix
+        gamma(x_i) of one path, node by node, the layout of the node
+        innovations; ``noise`` holds the standard normals of the step in
+        the same shape, one k d row per path and lift row.
         """
-        B, k, n, d = gamma.shape
-        kd = self.noise_factor.shape[0]
-        if self.decay.shape != (k,) or k * d != kd or noise.shape != (B, n, kd):
-            raise ValueError(
-                f"gamma and noise must have shapes (B, {self.decay.size}, n, d) and "
-                f"(B, n, {kd}) with k d = {kd}, got {gamma.shape} and {noise.shape}"
-            )
-        innov = (noise @ self.noise_factor.T).reshape(B, n, k, d)
-        return self.decay[None, :, None, None] * gamma + innov.transpose(0, 2, 1, 3)
+        kd = self.decay.size
+        if gamma.shape[-1:] != (kd,) or noise.shape != gamma.shape:
+            raise ValueError(f"gamma and noise must both have shape (..., {kd}), "
+                             f"got {gamma.shape} and {noise.shape}")
+        gamma *= self.decay
+        gamma += noise @ self.noise_factor.T
 
 
 def check_lift_inputs(
@@ -163,9 +163,13 @@ def simulate_lift_blocks(
         rng.standard_normal(out=noise[row])
 
     out = np.empty((n_paths, times.size, n, d))
-    gamma = np.broadcast_to(gamma0, (n_paths, k, n, d)).copy()
+    rows = gamma0.transpose(1, 0, 2).reshape(n, k * d)
+    gamma = np.broadcast_to(rows, (n_paths, n, k * d)).copy()
     for m, op in enumerate(ops):
         if op is not None:
-            gamma = op.step(gamma, noise[:, m])
-        out[:, m] = gamma.sum(axis=1)
+            op.step(gamma, noise[:, m])
+        # summed node after node on a node-major copy: with d = 1 NumPy would
+        # sum the rows' contiguous node axis pairwise and round differently
+        nodes = gamma.reshape(n_paths, n, k, d).transpose(0, 2, 1, 3)
+        out[:, m] = np.ascontiguousarray(nodes).sum(axis=1)
     return out

@@ -26,10 +26,10 @@ Three related solvers live here.
 
        E[exp(Tr(u V_t))] = exp(Tr(u h(t)) + int_0^t Tr(G_s h(t-s)) ds).
 
-   Both jump-lift routes step on node operators built once per solve
-   (:func:`_lift_operators`): the linear part is one (k d^2)-square matrix,
-   the one :class:`jumps.LinearFlow` propagates transposed, and the jump leg
-   one exponential per atom between two small matrices.
+   Both jump-lift routes step on the thinning engine's own node operators,
+   built once per solve: the linear part L of :func:`jumps.lift_operator`,
+   which :class:`jumps.LinearFlow` propagates transposed, and the jump leg
+   W (e^(A y) - 1) with A and W from :func:`jumps.jump_operators`.
 
 3. The joint Riccati for the squared-Gaussian covariance model with a log
    price: node-pair matrices psi(x_i, x_j) with the quadratic interaction
@@ -46,35 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .measures import AtomicMatrixMeasure, TimeGrid
-from .jumps import JumpMeasureSpec, lift_operator, pairing_operator
+from .measures import AtomicMatrixMeasure, TimeGrid, decay_sum
+from .jumps import JumpMeasureSpec, jump_operators, lift_operator
 
 
 # the joint Riccati raises once |Psi| exceeds this after a composition
 BLOWUP_LIMIT = 1e8
-
-
-def _jump_operators(spec: JumpMeasureSpec, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Xi (R, d^2) and W (d^2, R) on row-major vec: Xi vec(u) = (Tr(u xi_r))_r,
-    column r of W is vec(mu_r) / (||xi_r|| /\\ 1); both empty without atoms."""
-    r = spec.n_atoms
-    xi = spec.atoms.transpose(0, 2, 1).reshape(r, d * d)
-    return xi, spec.rate_weights().reshape(r, d * d).T
-
-
-def _lift_operators(measure: AtomicMatrixMeasure, spec: JumpMeasureSpec):
-    """The jump lift's node operators (L, P, A, W) on y = vec(y_1, ..., y_k).
-
-    L and the pairing P come from :func:`jumps.lift_operator`, A = Xi P_eps
-    (R, k d^2) maps y to (Tr(P_eps(y) xi_r))_r with P_eps damping nu_j by
-    e^(-x_j eps), and W (d^2, R) carries the scaled jump weights, so that
-    NL(P_eps y) - P_eps y = W (e^(A y) - 1).
-    """
-    damp = np.exp(-measure.nodes * spec.epsilon_shift)
-    xi, gain = _jump_operators(spec, measure.d)
-    lin, pairing = lift_operator(measure)
-    jump_arg = xi @ pairing_operator(damp[:, None, None] * measure.weights)
-    return lin, pairing, jump_arg, gain
 
 
 @np.errstate(over="ignore", invalid="ignore")    # divergence is raised below
@@ -87,11 +64,11 @@ def solve_lift_riccati_jump(
     """Trajectory of the lift ODE; returns (N+1, k, d, d) samples.
 
     On the flat state y = vec(y_1, ..., y_k) the right-hand side is
-    L y + G (e^(A y) - 1), G = 1_k (x) W, with the operators of
-    :func:`_lift_operators`.  It is stepped by the fourth-order exponential
-    time differencing Runge-Kutta scheme of Cox and Matthews (2002), which
-    takes L exactly, so one step per grid interval serves whatever the
-    stiffness.  The exponential of B = [[L, I, 0, 0], [0, 0, I, 0],
+    L y + G (e^(A y) - 1), G = 1_k (x) W, with L of :func:`jumps.lift_operator`
+    and A, W of :func:`jumps.jump_operators`.  It is stepped by the
+    fourth-order exponential time differencing Runge-Kutta scheme of Cox and
+    Matthews (2002), which takes L exactly, so one step per grid interval
+    serves whatever the stiffness.  The exponential of B = [[L, I, 0, 0], [0, 0, I, 0],
     [0, 0, 0, I], 0] over h/2 has the top block row [e^(L h/2), tau phi_1,
     tau^2 phi_2, tau^3 phi_3] (tau = h/2, phi_j at L tau) and its square the
     same at h; G is folded into the phi products once per solve, so a stage
@@ -101,7 +78,8 @@ def solve_lift_riccati_jump(
     k, d = measure.k, measure.d
     if y0.shape != (k, d, d):
         raise ValueError(f"y0 must have shape ({k}, {d}, {d})")
-    lin, _, jump_arg, gain = _lift_operators(measure, spec)
+    lin, _ = lift_operator(measure)
+    jump_arg, gain = jump_operators(measure, spec)
     n, h = lin.shape[0], grid.dt
     gain = np.tile(gain, (k, 1))
     aug = np.zeros((4 * n, 4 * n))
@@ -167,7 +145,8 @@ def solve_volterra_riccati_jump(
     k, d = measure.k, measure.d
     if u.shape != (d, d):
         raise ValueError(f"u must be ({d}, {d})")
-    _, pairing, jump_arg, gain = _lift_operators(measure, spec)
+    _, pairing = lift_operator(measure)
+    jump_arg, gain = jump_operators(measure, spec)
     decay = np.exp(-measure.nodes * grid.dt)[:, None]
     y = np.tile(u.ravel(), (k, 1))
     g = np.empty((len(grid), d * d))
@@ -177,13 +156,6 @@ def solve_volterra_riccati_jump(
         flat = y.ravel()
         g[m] = pairing @ flat + gain @ (np.exp(jump_arg @ flat) - 1.0)
     return g.reshape(len(grid), d, d)
-
-
-def h_curve(lam0: np.ndarray, measure: AtomicMatrixMeasure, times) -> np.ndarray:
-    """h(t) = sum_i e^(-x_i t) lam0(x_i) on the given times."""
-    times = np.asarray(times, dtype=float)
-    damp = np.exp(-np.multiply.outer(times, measure.nodes))
-    return np.einsum("ti,iab->tab", damp, np.asarray(lam0))
 
 
 @dataclass(frozen=True)
@@ -231,7 +203,7 @@ def laplace_transform_jump(
     lift_value = float(np.exp(pairing_value(y_traj[-1], lam0)))
 
     g = solve_volterra_riccati_jump(u, measure, spec, grid)
-    h = h_curve(lam0, measure, grid.times)
+    h = decay_sum(measure.nodes, lam0, grid.times)
     integ = grid.dt * float(np.einsum("jab,jba->", g[:-1], h[:0:-1], optimize=True))
     volterra_value = float(np.exp(float(np.einsum("ab,ba->", u, h[-1])) + integ))
     return JumpLaplaceResult(lift_value=lift_value, volterra_value=volterra_value)

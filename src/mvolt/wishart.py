@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .measures import AtomicMatrixMeasure, pair_decay_integrals
+from .measures import AtomicMatrixMeasure, decay_sum, pair_decay_integrals
 from .mc import run_path_blocks
 from .ou import check_lift_inputs, simulate_lift_blocks
 
@@ -55,12 +55,6 @@ class WishartTransformQuery:
             raise ValueError("c and gamma0 disagree on d")
 
 
-def mean_projection(gamma0: np.ndarray, nodes: np.ndarray, t: float) -> np.ndarray:
-    """H_t = sum_i e^(-x_i t) gamma_0(x_i), the mean of the projection X_t."""
-    decayed = np.exp(-np.asarray(nodes) * t)[:, None, None] * np.asarray(gamma0)
-    return decayed.sum(axis=0)
-
-
 def noise_variance(measure: AtomicMatrixMeasure, t: float) -> np.ndarray:
     """Q_t = int_0^t K(s)^2 ds, the per-row covariance of the OU projection."""
     E = pair_decay_integrals(measure.nodes, t)
@@ -70,7 +64,7 @@ def noise_variance(measure: AtomicMatrixMeasure, t: float) -> np.ndarray:
 def _transform_pieces(query: WishartTransformQuery, measure: AtomicMatrixMeasure):
     U = query.c.T @ query.c
     Q = noise_variance(measure, query.t)
-    H = mean_projection(query.gamma0, measure.nodes, query.t)
+    H = decay_sum(measure.nodes, query.gamma0, query.t)
     return U, Q, H
 
 
@@ -140,5 +134,5 @@ def mean_wishart(measure: AtomicMatrixMeasure, gamma0, t: float) -> np.ndarray:
     """E[V_t] = H_t^T H_t + n * Q_t, the two stochastic terms being mean-zero."""
     gamma0 = np.asarray(gamma0, dtype=float)
     n = gamma0.shape[1]
-    H = mean_projection(gamma0, measure.nodes, t)
+    H = decay_sum(measure.nodes, gamma0, t)
     return H.T @ H + n * noise_variance(measure, t)

@@ -207,6 +207,38 @@ class TestSimulationCommands:
                        f"2 x 2 weight per atom, got atoms (1, 2) and weights (0, 2, 2)"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("p0 = [0.0, 0.0]", "p0 = [1e999, 0.0]", "p0 entries must be finite"),
+        ("rho = [-0.5, 0.0]", "rho = [-1e999, 0.0]", "rho entries must be finite"),
+        ("p0 = [0.0, 0.0]", "p0 = [0.0, 0.0]\njump_atoms = [[0.05, -0.02]]\n"
+         "jump_weights = [[[-5.0, 0.0], [0.0, -5.0]]]",
+         "jump weight 0 must be PSD, min eigenvalue -5.000e+00"),
+    ], ids=["inf-p0", "inf-rho", "nsd-jump-weight"])
+    def test_heston_charfn_rejects_bad_numbers(self, tmp_path, capsys, heston_model_file,
+                                               old, new, message):
+        # these used to exit 0 with NaN or a value priced from a negative
+        # rate, or exit 3 as a Riccati blow-up
+        model = write(tmp_path / "bad.cfg",
+                      (tmp_path / "heston.cfg").read_text().replace(old, new))
+        out = tmp_path / "cf.json"
+        rc = main(["heston", "charfn", "--model", model, "--v", "1.0,0.0", "--t", "1.0",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: {model}: {message}"]
+        assert not out.exists()
+
+    def test_hawkes_grid_steps_must_be_positive(self, tmp_path, capsys, jump_model_file):
+        # 0 used to fall back to the default grid and exit 0
+        out = tmp_path / "ev.csv"
+        for steps in ("0", "-1"):
+            rc = main(["hawkes", "simulate", "--model", jump_model_file, "--T", "1.0",
+                       "--paths", "2", "--grid-steps", steps, "--out", str(out)])
+            assert rc == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == ["error: need horizon > 0 and n_steps >= 1"]
+            assert not out.exists()
+
     def test_hawkes_jump_atoms_need_weights(self, tmp_path, capsys):
         model = write(
             tmp_path / "m.cfg",

@@ -50,6 +50,7 @@ def einsum_step_reference(sim, seed, start, stop):
 
     rho = model.rho
     rho_orth = float(np.sqrt(max(1.0 - rho @ rho, 0.0)))
+    decay = np.exp(-model.measure.nodes * dt)
     gamma = np.broadcast_to(model.gamma0, (B, k, n, d)).copy()
     P = np.broadcast_to(model.p0, (B, d)).copy()
     width = 2 * d if sim.record_variance else d
@@ -86,7 +87,7 @@ def einsum_step_reference(sim, seed, start, stop):
             dP = dP + np.einsum("jx,bj->bx", atoms, counts)
             dP = dP - np.einsum("jx,bj->bx", atoms, rates) * dt
         P = P + dP
-        gamma = op.decay[None, :, None, None] * gamma + zeta.reshape(
+        gamma = decay[None, :, None, None] * gamma + zeta.reshape(
             B, n, k, d).transpose(0, 2, 1, 3)
         for pos, r in enumerate(sim.record_idx):
             if r == m + 1:
@@ -126,6 +127,28 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="weight per atom"):
             HestonModelSpec(measure=m, gamma0=np.zeros((1, 2, 2)), rho=[0.0, 0.0],
                             p0=[0.0, 0.0], jump_atoms=atoms, jump_weights=weights)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("gamma0", [[[0.1, np.nan], [0.0, 0.1]]], "gamma0 entries must be finite"),
+        ("rho", [np.nan, 0.0], "rho entries must be finite"),
+        ("p0", [np.inf, 0.0], "p0 entries must be finite"),
+        ("jump_atoms", [[np.nan, 0.0]], "jump atoms entries must be finite"),
+        ("jump_weights", [[[np.inf, 0.0], [0.0, 1.0]]], "jump weights entries must be finite"),
+        ("jump_weights", [[[-5.0, 0.0], [0.0, -5.0]]], r"jump weight 0 must be PSD"),
+        # symmetric part [[1, 0], [0, -1e-3]]: the skew part does not hide it
+        ("jump_weights", [[[1.0, 2.0], [-2.0, -1e-3]]], r"jump weight 0 must be PSD"),
+    ], ids=["nan-gamma0", "nan-rho", "inf-p0", "nan-atom", "inf-weight", "nsd-weight",
+            "indefinite-symmetric-part"])
+    def test_rejects_non_finite_and_non_psd_inputs(self, field, value, message):
+        # a NaN or inf input used to reach the Riccati (NaN charfn or a
+        # blow-up exit), and a non-PSD weight was priced with a raw rate
+        # that the simulator clips at 0
+        m = AtomicMatrixMeasure([0.5], np.eye(2)[None] * 0.1)
+        spec = dict(gamma0=np.full((1, 1, 2), 0.1), rho=[0.0, 0.0], p0=[0.0, 0.0],
+                    jump_atoms=[[0.1, 0.0]], jump_weights=[np.eye(2)])
+        HestonModelSpec(measure=m, **spec)
+        with pytest.raises(ValueError, match=message):
+            HestonModelSpec(measure=m, **{**spec, field: value})
 
 
 class TestPoissonInversion:

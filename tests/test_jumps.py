@@ -1,4 +1,5 @@
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from mvolt.jumps import (
     _choice_rows,
     empty_jump_spec,
     hawkes_jump_spec,
-    jump_increment,
+    jump_operators,
     simulate_jump_path,
     volterra_projection,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def scalar_hawkes():
@@ -133,12 +136,18 @@ class TestIntensity:
 
 
 class TestJumpIncrement:
+    @staticmethod
+    def increments(measure, xi, eps):
+        """Row 0 of jump_operators' A for the single atom xi, as (k, d, d)."""
+        spec = JumpMeasureSpec(atoms=[xi], weights=[np.eye(measure.d)], epsilon_shift=eps)
+        return jump_operators(measure, spec)[0].reshape(measure.k, measure.d, measure.d)
+
     def test_shift_scales_per_node(self):
         m, _, _ = diagonal_preset()
         xi = np.diag([1.0, 0.0])
-        inc0 = jump_increment(m, xi, 0.0)
+        inc0 = self.increments(m, xi, 0.0)
         eps = 1e-3
-        inc_eps = jump_increment(m, xi, eps)
+        inc_eps = self.increments(m, xi, eps)
         expected = np.exp(-m.nodes * eps)[:, None, None] * inc0
         np.testing.assert_allclose(inc_eps, expected, rtol=1e-12)
         # O(eps) convergence of the action itself
@@ -149,7 +158,7 @@ class TestJumpIncrement:
     def test_structure(self):
         m, _, _ = diagonal_preset()
         xi = np.diag([1.0, 0.0])
-        inc = jump_increment(m, xi, 0.0)
+        inc = self.increments(m, xi, 0.0)
         for i in range(m.k):
             np.testing.assert_allclose(
                 inc[i], m.weights[i] @ xi + xi @ m.weights[i]
@@ -442,11 +451,10 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
     eps = spec.epsilon_shift
     norms = np.minimum(spec.atom_norms(), 1.0).clip(min=1e-300) if spec.n_atoms else np.zeros(0)
     weights_scaled = spec.weights / norms[:, None, None] if spec.n_atoms else spec.weights
-    jump_incs = (
-        np.stack([jump_increment(measure, xi, eps) for xi in spec.atoms])
-        if spec.n_atoms
-        else np.zeros((0, measure.k, measure.d, measure.d))
-    )
+    # e^(-x_i eps) (nu_i xi + xi nu_i^T), written out per atom
+    damp = np.exp(-measure.nodes * eps)[:, None, None]
+    jump_incs = [damp * (measure.weights @ xi + xi @ measure.weights.transpose(0, 2, 1))
+                 for xi in spec.atoms]
 
     def rates_of(lam):
         if spec.n_atoms == 0:
@@ -642,6 +650,29 @@ def test_lockstep_thinning_matches_per_path_loop(name, block_size, workers):
     for rec, (fields, _) in zip(got, want, strict=True):
         for field, value in fields.items():
             np.testing.assert_array_equal(getattr(rec, field), value, err_msg=field)
+
+
+def test_mean_counts_match_the_lift_mean_ode(monkeypatch):
+    # E[N_r(T)] from the linear mean ODE of perfbench/reference.py, a route
+    # that shares no code with mvolt.  The compensator identity holds for any
+    # increment the engine adds; this comparison does not: without the
+    # xi_r nu_i term of the increment the z values read -25 and -18
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import reference
+
+    sim, seed = _reference_model("two_atom_eps")
+    measure, lam0, spec = sim.state0.measure, sim.state0.lam, sim.spec
+    records = run_path_blocks(sim.block, 2000, seed)
+    # the mean ODE is linear only while no rate is clipped at 0: check the
+    # rates at every grid time and just before every jump
+    v = np.array([rec.v_path for rec in records])
+    assert np.einsum("ptab,rab->ptr", v, spec.rate_weights()).min() >= 0.0
+    assert all(np.all(rec.intensity_at_jumps > 0.0) for rec in records)
+    counts = np.array([rec.counts_path[-1] for rec in records])
+    want = reference.jump_lift_mean_counts(measure.nodes, measure.weights, lam0, spec.atoms,
+                                           spec.weights, spec.epsilon_shift, sim.horizon)
+    z = (counts.mean(axis=0) - want) / (counts.std(axis=0, ddof=1) / np.sqrt(len(records)))
+    assert np.all(np.abs(z) <= 4.0), z
 
 
 def test_state_that_overflows_without_candidates_raises():

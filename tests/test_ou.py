@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mvolt.mc import path_streams
-from mvolt.measures import AtomicMatrixMeasure
+from mvolt.measures import AtomicMatrixMeasure, decay_sum
 from mvolt.ou import StepOperator, node_covariance, simulate_lift_blocks
-from mvolt.wishart import mean_projection
 
 
 def two_node_measure():
@@ -14,20 +13,21 @@ def two_node_measure():
 
 def test_deterministic_decay_with_zero_noise():
     m = two_node_measure()
-    gamma = np.ones((1, 2, 1, 2))
+    # one lift row (n = 1) of a path: node 0's two columns, then node 1's
+    gamma = np.ones((1, 1, 4))
     op = StepOperator.build(m, 0.5)
-    new = op.step(gamma, np.zeros((1, 1, 4)))
-    expected = np.exp(-m.nodes * 0.5)[None, :, None, None] * gamma
-    np.testing.assert_allclose(new, expected, rtol=1e-14)
+    op.step(gamma, np.zeros((1, 1, 4)))
+    expected = np.repeat(np.exp(-m.nodes * 0.5), 2)
+    np.testing.assert_allclose(gamma[0, 0], expected, rtol=1e-14)
 
 
 def test_brownian_special_case():
     # single node at x = 0 with unit weight: increments are sqrt(dt) normals
     m = AtomicMatrixMeasure([0.0], [[[1.0]]])
     op = StepOperator.build(m, 0.25)
-    z = np.array([[[1.7]]])
-    new = op.step(np.zeros((1, 1, 1, 1)), z)
-    assert new[0, 0, 0, 0] == pytest.approx(np.sqrt(0.25) * 1.7)
+    gamma = np.zeros((1, 1, 1))
+    op.step(gamma, np.array([[[1.7]]]))
+    assert gamma[0, 0, 0] == pytest.approx(np.sqrt(0.25) * 1.7)
 
 
 def test_step_covariance_matches_formula():
@@ -48,13 +48,15 @@ def test_exactness_one_big_step_equals_two_small():
     op1 = StepOperator.build(m, dt)
     op2 = StepOperator.build(m, 2 * dt)
     n_mc = 400_000
-    gamma0 = np.full((n_mc, 2, 1, 2), 0.5)
     rng = np.random.default_rng(11)
 
-    big = op2.step(gamma0, rng.standard_normal((n_mc, 1, 4)))
+    big = np.full((n_mc, 1, 4), 0.5)
+    op2.step(big, rng.standard_normal((n_mc, 1, 4)))
     z1 = rng.standard_normal((n_mc, 1, 4))
     z2 = rng.standard_normal((n_mc, 1, 4))
-    small = op1.step(op1.step(gamma0, z1), z2)
+    small = np.full((n_mc, 1, 4), 0.5)
+    op1.step(small, z1)
+    op1.step(small, z2)
 
     fb, fs = big.reshape(n_mc, -1), small.reshape(n_mc, -1)
     se_mean = fb.std(axis=0, ddof=1) / np.sqrt(n_mc)
@@ -80,11 +82,12 @@ def test_affine_in_initial_condition_with_frozen_noise():
     op = StepOperator.build(m, 0.4)
     rng = np.random.default_rng(5)
     noise = rng.standard_normal((1, 3, 4))
-    g1 = rng.normal(size=(1, 2, 3, 2))
-    g2 = rng.normal(size=(1, 2, 3, 2))
-    out12 = op.step(g1 + g2, noise)
-    out1 = op.step(g1, noise)
-    out2 = op.step(g2, np.zeros_like(noise))
+    g1 = rng.normal(size=(1, 3, 4))
+    g2 = rng.normal(size=(1, 3, 4))
+    out12, out1, out2 = g1 + g2, g1.copy(), g2.copy()
+    op.step(out12, noise)
+    op.step(out1, noise)
+    op.step(out2, np.zeros_like(noise))
     np.testing.assert_allclose(out12, out1 + out2, rtol=1e-12, atol=1e-14)
 
 
@@ -94,7 +97,7 @@ def test_mc_mean_matches_decay():
     times = np.array([0.4, 1.1])
     xs = simulate_lift_blocks(m, g0, times, seed=9, start=0, stop=30_000)
     for j, t in enumerate(times):
-        target = mean_projection(g0, m.nodes, t)
+        target = decay_sum(m.nodes, g0, t)
         mean = xs[:, j].mean(axis=0)
         se = xs[:, j].std(axis=0, ddof=1) / np.sqrt(xs.shape[0])
         assert np.all(np.abs(mean - target) <= 3.5 * se)
@@ -106,10 +109,11 @@ def test_tower_property_of_forward_curve():
     g0 = np.random.default_rng(4).normal(size=(2, 1, 2))
     s, t = 0.5, 1.2
     noise = np.array([rng.standard_normal((1, 4)) for rng in path_streams(13, 0, 30_000)])
-    gam = StepOperator.build(m, s).step(np.broadcast_to(g0, (30_000, 2, 1, 2)), noise)
+    gam = np.broadcast_to(g0.transpose(1, 0, 2).reshape(1, 4), (30_000, 1, 4)).copy()
+    StepOperator.build(m, s).step(gam, noise)
     damp = np.exp(-m.nodes * (t - s))
-    fwd = np.einsum("i,pina->pna", damp, gam)
-    target = mean_projection(g0, m.nodes, t)
+    fwd = np.einsum("i,pnia->pna", damp, gam.reshape(30_000, 1, 2, 2))
+    target = decay_sum(m.nodes, g0, t)
     se = fwd.std(axis=0, ddof=1) / np.sqrt(fwd.shape[0])
     assert np.all(np.abs(fwd.mean(axis=0) - target) <= 3.5 * se)
 
@@ -127,7 +131,9 @@ class TestStepOperatorValidation:
         m = two_node_measure()
         op = StepOperator.build(m, 0.1)
         with pytest.raises(ValueError, match="shape"):
-            op.step(np.zeros((1, 2, 1, 2)), np.zeros((1, 1, 3)))
+            op.step(np.zeros((1, 1, 4)), np.zeros((1, 1, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            op.step(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,14 @@
 
 ``perfbench/tracing.py`` wraps ``mvolt`` functions and methods by name, so a
 refactor that drops or renames one of them breaks only a traced benchmark
-run.  This test installs the wrappers, runs one small traced Heston block
-through them and takes them off again.
+run.  These tests install the wrappers, run a small traced Heston block,
+Hawkes simulation and Wishart simulation through them and take them off
+again.
 """
 
 from pathlib import Path
+
+import numpy as np
 
 import mvolt.heston
 import mvolt.mc
@@ -81,3 +84,35 @@ def test_tracing_wraps_the_hawkes_entry_points(monkeypatch, tmp_path):
         patches.off()
     assert mvolt.jumps.simulate_jump_path is simulate
     assert mvolt.jumps.LinearFlow.__dict__["flow"] is flow
+
+
+def test_tracing_counts_the_gaussian_lift_blocks(monkeypatch):
+    # a traced small ``simulate_wishart``: the wrappers unpack the arguments
+    # of ``ou.simulate_lift_blocks`` (gamma0 as (k, n, d)) and time the
+    # ``StepOperator.build`` classmethod, so a change of either breaks here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    import mvolt.ou
+    import mvolt.wishart
+
+    measure = heston_reference_model().measure
+    k, n, d = measure.k, 3, measure.d
+    gamma0 = np.full((k, n, d), 0.1)
+    times = [0.25, 0.5, 1.0]
+    paths = 16
+    blocks = mvolt.wishart.simulate_lift_blocks
+    build = mvolt.ou.StepOperator.__dict__["build"]
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        V = mvolt.wishart.simulate_wishart(measure, gamma0, times, paths, 0)
+        assert V.shape == (paths, len(times), d, d)
+        metrics = tracing.layer_metrics(tracer, rounds=1)
+        assert metrics["ou.simulate_lift_blocks.ns_per_path_step"] > 0.0
+        assert metrics["ou.StepOperator.build.ms"] > 0.0
+        assert metrics["ou.noise_mb_per_block"] == paths * len(times) * n * k * d * 8 / 1e6
+    finally:
+        patches.off()
+    assert mvolt.wishart.simulate_lift_blocks is blocks
+    assert mvolt.ou.StepOperator.__dict__["build"] is build

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from mvolt.fractional import FractionalKernelSpec, fit_fractional_measure
-from mvolt.measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
-from mvolt.jumps import JumpMeasureSpec, empty_jump_spec, hawkes_jump_spec
+from mvolt.measures import AtomicMatrixMeasure, TimeGrid, decay_sum, eval_kernel
+from mvolt.jumps import (
+    JumpMeasureSpec,
+    empty_jump_spec,
+    hawkes_jump_spec,
+    jump_operators,
+    lift_operator,
+)
 from mvolt.riccati import (
-    _jump_operators,
-    _lift_operators,
-    h_curve,
     laplace_transform_jump,
     pairing_value,
     solve_joint_riccati_heston,
@@ -56,13 +59,15 @@ class TestNonlinearity:
         assert got == pytest.approx(-2.0 + (np.exp(-1.0) - 1.0) / 0.5, rel=1e-14)
 
     def test_jump_operators_match_oracle(self):
-        # W (e^(Xi vec u) - 1) on row-major vec is NL(u) - u, for
+        # one node at 0 with weight I/2 makes the pairing P the identity, so
+        # W (e^(A vec u) - 1) on row-major vec is NL(u) - u, for
         # non-symmetric u and non-commuting atoms of norm below and above 1
+        measure = AtomicMatrixMeasure([0.0], [0.5 * np.eye(2)])
         spec = JumpMeasureSpec(atoms=[np.diag([1.0, 0.3]), [[0.3, 0.1], [0.1, 0.2]]],
                                weights=[np.diag([0.2, 0.1]), [[0.1, 0.02], [0.02, 0.15]]])
         u = np.array([[-0.8, 0.3], [-0.1, -0.5]])
-        xi, gain = _jump_operators(spec, 2)
-        got = (gain @ (np.exp(xi @ u.ravel()) - 1.0)).reshape(2, 2)
+        jump_arg, gain = jump_operators(measure, spec)
+        got = (gain @ (np.exp(jump_arg @ u.ravel()) - 1.0)).reshape(2, 2)
         np.testing.assert_allclose(got, nonlinearity_R(u, spec) - u, rtol=1e-13, atol=1e-15)
 
 
@@ -142,7 +147,8 @@ class TestFlatLiftOperators:
         assert np.linalg.norm(spec.atoms[1]) < 1.0
         assert np.abs(spec.atoms[0] @ spec.atoms[1]
                       - spec.atoms[1] @ spec.atoms[0]).max() > 1e-2
-        lin, pairing, jump_arg, gain = _lift_operators(measure, spec)
+        lin, pairing = lift_operator(measure)
+        jump_arg, gain = jump_operators(measure, spec)
         rng = np.random.default_rng(17)
         for _ in range(5):
             y = rng.normal(size=(3, 2, 2)) * 0.5
@@ -183,7 +189,8 @@ class TestFlatLiftOperators:
             FractionalKernelSpec(np.array([[0.1]]), 1e-3, 10.0, 40)).measure
         assert measure.nodes[-1] > 7e4
         spec = hawkes_jump_spec(1, [0.3])
-        lin, _, jump_arg, gain = _lift_operators(measure, spec)
+        lin, _ = lift_operator(measure)
+        jump_arg, gain = jump_operators(measure, spec)
         gain = np.tile(gain, (measure.k, 1))
         y0 = np.full(measure.k, -0.5)
 
@@ -475,7 +482,7 @@ def test_joint_riccati_index_order_non_commuting():
 def test_h_curve_matches_decay():
     measure, lam0, _ = scalar_hawkes()
     ts = np.array([0.0, 0.5, 1.0])
-    h = h_curve(lam0, measure, ts)
+    h = decay_sum(measure.nodes, lam0, ts)
     np.testing.assert_allclose(h[:, 0, 0], np.exp(-ts), rtol=1e-14)
 
 
@@ -552,7 +559,7 @@ def volterra_value_direct(u, lam0, measure, spec, grid):
         psi_eps = base_eps[m] + dt * (np.einsum("jab,jbc->ac", past, kern_eps)
                                       + np.einsum("jab,jbc->ac", kern_eps, past))
         g[m] = psi + nonlinearity_R(psi_eps, spec) - psi_eps
-    h = h_curve(lam0, measure, grid.times)
+    h = decay_sum(measure.nodes, lam0, grid.times)
     integ = dt * np.einsum("jab,jba->", g[:-1], h[:0:-1])
     return float(np.exp(np.einsum("ab,ba->", u, h[-1]) + integ))
 
