@@ -202,15 +202,13 @@ def cmd_transform_laplace(args) -> int:
     if "u" not in u_sec:
         raise ConfigError(f"{args.u}: missing 'u' field (d x d NSD matrix)")
     u = np.asarray(u_sec["u"], dtype=float)
-    entries = []
-    for t in configio.parse_float_list(args.t):
-        res = laplace_transform_jump(u, lam0, measure, spec, t,
+    times = configio.parse_float_list(args.t)
+    results = laplace_transform_jump(u, lam0, measure, spec, times,
                                      n_steps=args.riccati_steps)
-        entries.append(
-            {"t": t, "lift_value": res.lift_value,
-             "volterra_value": res.volterra_value,
-             "route_rel_gap": res.discrepancy}
-        )
+    entries = [{"t": t, "lift_value": res.lift_value,
+                "volterra_value": res.volterra_value,
+                "route_rel_gap": res.discrepancy}
+               for t, res in zip(times, results)]
     _write_text(args.out, _json_report(_clean({"entries": entries})))
     return 0
 

@@ -84,10 +84,12 @@ class JumpMeasureSpec:
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
-        if self.epsilon_shift < 0.0:
-            raise ValueError("epsilon shift must be >= 0")
+        if not 0.0 <= self.epsilon_shift < np.inf:
+            raise ValueError(f"epsilon shift must be >= 0 and finite, got {self.epsilon_shift}")
         for name, stack in (("atom", atoms), ("weight", weights)):
             for i, m in enumerate(stack):
+                if not np.all(np.isfinite(m)):
+                    raise ValueError(f"{name} {i} must be finite")
                 if not np.allclose(m, m.T, atol=1e-12):
                     raise ValueError(f"{name} {i} must be symmetric")
                 if np.size(m) and (np.linalg.eigvalsh(m)[0]
@@ -251,7 +253,9 @@ class JumpPathRecord:
     compensators: np.ndarray    # (m,) int_0^T rate_r dt
 
 
-def _check_thinning_dt(thinning_dt: float) -> None:
+def _check_times(horizon: float, thinning_dt: float) -> None:
+    if not 0.0 < horizon < np.inf:
+        raise ValueError(f"horizon T must be positive and finite, got {horizon}")
     if not 0.0 < thinning_dt < np.inf:
         raise ValueError(f"thinning_dt must be positive and finite, got {thinning_dt}")
 
@@ -275,7 +279,7 @@ def simulate_jump_path(
     (linear propagator).  This is :func:`_thin_paths` on the one stream
     ``rng``.
     """
-    _check_thinning_dt(thinning_dt)
+    _check_times(horizon, thinning_dt)
     if grid is None:
         grid = TimeGrid.regular(horizon, max(int(round(horizon / thinning_dt)), 1))
     if abs(grid.horizon - horizon) > 1e-12 * max(horizon, 1.0):
@@ -506,7 +510,7 @@ class HawkesPathSimulator:
         self.spec = spec
         self.horizon = float(horizon)
         self.thinning_dt = float(thinning_dt)
-        _check_thinning_dt(self.thinning_dt)
+        _check_times(self.horizon, self.thinning_dt)
         if grid_steps is None:
             grid_steps = max(int(round(self.horizon / self.thinning_dt)), 1)
         self.grid = TimeGrid.regular(self.horizon, grid_steps)

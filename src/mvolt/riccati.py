@@ -41,6 +41,7 @@ Three related solvers live here.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +55,23 @@ from .jumps import JumpMeasureSpec, jump_operators, lift_operator
 BLOWUP_LIMIT = 1e8
 
 
+def _grid_batch(grid) -> tuple[list[TimeGrid], bool]:
+    """The grids of one march, and whether a bare :class:`TimeGrid` was given.
+
+    Each grid keeps its own step; all must share the number of steps.
+    """
+    grids = [grid] if isinstance(grid, TimeGrid) else list(grid)
+    if not grids or len({g.n_steps for g in grids}) != 1:
+        raise ValueError("need one or more grids with the same number of steps")
+    return grids, isinstance(grid, TimeGrid)
+
+
 @np.errstate(over="ignore", invalid="ignore")    # divergence is raised below
 def solve_lift_riccati_jump(
     y0: np.ndarray,
     measure: AtomicMatrixMeasure,
     spec: JumpMeasureSpec,
-    grid: TimeGrid,
+    grid: TimeGrid | Sequence[TimeGrid],
 ) -> np.ndarray:
     """Trajectory of the lift ODE; returns (N+1, k, d, d) samples.
 
@@ -68,38 +80,51 @@ def solve_lift_riccati_jump(
     and A, W of :func:`jumps.jump_operators`.  It is stepped by the
     fourth-order exponential time differencing Runge-Kutta scheme of Cox and
     Matthews (2002), which takes L exactly, so one step per grid interval
-    serves whatever the stiffness.  The exponential of B = [[L, I, 0, 0], [0, 0, I, 0],
-    [0, 0, 0, I], 0] over h/2 has the top block row [e^(L h/2), tau phi_1,
-    tau^2 phi_2, tau^3 phi_3] (tau = h/2, phi_j at L tau) and its square the
-    same at h; G is folded into the phi products once per solve, so a stage
-    costs one expm1(A y) over the atoms and a few small matvecs.
+    serves whatever the stiffness.  The exponential of the dimensionless
+    B = [[L h/2, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0] has the top block
+    row [e^(L h/2), phi_1, phi_2, phi_3] (phi_j at L h/2) and its square
+    [e^(L h), 2 phi_1, 4 phi_2, 8 phi_3] (phi_j at L h), so no block is
+    divided by a power of h; G is folded into the phi products once per
+    solve, so a stage costs one expm1(A y) over the atoms and a few small
+    matvecs.
+
+    ``grid`` may also be a sequence of T grids with one number of steps:
+    the T solutions from the same y0, each on its own grid, are marched in
+    one loop with stacked (T, n, n) operators, and the result is (T, N+1,
+    k, d, d).  If any march leaves the floats, the first such grid in order
+    names the grid time it diverged before.
     """
+    grids, single = _grid_batch(grid)
     y0 = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float)
     k, d = measure.k, measure.d
     if y0.shape != (k, d, d):
         raise ValueError(f"y0 must have shape ({k}, {d}, {d})")
     lin, _ = lift_operator(measure)
     jump_arg, gain = jump_operators(measure, spec)
-    n, h = lin.shape[0], grid.dt
+    n, n_times = lin.shape[0], len(grids[0])
+    h = np.array([g.dt for g in grids])[:, None, None]
     gain = np.tile(gain, (k, 1))
-    aug = np.zeros((4 * n, 4 * n))
-    aug[:n, :n] = lin
-    aug[np.arange(3 * n), np.arange(n, 4 * n)] = 1.0
-    half = scipy.linalg.expm(aug * (0.5 * h))
-    full = half[:n] @ half
+    aug = np.zeros((len(grids), 4 * n, 4 * n))
+    aug[:, :n, :n] = lin * (0.5 * h)
+    aug[:, np.arange(3 * n), np.arange(n, 4 * n)] = 1.0
+    half = scipy.linalg.expm(aug)
+    full = half[:, :n] @ half
     # p_j = h phi_j(L h) and q = (h/2) phi_1(L h/2); the propagators act as
     # y + (e^(L s) - I) y with e^(L s) - I = L s phi_1(L s), so that their
     # rounding does not compound over the steps
-    q = half[:n, n:2 * n]
-    p1, p2, p3 = (full[:, j * n:(j + 1) * n] / h**(j - 1) for j in range(1, 4))
+    q = 0.5 * h * half[:, :n, n:2 * n]
+    p1, p2, p3 = (h / 2**j * full[:, :, j * n:(j + 1) * n] for j in range(1, 4))
     grow_half, grow, stage_gain = lin @ q, lin @ p1, q @ gain
-    step_gain = np.hstack([(p1 - 3.0 * p2 + 4.0 * p3) @ gain,
-                           2.0 * (p2 - 2.0 * p3) @ gain,
-                           (4.0 * p3 - p2) @ gain])
+    step_gain = np.concatenate([(p1 - 3.0 * p2 + 4.0 * p3) @ gain,
+                                2.0 * (p2 - 2.0 * p3) @ gain,
+                                (4.0 * p3 - p2) @ gain], axis=2)
 
-    out = np.empty((len(grid), n), dtype=y0.dtype)
-    out[0] = y = y0.ravel()
-    for m in range(1, len(grid)):
+    # y stacks one column per grid, (T, n, 1).  Each step adds to y itself,
+    # so an entry that left the floats stays inf or nan, and the first
+    # non-finite sample of the trajectory is where its march diverged
+    out = np.empty((n_times, len(grids), n, 1), dtype=y0.dtype)
+    out[0] = y = np.tile(y0.reshape(n, 1), (len(grids), 1, 1))
+    for m in range(1, n_times):
         ny = np.expm1(jump_arg @ y)
         ey = y + grow_half @ y
         a = ey + stage_gain @ ny
@@ -108,13 +133,15 @@ def solve_lift_riccati_jump(
         nb = np.expm1(jump_arg @ b)
         c = a + grow_half @ a + stage_gain @ (2.0 * nb - ny)
         nc = np.expm1(jump_arg @ c)
-        y = y + grow @ y + step_gain @ np.concatenate([ny, na + nb, nc])
-        if not np.all(np.isfinite(y)):
-            raise FloatingPointError(
-                f"lift Riccati diverged before t = {grid.times[m]:.6g}"
-            )
-        out[m] = y
-    return out.reshape((len(grid),) + y0.shape)
+        out[m] = y = y + grow @ y + step_gain @ np.concatenate([ny, na + nb, nc], axis=1)
+    bad = ~np.isfinite(out).all(axis=(2, 3))
+    if bad.any():
+        j = int(np.flatnonzero(bad.any(axis=0))[0])
+        raise FloatingPointError(
+            f"lift Riccati diverged before t = {grids[j].times[np.argmax(bad[:, j])]:.6g}"
+        )
+    out = out.swapaxes(0, 1).reshape((len(grids), n_times) + y0.shape)
+    return out[0] if single else out
 
 
 def pairing_value(y: np.ndarray, lam0: np.ndarray) -> float:
@@ -126,7 +153,7 @@ def solve_volterra_riccati_jump(
     u: np.ndarray,
     measure: AtomicMatrixMeasure,
     spec: JumpMeasureSpec,
-    grid: TimeGrid,
+    grid: TimeGrid | Sequence[TimeGrid],
 ) -> np.ndarray:
     """March the two-sided Volterra system; returns G on the grid, (N+1, d, d).
 
@@ -139,23 +166,29 @@ def solve_volterra_riccati_jump(
     y_i(t_m) = e^(-x_i t_m) u + dt sum_{j<m} e^(-x_i (t_m - t_j)) G_j,
     updated as y_i <- e^(-x_i dt) (y_i + dt G_{m-1}); then Psi = sum_i (y_i
     nu_i + nu_i y_i) and Psi^eps weights node i by e^(-x_i eps).  With an
-    empty jump measure G is Psi itself.
+    empty jump measure G is Psi itself.  A sequence of T grids with one
+    number of steps is marched in one loop on (T, k, d^2) node states, each
+    with its own decay; the result is then (T, N+1, d, d).
     """
+    grids, single = _grid_batch(grid)
     u = np.asarray(u, dtype=float)
     k, d = measure.k, measure.d
     if u.shape != (d, d):
         raise ValueError(f"u must be ({d}, {d})")
     _, pairing = lift_operator(measure)
     jump_arg, gain = jump_operators(measure, spec)
-    decay = np.exp(-measure.nodes * grid.dt)[:, None]
-    y = np.tile(u.ravel(), (k, 1))
-    g = np.empty((len(grid), d * d))
-    for m in range(len(grid)):
+    pairing, jump_arg, gain = pairing.T, jump_arg.T, gain.T     # act on rows
+    dt = np.array([g.dt for g in grids])[:, None, None]
+    decay = np.exp(-measure.nodes[:, None] * dt)
+    y = np.tile(u.ravel(), (len(grids), k, 1))
+    g = np.empty((len(grids[0]), len(grids), 1, d * d))
+    for m in range(len(g)):
         if m:
-            y = decay * (y + grid.dt * g[m - 1])
-        flat = y.ravel()
-        g[m] = pairing @ flat + gain @ (np.exp(jump_arg @ flat) - 1.0)
-    return g.reshape(len(grid), d, d)
+            y = decay * (y + dt * g[m - 1])
+        flat = y.reshape(len(grids), 1, -1)
+        g[m] = flat @ pairing + (np.exp(flat @ jump_arg) - 1.0) @ gain
+    g = g.swapaxes(0, 1).reshape(len(grids), -1, d, d)
+    return g[0] if single else g
 
 
 @dataclass(frozen=True)
@@ -176,9 +209,9 @@ def laplace_transform_jump(
     lam0: np.ndarray,
     measure: AtomicMatrixMeasure,
     spec: JumpMeasureSpec,
-    t: float,
+    t: float | Sequence[float],
     n_steps: int = 400,
-) -> JumpLaplaceResult:
+) -> JumpLaplaceResult | list[JumpLaplaceResult]:
     """Laplace transform of V_t for NSD u through both analytic routes.
 
     Route one integrates the lift ODE and evaluates exp(<y_t, lam_0>).
@@ -190,23 +223,45 @@ def laplace_transform_jump(
     eps = 0 the system collapses to the single symmetrized equation.
     Values lie in (0, 1]; the route discrepancy shrinks linearly in the
     grid step.
+
+    ``t`` may be a 1-D sequence: every t keeps its own grid
+    ``TimeGrid.regular(t, n_steps)``, both routes march all of them in one
+    loop each, and the result is one :class:`JumpLaplaceResult` per t, in
+    order.  u must be a finite NSD d x d matrix and every t finite and
+    positive; both are checked before either march.
     """
     u = np.asarray(u, dtype=float)
     d = measure.d
+    if u.shape != (d, d):
+        raise ValueError(f"transform argument u must be {d} x {d}, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("transform argument u must be finite")
     if np.linalg.eigvalsh(0.5 * (u + u.T))[-1] > 1e-12:
         raise ValueError("transform argument u must be negative semidefinite")
-    grid = TimeGrid.regular(t, n_steps)
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"transform time t must be a float or a 1-D sequence, "
+                         f"got shape {ts.shape}")
+    times = ts.reshape(-1)
+    for ti in times:
+        if not 0.0 < ti < np.inf:
+            raise ValueError(f"transform time t must be positive and finite, got {ti}")
+    if not times.size:
+        return []
+    grids = [TimeGrid.regular(ti, n_steps) for ti in times]
     lam0 = np.asarray(lam0, dtype=float)
 
     y0 = np.broadcast_to(u, (measure.k, d, d)).copy()
-    y_traj = solve_lift_riccati_jump(y0, measure, spec, grid)
-    lift_value = float(np.exp(pairing_value(y_traj[-1], lam0)))
-
-    g = solve_volterra_riccati_jump(u, measure, spec, grid)
-    h = decay_sum(measure.nodes, lam0, grid.times)
-    integ = grid.dt * float(np.einsum("jab,jba->", g[:-1], h[:0:-1], optimize=True))
-    volterra_value = float(np.exp(float(np.einsum("ab,ba->", u, h[-1])) + integ))
-    return JumpLaplaceResult(lift_value=lift_value, volterra_value=volterra_value)
+    y_end = solve_lift_riccati_jump(y0, measure, spec, grids)[:, -1]
+    g = solve_volterra_riccati_jump(u, measure, spec, grids)
+    results = []
+    for grid, y, g_t in zip(grids, y_end, g):
+        h = decay_sum(measure.nodes, lam0, grid.times)
+        integ = grid.dt * float(np.einsum("jab,jba->", g_t[:-1], h[:0:-1], optimize=True))
+        results.append(JumpLaplaceResult(
+            lift_value=float(np.exp(pairing_value(y, lam0))),
+            volterra_value=float(np.exp(float(np.einsum("ab,ba->", u, h[-1])) + integ))))
+    return results[0] if ts.ndim == 0 else results
 
 
 @dataclass(frozen=True)

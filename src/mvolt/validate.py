@@ -184,10 +184,9 @@ def check_jump_transform(
     v_cols = {t: values[:, 2 + j] for j, t in enumerate(ts)}
     points, worst_z, worst_gap = [], 0.0, 0.0
     for u in us:
-        for t in ts:
-            res = laplace_transform_jump(
-                np.array([[u]]), lam0, measure, spec, t, n_steps=n_steps
-            )
+        results = laplace_transform_jump(np.array([[u]]), lam0, measure, spec, ts,
+                                         n_steps=n_steps)
+        for t, res in zip(ts, results):
             tol = max(1e-4, 5.0 * t / n_steps)
             est = estimate_mean(np.exp(u * v_cols[t]))
             z = float(est.z_score(res.lift_value))

@@ -335,6 +335,17 @@ class TestSimulationCommands:
                        f"got {float(thinning_dt)}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("horizon", ["inf", "nan", "0", "-1.0"])
+    def test_hawkes_rejects_bad_horizon(self, tmp_path, capsys, jump_model_file, horizon):
+        # inf ended in an OverflowError traceback, nan in a float-to-int error
+        out = tmp_path / "events.csv"
+        rc = main(["hawkes", "simulate", "--model", jump_model_file, "--T", horizon,
+                   "--paths", "5", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: horizon T must be positive and finite, got {float(horizon)}"]
+        assert not out.exists()
+
     def test_hawkes_workers_share_a_small_run(self, tmp_path, jump_model_file,
                                               monkeypatch):
         # 500 paths fit in one block of BLOCK_SIZE; with 2 workers the run is
@@ -449,6 +460,85 @@ class TestTransformCommands:
         for entry in rep["entries"]:
             assert entry["route_rel_gap"] <= 1e-2
 
+    def test_transform_laplace_one_call_keeps_the_order(self, tmp_path, jump_model_file,
+                                                        monkeypatch):
+        # unsorted with a duplicate: one solve for every --t, and the entries
+        # follow the list, each equal to its own one-t run
+        import mvolt.cli as cli_mod
+
+        calls = []
+        solve = cli_mod.laplace_transform_jump
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "laplace_transform_jump", counted)
+        ufile = write(tmp_path / "u.cfg", "u = [[-1.0]]\n")
+        out = tmp_path / "lap.json"
+
+        def entries(times):
+            assert main(["transform", "laplace", "--model", jump_model_file,
+                         "--u", ufile, "--t", times, "--out", str(out)]) == 0
+            return json.loads(out.read_text())["entries"]
+
+        got = entries("1.0,0.25,0.5,0.25")
+        assert calls == [[1.0, 0.25, 0.5, 0.25]]
+        assert [e["t"] for e in got] == [1.0, 0.25, 0.5, 0.25]
+        assert got[1] == got[3]
+        for entry in got:
+            [want] = entries(repr(entry["t"]))
+            for key in ("lift_value", "volterra_value"):
+                assert entry[key] == pytest.approx(want[key], rel=1e-14, abs=0.0)
+
+    def test_transform_laplace_tiny_t(self, tmp_path, jump_model_file):
+        # t / --riccati-steps = 2.5e-303: a valid time, not a divergence
+        ufile = write(tmp_path / "u.cfg", "u = [[-1.0]]\n")
+        out = tmp_path / "lap.json"
+        assert main(["transform", "laplace", "--model", jump_model_file,
+                     "--u", ufile, "--t", "1e-300", "--out", str(out)]) == 0
+        [entry] = json.loads(out.read_text())["entries"]
+        assert entry["lift_value"] == pytest.approx(np.exp(-1.0), rel=1e-15)
+        assert entry["volterra_value"] == pytest.approx(np.exp(-1.0), rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("u, times, message", [
+        ("[[-1.0]]", "inf", "error: transform time t must be positive and finite, got inf"),
+        ("[[-1.0]]", "nan", "error: transform time t must be positive and finite, got nan"),
+        ("[[-1.0]]", "0.5,0", "error: transform time t must be positive and finite, got 0.0"),
+        ("[[-1.0, 0.0]]", "0.5", "error: transform argument u must be 1 x 1, got shape (1, 2)"),
+        ("[[-1e999]]", "0.5", "error: transform argument u must be finite"),
+    ], ids=["inf-t", "nan-t", "zero-t-after-a-good-one", "u-one-row", "inf-u"])
+    def test_transform_laplace_bad_u_or_t(self, tmp_path, capsys, jump_model_file,
+                                          u, times, message):
+        ufile = write(tmp_path / "u.cfg", f"u = {u}\n")
+        out = tmp_path / "lap.json"
+        rc = main(["transform", "laplace", "--model", jump_model_file,
+                   "--u", ufile, "--t", times, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip().splitlines() == [message]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", [
+        ["transform", "laplace", "--u", "U", "--t", "0.5"],
+        ["hawkes", "simulate", "--T", "1.0", "--paths", "4"],
+    ], ids=["transform-laplace", "hawkes-simulate"])
+    def test_non_finite_jump_atom_is_config_error(self, tmp_path, capsys, cmd):
+        model = write(
+            tmp_path / "m.cfg",
+            "[measure]\nnodes = [1.0]\nweights = [[[0.4]]]\nd = 1\n"
+            "[lambda0]\nweights = [[[1.0]]]\n"
+            "[jumps]\natoms = [[[1e999]]]\nweights = [[[0.3]]]\nepsilon = 0.0\n",
+        )
+        ufile = write(tmp_path / "u.cfg", "u = [[-1.0]]\n")
+        out = tmp_path / "out.txt"
+        cmd = [ufile if arg == "U" else arg for arg in cmd]
+        rc = main([*cmd, "--model", model, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: {model}[jumps]: atom 0 must be finite"]
+        assert not out.exists()
+
     def test_transform_charfn(self, tmp_path, heston_model_file):
         out = tmp_path / "cf.json"
         rc = main(["transform", "charfn", "--model", heston_model_file,
@@ -494,6 +584,28 @@ class TestTransformCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["numerical failure: lift Riccati diverged before t = 0.08"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("times, before", [
+        ("0.05,0.1", "0.08"),         # the first t converges
+        ("0.3,0.1", "0.09"),          # the later t diverges at an earlier grid time
+        ("0.05,0.3,0.1", "0.09"),
+        ("0.1,0.3", "0.08"),
+    ])
+    def test_divergence_names_the_first_t_in_order(self, tmp_path, capsys, times, before):
+        # the model of test_numerical_failure_exit_three on 10 steps per t:
+        # the line is the one of the first --t whose march diverges
+        model = write(
+            tmp_path / "explosive.cfg",
+            "[measure]\nnodes = [1.0]\nweights = [[[5000.0]]]\nd = 1\n"
+            "[lambda0]\nweights = [[[1.0]]]\n"
+            "[jumps]\natoms = [[[1.0]]]\nweights = [[[0.3]]]\nepsilon = 0.0\n",
+        )
+        u = write(tmp_path / "u.cfg", "u = [[-1.0]]\n")
+        rc = main(["transform", "laplace", "--model", model, "--u", u,
+                   "--t", times, "--riccati-steps", "10", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"numerical failure: lift Riccati diverged before t = {before}"]
 
     def test_mc_numerical_failure_exit_three(self, tmp_path, capsys):
         # jump rates of order 1e7 push the per-step Poisson inversion past

@@ -334,6 +334,18 @@ class TestSpecValidation:
             JumpMeasureSpec(atoms=[[[1.0]]], weights=[[[1.0]]],
                             epsilon_shift=-0.1)
 
+    @pytest.mark.parametrize("atoms, weights, eps, message", [
+        ([[[np.inf]]], [[[1.0]]], 0.0, "atom 0 must be finite"),
+        ([[[1.0]]], [[[np.nan]]], 0.0, "weight 0 must be finite"),
+        ([np.eye(2), np.eye(2)], [np.eye(2), [[1.0, np.inf], [np.inf, 1.0]]], 0.0,
+         "weight 1 must be finite"),
+        ([[[1.0]]], [[[1.0]]], np.inf, "epsilon shift must be >= 0 and finite, got inf"),
+        ([[[1.0]]], [[[1.0]]], np.nan, "epsilon shift must be >= 0 and finite, got nan"),
+    ], ids=["inf-atom", "nan-weight", "inf-off-diagonal", "inf-eps", "nan-eps"])
+    def test_non_finite_rejected(self, atoms, weights, eps, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            JumpMeasureSpec(atoms=atoms, weights=weights, epsilon_shift=eps)
+
     @pytest.mark.parametrize("weights", [[], np.zeros((0, 2, 2)), [np.eye(2)],
                                          [np.eye(3)] * 2],
                              ids=["shapeless-empty", "empty-stack", "one-weight", "other-d"])

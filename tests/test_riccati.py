@@ -583,3 +583,131 @@ def test_volterra_route_matches_direct_march_with_eps():
                                      TimeGrid.regular(t, n_steps))
         assert got.volterra_value == pytest.approx(want, rel=1e-12)
         assert got.discrepancy <= max(1e-4, 5.0 * t / n_steps)
+
+
+def hawkes_lift_model():
+    """The benchmark's PSD Hawkes lift: d = 2, k = 2, diagonal atoms."""
+    eye = np.eye(2)
+    measure = AtomicMatrixMeasure([0.6, 2.5], [0.35 * eye, 0.2 * eye])
+    lam0 = np.array([0.8 * eye, 0.4 * eye])
+    atoms = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    b = np.random.default_rng(11).normal(size=(2, 2)) * 0.4
+    return measure, lam0, JumpMeasureSpec(atoms, atoms), -(b @ b.T + 0.05 * eye)
+
+
+def nondiagonal_eps_model():
+    """d = 2, k = 2, non-diagonal nu, two non-commuting atoms, eps = 0.05."""
+    nu = np.array([[[0.30, 0.05], [0.05, 0.12]],
+                   [[0.10, -0.04], [-0.04, 0.20]]])
+    measure = AtomicMatrixMeasure([0.7, 3.0], nu)
+    lam0 = np.array([[[0.6, 0.1], [0.1, 0.5]], [[0.3, -0.05], [-0.05, 0.4]]])
+    spec = JumpMeasureSpec(atoms=[np.diag([1.0, 0.3]), [[0.5, 0.2], [0.2, 0.4]]],
+                           weights=[np.diag([0.2, 0.1]),
+                                    [[0.1, 0.02], [0.02, 0.15]]],
+                           epsilon_shift=0.05)
+    return measure, lam0, spec, np.array([[-0.8, 0.2], [0.2, -0.5]])
+
+
+def explosive_model():
+    """Lift solution about -e^(9999 t): finite at t = 0.06, past the floats by 0.08."""
+    _, lam0, spec = scalar_hawkes()
+    return AtomicMatrixMeasure([1.0], [[[5000.0]]]), lam0, spec
+
+
+class TestBatchedTimes:
+    @pytest.mark.parametrize("model", [hawkes_lift_model, nondiagonal_eps_model],
+                             ids=["hawkes-lift", "nondiagonal-eps"])
+    def test_one_march_equals_per_t_calls(self, model):
+        # unsorted, with a duplicate: one result per entry, in input order
+        measure, lam0, spec, u = model()
+        ts = [1.0, 0.25, 0.5, 0.25]
+        batched = laplace_transform_jump(u, lam0, measure, spec, ts, n_steps=1000)
+        assert len(batched) == len(ts)
+        for t, got in zip(ts, batched):
+            want = laplace_transform_jump(u, lam0, measure, spec, t, n_steps=1000)
+            assert got.lift_value == pytest.approx(want.lift_value, rel=1e-14, abs=0.0)
+            assert got.volterra_value == pytest.approx(want.volterra_value,
+                                                       rel=1e-14, abs=0.0)
+        assert batched[1] == batched[3]
+
+    def test_solvers_stack_their_grids(self):
+        measure, _, spec, u = nondiagonal_eps_model()
+        y0 = np.broadcast_to(u, (2, 2, 2)).copy()
+        grids = [TimeGrid.regular(t, 50) for t in (0.5, 2.0)]
+        lift = solve_lift_riccati_jump(y0, measure, spec, grids)
+        volterra = solve_volterra_riccati_jump(u, measure, spec, grids)
+        assert lift.shape == (2, 51, 2, 2, 2)
+        assert volterra.shape == (2, 51, 2, 2)
+        for j, grid in enumerate(grids):
+            np.testing.assert_allclose(lift[j], solve_lift_riccati_jump(y0, measure, spec, grid),
+                                       rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(volterra[j],
+                                       solve_volterra_riccati_jump(u, measure, spec, grid),
+                                       rtol=1e-14, atol=1e-15)
+        with pytest.raises(ValueError, match="same number of steps"):
+            solve_lift_riccati_jump(y0, measure, spec,
+                                    [grids[0], TimeGrid.regular(1.0, 40)])
+
+    def test_float_t_returns_floats(self):
+        measure, lam0, spec = scalar_hawkes()
+        res = laplace_transform_jump(np.array([[-1.0]]), lam0, measure, spec, 0.5)
+        assert type(res.lift_value) is float and type(res.volterra_value) is float
+        assert laplace_transform_jump(np.array([[-1.0]]), lam0, measure, spec, [0.5]) == [res]
+
+    @pytest.mark.parametrize("ts, before", [
+        ([0.1], 0.08),
+        ([0.05, 0.1], 0.08),          # the first t converges
+        ([0.3, 0.1], 0.09),           # the later t diverges at an earlier grid time
+        ([0.05, 0.3, 0.1], 0.09),
+        ([0.1, 0.3], 0.08),
+    ])
+    def test_divergence_names_the_first_t_in_order(self, ts, before):
+        # 10 steps: grid times 0.01 j for t = 0.1 and 0.03 j for t = 0.3
+        measure, lam0, spec = explosive_model()
+        with pytest.raises(FloatingPointError) as exc:
+            laplace_transform_jump(np.array([[-1.0]]), lam0, measure, spec, ts,
+                                   n_steps=10)
+        assert str(exc.value) == f"lift Riccati diverged before t = {before:.6g}"
+        # the same line as the first failing per-t call
+        for t in ts:
+            try:
+                laplace_transform_jump(np.array([[-1.0]]), lam0, measure, spec, t,
+                                       n_steps=10)
+            except FloatingPointError as per_t:
+                assert str(per_t) == str(exc.value)
+                break
+
+    @pytest.mark.parametrize("t", [1e-300, 4e-300])
+    def test_tiny_step_stays_finite(self, t):
+        # h = t / 400 is below 1e-302; the phi blocks are never divided by a
+        # power of h, so the step is the identity to first order in h
+        measure, lam0, spec = scalar_hawkes()
+        u = np.array([[-1.0]])
+        res = laplace_transform_jump(u, lam0, measure, spec, t)
+        want = np.exp(-float(np.sum(lam0)))
+        assert res.lift_value == pytest.approx(want, rel=1e-15)
+        assert res.volterra_value == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("u, message", [
+        ([[-1.0, 0.0]], r"u must be 2 x 2, got shape \(1, 2\)"),
+        ([[-np.inf, 0.0], [0.0, -1.0]], "u must be finite"),
+        ([[np.nan, 0.0], [0.0, -1.0]], "u must be finite"),
+    ], ids=["one-row", "inf", "nan"])
+    def test_u_checked_before_any_march(self, u, message):
+        measure, lam0, spec, _ = nondiagonal_eps_model()
+        with pytest.raises(ValueError, match=message):
+            laplace_transform_jump(np.array(u), lam0, measure, spec, 0.5)
+
+    @pytest.mark.parametrize("ts, bad", [(np.inf, "inf"), ([0.5, np.nan], "nan"),
+                                         ([0.5, 0.0], "0.0"), (-1.0, "-1.0")])
+    def test_t_checked_before_any_march(self, ts, bad, monkeypatch):
+        import mvolt.riccati as riccati_mod
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched before every t was checked")
+
+        monkeypatch.setattr(riccati_mod, "solve_lift_riccati_jump", no_march)
+        measure, lam0, spec = scalar_hawkes()
+        with pytest.raises(ValueError,
+                           match=f"t must be positive and finite, got {bad}$"):
+            laplace_transform_jump(np.array([[-1.0]]), lam0, measure, spec, ts)
