@@ -203,6 +203,8 @@ def cmd_transform_laplace(args) -> int:
         raise ConfigError(f"{args.u}: missing 'u' field (d x d NSD matrix)")
     u = np.asarray(u_sec["u"], dtype=float)
     times = configio.parse_float_list(args.t)
+    if not times:
+        raise ConfigError(f"--t must list at least one time, got {args.t!r}")
     results = laplace_transform_jump(u, lam0, measure, spec, times,
                                      n_steps=args.riccati_steps)
     entries = [{"t": t, "lift_value": res.lift_value,

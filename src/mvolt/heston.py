@@ -128,8 +128,9 @@ class HestonSimulator:
     - ``_sum_nodes`` = 1_k (x) I_d (k d, d), so X = gamma @ _sum_nodes, and
       the node update is :meth:`ou.StepOperator.step` on these rows, the
       step of the Gaussian lift itself;
-    - ``_db_map`` (draws, n), dB from a step's raw draws: the node draws
-      through noise_factor^T cond_w_gain^T rho, the W draws through
+    - ``_db_map`` (draws, n), dB from a step's raw draws: the n r node
+      draws (r = rank of ``noise_factor``, (k d, r)) through
+      noise_factor^T cond_w_gain^T rho, the W draws through
       cond_w_factor^T rho, and sqrt(1 - rho^T rho) sqrt(dt) on the Btilde
       draws.
     """
@@ -178,15 +179,16 @@ class HestonSimulator:
 
     @property
     def _draws_per_step(self) -> int:
-        model = self.model
-        n, d, k = model.n, model.d, model.measure.k
-        return n * k * d + n * d + n
+        """n r node draws (r = rank of the step's noise_factor), n d W draws
+        and n Btilde draws."""
+        n, d = self.model.n, self.model.d
+        return n * self.op.noise_factor.shape[1] + n * d + n
 
     def __call__(self, seed: int, start: int, stop: int) -> np.ndarray:
         """Samples of shape (paths, len(record_times), d), the log prices;
         with ``record_variance`` the last axis doubles to [P, diag V]."""
         model = self.model
-        n, d, kd = model.n, model.d, model.measure.k * model.d
+        n, d, r = model.n, model.d, self.op.noise_factor.shape[1]
         J = model.n_jumps
         B = stop - start
         # One path_rng per path, not mc.path_streams: the benchmark's tracing
@@ -219,7 +221,7 @@ class HestonSimulator:
 
         for m in range(self.n_steps):
             z = gauss[:, m]                               # (B, draws)
-            z_node = z[:, :n * kd].reshape(B * n, kd)
+            z_node = z[:, :n * r].reshape(B * n, r)
             X = gamma @ self._sum_nodes                   # (B n, d)
             dB = (z @ self._db_map).reshape(B * n, 1)
             # X^T dB - 1/2 diag(V) dt in one contraction over the n rows

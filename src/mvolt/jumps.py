@@ -54,6 +54,11 @@ THINNING_ETA = 0.5
 # Largest expected number of thinning candidates, bound * h, in one control
 # interval; beyond it the rate has run away within the interval.
 MAX_INTERVAL_CANDIDATES = 1e6
+# Largest number of grid intervals of a thinning run, grid_steps or the
+# control intervals T / thinning_dt: every path records V and its jump counts
+# at each grid point, (grid_steps + 1)(d^2 + atoms) doubles, 16 MB per path
+# at this bound for d = 1 and one atom.
+MAX_GRID_STEPS = 10**6
 # Tolerance of Generator.choice on the sum of a float64 probability vector.
 CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
@@ -253,11 +258,18 @@ class JumpPathRecord:
     compensators: np.ndarray    # (m,) int_0^T rate_r dt
 
 
-def _check_times(horizon: float, thinning_dt: float) -> None:
+def _thinning_steps(horizon: float, thinning_dt: float) -> int:
+    """T / thinning_dt rounded, at least 1: the control intervals of a path
+    and the default grid, after checking T, thinning_dt and their ratio."""
     if not 0.0 < horizon < np.inf:
         raise ValueError(f"horizon T must be positive and finite, got {horizon}")
     if not 0.0 < thinning_dt < np.inf:
         raise ValueError(f"thinning_dt must be positive and finite, got {thinning_dt}")
+    ratio = horizon / thinning_dt
+    if not ratio <= MAX_GRID_STEPS:
+        raise ValueError(f"thinning_dt = {thinning_dt} gives T / thinning_dt = {ratio:.3g} "
+                         f"control intervals, more than {MAX_GRID_STEPS}")
+    return max(int(round(ratio)), 1)
 
 
 def simulate_jump_path(
@@ -279,9 +291,9 @@ def simulate_jump_path(
     (linear propagator).  This is :func:`_thin_paths` on the one stream
     ``rng``.
     """
-    _check_times(horizon, thinning_dt)
+    steps = _thinning_steps(horizon, thinning_dt)
     if grid is None:
-        grid = TimeGrid.regular(horizon, max(int(round(horizon / thinning_dt)), 1))
+        grid = TimeGrid.regular(horizon, steps)
     if abs(grid.horizon - horizon) > 1e-12 * max(horizon, 1.0):
         raise ValueError("grid horizon must match the simulation horizon")
     if flow is None:
@@ -510,9 +522,11 @@ class HawkesPathSimulator:
         self.spec = spec
         self.horizon = float(horizon)
         self.thinning_dt = float(thinning_dt)
-        _check_times(self.horizon, self.thinning_dt)
+        steps = _thinning_steps(self.horizon, self.thinning_dt)
         if grid_steps is None:
-            grid_steps = max(int(round(self.horizon / self.thinning_dt)), 1)
+            grid_steps = steps
+        elif grid_steps > MAX_GRID_STEPS:
+            raise ValueError(f"grid_steps = {grid_steps} exceeds {MAX_GRID_STEPS}")
         self.grid = TimeGrid.regular(self.horizon, grid_steps)
         self.flow = LinearFlow(measure)
 

@@ -13,11 +13,14 @@ column b) gives
     C[(i,b), (j,b')] = (nu_i nu_j)_{b b'} * E_ij(dt),
     E_ij(dt) = int_0^dt e^(-(x_i + x_j) s) ds,
 
-independent across the n rows.  Sampling from the factorized C makes each
-step exact in law for any dt, so downstream transform validations carry no
-time-discretization bias.  :meth:`StepOperator.step` steps these rows of
-k d, which :mod:`mvolt.heston` shares.  The projection X_t = sum_i
-gamma_t(x_i) recovers the Volterra process.
+independent across the n rows.  Sampling from a factor L L^T = C makes
+each step exact in law for any dt, so downstream transform validations
+carry no time-discretization bias.  C is often numerically low rank (a
+rough k = 40 fit keeps about half of its k d eigenvalues), so L keeps only
+the r columns of the eigenvalues above the clamp and a step draws r normals
+per lift row, not k d.  :meth:`StepOperator.step` steps these rows of k d,
+which :mod:`mvolt.heston` shares.  The projection X_t = sum_i gamma_t(x_i)
+recovers the Volterra process.
 """
 
 from __future__ import annotations
@@ -38,12 +41,21 @@ def node_covariance(measure: AtomicMatrixMeasure, dt: float) -> np.ndarray:
     return C.transpose(0, 2, 1, 3).reshape(k * d, k * d)
 
 
-def _psd_factor(C: np.ndarray, clamp_rel: float = 1e-14) -> np.ndarray:
-    """Symmetric factor L with L L^T = C, eigenvalues below the clamp zeroed."""
+def _psd_factor(C: np.ndarray, clamp_rel: float = 1e-14,
+                drop_clamped: bool = False) -> np.ndarray:
+    """Factor L with L L^T = C, eigenvalues below the clamp zeroed.
+
+    L is square, or with ``drop_clamped`` keeps only the r columns of the
+    eigenvalues above the clamp, (m, r), the same L L^T.
+    """
     evals, Q = np.linalg.eigh(0.5 * (C + C.T))
     floor = clamp_rel * max(float(np.trace(C)), 0.0)
-    evals = np.where(evals > floor, evals, 0.0)
-    return Q * np.sqrt(evals)[None, :]
+    kept = evals > floor
+    if drop_clamped and not kept.all():
+        # Q itself when nothing is clamped: a column copy would change the
+        # memory layout, and with it the BLAS path and the output bytes
+        return Q[:, kept] * np.sqrt(evals[kept])[None, :]
+    return Q * np.sqrt(np.where(kept, evals, 0.0))[None, :]
 
 
 @dataclass(frozen=True)
@@ -52,7 +64,7 @@ class StepOperator:
 
     dt: float
     decay: np.ndarray          # (k d,) e^(-x_i dt) on column (i, b) of a node row
-    noise_factor: np.ndarray   # (k d, k d) with L L^T = C
+    noise_factor: np.ndarray   # (k d, r) with L L^T = C, r = rank after the clamp
     cond_w_factor: np.ndarray = field(repr=False)  # (d, d) factor of the cond. covariance
     cond_w_gain: np.ndarray = field(repr=False)    # (d, k d) conditional-mean gain
 
@@ -62,7 +74,7 @@ class StepOperator:
             raise ValueError("step size must be positive")
         k, d = measure.k, measure.d
         C = node_covariance(measure, dt)
-        L = _psd_factor(C)
+        L = _psd_factor(C, drop_clamped=True)
         resid = np.linalg.norm(L @ L.T - C)
         scale = max(np.linalg.norm(C), 1e-300)
         if resid > 1e-10 * scale:
@@ -94,13 +106,13 @@ class StepOperator:
 
         Row (..., a) of ``gamma`` holds row a of every node matrix
         gamma(x_i) of one path, node by node, the layout of the node
-        innovations; ``noise`` holds the standard normals of the step in
-        the same shape, one k d row per path and lift row.
+        innovations; ``noise`` (..., r) holds the standard normals of the
+        step, one row of r = ``noise_factor.shape[1]`` per path and lift row.
         """
-        kd = self.decay.size
-        if gamma.shape[-1:] != (kd,) or noise.shape != gamma.shape:
-            raise ValueError(f"gamma and noise must both have shape (..., {kd}), "
-                             f"got {gamma.shape} and {noise.shape}")
+        kd, r = self.noise_factor.shape
+        if gamma.shape[-1:] != (kd,) or noise.shape != gamma.shape[:-1] + (r,):
+            raise ValueError(f"gamma and noise must have shapes (..., {kd}) and "
+                             f"(..., {r}), got {gamma.shape} and {noise.shape}")
         gamma *= self.decay
         gamma += noise @ self.noise_factor.T
 
@@ -138,11 +150,13 @@ def simulate_lift_blocks(
 
     Returns X samples of shape (stop-start, len(times), n, d); the nodes are
     summed after each step, so no per-node record is kept.  Path p draws its
-    noise from ``path_rng(seed, p)`` exclusively, one (len(times), n, k d)
-    Gaussian tensor per path, so results are scheduling-independent; the
-    block draws them through :func:`~mvolt.mc.path_streams`.  Steps are
-    taken between consecutive times; exactness of the one-step law makes
-    the grid choice immaterial.
+    noise from ``path_rng(seed, p)`` exclusively, one flat vector of
+    n * sum_m r_m normals per path, step m taking the next n r_m of them
+    (r_m = the rank of its ``noise_factor``, 0 for a zero-length first
+    step), so results are scheduling-independent; the block draws them
+    through :func:`~mvolt.mc.path_streams`.  Steps are taken between
+    consecutive times; exactness of the one-step law makes the grid choice
+    immaterial.
     """
     from .mc import path_streams
 
@@ -156,20 +170,20 @@ def simulate_lift_blocks(
         if dt > 0 and key not in cache:
             cache[key] = StepOperator.build(measure, float(dt))
         ops.append(cache.get(key))
+    ranks = [0 if op is None else op.noise_factor.shape[1] for op in ops]
+    bounds = n * np.cumsum([0] + ranks)
 
     n_paths = stop - start
-    noise = np.empty((n_paths, times.size, n, k * d))
+    noise = np.empty((n_paths, bounds[-1]))
     for row, rng in enumerate(path_streams(seed, start, stop)):
         rng.standard_normal(out=noise[row])
 
     out = np.empty((n_paths, times.size, n, d))
-    rows = gamma0.transpose(1, 0, 2).reshape(n, k * d)
-    gamma = np.broadcast_to(rows, (n_paths, n, k * d)).copy()
+    sum_nodes = np.tile(np.eye(d), (k, 1))         # 1_k (x) I_d: X = gamma @ sum_nodes
+    gamma = np.tile(gamma0.transpose(1, 0, 2).reshape(n, k * d), (n_paths, 1))
     for m, op in enumerate(ops):
         if op is not None:
-            op.step(gamma, noise[:, m])
-        # summed node after node on a node-major copy: with d = 1 NumPy would
-        # sum the rows' contiguous node axis pairwise and round differently
-        nodes = gamma.reshape(n_paths, n, k, d).transpose(0, 2, 1, 3)
-        out[:, m] = np.ascontiguousarray(nodes).sum(axis=1)
+            z = noise[:, bounds[m]:bounds[m + 1]].reshape(n_paths * n, ranks[m])
+            op.step(gamma, z)
+        out[:, m] = (gamma @ sum_nodes).reshape(n_paths, n, d)
     return out

@@ -335,6 +335,23 @@ class TestSimulationCommands:
                        f"got {float(thinning_dt)}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--thinning-dt", "1e-300"], "thinning_dt = 1e-300 gives T / thinning_dt = 1e+300 "
+                                      "control intervals, more than 1000000"),
+        (["--thinning-dt", "5e-324"], "thinning_dt = 5e-324 gives T / thinning_dt = inf "
+                                      "control intervals, more than 1000000"),
+        (["--grid-steps", "1000001"], "grid_steps = 1000001 exceeds 1000000"),
+    ], ids=["tiny-thinning-dt", "ratio-overflows", "grid-steps"])
+    def test_hawkes_rejects_a_grid_past_the_bound(self, tmp_path, capsys, jump_model_file,
+                                                  flags, message):
+        # 1e-300 ended in NumPy's "Maximum allowed size exceeded", naming no field
+        out = tmp_path / "events.csv"
+        rc = main(["hawkes", "simulate", "--model", jump_model_file, "--T", "1.0",
+                   *flags, "--paths", "5", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("horizon", ["inf", "nan", "0", "-1.0"])
     def test_hawkes_rejects_bad_horizon(self, tmp_path, capsys, jump_model_file, horizon):
         # inf ended in an OverflowError traceback, nan in a float-to-int error
@@ -508,7 +525,10 @@ class TestTransformCommands:
         ("[[-1.0]]", "0.5,0", "error: transform time t must be positive and finite, got 0.0"),
         ("[[-1.0, 0.0]]", "0.5", "error: transform argument u must be 1 x 1, got shape (1, 2)"),
         ("[[-1e999]]", "0.5", "error: transform argument u must be finite"),
-    ], ids=["inf-t", "nan-t", "zero-t-after-a-good-one", "u-one-row", "inf-u"])
+        ("[[-1.0]]", "", "config error: --t must list at least one time, got ''"),
+        ("[[-1.0]]", ",", "config error: --t must list at least one time, got ','"),
+    ], ids=["inf-t", "nan-t", "zero-t-after-a-good-one", "u-one-row", "inf-u", "empty-t",
+            "no-t-in-the-list"])
     def test_transform_laplace_bad_u_or_t(self, tmp_path, capsys, jump_model_file,
                                           u, times, message):
         ufile = write(tmp_path / "u.cfg", f"u = {u}\n")

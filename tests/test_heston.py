@@ -31,6 +31,14 @@ def two_atom_jump_model():
     )
 
 
+def clamped_model():
+    # rank-1 weights: the node step covariance has rank k = 2 of k d = 4
+    a, b = np.array([0.3, 0.1]), np.array([-0.1, 0.25])
+    measure = AtomicMatrixMeasure([0.5, 2.0], np.array([np.outer(a, a), np.outer(b, b)]))
+    gamma0 = np.random.default_rng(7).normal(size=(2, 2, 2)) * 0.15
+    return HestonModelSpec(measure=measure, gamma0=gamma0, rho=[-0.5, 0.3], p0=[0.0, 0.0])
+
+
 def einsum_step_reference(sim, seed, start, stop):
     """Reference step on per-path matrices: gamma as (B, k, n, d), one
     einsum per contraction, the W increment rebuilt explicitly and dB taken
@@ -39,7 +47,8 @@ def einsum_step_reference(sim, seed, start, stop):
     n, d, k = model.n, model.d, model.measure.k
     J = model.n_jumps
     B = stop - start
-    draws = n * k * d + n * d + n
+    rank = op.noise_factor.shape[1]
+    draws = n * rank + n * d + n
     gauss = np.empty((B, sim.n_steps, draws))
     jump_u = np.empty((B, sim.n_steps, J)) if J else None
     for row, p in enumerate(range(start, stop)):
@@ -67,9 +76,9 @@ def einsum_step_reference(sim, seed, start, stop):
             record(pos)
     for m in range(sim.n_steps):
         z = gauss[:, m]
-        z_node = z[:, :n * k * d].reshape(B, n, k * d)
-        z_w = z[:, n * k * d:n * k * d + n * d].reshape(B, n, d)
-        z_bt = z[:, n * k * d + n * d:]
+        z_node = z[:, :n * rank].reshape(B, n, rank)
+        z_w = z[:, n * rank:n * rank + n * d].reshape(B, n, d)
+        z_bt = z[:, n * rank + n * d:]
 
         X = gamma.sum(axis=1)
         V = np.einsum("bnx,bny->bxy", X, X)
@@ -318,10 +327,21 @@ class TestSimulation:
                 for w in (1, 4))
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("case", ["reference", "jumps", "variance_records"])
+    @pytest.mark.parametrize("model, draws", [(heston_reference_model(), 14),
+                                              (clamped_model(), 10)],
+                             ids=["reference", "clamped"])
+    def test_draws_per_step(self, model, draws):
+        # n r node draws (r = k d = 4 at full rank, 2 after the clamp),
+        # n d W draws and n Btilde draws
+        sim = HestonSimulator(model, 1.0, 64)
+        assert sim._draws_per_step == draws
+
+    @pytest.mark.parametrize("case", ["reference", "clamped", "jumps", "variance_records"])
     def test_flat_step_matches_einsum_reference(self, case):
         if case == "reference":
             sim = HestonSimulator(heston_reference_model(), 1.0, 64)
+        elif case == "clamped":
+            sim = HestonSimulator(clamped_model(), 1.0, 64)
         elif case == "jumps":
             sim = HestonSimulator(two_atom_jump_model(), 1.0, 64)
         else:

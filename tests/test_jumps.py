@@ -243,6 +243,14 @@ class TestSimulatePath:
         with pytest.raises(ValueError):
             simulate_jump_path(state, spec, 1.0, np.random.default_rng(0), 0.0)
 
+    def test_control_intervals_are_bounded(self):
+        # 1e300 control intervals: refused before the grid is built, also
+        # when the caller brings its own grid
+        m, spec, state = diagonal_preset()
+        for grid in (None, TimeGrid.regular(1.0, 4)):
+            with pytest.raises(ValueError, match="thinning_dt = 1e-300 gives"):
+                simulate_jump_path(state, spec, 1.0, np.random.default_rng(0), 1e-300, grid)
+
 
 class TestVolterraProjection:
     def test_no_jumps_nu_zero_gives_h(self):

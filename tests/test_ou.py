@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvolt.mc import path_streams
+from mvolt.mc import path_rng, path_streams
 from mvolt.measures import AtomicMatrixMeasure, decay_sum
 from mvolt.ou import StepOperator, node_covariance, simulate_lift_blocks
 
@@ -11,12 +11,19 @@ def two_node_measure():
     return AtomicMatrixMeasure([0.4, 3.0], w)
 
 
+def clamped_measure():
+    # rank-1 weights: node i's innovation row lies on a_i, so C has rank
+    # k = 2 of k d = 4 and the clamp zeroes two eigenvalues
+    a, b = np.array([0.8, 0.3]), np.array([-0.2, 0.9])
+    return AtomicMatrixMeasure([0.4, 3.0], np.array([np.outer(a, a), np.outer(b, b)]))
+
+
 def test_deterministic_decay_with_zero_noise():
     m = two_node_measure()
     # one lift row (n = 1) of a path: node 0's two columns, then node 1's
     gamma = np.ones((1, 1, 4))
     op = StepOperator.build(m, 0.5)
-    op.step(gamma, np.zeros((1, 1, 4)))
+    op.step(gamma, np.zeros((1, 1, op.noise_factor.shape[1])))
     expected = np.repeat(np.exp(-m.nodes * 0.5), 2)
     np.testing.assert_allclose(gamma[0, 0], expected, rtol=1e-14)
 
@@ -35,10 +42,26 @@ def test_step_covariance_matches_formula():
     dt = 0.7
     op = StepOperator.build(m, dt)
     rng = np.random.default_rng(3)
-    draws = rng.standard_normal((200_000, 4)) @ op.noise_factor.T
+    draws = rng.standard_normal((200_000, op.noise_factor.shape[1])) @ op.noise_factor.T
     emp = np.cov(draws.T)
     C = node_covariance(m, dt)
     assert np.max(np.abs(emp - C)) <= 6.0 * np.max(np.abs(C)) / np.sqrt(200_000 / 4)
+
+
+def test_clamped_factor_keeps_the_law():
+    # the factor keeps only the r columns above the clamp, yet L L^T = C
+    # to the residual bound and a step from gamma = 0 has covariance C
+    m = clamped_measure()
+    dt = 0.7
+    op = StepOperator.build(m, dt)
+    C = node_covariance(m, dt)
+    assert op.noise_factor.shape == (4, 2)
+    assert np.linalg.norm(op.noise_factor @ op.noise_factor.T - C) <= 1e-10 * np.linalg.norm(C)
+    n_mc = 200_000
+    gamma = np.zeros((n_mc, 4))
+    op.step(gamma, np.random.default_rng(3).standard_normal((n_mc, 2)))
+    emp = np.cov(gamma.T)
+    assert np.max(np.abs(emp - C)) <= 6.0 * np.max(np.abs(C)) / np.sqrt(n_mc / 4)
 
 
 def test_exactness_one_big_step_equals_two_small():
@@ -50,10 +73,11 @@ def test_exactness_one_big_step_equals_two_small():
     n_mc = 400_000
     rng = np.random.default_rng(11)
 
+    r1, r2 = op1.noise_factor.shape[1], op2.noise_factor.shape[1]
     big = np.full((n_mc, 1, 4), 0.5)
-    op2.step(big, rng.standard_normal((n_mc, 1, 4)))
-    z1 = rng.standard_normal((n_mc, 1, 4))
-    z2 = rng.standard_normal((n_mc, 1, 4))
+    op2.step(big, rng.standard_normal((n_mc, 1, r2)))
+    z1 = rng.standard_normal((n_mc, 1, r1))
+    z2 = rng.standard_normal((n_mc, 1, r1))
     small = np.full((n_mc, 1, 4), 0.5)
     op1.step(small, z1)
     op1.step(small, z2)
@@ -71,7 +95,7 @@ def test_marginal_skewness_is_zero():
     op = StepOperator.build(m, 0.5)
     rng = np.random.default_rng(7)
     n_mc = 300_000
-    draws = rng.standard_normal((n_mc, 4)) @ op.noise_factor.T
+    draws = rng.standard_normal((n_mc, op.noise_factor.shape[1])) @ op.noise_factor.T
     std = draws.std(axis=0, ddof=1)
     skew = ((draws / std) ** 3).mean(axis=0)
     assert np.all(np.abs(skew) <= 4.0 * np.sqrt(6.0 / n_mc))
@@ -81,7 +105,7 @@ def test_affine_in_initial_condition_with_frozen_noise():
     m = two_node_measure()
     op = StepOperator.build(m, 0.4)
     rng = np.random.default_rng(5)
-    noise = rng.standard_normal((1, 3, 4))
+    noise = rng.standard_normal((1, 3, op.noise_factor.shape[1]))
     g1 = rng.normal(size=(1, 3, 4))
     g2 = rng.normal(size=(1, 3, 4))
     out12, out1, out2 = g1 + g2, g1.copy(), g2.copy()
@@ -108,14 +132,38 @@ def test_tower_property_of_forward_curve():
     m = two_node_measure()
     g0 = np.random.default_rng(4).normal(size=(2, 1, 2))
     s, t = 0.5, 1.2
-    noise = np.array([rng.standard_normal((1, 4)) for rng in path_streams(13, 0, 30_000)])
+    op = StepOperator.build(m, s)
+    r = op.noise_factor.shape[1]
+    noise = np.array([rng.standard_normal((1, r)) for rng in path_streams(13, 0, 30_000)])
     gam = np.broadcast_to(g0.transpose(1, 0, 2).reshape(1, 4), (30_000, 1, 4)).copy()
-    StepOperator.build(m, s).step(gam, noise)
+    op.step(gam, noise)
     damp = np.exp(-m.nodes * (t - s))
     fwd = np.einsum("i,pnia->pna", damp, gam.reshape(30_000, 1, 2, 2))
     target = decay_sum(m.nodes, g0, t)
     se = fwd.std(axis=0, ddof=1) / np.sqrt(fwd.shape[0])
     assert np.all(np.abs(fwd.mean(axis=0) - target) <= 3.5 * se)
+
+
+@pytest.mark.parametrize("measure", [two_node_measure(), clamped_measure()],
+                         ids=["full_rank", "clamped"])
+def test_lift_block_stream_replay(measure):
+    # path p draws n * sum_m r_m normals from path_rng(seed, p), step m
+    # taking the next n rows of r_m; the zero-length first step draws none
+    g0 = np.random.default_rng(6).normal(size=(2, 3, 2))
+    times = np.array([0.0, 0.25, 0.5, 1.0])
+    xs = simulate_lift_blocks(measure, g0, times, seed=21, start=4, stop=7)
+    ops = [StepOperator.build(measure, dt) for dt in (0.25, 0.25, 0.5)]
+    ranks = [op.noise_factor.shape[1] for op in ops]
+    sum_nodes = np.tile(np.eye(2), (2, 1))
+    for row, p in enumerate(range(4, 7)):
+        z = path_rng(21, p).standard_normal(3 * sum(ranks))
+        gamma = g0.transpose(1, 0, 2).reshape(3, 4).copy()
+        want = [gamma @ sum_nodes]
+        for op, r in zip(ops, ranks):
+            op.step(gamma, z[:3 * r].reshape(3, r))
+            z = z[3 * r:]
+            want.append(gamma @ sum_nodes)
+        np.testing.assert_array_equal(xs[row], want)
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 2), (3, 1, 2), (2, 1, 1), (2, 2)],
@@ -151,6 +199,7 @@ class TestStepOperatorValidation:
         m = AtomicMatrixMeasure([1.0], w)
         op = StepOperator.build(m, 0.5)
         C = node_covariance(m, 0.5)
+        assert op.noise_factor.shape == (2, 1)
         resid = np.linalg.norm(op.noise_factor @ op.noise_factor.T - C)
         assert resid <= 1e-10 * max(np.linalg.norm(C), 1e-30)
 
@@ -166,7 +215,7 @@ def test_conditional_brownian_reconstruction_joint_law():
     op = StepOperator.build(m, dt)
     rng = np.random.default_rng(8)
     n_m = 150_000
-    z1 = rng.standard_normal((n_m, 4))
+    z1 = rng.standard_normal((n_m, op.noise_factor.shape[1]))
     z2 = rng.standard_normal((n_m, 2))
     zeta = z1 @ op.noise_factor.T
     dw = zeta @ op.cond_w_gain.T + z2 @ op.cond_w_factor.T
