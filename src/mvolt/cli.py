@@ -53,8 +53,7 @@ def _write_text(path: str | None, text: str) -> None:
 def _write_path_csv(path: str | None, prefix: str, times, samples) -> None:
     """CSV ``path,t,<prefix>_<index>...``: one row per path and time with the
     sample flattened (1-based indices, e.g. X_12 or P_2); ``samples`` is a
-    (paths, len(times), ...) array or one (len(times), ...) array per path."""
-    samples = np.asarray(samples)
+    (paths, len(times), ...) array."""
     n_paths, n_times = samples.shape[:2]
     names = [f"{prefix}_" + "".join(str(i + 1) for i in idx)
              for idx in np.ndindex(samples.shape[2:])]
@@ -157,10 +156,11 @@ def cmd_wishart_transform(args) -> int:
 
 # hawkes ----------------------------------------------------------------------
 
-def _event_log(record, with_grid: bool):
-    """The parts of one path's record that the CSVs print."""
-    v_path = record.v_path if with_grid else None
-    return record.jump_times, record.jump_atoms, record.intensity_at_jumps, v_path
+def _csv_columns(sim, with_grid: bool, seed: int, start: int, stop: int) -> tuple:
+    """The jump log columns of paths [start, stop), and their V grid if asked."""
+    block = sim.block(seed, start, stop)
+    events = block.jump_paths, block.jump_times, block.jump_atoms, block.intensity_at_jumps
+    return (*events, block.v_path) if with_grid else events
 
 
 def cmd_hawkes_simulate(args) -> int:
@@ -172,25 +172,17 @@ def cmd_hawkes_simulate(args) -> int:
                 "hawkes simulate needs either --model or both --measure "
                 "and --lambda0"
             )
-        if args.preset != "hawkes":
-            raise ConfigError(f"unknown preset {args.preset!r}")
         measure = configio.read_measure(args.measure)
         lam0 = configio.read_measure(args.lambda0).weights
         spec = hawkes_jump_spec(measure.d)
     sim = HawkesPathSimulator(measure, lam0, spec, args.T, args.thinning_dt,
                               grid_steps=args.grid_steps)
-    logs = run_path_blocks(
-        partial(sim.block, reduce=partial(_event_log, with_grid=bool(args.out_grid))),
-        args.paths, args.seed, workers=args.workers,
-    )
-    jump_times, atoms, rates, _ = zip(*logs)
-    events = [np.repeat(np.arange(len(logs)), [ts.size for ts in jump_times]),
-              np.concatenate(jump_times), np.concatenate(atoms), np.concatenate(rates)]
+    columns = run_path_blocks(partial(_csv_columns, sim, bool(args.out_grid)),
+                              args.paths, args.seed, workers=args.workers)
     _write_text(args.out, configio.format_csv(
-        ["path", "t", "atom", "intensity_at_jump"], events))
+        ["path", "t", "atom", "intensity_at_jump"], columns[:4]))
     if args.out_grid:
-        _write_path_csv(args.out_grid, "V", sim.grid.times,
-                        [v_path for *_, v_path in logs])
+        _write_path_csv(args.out_grid, "V", sim.grid.times, columns[4])
     return 0
 
 
@@ -366,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     hk = sub.add_parser("hawkes", help="self-exciting jump lift simulation")
     hsub = hk.add_subparsers(dest="subcommand", required=True)
     hs = hsub.add_parser("simulate")
-    hs.add_argument("--preset", default="hawkes")
-    hs.add_argument("--model", default=None, help="jump model file (overrides preset)")
+    hs.add_argument("--model", default=None,
+                    help="jump model file; without it, the diagonal Hawkes preset "
+                         "on --measure and --lambda0")
     hs.add_argument("--measure", default=None)
     hs.add_argument("--lambda0", default=None)
     hs.add_argument("--T", type=float, required=True)

@@ -22,26 +22,28 @@ jump times are exact in law (Lewis & Shedler 1979; Ogata 1981); between
 jumps :class:`LinearFlow` applies the exact exponential of the drift to a
 batch of states.  A block of paths is thinned in lockstep: one loop keeps
 every path's state in arrays and advances them together, while path p
-draws from its own stream exactly what it would draw alone, so each record
+draws from its own stream exactly what it would draw alone, so each path
 is bit-identical to the one a lone path gets.  A control interval whose
-dominating rate runs away raises FloatingPointError.  A path's record
-holds V and the cumulative atom counts on a time grid, the jump log (times,
-atoms, total rate just before each jump) and the compensators
-int_0^T rate_r dt.  With X^jump_t = sum_{jumps <= t} xi, the Volterra
-representation
+dominating rate runs away raises FloatingPointError.  The result is one
+:class:`JumpPathBlock` of arrays over the block's paths: V and the
+cumulative atom counts on a time grid, the compensators int_0^T rate_r dt
+and the jump log as flat columns (path, time, atom, total rate just before
+the jump), ordered by path and then by time.  With
+X^jump_t = sum_{jumps <= t} xi, the Volterra representation
 
     V_t = h(t) + int_0^t K(t-s+eps) dX^jump_s + (mirror)
                + int_0^t (K(t-s) V_s + V_s K(t-s)) ds,
     h(t) = sum_i e^(-x_i t) lam_0(x_i),
 
-is reconstructed from the jump log by :func:`volterra_projection` (the ds
-integral as a trapezoid sum carried by k node states) and must agree with
-the lift's V path by path up to quadrature error.
+is reconstructed from one path's jump log by :func:`volterra_projection`
+(the ds integral as a trapezoid sum carried by k node states) and must
+agree with the lift's V path by path up to quadrature error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -244,18 +246,18 @@ class LinearFlow:
         return np.where(dt[..., None] == 0.0, z, out[..., 0])
 
 
-@dataclass
-class JumpPathRecord:
-    """One simulated lift path: V and the atom counts on the grid, the jump
-    log and the compensators."""
+class JumpPathBlock(NamedTuple):
+    """Simulated lift paths of one block, as arrays over its B paths: V and
+    the atom counts on the grid, the compensators and the jump log, whose
+    flat columns are ordered by path and then by time."""
 
-    grid: TimeGrid
-    v_path: np.ndarray          # (N+1, d, d) V at grid times
-    counts_path: np.ndarray     # (N+1, m) cumulative atom counts at grid times
-    jump_times: np.ndarray      # (J,)
-    jump_atoms: np.ndarray      # (J,) atom indices
+    v_path: np.ndarray              # (B, N+1, d, d) V at grid times
+    counts_path: np.ndarray         # (B, N+1, m) cumulative atom counts at grid times
+    compensators: np.ndarray        # (B, m) int_0^T rate_r dt
+    jump_paths: np.ndarray          # (J,) path index of each jump
+    jump_times: np.ndarray          # (J,)
+    jump_atoms: np.ndarray          # (J,) atom indices
     intensity_at_jumps: np.ndarray  # (J,) total rate just before each jump
-    compensators: np.ndarray    # (m,) int_0^T rate_r dt
 
 
 def _thinning_steps(horizon: float, thinning_dt: float) -> int:
@@ -280,7 +282,7 @@ def simulate_jump_path(
     thinning_dt: float,
     grid: TimeGrid | None = None,
     flow: LinearFlow | None = None,
-) -> JumpPathRecord:
+) -> JumpPathBlock:
     """Thinning simulation of the jump lift from ``state0`` on [0, horizon].
 
     Within each control interval the dominating rate is
@@ -289,7 +291,7 @@ def simulate_jump_path(
     bound restarts the interval with half the length, never silently
     biasing.  The deterministic flow and int V ds between events are exact
     (linear propagator).  This is :func:`_thin_paths` on the one stream
-    ``rng``.
+    ``rng``: a one-path block, path index 0.
     """
     steps = _thinning_steps(horizon, thinning_dt)
     if grid is None:
@@ -298,7 +300,7 @@ def simulate_jump_path(
         raise ValueError("grid horizon must match the simulation horizon")
     if flow is None:
         flow = LinearFlow(state0.measure)
-    return _thin_paths(state0, spec, horizon, [rng], thinning_dt, grid, flow)[0]
+    return _thin_paths(state0, spec, horizon, [rng], thinning_dt, grid, flow)
 
 
 def _choice_rows(p: np.ndarray, rngs) -> np.ndarray:
@@ -330,8 +332,7 @@ def _thin_paths(
     grid: TimeGrid,
     flow: LinearFlow,
     path_hint=None,
-    reduce=None,
-) -> list:
+) -> JumpPathBlock:
     """Thin one path per stream in ``rngs``, all paths in lockstep.
 
     Every path keeps its own state, time, control step, dominating rate and
@@ -345,12 +346,12 @@ def _thin_paths(
     and the cdf arithmetic batched over the paths that jumped
     (:func:`_choice_rows`).  Flows, rates, grid records, the rewind of a
     violated interval and jumps are masked array operations that round as a
-    lone path's do; so each record is the one the path would get on its own.
+    lone path's do; so each path is the one it would be on its own.
 
     A control interval whose expected candidate count bound * h is not
     finite or exceeds ``MAX_INTERVAL_CANDIDATES`` raises FloatingPointError;
     ``path_hint(i)``, if given, names path i in the message.  Returns the
-    records, or ``reduce`` of each as it is built if given.
+    block, its jumps numbered by their position i in ``rngs``.
     """
     measure = state0.measure
     k, d, m = measure.k, measure.d, spec.n_atoms
@@ -406,7 +407,10 @@ def _thin_paths(
     h_int, t_end, bound, tau = (np.zeros(n_paths) for _ in range(4))
     live = np.ones(n_paths, dtype=bool)   # horizon not yet reached
     starting = np.ones(n_paths, dtype=bool)  # at the start of a control interval
-    events = []  # (paths, times, atoms, total rates) of the accepted jumps
+    # (paths, times, atoms, total rates) of the accepted jumps, after an
+    # empty entry that gives a run without jumps its typed empty columns
+    events = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.intp),
+               np.zeros(0))]
 
     while live.any():
         done = np.flatnonzero(live & starting & (t >= horizon - 1e-14))
@@ -482,27 +486,10 @@ def _thin_paths(
     # augmented block integrates V along the flow and jumps leave V cadlag
     compens = np.einsum("px,xr->pr", z[:, kn:], rate_weights)
 
-    paths, ev_t, ev_atom, ev_rate = (
-        np.concatenate(cols) for cols in zip(*events)
-    ) if events else (np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=int),
-                      np.zeros(0))
+    paths, ev_t, ev_atom, ev_rate = (np.concatenate(cols) for cols in zip(*events))
     order = np.argsort(paths, kind="stable")
-    cuts = np.searchsorted(paths[order], np.arange(n_paths + 1))
-    ev_t, ev_atom, ev_rate = ev_t[order], ev_atom[order], ev_rate[order]
-    records = []
-    for i in range(n_paths):
-        s = slice(cuts[i], cuts[i + 1])
-        rec = JumpPathRecord(
-            grid=grid,
-            v_path=v_path[i],
-            counts_path=counts_path[i],
-            jump_times=ev_t[s],
-            jump_atoms=ev_atom[s],
-            intensity_at_jumps=ev_rate[s],
-            compensators=compens[i],
-        )
-        records.append(rec if reduce is None else reduce(rec))
-    return records
+    return JumpPathBlock(v_path, counts_path, compens, paths[order], ev_t[order],
+                         ev_atom[order], ev_rate[order])
 
 
 class HawkesPathSimulator:
@@ -510,10 +497,11 @@ class HawkesPathSimulator:
 
     The initial state, the recording grid (``grid_steps`` intervals,
     default horizon / thinning_dt) and the :class:`LinearFlow` are built
-    once.  ``sim(rng)`` returns the :class:`JumpPathRecord` of one path
-    drawn from ``rng``; ``sim.block(seed, start, stop)``, the block entry of
+    once.  ``sim(rng)`` returns the one-path :class:`JumpPathBlock` drawn
+    from ``rng``; ``sim.block(seed, start, stop)``, the block entry of
     :func:`mc.run_path_blocks`, thins paths [start, stop) in lockstep, path
-    p drawn from ``path_rng(seed, p)``.
+    p drawn from ``path_rng(seed, p)`` and named p in the jump log, so that
+    the joined blocks of a run form one block.
     """
 
     def __init__(self, measure: AtomicMatrixMeasure, lam0, spec: JumpMeasureSpec,
@@ -530,47 +518,52 @@ class HawkesPathSimulator:
         self.grid = TimeGrid.regular(self.horizon, grid_steps)
         self.flow = LinearFlow(measure)
 
-    def __call__(self, rng: np.random.Generator) -> JumpPathRecord:
+    def __call__(self, rng: np.random.Generator) -> JumpPathBlock:
         return simulate_jump_path(self.state0, self.spec, self.horizon, rng,
                                   self.thinning_dt, self.grid, flow=self.flow)
 
-    def block(self, seed: int, start: int, stop: int, reduce=None) -> list:
-        """Records of paths [start, stop), or ``reduce`` of each if given."""
+    def block(self, seed: int, start: int, stop: int) -> JumpPathBlock:
+        """Paths [start, stop) as one block."""
         def hint(i):
             return f"path {start + i} (seed {seed}); replay with path_rng({seed}, {start + i})"
 
-        return _thin_paths(self.state0, self.spec, self.horizon,
-                           path_generators(seed, start, stop), self.thinning_dt,
-                           self.grid, self.flow, path_hint=hint, reduce=reduce)
+        out = _thin_paths(self.state0, self.spec, self.horizon,
+                          path_generators(seed, start, stop), self.thinning_dt,
+                          self.grid, self.flow, path_hint=hint)
+        return out._replace(jump_paths=out.jump_paths + start)
 
 
 def volterra_projection(
-    record: JumpPathRecord,
+    v_path: np.ndarray,
+    jump_times: np.ndarray,
+    jump_atoms: np.ndarray,
+    grid: TimeGrid,
     measure: AtomicMatrixMeasure,
     lam0: np.ndarray,
     spec: JumpMeasureSpec,
 ) -> np.ndarray:
-    """Reconstruct V on the record grid from h, K and the increments of X.
+    """Reconstruct one path's V on ``grid`` from h, K and the increments of X.
 
-    Jumps enter as exact Stieltjes terms K(t - s + eps) xi + xi K(t - s +
-    eps); the absolutely continuous part int (K(t-s) V_s + V_s K(t-s)) ds is
-    a trapezoid sum over the grid samples, carried by k node states in
-    O(N k), so the reconstruction matches the lift path to O(dt).
+    ``v_path`` (N+1, d, d) is the path's lift V on the grid and
+    ``jump_times``, ``jump_atoms`` its jump log, as one path of a
+    :class:`JumpPathBlock` holds them.  Jumps enter as exact Stieltjes terms
+    K(t - s + eps) xi + xi K(t - s + eps); the absolutely continuous part
+    int (K(t-s) V_s + V_s K(t-s)) ds is a trapezoid sum over the grid
+    samples, carried by k node states in O(N k), so the reconstruction
+    matches the lift path to O(dt).
     """
-    grid = record.grid
     times = grid.times
     out = decay_sum(measure.nodes, lam0, times)
     # trapezoid node states T_i(t_m) = sum_j w_j e^(-x_i (t_m - t_j)) V_j with
     # half weights at j = 0 and j = m, so the history sum is sum_i nu_i T_i
     decay = np.exp(-measure.nodes * grid.dt)[:, None, None]
-    v = record.v_path
-    state = np.zeros((measure.k,) + v.shape[1:])
+    state = np.zeros((measure.k,) + v_path.shape[1:])
     for m_i in range(1, len(grid)):
-        state = decay * (state + 0.5 * v[m_i - 1]) + 0.5 * v[m_i]
+        state = decay * (state + 0.5 * v_path[m_i - 1]) + 0.5 * v_path[m_i]
         ac = np.einsum("iab,ibc->ac", measure.weights, state)
         out[m_i] += grid.dt * (ac + ac.T)
     eps = spec.epsilon_shift
-    for jt, r in zip(record.jump_times, record.jump_atoms):
+    for jt, r in zip(jump_times, jump_atoms):
         mask = times >= jt - 1e-15
         if not np.any(mask):
             continue

@@ -221,11 +221,11 @@ def run_path_blocks(
 
     ``block_fn(seed, start, stop)`` returns the values of paths
     [start, stop), drawing the noise of path p from ``path_rng(seed, p)``
-    only: an array of shape (stop - start, ...), or a list of per-path
-    values.  Block results are joined in path order
-    (arrays concatenated, lists chained), so the output is independent of
-    the worker count.  An exception keeps its type and names the failing
-    paths and the seed.  With ``workers`` > 1 and at most ``block_size``
+    only: an array, or a tuple (or named tuple) of arrays.  Block results
+    are joined in path order, arrays concatenated along their first axis and
+    tuples field by field into a tuple of the same type, so the output is
+    independent of the worker count.  An exception keeps its type and names
+    the failing paths and the seed.  With ``workers`` > 1 and at most ``block_size``
     paths, the run is split into min(workers, n_paths) path-ordered blocks
     so that the workers share it.
     """
@@ -245,8 +245,9 @@ def run_path_blocks(
         workers = min(workers, len(blocks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(task, blocks))
-    if isinstance(chunks[0], list):
-        return [value for chunk in chunks for value in chunk]
+    if isinstance(chunks[0], tuple):
+        fields = [np.concatenate(col, axis=0) for col in zip(*chunks)]
+        return getattr(type(chunks[0]), "_make", tuple)(fields)
     return np.concatenate([np.asarray(c) for c in chunks], axis=0)
 
 

@@ -48,7 +48,7 @@ import numpy as np
 import scipy.linalg
 
 from .measures import AtomicMatrixMeasure, TimeGrid, decay_sum
-from .jumps import JumpMeasureSpec, jump_operators, lift_operator
+from .jumps import JumpLiftState, JumpMeasureSpec, jump_operators, lift_operator
 
 
 # the joint Riccati raises once |Psi| exceeds this after a composition
@@ -227,9 +227,11 @@ def laplace_transform_jump(
     ``t`` may be a 1-D sequence: every t keeps its own grid
     ``TimeGrid.regular(t, n_steps)``, both routes march all of them in one
     loop each, and the result is one :class:`JumpLaplaceResult` per t, in
-    order.  u must be a finite NSD d x d matrix and every t finite and
-    positive; both are checked before either march.
+    order.  u must be a finite NSD d x d matrix, every t finite and
+    positive and lam0 a valid :class:`jumps.JumpLiftState`; all are checked
+    before either march.
     """
+    lam0 = JumpLiftState(lam0, measure).lam
     u = np.asarray(u, dtype=float)
     d = measure.d
     if u.shape != (d, d):
@@ -249,7 +251,6 @@ def laplace_transform_jump(
     if not times.size:
         return []
     grids = [TimeGrid.regular(ti, n_steps) for ti in times]
-    lam0 = np.asarray(lam0, dtype=float)
 
     y0 = np.broadcast_to(u, (measure.k, d, d)).copy()
     y_end = solve_lift_riccati_jump(y0, measure, spec, grids)[:, -1]

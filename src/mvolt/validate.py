@@ -117,16 +117,29 @@ def check_wishart_scalar(n_paths: int = 100_000, seed: int = 12, workers: int = 
                    max_closed_form_rel_err=worst_form, n_paths=n_paths)
 
 
-def _hawkes_moments(record, grid_idx=()) -> np.ndarray:
-    """[counts..., compensators..., V at grid points grid_idx...] of one path."""
-    v_at = [record.v_path[m].reshape(-1) for m in grid_idx]
-    return np.concatenate([record.counts_path[-1], record.compensators, *v_at])
+def _final_counts_and_compensators(sim, seed, start, stop):
+    """N(T) and int_0^T rate dt of paths [start, stop), each (paths, m)."""
+    block = sim.block(seed, start, stop)
+    return block.counts_path[:, -1], block.compensators
 
 
-def _representation_gap(record, measure, lam0, spec) -> float:
-    """Sup gap between the lift V of one path and its Volterra reconstruction."""
-    recon = volterra_projection(record, measure, lam0, spec)
-    return float(np.max(np.abs(recon - record.v_path)))
+def _v_at(sim, grid_idx, seed, start, stop) -> np.ndarray:
+    """V of paths [start, stop) at the grid points grid_idx."""
+    return sim.block(seed, start, stop).v_path[:, grid_idx]
+
+
+def _representation_gaps(sim, seed, start, stop) -> np.ndarray:
+    """Sup gap between the lift V of each path in [start, stop) and its
+    Volterra reconstruction."""
+    block = sim.block(seed, start, stop)
+    measure, lam0 = sim.state0.measure, sim.state0.lam
+    cuts = np.searchsorted(block.jump_paths, np.arange(start, stop + 1))
+    gaps = []
+    for v_path, a, b in zip(block.v_path, cuts[:-1], cuts[1:]):
+        recon = volterra_projection(v_path, block.jump_times[a:b], block.jump_atoms[a:b],
+                                    sim.grid, measure, lam0, sim.spec)
+        gaps.append(np.max(np.abs(recon - v_path)))
+    return np.array(gaps)
 
 
 def _diagonal_hawkes_model(d: int):
@@ -145,17 +158,17 @@ def check_hawkes_compensator(
     """E[N_i(T)] vs E[int_0^T V_ii dt] per component, diagonal preset."""
     measure, lam0, spec = _diagonal_hawkes_model(d)
     sim = HawkesPathSimulator(measure, lam0, spec, horizon=1.0, thinning_dt=0.25)
-    values = np.asarray(run_path_blocks(partial(sim.block, reduce=_hawkes_moments),
-                                        n_paths, seed, workers=workers))
+    counts, compens = run_path_blocks(partial(_final_counts_and_compensators, sim),
+                                      n_paths, seed, workers=workers)
     points, worst = [], 0.0
     for i in range(d):
-        diff = values[:, i] - values[:, d + i]
+        diff = counts[:, i] - compens[:, i]
         est = estimate_mean(diff)
         z = float(est.z_score(0.0))
         worst = max(worst, abs(z))
         points.append(
-            {"component": i, "mean_counts": float(values[:, i].mean()),
-             "mean_compensator": float(values[:, d + i].mean()),
+            {"component": i, "mean_counts": float(counts[:, i].mean()),
+             "mean_compensator": float(compens[:, i].mean()),
              "diff_stderr": float(est.stderr), "z_score": z}
         )
     return _result("hawkes_compensator", worst <= 3.0, points=points,
@@ -178,10 +191,8 @@ def check_jump_transform(
     sim = HawkesPathSimulator(measure, lam0, spec, horizon=1.0, thinning_dt=0.25,
                               grid_steps=4)
     grid_idx = [int(np.argmin(np.abs(sim.grid.times - t))) for t in ts]
-    reduce = partial(_hawkes_moments, grid_idx=grid_idx)
-    values = np.asarray(run_path_blocks(partial(sim.block, reduce=reduce),
-                                        n_paths, seed, workers=workers))
-    v_cols = {t: values[:, 2 + j] for j, t in enumerate(ts)}
+    v_at = run_path_blocks(partial(_v_at, sim, grid_idx), n_paths, seed, workers=workers)
+    v_cols = {t: v_at[:, j, 0, 0] for j, t in enumerate(ts)}
     points, worst_z, worst_gap = [], 0.0, 0.0
     for u in us:
         results = laplace_transform_jump(np.array([[u]]), lam0, measure, spec, ts,
@@ -214,12 +225,11 @@ def check_representation_equivalence(
     median stays below an absolute O(dt) budget.
     """
     measure, lam0, spec = _diagonal_hawkes_model(2)
-    reduce = partial(_representation_gap, measure=measure, lam0=lam0, spec=spec)
     gaps = {}
     for steps in (64, 128):
         sim = HawkesPathSimulator(measure, lam0, spec, horizon=1.0,
                                   thinning_dt=0.25, grid_steps=steps)
-        vals = run_path_blocks(partial(sim.block, reduce=reduce), n_paths, seed,
+        vals = run_path_blocks(partial(_representation_gaps, sim), n_paths, seed,
                                workers=workers)
         gaps[steps] = float(np.median(vals))
     ratio = gaps[128] / max(gaps[64], 1e-300)

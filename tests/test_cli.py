@@ -1,11 +1,14 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mvolt.cli import main
+from mvolt.cli import build_parser, main
 from mvolt.configio import read_measure
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write(path, text):
@@ -313,7 +316,7 @@ class TestSimulationCommands:
         )
         out = tmp_path / "events.csv"
         vgrid = tmp_path / "vpath.csv"
-        rc = main(["hawkes", "simulate", "--preset", "hawkes",
+        rc = main(["hawkes", "simulate",
                    "--measure", measure, "--lambda0", lam0, "--T", "2.0",
                    "--paths", "20", "--seed", "3", "--out", str(out),
                    "--out-grid", str(vgrid)])
@@ -558,6 +561,29 @@ class TestTransformCommands:
         assert capsys.readouterr().err.strip().splitlines() == [
             f"config error: {model}[jumps]: atom 0 must be finite"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("d, lam0, message", [
+        (1, "[[[1e999]]]", "error: lam entries must be finite"),
+        (2, "[[[1.0, 0.2], [0.0, 1.0]]]", "error: lam matrices must be symmetric"),
+    ], ids=["inf-lambda0", "non-symmetric-lambda0"])
+    def test_bad_lambda0_is_rejected_by_both_commands(self, tmp_path, capsys, d, lam0,
+                                                      message):
+        # transform laplace checks lambda0 as hawkes simulate does, before
+        # either march
+        eye = np.eye(d)
+        model = write(
+            tmp_path / "m.cfg",
+            f"[measure]\nnodes = [1.0]\nweights = {[(0.4 * eye).tolist()]}\nd = {d}\n"
+            f"[lambda0]\nweights = {lam0}\n"
+            f"[jumps]\natoms = {[eye.tolist()]}\nweights = {[(0.3 * eye).tolist()]}\n")
+        ufile = write(tmp_path / "u.cfg", f"u = {(-eye).tolist()}\n")
+        for cmd in (["transform", "laplace", "--u", ufile, "--t", "0.5"],
+                    ["hawkes", "simulate", "--T", "1.0", "--paths", "4"]):
+            out = tmp_path / "out.txt"
+            rc = main([*cmd, "--model", model, "--out", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err.strip().splitlines() == [message]
+            assert not out.exists()
 
     def test_transform_charfn(self, tmp_path, heston_model_file):
         out = tmp_path / "cf.json"
@@ -864,3 +890,19 @@ def test_hawkes_requires_model_or_measure(tmp_path):
     rc = main(["hawkes", "simulate", "--T", "1.0", "--paths", "1",
                "--out", str(tmp_path / "e.csv")])
     assert rc == 2
+
+
+def test_readme_cli_examples_parse():
+    # every ``mvolt`` line of README.md's CLI block, continuation lines
+    # joined, parses with the CLI's own parser; nothing is run
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    examples = [line.split()[1:] for line in lines if line.startswith("mvolt ")]
+    assert len(examples) >= 12
+    parser = build_parser()
+    for argv in examples:
+        try:
+            _, unknown = parser.parse_known_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: mvolt {' '.join(argv)}")
+        assert unknown == [], f"mvolt {' '.join(argv)}: unknown arguments {unknown}"
