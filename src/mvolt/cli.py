@@ -37,10 +37,10 @@ from .heston import char_function, fourier_price_call, simulate_heston_terminal
 from .jumps import HawkesPathSimulator, hawkes_jump_spec
 from .measures import eval_kernel
 from .mc import estimate_mean, run_path_blocks
-from .ou import simulate_lift_blocks
+from .ou import check_lift_inputs, simulate_lift_blocks
 from .riccati import laplace_transform_jump
 from .validate import CHECKS, run_checks, wishart_transform_points
-from .wishart import simulate_wishart
+from .wishart import WishartTransformQuery, simulate_wishart
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -116,8 +116,9 @@ def _simulation_times(dt: float, steps: int) -> np.ndarray:
 
 def cmd_ou_simulate(args) -> int:
     measure = configio.read_measure(args.measure)
-    gamma0 = configio.read_gamma0(args.gamma0, measure)
-    times = _simulation_times(args.dt, args.steps)
+    # checked before the blocks run, as simulate_wishart does
+    gamma0, times = check_lift_inputs(measure, configio.read_node_data(args.gamma0, measure),
+                                      _simulation_times(args.dt, args.steps))
     xs = run_path_blocks(partial(simulate_lift_blocks, measure, gamma0, times),
                          args.paths, args.seed, workers=args.workers)
     _write_path_csv(args.out, "X", times, xs)
@@ -126,7 +127,7 @@ def cmd_ou_simulate(args) -> int:
 
 def cmd_wishart_simulate(args) -> int:
     measure = configio.read_measure(args.measure)
-    gamma0 = configio.read_gamma0(args.gamma0, measure)
+    gamma0 = configio.read_node_data(args.gamma0, measure)
     times = _simulation_times(args.dt, args.steps)
     vs = simulate_wishart(measure, gamma0, times, args.paths, args.seed,
                           workers=args.workers)
@@ -136,18 +137,16 @@ def cmd_wishart_simulate(args) -> int:
 
 def cmd_wishart_transform(args) -> int:
     measure = configio.read_measure(args.measure)
-    gamma0 = configio.read_gamma0(args.gamma0, measure)
+    gamma0 = configio.read_node_data(args.gamma0, measure)
     c_sec = configio.read_sections(args.c)[""]
     if "c" not in c_sec:
         raise ConfigError(f"{args.c}: missing 'c' field (n x d matrix)")
-    c = np.asarray(c_sec["c"], dtype=float)
-    if c.ndim != 2 or c.shape[1] != measure.d:
-        raise ConfigError(f"{args.c}: c must be a matrix with d = {measure.d} columns, "
-                          f"got shape {c.shape}")
-    times = np.asarray(configio.parse_float_list(args.times))
+    times = configio.parse_float_list(args.times)
+    # built first, so a bad c fails before the Monte Carlo
+    queries = [WishartTransformQuery(t=t, c=c_sec["c"], gamma0=gamma0) for t in times]
     vs = simulate_wishart(measure, gamma0, times, args.paths, args.seed,
                           workers=args.workers)
-    entries = wishart_transform_points(measure, gamma0, [c] * times.size, times, vs)
+    entries = wishart_transform_points(measure, queries, vs)
     _write_text(args.out, _json_report(_clean({"entries": entries,
                                                "paths": args.paths,
                                                "seed": args.seed})))
@@ -173,7 +172,7 @@ def cmd_hawkes_simulate(args) -> int:
                 "and --lambda0"
             )
         measure = configio.read_measure(args.measure)
-        lam0 = configio.read_measure(args.lambda0).weights
+        lam0 = configio.read_node_data(args.lambda0, measure)
         spec = hawkes_jump_spec(measure.d)
     sim = HawkesPathSimulator(measure, lam0, spec, args.T, args.thinning_dt,
                               grid_steps=args.grid_steps)
@@ -241,9 +240,7 @@ def cmd_heston_simulate(args) -> int:
 def cmd_heston_price(args) -> int:
     model = configio.read_heston_model(args.model)
     strikes = np.array(configio.parse_float_list(args.strikes))
-    if not 0 <= args.asset < model.d:
-        raise ConfigError(f"--asset must lie in [0, {model.d}), got {args.asset}")
-    # priced first, so a bad strike or damping fails before the Monte Carlo
+    # priced first, so a bad asset, strike or damping fails before the Monte Carlo
     fp = fourier_price_call(model, args.asset, strikes, args.maturity,
                             alpha=args.alpha, riccati_steps=args.riccati_steps)
     ps = simulate_heston_terminal(

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .measures import SHAPE_GENERAL, SHAPE_SYMMETRIC, AtomicMatrixMeasure
-from .jumps import JumpMeasureSpec
+from .measures import AtomicMatrixMeasure
+from .jumps import JumpLiftState, JumpMeasureSpec
 from .heston import HestonModelSpec
 
 
@@ -82,20 +82,15 @@ def write_sections(path, sections: dict[str, dict]) -> None:
 # measure files -------------------------------------------------------------
 
 def measure_to_dict(measure: AtomicMatrixMeasure) -> dict:
-    body = {
-        "shape": measure.shape,
+    return {
         "d": measure.d,
         "nodes": measure.nodes.tolist(),
         "weights": measure.weights.tolist(),
     }
-    if measure.shape == SHAPE_GENERAL:
-        body["n"] = measure.nrows
-    return body
 
 
 def measure_from_dict(body: dict, source: str = "<measure>") -> AtomicMatrixMeasure:
     try:
-        shape = body.get("shape", SHAPE_SYMMETRIC)
         nodes = np.asarray(body["nodes"], dtype=float)
         weights = np.asarray(body["weights"], dtype=float)
     except KeyError as exc:
@@ -107,9 +102,7 @@ def measure_from_dict(body: dict, source: str = "<measure>") -> AtomicMatrixMeas
             f"got shape {weights.shape}"
         )
     try:
-        return AtomicMatrixMeasure(
-            nodes, weights, shape=shape, psd_required=bool(body.get("psd_required", False))
-        )
+        return AtomicMatrixMeasure(nodes, weights)
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
@@ -122,14 +115,22 @@ def read_measure(path) -> AtomicMatrixMeasure:
     return measure_from_dict(read_sections(path)[""], source=str(path))
 
 
-def read_gamma0(path, measure: AtomicMatrixMeasure) -> np.ndarray:
-    """Initial lift data (k, n, d) from a measure file on the measure's nodes."""
-    gamma0 = read_measure(path)
-    if not np.array_equal(gamma0.nodes, measure.nodes):
-        raise ConfigError(f"{path}: gamma0 and measure must share the same nodes")
-    if gamma0.d != measure.d:
-        raise ConfigError(f"{path}: gamma0 has d = {gamma0.d}, the measure d = {measure.d}")
-    return gamma0.weights
+def read_node_data(path, measure: AtomicMatrixMeasure) -> np.ndarray:
+    """The ``weights`` array of a node data file on the measure's nodes.
+
+    The file holds ``nodes`` and ``weights`` like a measure file: the
+    initial lift data gamma0 (k, n, d) or lam0 (k, d, d).  Only the nodes are
+    checked here; the model that takes the weights checks their numbers.
+    """
+    body = read_sections(path)[""]
+    try:
+        nodes = np.asarray(body["nodes"], dtype=float)
+        weights = np.asarray(body["weights"], dtype=float)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing node data field {exc}") from exc
+    if not np.array_equal(nodes, measure.nodes):
+        raise ConfigError(f"{path}: node data and measure must share the same nodes")
+    return weights
 
 
 # jump model files ----------------------------------------------------------
@@ -143,12 +144,10 @@ def read_jump_model(path) -> tuple[AtomicMatrixMeasure, np.ndarray, JumpMeasureS
     lam_sec = sec.get("lambda0", {})
     if "weights" not in lam_sec:
         raise ConfigError(f"{path}: missing [lambda0] weights")
-    lam0 = np.asarray(lam_sec["weights"], dtype=float)
-    if lam0.shape != measure.weights.shape:
-        raise ConfigError(
-            f"{path}: lambda0 weights shape {lam0.shape} does not match "
-            f"measure weights shape {measure.weights.shape}"
-        )
+    try:
+        lam0 = JumpLiftState(lam_sec["weights"], measure).lam
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     jumps = sec.get("jumps", {})
     d = measure.d
 

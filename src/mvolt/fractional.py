@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .measures import SHAPE_SYMMETRIC, AtomicMatrixMeasure
+from .measures import AtomicMatrixMeasure
 
 
 @dataclass(frozen=True)
@@ -162,5 +162,5 @@ def fit_fractional_measure(
             f"{sup_err:.3e} exceeds requested tolerance {tol:.3e} "
             f"with k={spec.node_count} nodes"
         )
-    measure = AtomicMatrixMeasure(nodes, weights, shape=SHAPE_SYMMETRIC)
+    measure = AtomicMatrixMeasure(nodes, weights)
     return FractionalFit(measure, sup_err, entry_errors)

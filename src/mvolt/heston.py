@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EPS_PSD, AtomicMatrixMeasure, SHAPE_SYMMETRIC
+from .measures import AtomicMatrixMeasure, check_psd
 from .mc import path_rng, run_path_blocks
 from .ou import StepOperator
 from .riccati import solve_joint_riccati_heston
@@ -41,8 +41,6 @@ class HestonModelSpec:
     jump_weights: np.ndarray = None    # (J, d, d) PSD intensity weights
 
     def __post_init__(self):
-        if self.measure.shape != SHAPE_SYMMETRIC:
-            raise ValueError("covariance measure must be symmetric-shape")
         k, d = self.measure.k, self.measure.d
         g = np.array(self.gamma0, dtype=float)
         if g.ndim != 3 or g.shape[0] != k or g.shape[2] != d:
@@ -70,10 +68,7 @@ class HestonModelSpec:
             raise ValueError("rho^T rho must not exceed 1")
         # the simulator clips the rate Tr(V m_r) at 0 and the Riccati does
         # not, so the two model one law only while every rate is >= 0
-        for r, w in enumerate(jw):
-            lo = float(np.linalg.eigvalsh(0.5 * (w + w.T))[0])
-            if lo < -EPS_PSD * (1.0 + abs(np.trace(w))):
-                raise ValueError(f"jump weight {r} must be PSD, min eigenvalue {lo:.3e}")
+        check_psd(jw, "jump weight")
         for a in (g, rho, p0, ja, jw):
             a.setflags(write=False)
         object.__setattr__(self, "gamma0", g)

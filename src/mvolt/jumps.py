@@ -49,7 +49,7 @@ import numpy as np
 import scipy.linalg
 
 from .mc import _with_hint, path_generators
-from .measures import EPS_PSD, AtomicMatrixMeasure, TimeGrid, decay_sum, eval_kernel
+from .measures import AtomicMatrixMeasure, TimeGrid, check_psd, decay_sum, eval_kernel
 
 # Safety factor for the per-interval dominating rate.
 THINNING_ETA = 0.5
@@ -99,9 +99,7 @@ class JumpMeasureSpec:
                     raise ValueError(f"{name} {i} must be finite")
                 if not np.allclose(m, m.T, atol=1e-12):
                     raise ValueError(f"{name} {i} must be symmetric")
-                if np.size(m) and (np.linalg.eigvalsh(m)[0]
-                                   < -EPS_PSD * (1.0 + abs(np.trace(m)))):
-                    raise ValueError(f"{name} {i} must be PSD")
+            check_psd(stack, name)
 
     @property
     def n_atoms(self) -> int:
@@ -138,7 +136,10 @@ def hawkes_jump_spec(d: int, excitation: np.ndarray | None = None) -> JumpMeasur
 
 @dataclass(frozen=True)
 class JumpLiftState:
-    """Initial lift state: the node matrices lam(x_i) of the driving measure."""
+    """Initial lift state: the node matrices lam(x_i) of the driving measure.
+
+    The measure's weights nu_i must be PSD, or V leaves the PSD cone.
+    """
 
     lam: np.ndarray            # (k, d, d) symmetric
     measure: AtomicMatrixMeasure
@@ -154,6 +155,7 @@ class JumpLiftState:
             raise ValueError("lam entries must be finite")
         if not np.allclose(lam, np.swapaxes(lam, 1, 2), atol=1e-9):
             raise ValueError("lam matrices must be symmetric")
+        check_psd(self.measure.weights, "kernel weight")
 
 
 def lift_operator(measure: AtomicMatrixMeasure) -> tuple[np.ndarray, np.ndarray]:

@@ -6,10 +6,10 @@ atomic measure with matrix weights,
     K(t) = sum_i w_i * exp(-x_i * t),
 
 where the nodes x_i >= 0 are mean-reversion rates and the w_i are d x d
-symmetric matrices (or n x d matrices for the Gaussian-lift initial data).
-The decay semigroup damps each weight, w_i -> exp(-x_i * t) * w_i, which
-keeps everything inside the same finite-rank family; the lifts apply it to
-their node states.  The kernel, together with the pairwise integrals
+symmetric matrices.  The decay semigroup damps each weight, w_i ->
+exp(-x_i * t) * w_i, which keeps everything inside the same finite-rank
+family; the lifts apply it to their node states.  The kernel, together
+with the pairwise integrals
 
     E_ij(t) = int_0^t exp(-(x_i + x_j) s) ds,
 
@@ -22,11 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SHAPE_SYMMETRIC = "symmetric"
-SHAPE_GENERAL = "general"
-
-# Tolerance for the optional PSD check on symmetric weights: smallest
-# eigenvalue may dip below zero by at most EPS_PSD * (1 + trace).
+# Tolerance of the PSD check: the smallest eigenvalue may dip below zero by
+# at most EPS_PSD * (1 + |trace|).
 EPS_PSD = 1e-10
 
 
@@ -36,28 +33,35 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_psd(stack, name: str) -> None:
+    """Raise ValueError unless every matrix of the (m, d, d) stack has a
+    symmetric part that is PSD up to the EPS_PSD slack; the message names
+    the first failing matrix as ``name i``."""
+    stack = np.asarray(stack, dtype=float)
+    if not stack.size:
+        return
+    lo = np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack, -1, -2)))[:, 0]
+    slack = EPS_PSD * (1.0 + np.abs(np.trace(stack, axis1=-2, axis2=-1)))
+    bad = np.flatnonzero(lo < -slack)
+    if bad.size:
+        raise ValueError(f"{name} {bad[0]} must be PSD, min eigenvalue {lo[bad[0]]:.3e}")
+
+
 @dataclass(frozen=True)
 class AtomicMatrixMeasure:
-    """Finite atomic measure with matrix weights.
+    """Finite atomic measure with symmetric d x d matrix weights.
 
     Parameters
     ----------
     nodes : array_like, shape (k,)
         Strictly increasing mean-reversion rates, all finite and >= 0.
-    weights : array_like, shape (k, d, d) or (k, n, d)
-        One matrix weight per node.  Symmetric d x d for ``shape='symmetric'``,
-        arbitrary n x d for ``shape='general'``.
-    shape : str
-        Either ``'symmetric'`` or ``'general'``.
-    psd_required : bool
-        If True (jump-lift usage), every symmetric weight must be positive
-        semidefinite up to the EPS_PSD slack.
+    weights : array_like, shape (k, d, d)
+        One finite symmetric matrix weight per node.  Models that need PSD
+        weights (the jump lift) check them with :func:`check_psd`.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    shape: str = SHAPE_SYMMETRIC
-    psd_required: bool = False
 
     def __post_init__(self):
         nodes = _readonly(self.nodes).reshape(-1)
@@ -79,23 +83,10 @@ class AtomicMatrixMeasure:
             )
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite")
-        if self.shape == SHAPE_SYMMETRIC:
-            if weights.shape[1] != weights.shape[2]:
-                raise ValueError("symmetric-shape weights must be square")
-            if not np.allclose(weights, np.swapaxes(weights, 1, 2), atol=1e-12):
-                raise ValueError("symmetric-shape weights must be symmetric")
-            if self.psd_required:
-                for i, w in enumerate(weights):
-                    lo = float(np.linalg.eigvalsh(w)[0])
-                    if lo < -EPS_PSD * (1.0 + abs(np.trace(w))):
-                        raise ValueError(
-                            f"weight {i} is not PSD (min eigenvalue {lo:.3e})"
-                        )
-        elif self.shape == SHAPE_GENERAL:
-            if self.psd_required:
-                raise ValueError("psd_required only applies to symmetric shape")
-        else:
-            raise ValueError(f"unknown shape tag {self.shape!r}")
+        if weights.shape[1] != weights.shape[2]:
+            raise ValueError("weights must be square")
+        if not np.allclose(weights, np.swapaxes(weights, 1, 2), atol=1e-12):
+            raise ValueError("weights must be symmetric")
 
     @property
     def k(self) -> int:
@@ -105,10 +96,6 @@ class AtomicMatrixMeasure:
     def d(self) -> int:
         return self.weights.shape[2]
 
-    @property
-    def nrows(self) -> int:
-        return self.weights.shape[1]
-
 
 def eval_kernel(measure: AtomicMatrixMeasure, t) -> np.ndarray:
     """Evaluate K(t) = sum_i w_i exp(-x_i t).
@@ -116,8 +103,6 @@ def eval_kernel(measure: AtomicMatrixMeasure, t) -> np.ndarray:
     ``t`` may be a scalar (returns one d x d matrix) or a 1-d array
     (returns a stacked (len(t), d, d) array).  Negative times are rejected.
     """
-    if measure.shape != SHAPE_SYMMETRIC:
-        raise ValueError("eval_kernel requires a symmetric-shape measure")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("kernel evaluation requires t >= 0")

@@ -122,14 +122,16 @@ def check_lift_inputs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """gamma0 (k, n, d) and times as float arrays, checked against the measure.
 
-    Raises ValueError unless gamma0 has the measure's k and d and the times
-    form a nonempty, strictly increasing 1-d array of t >= 0.
+    Raises ValueError unless gamma0 is finite with the measure's k and d and
+    the times form a nonempty, strictly increasing 1-d array of t >= 0.
     """
     gamma0 = np.asarray(gamma0, dtype=float)
     if gamma0.ndim != 3 or gamma0.shape[::2] != (measure.k, measure.d):
         raise ValueError(
             f"gamma0 must have shape ({measure.k}, n, {measure.d}), got {gamma0.shape}"
         )
+    if not np.all(np.isfinite(gamma0)):
+        raise ValueError("gamma0 entries must be finite")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(times < 0.0):
         raise ValueError("times must be a nonempty 1-d array of t >= 0")

@@ -60,19 +60,17 @@ def random_wishart_setup(seed: int = 2024, d: int = 2, n: int = 3, k: int = 4):
     return measure, gamma0, cs, ts
 
 
-def wishart_transform_points(measure, gamma0, cs, ts, v_samples) -> list[dict]:
-    """MC mean of exp(-Tr(c^T c V_t)) vs the closed form, one point per (c, t).
+def wishart_transform_points(measure, queries, v_samples) -> list[dict]:
+    """MC mean of exp(-Tr(c^T c V_t)) vs the closed form, one point per query.
 
-    ``v_samples[:, j]`` holds the V samples at time ``ts[j]``.
+    ``v_samples[:, j]`` holds the V samples at the time of ``queries[j]``.
     """
     points = []
-    for j, (c, t) in enumerate(zip(cs, ts)):
-        analytic = closed_form_laplace(
-            WishartTransformQuery(t=float(t), c=c, gamma0=gamma0), measure
-        )
-        est = estimate_mean(np.exp(-np.einsum("ab,pab->p", c.T @ c, v_samples[:, j])))
+    for j, q in enumerate(queries):
+        analytic = closed_form_laplace(q, measure)
+        est = estimate_mean(np.exp(-np.einsum("ab,pab->p", q.c.T @ q.c, v_samples[:, j])))
         points.append(
-            {"t": float(t), "analytic": analytic, "mc": float(est.mean),
+            {"t": q.t, "analytic": analytic, "mc": float(est.mean),
              "stderr": float(est.stderr), "z_score": float(est.z_score(analytic))}
         )
     return points
@@ -82,7 +80,8 @@ def check_wishart_transform(n_paths: int = 100_000, seed: int = 11, workers: int
     """MC mean of exp(-Tr(c^T c V_t)) vs the closed form at 6 (c, t) points."""
     measure, gamma0, cs, ts = random_wishart_setup()
     v_samples = simulate_wishart(measure, gamma0, ts, n_paths, seed, workers=workers)
-    points = wishart_transform_points(measure, gamma0, cs, ts, v_samples)
+    queries = [WishartTransformQuery(t=float(t), c=c, gamma0=gamma0) for c, t in zip(cs, ts)]
+    points = wishart_transform_points(measure, queries, v_samples)
     worst = max([0.0] + [abs(p["z_score"]) for p in points])
     return _result("wishart_transform", worst <= 3.0, points=points,
                    max_abs_z=worst, n_paths=n_paths)

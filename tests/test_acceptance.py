@@ -159,7 +159,6 @@ class TestCriterion10Determinism:
         gamma0.write_text(
             "nodes = [0.5, 2.0]\n"
             "weights = [[[0.1, 0.0], [0.0, 0.1]], [[0.05, 0.02], [0.0, 0.1]]]\n"
-            "d = 2\nn = 2\nshape = 'general'\n"
         )
         cfile = tmp_path / "c.cfg"
         cfile.write_text("c = [[0.5, 0.1], [0.0, 0.3]]\n")

@@ -31,10 +31,7 @@ def gamma0_file(tmp_path):
     return write(
         tmp_path / "gamma0.cfg",
         "nodes = [0.5, 2.0]\n"
-        "weights = [[[0.1, 0.0], [0.0, 0.1]], [[0.05, 0.02], [0.0, 0.1]]]\n"
-        "d = 2\n"
-        "n = 2\n"
-        "shape = 'general'\n",
+        "weights = [[[0.1, 0.0], [0.0, 0.1]], [[0.05, 0.02], [0.0, 0.1]]]\n",
     )
 
 
@@ -125,29 +122,33 @@ class TestSimulationCommands:
         header = out.read_text().split("\n")[0]
         assert header == "path,t,V_11,V_12,V_21,V_22"
 
-    @pytest.mark.parametrize("gamma0, message", [
-        ("nodes = [0.5, 3.0]\nweights = [[[0.1, 0.0]], [[0.0, 0.1]]]\n"
-         "d = 2\nn = 1\nshape = 'general'\n",
-         "gamma0 and measure must share the same nodes"),
-        ("nodes = [0.5]\nweights = [[[0.1, 0.0]]]\nd = 2\nn = 1\nshape = 'general'\n",
-         "gamma0 and measure must share the same nodes"),
-        ("nodes = [0.5, 2.0]\nweights = [[[0.1]], [[0.2]]]\nd = 1\nn = 1\n"
-         "shape = 'general'\n", "gamma0 has d = 1, the measure d = 2"),
-    ], ids=["other-nodes", "k1-against-k2", "other-d"])
+    other_nodes = "config error: {bad}: node data and measure must share the same nodes"
+    other_d = "error: gamma0 must have shape (2, n, 2), got (2, 1, 1)"
+
+    @pytest.mark.parametrize("gamma0, messages", [
+        ("nodes = [0.5, 3.0]\nweights = [[[0.1, 0.0]], [[0.0, 0.1]]]\n",
+         [other_nodes] * 3),
+        ("nodes = [0.5]\nweights = [[[0.1, 0.0]]]\n", [other_nodes] * 3),
+        ("nodes = [0.5, 2.0]\nweights = [[[0.1]], [[0.2]]]\n",
+         [other_d, other_d, "error: c and gamma0 disagree on d"]),
+        ("nodes = [0.5, 2.0]\nweights = [[[0.1, 0.0]], [[0.0, 1e999]]]\n",
+         ["error: gamma0 entries must be finite"] * 3),
+    ], ids=["other-nodes", "k1-against-k2", "other-d", "inf-gamma0"])
     def test_gamma0_must_match_the_measure(self, tmp_path, capsys, measure_file,
-                                           gamma0, message):
+                                           gamma0, messages):
         # every command that reads --gamma0 checks it before any block runs
         bad = write(tmp_path / "bad.cfg", gamma0)
         cfile = write(tmp_path / "c.cfg", "c = [[0.5, 0.0], [0.0, 0.5]]\n")
         out = tmp_path / "out.txt"
-        for cmd in (["ou", "simulate", "--dt", "0.5", "--steps", "2"],
-                    ["wishart", "simulate", "--dt", "0.5", "--steps", "2"],
-                    ["wishart", "transform", "--c", cfile, "--times", "0.5"]):
+        for cmd, message in zip(
+                (["ou", "simulate", "--dt", "0.5", "--steps", "2"],
+                 ["wishart", "simulate", "--dt", "0.5", "--steps", "2"],
+                 ["wishart", "transform", "--c", cfile, "--times", "0.5"]), messages):
             rc = main([*cmd, "--measure", measure_file, "--gamma0", bad,
                        "--paths", "4", "--out", str(out)])
             assert rc == 2, cmd
             err = capsys.readouterr().err.strip().splitlines()
-            assert err == [f"config error: {bad}: {message}"], cmd
+            assert err == [message.format(bad=bad)], cmd
             assert not out.exists()
 
     @pytest.mark.parametrize("cmd, message", [
@@ -158,7 +159,7 @@ class TestSimulationCommands:
         (["wishart", "simulate", "--dt=-0.5", "--steps", "2"],
          "config error: need --dt > 0 and --steps >= 1, got -0.5 and 2"),
         (["wishart", "transform", "--times=-0.5,1.0"],
-         "error: times must be a nonempty 1-d array of t >= 0"),
+         "error: transform time must be >= 0"),
     ], ids=["ou-steps-0", "wishart-steps-0", "wishart-negative-dt", "transform-negative"])
     def test_bad_times_exit_two_before_any_block(self, tmp_path, capsys, measure_file,
                                                  gamma0_file, cmd, message):
@@ -173,11 +174,11 @@ class TestSimulationCommands:
         assert err == [message]
         assert not out.exists()
 
-    @pytest.mark.parametrize("c, shape", [("[0.5, 0.0]", (2,)),
-                                          ("[[0.5, 0.0, 0.1]]", (1, 3))],
-                             ids=["1-d", "three-columns"])
+    @pytest.mark.parametrize("c, message", [
+        ("[0.5, 0.0]", "c must be (n, d) and gamma0 (k, n, d)"),
+        ("[[0.5, 0.0, 0.1]]", "c and gamma0 disagree on d")], ids=["1-d", "three-columns"])
     def test_wishart_transform_checks_c_before_the_monte_carlo(
-            self, tmp_path, capsys, monkeypatch, measure_file, gamma0_file, c, shape):
+            self, tmp_path, capsys, monkeypatch, measure_file, gamma0_file, c, message):
         import mvolt.cli as cli_mod
 
         def no_monte_carlo(*args, **kwargs):
@@ -191,8 +192,7 @@ class TestSimulationCommands:
                    "--paths", "4", "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"config error: {cfile}: c must be a matrix with d = 2 columns, "
-                       f"got shape {shape}"]
+        assert err == [f"error: {message}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("cmd", [["heston", "simulate", "--T", "0.5"],
@@ -562,28 +562,50 @@ class TestTransformCommands:
             f"config error: {model}[jumps]: atom 0 must be finite"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("d, lam0, message", [
-        (1, "[[[1e999]]]", "error: lam entries must be finite"),
-        (2, "[[[1.0, 0.2], [0.0, 1.0]]]", "error: lam matrices must be symmetric"),
-    ], ids=["inf-lambda0", "non-symmetric-lambda0"])
-    def test_bad_lambda0_is_rejected_by_both_commands(self, tmp_path, capsys, d, lam0,
+    @pytest.mark.parametrize("d, nu, lam0, message", [
+        (1, 0.4, "[[[1e999]]]", "lam entries must be finite"),
+        (2, 0.4, "[[[1.0, 0.2], [0.0, 1.0]]]", "lam matrices must be symmetric"),
+        # this model used to run, with V < 0 on 28 % of the paths and a
+        # transform that the paths do not match
+        (1, -0.4, "[[[1.0]]]", "kernel weight 0 must be PSD, min eigenvalue -4.000e-01"),
+    ], ids=["inf-lambda0", "non-symmetric-lambda0", "non-psd-kernel"])
+    def test_bad_lambda0_is_rejected_by_both_commands(self, tmp_path, capsys, d, nu, lam0,
                                                       message):
         # transform laplace checks lambda0 as hawkes simulate does, before
         # either march
         eye = np.eye(d)
         model = write(
             tmp_path / "m.cfg",
-            f"[measure]\nnodes = [1.0]\nweights = {[(0.4 * eye).tolist()]}\nd = {d}\n"
+            f"[measure]\nnodes = [1.0]\nweights = {[(nu * eye).tolist()]}\nd = {d}\n"
             f"[lambda0]\nweights = {lam0}\n"
-            f"[jumps]\natoms = {[eye.tolist()]}\nweights = {[(0.3 * eye).tolist()]}\n")
+            f"[jumps]\natoms = {[eye.tolist()]}\nweights = {[eye.tolist()]}\n")
         ufile = write(tmp_path / "u.cfg", f"u = {(-eye).tolist()}\n")
-        for cmd in (["transform", "laplace", "--u", ufile, "--t", "0.5"],
+        for cmd in (["transform", "laplace", "--u", ufile, "--t", "1.0"],
                     ["hawkes", "simulate", "--T", "1.0", "--paths", "4"]):
             out = tmp_path / "out.txt"
             rc = main([*cmd, "--model", model, "--out", str(out)])
             assert rc == 2
-            assert capsys.readouterr().err.strip().splitlines() == [message]
+            assert capsys.readouterr().err.strip().splitlines() == [
+                f"config error: {model}: {message}"]
             assert not out.exists()
+
+    @pytest.mark.parametrize("kernel, lam0, message", [
+        ("[[[-0.4]]]", "nodes = [1.0]\nweights = [[[1.0]]]\n",
+         "error: kernel weight 0 must be PSD, min eigenvalue -4.000e-01"),
+        ("[[[0.4]]]", "nodes = [100.0]\nweights = [[[1.0]]]\n",
+         "config error: {lam0}: node data and measure must share the same nodes"),
+    ], ids=["non-psd-kernel", "other-nodes"])
+    def test_hawkes_preset_checks_the_kernel_and_lambda0_nodes(
+            self, tmp_path, capsys, kernel, lam0, message):
+        # both used to exit 0
+        measure = write(tmp_path / "m.cfg", f"nodes = [1.0]\nweights = {kernel}\n")
+        lam0 = write(tmp_path / "l.cfg", lam0)
+        out = tmp_path / "ev.csv"
+        rc = main(["hawkes", "simulate", "--measure", measure, "--lambda0", lam0,
+                   "--T", "1.0", "--paths", "4", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip().splitlines() == [message.format(lam0=lam0)]
+        assert not out.exists()
 
     def test_transform_charfn(self, tmp_path, heston_model_file):
         out = tmp_path / "cf.json"
@@ -740,7 +762,7 @@ class TestTransformCommands:
                    "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"config error: --asset must lie in [0, 2), got {asset}"]
+        assert err == [f"error: asset must lie in [0, 2), got {asset}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [

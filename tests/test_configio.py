@@ -53,15 +53,16 @@ class TestMeasureRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
         np.testing.assert_array_equal(m.nodes, m2.nodes)
         np.testing.assert_array_equal(m.weights, m2.weights)
-        assert m.shape == m2.shape
 
-    def test_general_shape_roundtrip(self, tmp_path):
-        m = AtomicMatrixMeasure([1.0], np.ones((1, 3, 2)), shape="general")
-        p = tmp_path / "g.cfg"
+    def test_reader_ignores_shape_and_n(self, tmp_path):
+        # files written before measures lost their shape tag still read
+        p = tmp_path / "old.cfg"
+        p.write_text("shape = 'symmetric'\nd = 1\nn = 1\nnodes = [1.0]\n"
+                     "weights = [[[0.5]]]\n")
+        m = read_measure(p)
+        assert m.k == 1 and m.d == 1
         write_measure(p, m)
-        m2 = read_measure(p)
-        assert m2.shape == "general"
-        assert m2.nrows == 3
+        assert p.read_text() == "d = 1\nnodes = [1.0]\nweights = [[[0.5]]]\n"
 
     def test_invalid_measure_diagnosed(self, tmp_path):
         p = tmp_path / "bad.cfg"

@@ -4,14 +4,15 @@ import pytest
 from mvolt.measures import (
     AtomicMatrixMeasure,
     TimeGrid,
+    check_psd,
     decay_integral,
     eval_kernel,
     pair_decay_integrals,
 )
 
 
-def make_measure(nodes, weights, **kw):
-    return AtomicMatrixMeasure(np.asarray(nodes), np.asarray(weights), **kw)
+def make_measure(nodes, weights):
+    return AtomicMatrixMeasure(np.asarray(nodes), np.asarray(weights))
 
 
 class TestEvalKernel:
@@ -68,18 +69,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="symmetric"):
             make_measure([1.0], [[[0.0, 1.0], [0.0, 0.0]]])
 
-    def test_psd_flag_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="PSD"):
-            make_measure([1.0], [[[-1.0]]], psd_required=True)
+    def test_psd_check_rejects_indefinite(self):
+        # the measure itself allows an indefinite kernel; the jump lift
+        # checks its weights with check_psd
+        make_measure([1.0], [[[-1.0]]])
+        with pytest.raises(ValueError, match=r"^weight 1 must be PSD, min eigenvalue -1.000e\+00$"):
+            check_psd([[[1.0]], [[-1.0]]], "weight")
+        # the slack is EPS_PSD * (1 + |trace|), on the symmetric part
+        check_psd([[[1.0, -1e-11], [0.0, -1e-10]]], "weight")
+        check_psd(np.zeros((0, 2, 2)), "weight")
 
-    def test_general_shape_allows_rectangular(self):
-        m = make_measure([1.0], np.ones((1, 3, 2)), shape="general")
-        assert m.nrows == 3 and m.d == 2
-
-    def test_eval_kernel_requires_symmetric_shape(self):
-        m = make_measure([1.0], np.ones((1, 3, 2)), shape="general")
-        with pytest.raises(ValueError):
-            eval_kernel(m, 1.0)
+    def test_rectangular_weights_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            make_measure([1.0], np.ones((1, 3, 2)))
 
 
 class TestDecayIntegrals:

@@ -174,6 +174,15 @@ def test_lift_blocks_reject_gamma0_off_the_measure(shape):
         simulate_lift_blocks(two_node_measure(), np.ones(shape), [0.5], 0, 0, 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lift_blocks_reject_non_finite_gamma0(bad):
+    # a NaN gamma0 used to give NaN samples
+    gamma0 = np.ones((2, 1, 2))
+    gamma0[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="^gamma0 entries must be finite$"):
+        simulate_lift_blocks(two_node_measure(), gamma0, [0.5], 0, 0, 3)
+
+
 class TestStepOperatorValidation:
     def test_rejects_wrong_noise_shape(self):
         m = two_node_measure()
