@@ -84,12 +84,8 @@ def _clean(x):
 # kernel --------------------------------------------------------------------
 
 def cmd_kernel_fit(args) -> int:
-    sec = configio.read_sections(args.hurst)[""]
-    if "hurst" not in sec:
-        raise ConfigError(f"{args.hurst}: missing 'hurst' field")
-    spec = FractionalKernelSpec(
-        np.asarray(sec["hurst"], dtype=float), args.tmin, args.tmax, args.nodes
-    )
+    hurst = configio.float_field(configio.read_sections(args.hurst)[""], "hurst", args.hurst)
+    spec = FractionalKernelSpec(hurst, args.tmin, args.tmax, args.nodes)
     fit = fit_fractional_measure(spec, tol=args.tol)
     configio.write_measure(args.out, fit.measure)
     print(f"fitted {args.nodes} nodes, sup relative error {fit.sup_rel_error:.3e}")
@@ -138,12 +134,10 @@ def cmd_wishart_simulate(args) -> int:
 def cmd_wishart_transform(args) -> int:
     measure = configio.read_measure(args.measure)
     gamma0 = configio.read_node_data(args.gamma0, measure)
-    c_sec = configio.read_sections(args.c)[""]
-    if "c" not in c_sec:
-        raise ConfigError(f"{args.c}: missing 'c' field (n x d matrix)")
+    c = configio.float_field(configio.read_sections(args.c)[""], "c", args.c)
     times = configio.parse_float_list(args.times)
     # built first, so a bad c fails before the Monte Carlo
-    queries = [WishartTransformQuery(t=t, c=c_sec["c"], gamma0=gamma0) for t in times]
+    queries = [WishartTransformQuery(t=t, c=c, gamma0=gamma0) for t in times]
     vs = simulate_wishart(measure, gamma0, times, args.paths, args.seed,
                           workers=args.workers)
     entries = wishart_transform_points(measure, queries, vs)
@@ -189,10 +183,7 @@ def cmd_hawkes_simulate(args) -> int:
 
 def cmd_transform_laplace(args) -> int:
     measure, lam0, spec = configio.read_jump_model(args.model)
-    u_sec = configio.read_sections(args.u)[""]
-    if "u" not in u_sec:
-        raise ConfigError(f"{args.u}: missing 'u' field (d x d NSD matrix)")
-    u = np.asarray(u_sec["u"], dtype=float)
+    u = configio.float_field(configio.read_sections(args.u)[""], "u", args.u)
     times = configio.parse_float_list(args.t)
     if not times:
         raise ConfigError(f"--t must list at least one time, got {args.t!r}")

@@ -56,6 +56,21 @@ def read_sections(path) -> dict[str, dict]:
     return parse_sections(path.read_text(), source=str(path))
 
 
+def float_field(body: dict, key: str, source, default=None) -> np.ndarray:
+    """The literal at ``key`` of a section as a float array.
+
+    A missing key takes ``default``; without one it is an error.  So is a
+    literal that is not numbers (a dict, a set, a string, ragged lists).
+    Both raise :class:`ConfigError` naming the file and the key.
+    """
+    if key not in body and default is None:
+        raise ConfigError(f"{source}: missing field {key!r}")
+    try:
+        return np.asarray(body.get(key, default), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{source}: field {key!r} must be numbers: {exc}") from exc
+
+
 def _format_value(v) -> str:
     if isinstance(v, np.ndarray):
         v = v.tolist()
@@ -90,13 +105,9 @@ def measure_to_dict(measure: AtomicMatrixMeasure) -> dict:
 
 
 def measure_from_dict(body: dict, source: str = "<measure>") -> AtomicMatrixMeasure:
-    try:
-        nodes = np.asarray(body["nodes"], dtype=float)
-        weights = np.asarray(body["weights"], dtype=float)
-    except KeyError as exc:
-        raise ConfigError(f"{source}: missing measure field {exc}") from exc
-    d = int(body.get("d", weights.shape[-1] if weights.ndim == 3 else 0))
-    if weights.ndim != 3 or weights.shape[-1] != d:
+    nodes, weights = (float_field(body, key, source) for key in ("nodes", "weights"))
+    d = float_field(body, "d", source, default=weights.shape[-1] if weights.ndim == 3 else 0)
+    if weights.ndim != 3 or d.shape or weights.shape[-1] != d:
         raise ConfigError(
             f"{source}: weights must be a (k, ., d={d}) nested list, "
             f"got shape {weights.shape}"
@@ -123,11 +134,7 @@ def read_node_data(path, measure: AtomicMatrixMeasure) -> np.ndarray:
     checked here; the model that takes the weights checks their numbers.
     """
     body = read_sections(path)[""]
-    try:
-        nodes = np.asarray(body["nodes"], dtype=float)
-        weights = np.asarray(body["weights"], dtype=float)
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing node data field {exc}") from exc
+    nodes, weights = (float_field(body, key, path) for key in ("nodes", "weights"))
     if not np.array_equal(nodes, measure.nodes):
         raise ConfigError(f"{path}: node data and measure must share the same nodes")
     return weights
@@ -141,11 +148,9 @@ def read_jump_model(path) -> tuple[AtomicMatrixMeasure, np.ndarray, JumpMeasureS
     if "measure" not in sec:
         raise ConfigError(f"{path}: missing [measure] section")
     measure = measure_from_dict(sec["measure"], source=f"{path}[measure]")
-    lam_sec = sec.get("lambda0", {})
-    if "weights" not in lam_sec:
-        raise ConfigError(f"{path}: missing [lambda0] weights")
+    lam = float_field(sec.get("lambda0", {}), "weights", f"{path}[lambda0]")
     try:
-        lam0 = JumpLiftState(lam_sec["weights"], measure).lam
+        lam0 = JumpLiftState(lam, measure).lam
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     jumps = sec.get("jumps", {})
@@ -153,12 +158,13 @@ def read_jump_model(path) -> tuple[AtomicMatrixMeasure, np.ndarray, JumpMeasureS
 
     def stack(key):
         # an empty list is an empty stack of d x d matrices
-        arr = np.asarray(jumps.get(key, []), dtype=float)
+        arr = float_field(jumps, key, f"{path}[jumps]", default=[])
         return arr if arr.size else arr.reshape(0, d, d)
 
     try:
         spec = JumpMeasureSpec(atoms=stack("atoms"), weights=stack("weights"),
-                               epsilon_shift=float(jumps.get("epsilon", 0.0)))
+                               epsilon_shift=float_field(jumps, "epsilon", f"{path}[jumps]",
+                                                         default=0.0))
     except ValueError as exc:
         raise ConfigError(f"{path}[jumps]: {exc}") from exc
     if spec.atoms.shape[1:] != (d, d):
@@ -176,24 +182,20 @@ def read_heston_model(path) -> HestonModelSpec:
         if name not in sec:
             raise ConfigError(f"{path}: missing [{name}] section")
     measure = measure_from_dict(sec["measure"], source=f"{path}[measure]")
-    g_sec = sec["gamma0"]
-    if "weights" not in g_sec:
-        raise ConfigError(f"{path}: missing [gamma0] weights")
-    gamma0 = np.asarray(g_sec["weights"], dtype=float)
-    price = sec["price"]
-    d = measure.d
+    gamma0 = float_field(sec["gamma0"], "weights", f"{path}[gamma0]")
+    price, source = sec["price"], f"{path}[price]"
+    rho, p0 = (float_field(price, key, source, default=np.zeros(measure.d))
+               for key in ("rho", "p0"))
+    jump_atoms, jump_weights = (float_field(price, key, source, default=[])
+                                for key in ("jump_atoms", "jump_weights"))
     try:
         return HestonModelSpec(
             measure=measure,
             gamma0=gamma0,
-            rho=np.asarray(price.get("rho", np.zeros(d)), dtype=float),
-            p0=np.asarray(price.get("p0", np.zeros(d)), dtype=float),
-            jump_atoms=np.asarray(price["jump_atoms"], dtype=float)
-            if "jump_atoms" in price and len(price["jump_atoms"])
-            else None,
-            jump_weights=np.asarray(price["jump_weights"], dtype=float)
-            if "jump_weights" in price and len(price.get("jump_weights", []))
-            else None,
+            rho=rho,
+            p0=p0,
+            jump_atoms=jump_atoms if jump_atoms.size else None,
+            jump_weights=jump_weights if jump_weights.size else None,
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -91,8 +91,10 @@ class JumpMeasureSpec:
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
-        if not 0.0 <= self.epsilon_shift < np.inf:
+        eps = np.asarray(self.epsilon_shift, dtype=float)
+        if eps.shape or not 0.0 <= eps < np.inf:
             raise ValueError(f"epsilon shift must be >= 0 and finite, got {self.epsilon_shift}")
+        object.__setattr__(self, "epsilon_shift", float(eps))
         for name, stack in (("atom", atoms), ("weight", weights)):
             for i, m in enumerate(stack):
                 if not np.all(np.isfinite(m)):

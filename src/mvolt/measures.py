@@ -101,10 +101,11 @@ def eval_kernel(measure: AtomicMatrixMeasure, t) -> np.ndarray:
     """Evaluate K(t) = sum_i w_i exp(-x_i t).
 
     ``t`` may be a scalar (returns one d x d matrix) or a 1-d array
-    (returns a stacked (len(t), d, d) array).  Negative times are rejected.
+    (returns a stacked (len(t), d, d) array).  Negative and NaN times are
+    rejected.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
+    if not np.all(t_arr >= 0.0):
         raise ValueError("kernel evaluation requires t >= 0")
     return decay_sum(measure.nodes, measure.weights, t_arr)
 

@@ -133,7 +133,7 @@ def check_lift_inputs(
     if not np.all(np.isfinite(gamma0)):
         raise ValueError("gamma0 entries must be finite")
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(times < 0.0):
+    if times.ndim != 1 or times.size == 0 or not np.all(times >= 0.0):
         raise ValueError("times must be a nonempty 1-d array of t >= 0")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be strictly increasing")

@@ -22,9 +22,12 @@ Three related solvers live here.
    which is what the mild form of the lift ODE projects to (G_s is NL(Psi_s)
    with the jump leg read off the eps-shifted kernel).  It is marched with
    left-point quadrature on the k node states of K = sum_i e^(-x_i t) nu_i,
-   so the history sums cost O(N k), and the transform value is
+   so the history sums cost O(N k).  The end node states y_N = e^(-x t) u
+   + dt sum_{j<N} e^(-x (t - t_j)) G_j pair with lam0 to
+   Tr(u h(t)) + int_0^t Tr(G_s h(t-s)) ds, h(s) = sum_i e^(-x_i s) lam0(x_i),
+   so the transform value is the same pairing as the lift's,
 
-       E[exp(Tr(u V_t))] = exp(Tr(u h(t)) + int_0^t Tr(G_s h(t-s)) ds).
+       E[exp(Tr(u V_t))] = exp(<y_N, lam0>).
 
    Both jump-lift routes step on the thinning engine's own node operators,
    built once per solve: the linear part L of :func:`jumps.lift_operator`,
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .measures import AtomicMatrixMeasure, TimeGrid, decay_sum
+from .measures import AtomicMatrixMeasure
 from .jumps import JumpLiftState, JumpMeasureSpec, jump_operators, lift_operator
 
 
@@ -55,15 +58,11 @@ from .jumps import JumpLiftState, JumpMeasureSpec, jump_operators, lift_operator
 BLOWUP_LIMIT = 1e8
 
 
-def _grid_batch(grid) -> tuple[list[TimeGrid], bool]:
-    """The grids of one march, and whether a bare :class:`TimeGrid` was given.
-
-    Each grid keeps its own step; all must share the number of steps.
-    """
-    grids = [grid] if isinstance(grid, TimeGrid) else list(grid)
-    if not grids or len({g.n_steps for g in grids}) != 1:
-        raise ValueError("need one or more grids with the same number of steps")
-    return grids, isinstance(grid, TimeGrid)
+def _step_sizes(times, n_steps: int) -> np.ndarray:
+    """The step dt = t / n_steps of each t in ``times``, as a (T, 1, 1) column."""
+    if not n_steps >= 1:
+        raise ValueError(f"need n_steps >= 1, got {n_steps}")
+    return np.asarray(times, dtype=float).reshape(-1, 1, 1) / n_steps
 
 
 @np.errstate(over="ignore", invalid="ignore")    # divergence is raised below
@@ -71,15 +70,16 @@ def solve_lift_riccati_jump(
     y0: np.ndarray,
     measure: AtomicMatrixMeasure,
     spec: JumpMeasureSpec,
-    grid: TimeGrid | Sequence[TimeGrid],
+    times: Sequence[float],
+    n_steps: int,
 ) -> np.ndarray:
-    """Trajectory of the lift ODE; returns (N+1, k, d, d) samples.
+    """End states of the lift ODE from y0 at each t in ``times``; (T, k, d, d).
 
     On the flat state y = vec(y_1, ..., y_k) the right-hand side is
     L y + G (e^(A y) - 1), G = 1_k (x) W, with L of :func:`jumps.lift_operator`
     and A, W of :func:`jumps.jump_operators`.  It is stepped by the
     fourth-order exponential time differencing Runge-Kutta scheme of Cox and
-    Matthews (2002), which takes L exactly, so one step per grid interval
+    Matthews (2002), which takes L exactly, so one step of h = t / n_steps
     serves whatever the stiffness.  The exponential of the dimensionless
     B = [[L h/2, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0] has the top block
     row [e^(L h/2), phi_1, phi_2, phi_3] (phi_j at L h/2) and its square
@@ -88,23 +88,20 @@ def solve_lift_riccati_jump(
     solve, so a stage costs one expm1(A y) over the atoms and a few small
     matvecs.
 
-    ``grid`` may also be a sequence of T grids with one number of steps:
-    the T solutions from the same y0, each on its own grid, are marched in
-    one loop with stacked (T, n, n) operators, and the result is (T, N+1,
-    k, d, d).  If any march leaves the floats, the first such grid in order
-    names the grid time it diverged before.
+    The T marches, each with its own h, run in one loop with stacked (T, n,
+    n) operators.  If any leaves the floats, the first such t in order names
+    the grid time it diverged before.
     """
-    grids, single = _grid_batch(grid)
     y0 = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float)
     k, d = measure.k, measure.d
     if y0.shape != (k, d, d):
         raise ValueError(f"y0 must have shape ({k}, {d}, {d})")
+    h = _step_sizes(times, n_steps)
     lin, _ = lift_operator(measure)
     jump_arg, gain = jump_operators(measure, spec)
-    n, n_times = lin.shape[0], len(grids[0])
-    h = np.array([g.dt for g in grids])[:, None, None]
+    n, n_times = lin.shape[0], len(h)
     gain = np.tile(gain, (k, 1))
-    aug = np.zeros((len(grids), 4 * n, 4 * n))
+    aug = np.zeros((n_times, 4 * n, 4 * n))
     aug[:, :n, :n] = lin * (0.5 * h)
     aug[:, np.arange(3 * n), np.arange(n, 4 * n)] = 1.0
     half = scipy.linalg.expm(aug)
@@ -119,29 +116,29 @@ def solve_lift_riccati_jump(
                                 2.0 * (p2 - 2.0 * p3) @ gain,
                                 (4.0 * p3 - p2) @ gain], axis=2)
 
-    # y stacks one column per grid, (T, n, 1).  Each step adds to y itself,
-    # so an entry that left the floats stays inf or nan, and the first
-    # non-finite sample of the trajectory is where its march diverged
-    out = np.empty((n_times, len(grids), n, 1), dtype=y0.dtype)
-    out[0] = y = np.tile(y0.reshape(n, 1), (len(grids), 1, 1))
-    for m in range(1, n_times):
-        ny = np.expm1(jump_arg @ y)
-        ey = y + grow_half @ y
-        a = ey + stage_gain @ ny
-        na = np.expm1(jump_arg @ a)
-        b = ey + stage_gain @ na
-        nb = np.expm1(jump_arg @ b)
-        c = a + grow_half @ a + stage_gain @ (2.0 * nb - ny)
-        nc = np.expm1(jump_arg @ c)
-        out[m] = y = y + grow @ y + step_gain @ np.concatenate([ny, na + nb, nc], axis=1)
-    bad = ~np.isfinite(out).all(axis=(2, 3))
-    if bad.any():
-        j = int(np.flatnonzero(bad.any(axis=0))[0])
+    # y stacks one column per t, (T, n, 1).  Each step adds to y itself, so
+    # an entry that left the floats stays inf or nan, and the first step at
+    # which a column holds one is where its march diverged
+    y = np.tile(y0.reshape(n, 1), (n_times, 1, 1))
+    blown = np.full(n_times, -1)
+    for m in range(n_steps + 1):
+        if m:
+            ny = np.expm1(jump_arg @ y)
+            ey = y + grow_half @ y
+            a = ey + stage_gain @ ny
+            na = np.expm1(jump_arg @ a)
+            b = ey + stage_gain @ na
+            nb = np.expm1(jump_arg @ b)
+            c = a + grow_half @ a + stage_gain @ (2.0 * nb - ny)
+            nc = np.expm1(jump_arg @ c)
+            y = y + grow @ y + step_gain @ np.concatenate([ny, na + nb, nc], axis=1)
+        if not np.isfinite(y).all():
+            blown[(blown < 0) & ~np.isfinite(y).all(axis=(1, 2))] = m
+    if (blown >= 0).any():
+        j = int(np.flatnonzero(blown >= 0)[0])
         raise FloatingPointError(
-            f"lift Riccati diverged before t = {grids[j].times[np.argmax(bad[:, j])]:.6g}"
-        )
-    out = out.swapaxes(0, 1).reshape((len(grids), n_times) + y0.shape)
-    return out[0] if single else out
+            f"lift Riccati diverged before t = {blown[j] * h[j, 0, 0]:.6g}")
+    return y.reshape((n_times,) + y0.shape)
 
 
 def pairing_value(y: np.ndarray, lam0: np.ndarray) -> float:
@@ -150,45 +147,41 @@ def pairing_value(y: np.ndarray, lam0: np.ndarray) -> float:
 
 
 def solve_volterra_riccati_jump(
-    u: np.ndarray,
+    y0: np.ndarray,
     measure: AtomicMatrixMeasure,
     spec: JumpMeasureSpec,
-    grid: TimeGrid | Sequence[TimeGrid],
+    times: Sequence[float],
+    n_steps: int,
 ) -> np.ndarray:
-    """March the two-sided Volterra system; returns G on the grid, (N+1, d, d).
+    """End node states of the two-sided Volterra march at each t in ``times``.
 
     Psi_t     = u K(t) + K(t) u + int_0^t (G_s K(t-s) + K(t-s) G_s) ds,
     Psi^eps_t = the same with K(. + eps),
     G_s       = Psi_s + sum_r (exp(Tr(Psi^eps_s xi_r)) - 1) mu_r / (||xi_r|| /\\ 1),
 
-    with left-point quadrature (O(dt)).  K = sum_i e^(-x_i t) nu_i, so the
-    data and the history sum are carried by k node states
-    y_i(t_m) = e^(-x_i t_m) u + dt sum_{j<m} e^(-x_i (t_m - t_j)) G_j,
-    updated as y_i <- e^(-x_i dt) (y_i + dt G_{m-1}); then Psi = sum_i (y_i
-    nu_i + nu_i y_i) and Psi^eps weights node i by e^(-x_i eps).  With an
-    empty jump measure G is Psi itself.  A sequence of T grids with one
-    number of steps is marched in one loop on (T, k, d^2) node states, each
-    with its own decay; the result is then (T, N+1, d, d).
+    with left-point quadrature (O(dt)), dt = t / n_steps.  K = sum_i e^(-x_i
+    t) nu_i, so the data and the history sum are carried by k node states
+    y_i(t_m) = e^(-x_i t_m) y0_i + dt sum_{j<m} e^(-x_i (t_m - t_j)) G_j,
+    updated as y_i <- e^(-x_i dt) (y_i + dt G_m); Psi = sum_i (y_i nu_i + nu_i
+    y_i) and Psi^eps weights node i by e^(-x_i eps).  With y0 == u at every
+    node these are the states of the lift ODE's mild form.  With an empty
+    jump measure G is Psi itself.  The T marches, each with its own decay,
+    run in one loop on (T, k, d^2) node states; returns y(t), (T, k, d, d).
     """
-    grids, single = _grid_batch(grid)
-    u = np.asarray(u, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
     k, d = measure.k, measure.d
-    if u.shape != (d, d):
-        raise ValueError(f"u must be ({d}, {d})")
+    if y0.shape != (k, d, d):
+        raise ValueError(f"y0 must have shape ({k}, {d}, {d})")
+    dt = _step_sizes(times, n_steps)
     _, pairing = lift_operator(measure)
     jump_arg, gain = jump_operators(measure, spec)
     pairing, jump_arg, gain = pairing.T, jump_arg.T, gain.T     # act on rows
-    dt = np.array([g.dt for g in grids])[:, None, None]
     decay = np.exp(-measure.nodes[:, None] * dt)
-    y = np.tile(u.ravel(), (len(grids), k, 1))
-    g = np.empty((len(grids[0]), len(grids), 1, d * d))
-    for m in range(len(g)):
-        if m:
-            y = decay * (y + dt * g[m - 1])
-        flat = y.reshape(len(grids), 1, -1)
-        g[m] = flat @ pairing + (np.exp(flat @ jump_arg) - 1.0) @ gain
-    g = g.swapaxes(0, 1).reshape(len(grids), -1, d, d)
-    return g[0] if single else g
+    y = np.tile(y0.reshape(k, d * d), (len(dt), 1, 1))
+    for _ in range(n_steps):
+        flat = y.reshape(len(dt), 1, -1)
+        y = decay * (y + dt * (flat @ pairing + (np.exp(flat @ jump_arg) - 1.0) @ gain))
+    return y.reshape((len(dt),) + y0.shape)
 
 
 @dataclass(frozen=True)
@@ -214,21 +207,22 @@ def laplace_transform_jump(
 ) -> JumpLaplaceResult | list[JumpLaplaceResult]:
     """Laplace transform of V_t for NSD u through both analytic routes.
 
-    Route one integrates the lift ODE and evaluates exp(<y_t, lam_0>).
-    Route two marches the symmetrized Volterra system
-    (:func:`solve_volterra_riccati_jump`) and evaluates
-    exp(Tr(u h(t)) + int_0^t Tr(G_s h(t-s)) ds) with left-point quadrature,
-    where G_s collects the linear pairing and the jump nonlinearity.  A
-    positive epsilon shift replaces the jump-leg kernel by K(. + eps); with
-    eps = 0 the system collapses to the single symmetrized equation.
-    Values lie in (0, 1]; the route discrepancy shrinks linearly in the
-    grid step.
+    Both routes start from y0 == u at every node and march node states to
+    t in n_steps steps; each value is exp(<y_t, lam_0>) of its end state.
+    Route one integrates the lift ODE.  Route two marches the symmetrized
+    Volterra system (:func:`solve_volterra_riccati_jump`), whose end state
+    pairs to Tr(u h(t)) + int_0^t Tr(G_s h(t-s)) ds with left-point
+    quadrature, h(s) = sum_i e^(-x_i s) lam_0(x_i), where G_s collects the
+    linear pairing and the jump nonlinearity.  A positive epsilon shift
+    replaces the jump-leg kernel by K(. + eps); with eps = 0 the system
+    collapses to the single symmetrized equation.  Values lie in (0, 1]; the
+    route discrepancy shrinks linearly in the step.
 
-    ``t`` may be a 1-D sequence: every t keeps its own grid
-    ``TimeGrid.regular(t, n_steps)``, both routes march all of them in one
-    loop each, and the result is one :class:`JumpLaplaceResult` per t, in
-    order.  u must be a finite NSD d x d matrix, every t finite and
-    positive and lam0 a valid :class:`jumps.JumpLiftState`; all are checked
+    ``t`` may be a 1-D sequence: every t keeps its own step t / n_steps,
+    both routes march all of them in one loop each, and the result is one
+    :class:`JumpLaplaceResult` per t, in order.  u must be a finite NSD d x
+    d matrix, every t finite and positive, lam0 a valid
+    :class:`jumps.JumpLiftState` and n_steps at least 1; all are checked
     before either march.
     """
     lam0 = JumpLiftState(lam0, measure).lam
@@ -250,18 +244,13 @@ def laplace_transform_jump(
             raise ValueError(f"transform time t must be positive and finite, got {ti}")
     if not times.size:
         return []
-    grids = [TimeGrid.regular(ti, n_steps) for ti in times]
 
-    y0 = np.broadcast_to(u, (measure.k, d, d)).copy()
-    y_end = solve_lift_riccati_jump(y0, measure, spec, grids)[:, -1]
-    g = solve_volterra_riccati_jump(u, measure, spec, grids)
-    results = []
-    for grid, y, g_t in zip(grids, y_end, g):
-        h = decay_sum(measure.nodes, lam0, grid.times)
-        integ = grid.dt * float(np.einsum("jab,jba->", g_t[:-1], h[:0:-1], optimize=True))
-        results.append(JumpLaplaceResult(
-            lift_value=float(np.exp(pairing_value(y, lam0))),
-            volterra_value=float(np.exp(float(np.einsum("ab,ba->", u, h[-1])) + integ))))
+    y0 = np.broadcast_to(u, (measure.k, d, d))
+    lift = solve_lift_riccati_jump(y0, measure, spec, times, n_steps)
+    volterra = solve_volterra_riccati_jump(y0, measure, spec, times, n_steps)
+    results = [JumpLaplaceResult(lift_value=float(np.exp(pairing_value(y, lam0))),
+                                 volterra_value=float(np.exp(pairing_value(z, lam0))))
+               for y, z in zip(lift, volterra)]
     return results[0] if ts.ndim == 0 else results
 
 

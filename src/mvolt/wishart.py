@@ -41,7 +41,7 @@ class WishartTransformQuery:
     gamma0: np.ndarray   # (k, n, d)
 
     def __post_init__(self):
-        if self.t < 0.0:
+        if not self.t >= 0.0:
             raise ValueError("transform time must be >= 0")
         c = np.array(self.c, dtype=float)
         g = np.array(self.gamma0, dtype=float)
@@ -53,6 +53,8 @@ class WishartTransformQuery:
             raise ValueError("c must be (n, d) and gamma0 (k, n, d)")
         if c.shape[1] != g.shape[2]:
             raise ValueError("c and gamma0 disagree on d")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("c must be finite")
 
 
 def noise_variance(measure: AtomicMatrixMeasure, t: float) -> np.ndarray:

@@ -90,6 +90,16 @@ class TestKernel:
                    "--times", "1.0"])
         assert rc == 2
 
+    @pytest.mark.parametrize("times", ["nan", "0.5,nan"])
+    def test_eval_rejects_nan_times(self, tmp_path, capsys, measure_file, times):
+        out = tmp_path / "k.csv"
+        rc = main(["kernel", "eval", "--measure", measure_file, "--times", times,
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: kernel evaluation requires t >= 0"]
+        assert not out.exists()
+
 
 class TestSimulationCommands:
     def test_ou_simulate_csv(self, tmp_path, measure_file, gamma0_file):
@@ -160,7 +170,10 @@ class TestSimulationCommands:
          "config error: need --dt > 0 and --steps >= 1, got -0.5 and 2"),
         (["wishart", "transform", "--times=-0.5,1.0"],
          "error: transform time must be >= 0"),
-    ], ids=["ou-steps-0", "wishart-steps-0", "wishart-negative-dt", "transform-negative"])
+        (["wishart", "transform", "--times=0.5,nan"],
+         "error: transform time must be >= 0"),
+    ], ids=["ou-steps-0", "wishart-steps-0", "wishart-negative-dt", "transform-negative",
+            "transform-nan"])
     def test_bad_times_exit_two_before_any_block(self, tmp_path, capsys, measure_file,
                                                  gamma0_file, cmd, message):
         cfile = write(tmp_path / "c.cfg", "c = [[0.5, 0.0], [0.0, 0.5]]\n")

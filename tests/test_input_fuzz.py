@@ -1,8 +1,8 @@
 """Fuzz of the model-file readers through ``main``.
 
 Small model files, valid or with one fault, run through ``transform
-laplace``, ``hawkes simulate`` (4 paths), ``heston charfn`` and ``wishart
-simulate``.  A broken file must exit 2 with exactly one line on stderr and
+laplace``, ``hawkes simulate`` (4 paths), ``heston charfn``, ``wishart
+simulate``, ``wishart transform`` and ``ou simulate``.  A broken file must exit 2 with exactly one line on stderr and
 write no output; a valid one must exit 0 with finite output.  A traceback
 fails the test, and so does any other exit code.
 """
@@ -83,6 +83,10 @@ def gaussian_lift(rng, k, d):
             "gamma0": {"": {"nodes": measure["nodes"], "weights": 0.3 * rng.normal(size=(k, 2, d))}}}
 
 
+def gaussian_transform(rng, k, d):
+    return {**gaussian_lift(rng, k, d), "c": {"": {"c": 0.5 * rng.normal(size=(2, d))}}}
+
+
 # the model and the command line of each route; {name} is the path of file name
 ROUTES = {
     "laplace": (jump_model, "transform laplace --model {model} --u {u} --t 0.5 "
@@ -94,13 +98,18 @@ ROUTES = {
     "heston": (heston_model, "heston charfn --model {model} --v {v} --t 0.5 --riccati-steps 40"),
     "wishart": (gaussian_lift, "wishart simulate --measure {measure} --gamma0 {gamma0} "
                                "--dt 0.25 --steps 2 --paths 4"),
+    "wishart-transform": (gaussian_transform, "wishart transform --measure {measure} "
+                                              "--gamma0 {gamma0} --c {c} --times 0.5 --paths 4"),
+    "ou": (gaussian_lift, "ou simulate --measure {measure} --gamma0 {gamma0} "
+                          "--dt 0.25 --steps 2 --paths 4"),
 }
 
 # the entries each route must reject, (file, section, key), and how to break
 # them: "inf" sets one entry to inf, "asym" and "nsd" break the first matrix
 # of a stack (a PSD check only where the model needs it), "k" drops the last
 # node's entry, "d" adds a row and a column, "nodes" moves the nodes and
-# "missing" deletes the key, or the whole section for key None
+# "missing" deletes the key, or the whole section for key None.  Every key
+# is also replaced by the dict literal {1: 2}
 JUMP = [("model", "measure", "weights", ("inf", "asym", "nsd", "k", "d")),
         ("model", "measure", "nodes", ("inf", "missing")),
         ("model", "lambda0", "weights", ("inf", "asym", "k", "d", "missing")),
@@ -108,6 +117,10 @@ JUMP = [("model", "measure", "weights", ("inf", "asym", "nsd", "k", "d")),
         ("model", "jumps", "weights", ("inf", "asym", "nsd")),
         ("model", "measure", None, ("missing",)),
         ("model", "lambda0", None, ("missing",))]
+GAUSSIAN = [("measure", "", "weights", ("inf", "asym", "k", "d")),
+            ("measure", "", "nodes", ("inf", "missing")),
+            ("gamma0", "", "weights", ("inf", "k", "d", "missing")),
+            ("gamma0", "", "nodes", ("nodes", "missing"))]
 FAULTS = {
     "laplace": JUMP + [("u", "", "u", ("inf", "d", "missing"))],
     "hawkes-model": JUMP,
@@ -122,13 +135,15 @@ FAULTS = {
                ("model", "price", "jump_weights", ("inf", "nsd")),
                ("model", "gamma0", None, ("missing",)),
                ("model", "price", None, ("missing",))],
-    "wishart": [("measure", "", "weights", ("inf", "asym", "k", "d")),
-                ("gamma0", "", "weights", ("inf", "k", "d", "missing")),
-                ("gamma0", "", "nodes", ("nodes", "missing"))],
+    "wishart": GAUSSIAN,
+    "wishart-transform": GAUSSIAN + [("c", "", "c", ("inf", "d", "missing"))],
+    "ou": GAUSSIAN,
 }
 
 
 def break_entry(value, kind, d):
+    if kind == "dict":
+        return {1: 2}
     a = np.array(value, dtype=float)
     if kind == "inf":
         a.flat[-1] = np.inf
@@ -147,7 +162,8 @@ def break_entry(value, kind, d):
 
 FAULT_CASES = [(route, (name, section, key, kind))
                for route, targets in FAULTS.items()
-               for name, section, key, kinds in targets for kind in kinds]
+               for name, section, key, kinds in targets
+               for kind in kinds + (("dict",) if key else ())]
 
 
 def fault_id(case) -> str:
@@ -177,7 +193,8 @@ def run(route, d, files) -> tuple[int, list[str], Path, Path]:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         paths = {name: write_config(tmp / f"{name}.cfg", body) for name, body in files.items()}
-        out = tmp / ("out.json" if route in ("laplace", "heston") else "out.csv")
+        out = tmp / ("out.json" if route in ("laplace", "heston", "wishart-transform")
+                     else "out.csv")
         grid = tmp / "grid.csv"
         argv = ROUTES[route][1].format(**paths, grid=grid, v=",".join(["0.7"] * d)).split()
         err = io.StringIO()

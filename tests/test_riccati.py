@@ -74,38 +74,31 @@ class TestNonlinearity:
 class TestLiftODE:
     def test_zero_fixed_point(self):
         measure, _, _ = scalar_hawkes()
-        grid = TimeGrid.regular(1.0, 10)
         out = solve_lift_riccati_jump(np.zeros((1, 1, 1)), measure,
-                                      empty_jump_spec(1), grid)
-        np.testing.assert_array_equal(out[-1], 0.0)
+                                      empty_jump_spec(1), [1.0], 10)
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_pure_decay_when_nu_zero(self):
         measure = AtomicMatrixMeasure([2.0], [[[0.0]]])
-        grid = TimeGrid.regular(1.0, 20)
         y0 = np.array([[[-1.5]]])
-        out = solve_lift_riccati_jump(y0, measure, empty_jump_spec(1), grid)
-        assert out[-1, 0, 0, 0] == pytest.approx(-1.5 * np.exp(-2.0), rel=1e-7)
+        out = solve_lift_riccati_jump(y0, measure, empty_jump_spec(1), [1.0], 20)
+        assert out[0, 0, 0, 0] == pytest.approx(-1.5 * np.exp(-2.0), rel=1e-7)
 
     def test_semiflow_property(self):
         measure, lam0, spec = scalar_hawkes()
         y0 = np.full((1, 1, 1), -1.0)
-        g_full = TimeGrid.regular(1.0, 200)
-        y_full = solve_lift_riccati_jump(y0, measure, spec, g_full)
-        g_half = TimeGrid.regular(0.5, 100)
-        y_half = solve_lift_riccati_jump(y0, measure, spec, g_half)
-        y_rest = solve_lift_riccati_jump(y_half[-1], measure, spec, g_half)
-        np.testing.assert_allclose(y_rest[-1], y_full[-1], rtol=1e-9)
+        y_full = solve_lift_riccati_jump(y0, measure, spec, [1.0], 200)
+        y_half = solve_lift_riccati_jump(y0, measure, spec, [0.5], 100)
+        y_rest = solve_lift_riccati_jump(y_half[0], measure, spec, [0.5], 100)
+        np.testing.assert_allclose(y_rest, y_full, rtol=1e-9)
 
     def test_fourth_order_self_convergence(self):
         measure, lam0, spec = scalar_hawkes()
         y0 = np.full((1, 1, 1), -1.0)
         vals = {}
         for n in (4, 8, 16):
-            grid = TimeGrid.regular(1.0, n)
-            vals[n] = solve_lift_riccati_jump(y0, measure, spec, grid)[-1, 0, 0, 0]
-        ref = solve_lift_riccati_jump(
-            y0, measure, spec, TimeGrid.regular(1.0, 512)
-        )[-1, 0, 0, 0]
+            vals[n] = solve_lift_riccati_jump(y0, measure, spec, [1.0], n)[0, 0, 0, 0]
+        ref = solve_lift_riccati_jump(y0, measure, spec, [1.0], 512)[0, 0, 0, 0]
         errs = [abs(vals[n] - ref) for n in (4, 8, 16)]
         assert errs[2] <= errs[0] + 1e-12
         assert errs[2] <= 1e-8
@@ -166,7 +159,7 @@ class TestFlatLiftOperators:
         measure, spec = noncommuting_lift()
         u = np.array([[-0.8, 0.2], [0.2, -0.5]])
         y0 = np.broadcast_to(u, (3, 2, 2)).copy()
-        grid = TimeGrid.regular(1.0, 50)
+        ts = [0.3, 1.0, 0.6]
 
         def rhs(_, flat):
             y = flat.reshape(3, 2, 2)
@@ -174,10 +167,12 @@ class TestFlatLiftOperators:
             return (-measure.nodes[:, None, None] * y + pair + jump).ravel()
 
         sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853",
-                        t_eval=grid.times, rtol=1e-12, atol=1e-14)
+                        t_eval=sorted(ts), rtol=1e-12, atol=1e-14)
         assert sol.success
-        want = sol.y.T.reshape(-1, 3, 2, 2)
-        got = solve_lift_riccati_jump(y0, measure, spec, grid)
+        want = sol.y.T.reshape(-1, 3, 2, 2)[np.argsort(np.argsort(ts))]
+        # each t marches its own 50 steps of t / 50
+        got = solve_lift_riccati_jump(y0, measure, spec, ts, 50)
+        assert got.shape == (3, 3, 2, 2)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_stiff_rough_fit_matches_radau(self):
@@ -205,15 +200,14 @@ class TestFlatLiftOperators:
         assert sol.success
         want = sol.y[:, -1]
         got = solve_lift_riccati_jump(y0.reshape(-1, 1, 1), measure, spec,
-                                      TimeGrid.regular(0.5, 200))[-1].ravel()
+                                      [0.5], 200).ravel()
         assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
 
     def test_complex_start_with_zero_imaginary_part(self):
         measure, spec = noncommuting_lift()
         y0 = np.broadcast_to([[-0.8, 0.2], [0.2, -0.5]], (3, 2, 2)).copy()
-        grid = TimeGrid.regular(0.5, 20)
-        real = solve_lift_riccati_jump(y0, measure, spec, grid)
-        cplx = solve_lift_riccati_jump(y0.astype(complex), measure, spec, grid)
+        real = solve_lift_riccati_jump(y0, measure, spec, [0.5], 20)
+        cplx = solve_lift_riccati_jump(y0.astype(complex), measure, spec, [0.5], 20)
         assert cplx.dtype == complex
         np.testing.assert_array_equal(cplx.imag, 0.0)
         np.testing.assert_allclose(cplx.real, real, rtol=1e-13, atol=0.0)
@@ -222,19 +216,21 @@ class TestFlatLiftOperators:
 class TestVolterraEquation:
     def test_zero_data(self):
         measure, _, _ = scalar_hawkes()
-        grid = TimeGrid.regular(1.0, 50)
-        psi = solve_volterra_riccati_jump(np.zeros((1, 1)), measure,
-                                          empty_jump_spec(1), grid)
-        np.testing.assert_array_equal(psi, 0.0)
+        y = solve_volterra_riccati_jump(np.zeros((1, 1, 1)), measure,
+                                        empty_jump_spec(1), [1.0], 50)
+        np.testing.assert_array_equal(y, 0.0)
 
     def test_two_sided_scalar_linear_closed_form(self):
-        # mu empty, K == w constant: Psi' = 2 w Psi, Psi_t = 2 u w e^{2 w t}
+        # mu empty, K == w constant at a node at 0: y' = G = Psi = 2 w y, so
+        # y(t) = u e^{2 w t}; the left-point march has y_N = u (1 + 2 w dt)^N,
+        # about t dt / 2 relative below it at 2 w = 1
         measure = AtomicMatrixMeasure([0.0], [[[0.5]]])
-        grid = TimeGrid.regular(1.0, 4000)
-        u = np.array([[-1.0]])
-        psi = solve_volterra_riccati_jump(u, measure, empty_jump_spec(1), grid)
-        exact = -np.exp(grid.times)
-        assert np.max(np.abs(psi[:, 0, 0] - exact)) <= 5e-4
+        ts = np.array([0.25, 1.0, 0.5])
+        y = solve_volterra_riccati_jump(np.array([[[-1.0]]]), measure,
+                                        empty_jump_spec(1), ts, 4000)
+        exact = -np.exp(ts)
+        assert y.shape == (3, 1, 1, 1)
+        assert np.all(np.abs(y[:, 0, 0, 0] - exact) <= ts * ts / 4000 * np.abs(exact))
 
     def test_first_order_convergence(self):
         measure, lam0, spec = scalar_hawkes()
@@ -631,22 +627,35 @@ class TestBatchedTimes:
         assert batched[1] == batched[3]
 
     def test_solvers_stack_their_grids(self):
+        # each t keeps its own step t / 50; the stacked march equals the per-t one
         measure, _, spec, u = nondiagonal_eps_model()
         y0 = np.broadcast_to(u, (2, 2, 2)).copy()
-        grids = [TimeGrid.regular(t, 50) for t in (0.5, 2.0)]
-        lift = solve_lift_riccati_jump(y0, measure, spec, grids)
-        volterra = solve_volterra_riccati_jump(u, measure, spec, grids)
-        assert lift.shape == (2, 51, 2, 2, 2)
-        assert volterra.shape == (2, 51, 2, 2)
-        for j, grid in enumerate(grids):
-            np.testing.assert_allclose(lift[j], solve_lift_riccati_jump(y0, measure, spec, grid),
-                                       rtol=1e-14, atol=1e-15)
-            np.testing.assert_allclose(volterra[j],
-                                       solve_volterra_riccati_jump(u, measure, spec, grid),
-                                       rtol=1e-14, atol=1e-15)
-        with pytest.raises(ValueError, match="same number of steps"):
-            solve_lift_riccati_jump(y0, measure, spec,
-                                    [grids[0], TimeGrid.regular(1.0, 40)])
+        ts = [0.5, 2.0, 0.5]
+        for solve in (solve_lift_riccati_jump, solve_volterra_riccati_jump):
+            stacked = solve(y0, measure, spec, ts, 50)
+            assert stacked.shape == (3, 2, 2, 2)
+            for t, got in zip(ts, stacked):
+                np.testing.assert_allclose(got, solve(y0, measure, spec, [t], 50)[0],
+                                           rtol=1e-14, atol=1e-15)
+            np.testing.assert_array_equal(stacked[0], stacked[2])
+
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_n_steps_checked_before_any_march(self, n_steps, monkeypatch):
+        import mvolt.riccati as riccati_mod
+
+        def no_operators(*args, **kwargs):
+            raise AssertionError("built the march operators before n_steps was checked")
+
+        monkeypatch.setattr(riccati_mod, "lift_operator", no_operators)
+        measure, lam0, spec = scalar_hawkes()
+        y0 = np.full((1, 1, 1), -1.0)
+        match = f"need n_steps >= 1, got {n_steps}$"
+        with pytest.raises(ValueError, match=match):
+            laplace_transform_jump(np.array([[-1.0]]), lam0, measure, spec, 0.5,
+                                   n_steps=n_steps)
+        for solve in (solve_lift_riccati_jump, solve_volterra_riccati_jump):
+            with pytest.raises(ValueError, match=match):
+                solve(y0, measure, spec, [0.5], n_steps)
 
     def test_float_t_returns_floats(self):
         measure, lam0, spec = scalar_hawkes()
@@ -697,6 +706,26 @@ class TestBatchedTimes:
         measure, lam0, spec, _ = nondiagonal_eps_model()
         with pytest.raises(ValueError, match=message):
             laplace_transform_jump(np.array(u), lam0, measure, spec, 0.5)
+
+    @pytest.mark.parametrize("ts", [0.5, [1.0, 0.25, 0.5]], ids=["one-t", "three-t"])
+    def test_memory_does_not_grow_with_steps(self, ts):
+        # both routes keep only the node states, so ten times the steps
+        # allocates nothing more
+        import tracemalloc
+
+        measure, lam0, spec = scalar_hawkes()
+
+        def peak(n_steps):
+            tracemalloc.start()
+            try:
+                laplace_transform_jump(np.array([[-1.0]]), lam0, measure, spec, ts,
+                                       n_steps=n_steps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(400)
+        assert peak(4000) - peak(400) < 16 * 1024
 
     @pytest.mark.parametrize("ts, bad", [(np.inf, "inf"), ([0.5, np.nan], "nan"),
                                          ([0.5, 0.0], "0.0"), (-1.0, "-1.0")])
