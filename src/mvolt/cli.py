@@ -260,13 +260,18 @@ def cmd_validate(args) -> int:
     names = body.get("checks", [])
     if not isinstance(names, list):
         raise ConfigError(f"{args.config}: 'checks' must be a list of names")
-    unknown = [n for n in names if n not in CHECKS]
+    unknown = [n for n in names if not isinstance(n, str) or n not in CHECKS]
     if unknown:
         raise ConfigError(f"{args.config}: unknown checks {unknown}; "
                           f"available: {sorted(CHECKS)}")
-    paths = run_sec.get("paths", body.get("paths"))
-    seed = run_sec.get("seed", body.get("seed"))
-    workers = int(run_sec.get("workers", args.workers))
+
+    def run_number(key):
+        # a [run] entry overrides the check section's
+        section, where = (run_sec, "[run]") if key in run_sec else (body, "")
+        return configio.int_field(section, key, f"{args.config}{where}")
+
+    paths, seed = run_number("paths"), run_number("seed")
+    workers = configio.int_field(run_sec, "workers", f"{args.config}[run]", args.workers)
     results = run_checks(names, n_paths=paths, seed=seed, workers=workers)
     report = {"checks": _clean(results), "passed": all(r["passed"] for r in results)}
     text = _json_report(report)

@@ -71,6 +71,21 @@ def float_field(body: dict, key: str, source, default=None) -> np.ndarray:
         raise ConfigError(f"{source}: field {key!r} must be numbers: {exc}") from exc
 
 
+def int_field(body: dict, key: str, source, default=None):
+    """The literal at ``key`` of a section as an int, or ``default`` when the
+    key is missing.  A whole float such as 2.0 counts; anything else (a
+    fraction, a bool, a list, a dict) raises :class:`ConfigError` naming the
+    file and the key."""
+    if key not in body:
+        return default
+    value = body[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{source}: field {key!r} must be a whole number, got {value!r}")
+    return value
+
+
 def _format_value(v) -> str:
     if isinstance(v, np.ndarray):
         v = v.tolist()

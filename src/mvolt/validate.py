@@ -422,9 +422,9 @@ def run_checks(names, n_paths=None, seed=None, workers: int = 1) -> list[dict]:
         kwargs = {}
         if name in MC_CHECKS:
             if n_paths is not None:
-                kwargs["n_paths"] = int(n_paths)
+                kwargs["n_paths"] = n_paths
             if seed is not None:
-                kwargs["seed"] = int(seed)
+                kwargs["seed"] = seed
             kwargs["workers"] = workers
         results.append(fn(**kwargs))
     return results

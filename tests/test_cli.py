@@ -906,6 +906,29 @@ def test_validate_run_output_sections(tmp_path):
     assert rep["checks"][0]["n_paths"] == 2000
 
 
+@pytest.mark.parametrize("section, key", [("run", "workers"), ("run", "paths"),
+                                          ("run", "seed"), ("validate", "paths")])
+@pytest.mark.parametrize("value", ["{1: 2}", "2.5", "'x'", "[3]", "True"])
+def test_validate_run_numbers_are_config_errors(tmp_path, capsys, section, key, value):
+    # a run number that is not a whole number used to reach int() and end
+    # in a TypeError traceback with exit 1
+    # a repeated [validate] header adds to the same section
+    cfg = write(tmp_path / "v.cfg", f"[validate]\nchecks = ['resolvent_identity']\n"
+                                    f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "r.json"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
+    where = "[run]" if section == "run" else ""
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"config error: {cfg}{where}: field {key!r} must be a whole number, got {value}"]
+    assert not out.exists()
+
+
+def test_validate_check_names_must_be_strings(tmp_path, capsys):
+    cfg = write(tmp_path / "v.cfg", "[validate]\nchecks = [{1: 2}]\n")
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 def test_validate_failing_check_exit_one(tmp_path, monkeypatch):
     import mvolt.cli as cli_mod
 

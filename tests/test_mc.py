@@ -14,7 +14,7 @@ from mvolt.mc import (
     run_path_blocks,
 )
 from mvolt.measures import AtomicMatrixMeasure
-from mvolt.ou import simulate_lift_blocks
+from mvolt.ou import DIRECT_MAX_MD, simulate_lift_blocks
 from test_jumps import path_field
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7]
@@ -104,16 +104,18 @@ def _path_rng_loop(seed, start, stop):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_x_block_matches_path_rng_loop(workers, monkeypatch):
+    # three times draw X from its joint law, DIRECT_MAX_MD // 2 + 1 step the lift
     rng = np.random.default_rng(8)
     measure = AtomicMatrixMeasure([0.4, 3.0], [np.eye(2) * 0.3, [[0.2, 0.05], [0.05, 0.1]]])
-    block = partial(simulate_lift_blocks, measure, rng.normal(size=(2, 3, 2)) * 0.2,
-                    [0.25, 0.5, 1.0])
+    gamma0 = rng.normal(size=(2, 3, 2)) * 0.2
     seed = 2**40 + 3
-    with monkeypatch.context() as m:
-        m.setattr(mvolt.mc, "path_streams", _path_rng_loop)
-        want = block(seed, 0, 300)
-    got = run_path_blocks(block, 300, seed, workers=workers, block_size=128)
-    np.testing.assert_array_equal(got, want)
+    for n_times in (3, DIRECT_MAX_MD // 2 + 1):
+        block = partial(simulate_lift_blocks, measure, gamma0, 0.25 * np.arange(1, n_times + 1))
+        with monkeypatch.context() as m:
+            m.setattr(mvolt.mc, "path_streams", _path_rng_loop)
+            want = block(seed, 0, 300)
+        got = run_path_blocks(block, 300, seed, workers=workers, block_size=128)
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
+from mvolt.fractional import FractionalKernelSpec, fit_fractional_measure
 from mvolt.mc import path_rng, path_streams
 from mvolt.measures import AtomicMatrixMeasure, decay_sum
-from mvolt.ou import StepOperator, node_covariance, simulate_lift_blocks
+from mvolt.ou import (
+    DIRECT_MAX_MD,
+    StepOperator,
+    _rank_factor,
+    joint_covariance,
+    node_covariance,
+    simulate_lift_blocks,
+)
 
 
 def two_node_measure():
@@ -144,15 +152,104 @@ def test_tower_property_of_forward_curve():
     assert np.all(np.abs(fwd.mean(axis=0) - target) <= 3.5 * se)
 
 
+def lift_joint_covariance(measure, times, step_covariance):
+    """Cov of one row of X at the times, from the lift's state covariance
+    carried step by step: P <- D P D + C(dt), Cov(g_l, g_j) = D(t_l - t_j) P_j."""
+    k, d = measure.k, measure.d
+    sum_nodes = np.tile(np.eye(d), (k, 1))
+    P, prev, states = np.zeros((k * d, k * d)), 0.0, []
+    for t in times:
+        decay = np.repeat(np.exp(-measure.nodes * (t - prev)), d)
+        P = decay[:, None] * P * decay[None, :] + step_covariance(measure, t - prev)
+        states.append(P)
+        prev = t
+    m = len(times)
+    out = np.zeros((m, d, m, d))
+    for j in range(m):
+        for l in range(j, m):
+            decay = np.repeat(np.exp(-measure.nodes * (times[l] - times[j])), d)
+            out[j, :, l] = sum_nodes.T @ (states[j] * decay[None, :]) @ sum_nodes
+            out[l, :, j] = out[j, :, l].T
+    return out.reshape(m * d, m * d)
+
+
+def factor_covariance(measure, dt):
+    L = StepOperator.build(measure, dt).noise_factor
+    return L @ L.T
+
+
+def rough_fit_measure():
+    # the k = 40 fractional fit of the rough_wishart_mc benchmark workload
+    spec = FractionalKernelSpec(np.array([[0.1, 0.2], [0.2, 0.3]]), 1e-3, 10.0, 40)
+    return fit_fractional_measure(spec).measure
+
+
+@pytest.mark.parametrize("step_covariance", [node_covariance, factor_covariance],
+                         ids=["node_covariance", "noise_factor"])
+@pytest.mark.parametrize("measure", [rough_fit_measure(), clamped_measure()],
+                         ids=["rough_fit", "clamped"])
+def test_joint_covariance_equals_the_lift(measure, step_covariance):
+    # deterministic: the closed form against the lift's own state
+    # covariance, so an error in node_covariance, the decay, the noise
+    # layout or the rank clamp shows at about 1e-13
+    times = [0.25, 0.5, 1.0, 2.0]
+    direct = joint_covariance(measure, times)
+    lift = lift_joint_covariance(measure, times, step_covariance)
+    assert np.linalg.norm(lift - direct) <= 1e-13 * np.linalg.norm(direct)
+
+
+def rank_one_measure():
+    # one rank-1 weight: X_t lies on the line of a, so the joint covariance
+    # of m = 3 times has rank 3 of m d = 6 and the clamp drops 3 columns
+    a = np.array([0.8, 0.3])
+    return AtomicMatrixMeasure([1.5], np.outer(a, a)[None])
+
+
+@pytest.mark.parametrize("measure, rank", [(two_node_measure(), 6), (rank_one_measure(), 3)],
+                         ids=["full_rank", "clamped"])
+def test_direct_block_stream_replay(measure, rank):
+    # below the size rule path p draws n r normals from path_rng(seed, p),
+    # row a of z (n, r) for lift row a, and X = mean + z L^T with L the rank
+    # factor of the joint covariance at the times t > 0; X_0 is the mean
+    g0 = np.random.default_rng(6).normal(size=(measure.k, 3, 2))
+    times = np.array([0.0, 0.25, 0.5, 1.0])
+    xs = simulate_lift_blocks(measure, g0, times, seed=21, start=4, stop=7)
+    L = _rank_factor(joint_covariance(measure, times[1:]))
+    assert L.shape == (6, rank)
+    mean = decay_sum(measure.nodes, g0, times)
+    for row, p in enumerate(range(4, 7)):
+        z = path_rng(21, p).standard_normal(3 * rank).reshape(3, rank)
+        want = mean.copy()
+        want[1:] += (z @ L.T).reshape(3, 3, 2).transpose(1, 0, 2)
+        np.testing.assert_array_equal(xs[row], want)
+
+
+def test_direct_block_has_the_joint_law():
+    # the direct draw's sample covariance of one lift row across the times
+    # against the closed form, and its mean against the decay sum
+    m = clamped_measure()
+    g0 = np.random.default_rng(2).normal(size=(2, 1, 2))
+    times = np.array([0.3, 0.7, 1.5])
+    n_mc = 100_000
+    xs = simulate_lift_blocks(m, g0, times, seed=5, start=0, stop=n_mc).reshape(n_mc, 6)
+    cov = joint_covariance(m, times)
+    assert np.max(np.abs(np.cov(xs.T) - cov)) <= 6.0 * np.max(np.abs(cov)) / np.sqrt(n_mc / 4)
+    se = xs.std(axis=0, ddof=1) / np.sqrt(n_mc)
+    assert np.all(np.abs(xs.mean(axis=0) - decay_sum(m.nodes, g0, times).ravel()) <= 4.0 * se)
+
+
 @pytest.mark.parametrize("measure", [two_node_measure(), clamped_measure()],
                          ids=["full_rank", "clamped"])
 def test_lift_block_stream_replay(measure):
-    # path p draws n * sum_m r_m normals from path_rng(seed, p), step m
-    # taking the next n rows of r_m; the zero-length first step draws none
+    # above the size rule path p draws n * sum_m r_m normals from
+    # path_rng(seed, p), step m taking the next n rows of r_m; the
+    # zero-length first step draws none
     g0 = np.random.default_rng(6).normal(size=(2, 3, 2))
-    times = np.array([0.0, 0.25, 0.5, 1.0])
+    times = np.concatenate([[0.0, 0.25, 0.5], np.arange(1, DIRECT_MAX_MD // 2) * 1.0])
+    assert times.size * 2 > DIRECT_MAX_MD
     xs = simulate_lift_blocks(measure, g0, times, seed=21, start=4, stop=7)
-    ops = [StepOperator.build(measure, dt) for dt in (0.25, 0.25, 0.5)]
+    ops = [StepOperator.build(measure, dt) for dt in (0.25, 0.25, 0.5, 1.0)]
+    ops += [ops[-1]] * (times.size - 5)
     ranks = [op.noise_factor.shape[1] for op in ops]
     sum_nodes = np.tile(np.eye(2), (2, 1))
     for row, p in enumerate(range(4, 7)):

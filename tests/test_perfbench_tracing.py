@@ -89,7 +89,8 @@ def test_tracing_wraps_the_hawkes_entry_points(monkeypatch, tmp_path):
 def test_tracing_counts_the_gaussian_lift_blocks(monkeypatch):
     # a traced small ``simulate_wishart``: the wrappers unpack the arguments
     # of ``ou.simulate_lift_blocks`` (gamma0 as (k, n, d)) and time the
-    # ``StepOperator.build`` classmethod, so a change of either breaks here
+    # ``StepOperator.build`` classmethod, so a change of either breaks here;
+    # the times lie above the size rule, so that the lift steps
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -99,7 +100,8 @@ def test_tracing_counts_the_gaussian_lift_blocks(monkeypatch):
     measure = heston_reference_model().measure
     k, n, d = measure.k, 3, measure.d
     gamma0 = np.full((k, n, d), 0.1)
-    times = [0.25, 0.5, 1.0]
+    times = 0.25 * np.arange(1, mvolt.ou.DIRECT_MAX_MD // d + 2)
+    assert len(times) * d > mvolt.ou.DIRECT_MAX_MD
     paths = 16
     blocks = mvolt.wishart.simulate_lift_blocks
     build = mvolt.ou.StepOperator.__dict__["build"]
