@@ -204,8 +204,8 @@ def joint_covariance(measure: AtomicMatrixMeasure, times) -> np.ndarray:
 # factor per block, (m d)^3, and m d r <= (m d)^2 per path and lift row; the
 # lift costs k d r_m per step, path and row, linear in m.  At the bound the
 # covariance and factor take 2-6 ms per block and 128 kB, and the direct law
-# was 2x (k = 2) to 11x (k = 40) faster per path on 8192-path blocks, so k
-# need not enter.  Above it they grow as (m d)^3 and (m d)^2 with nothing to
+# was 1.6-2.1x (k = 2) and 8.5-11x (k = 40) faster per path on 8192-path
+# blocks in two runs, so k need not enter.  Above it they grow as (m d)^3 and (m d)^2 with nothing to
 # pay them back on a small block (16 paths at m d = 512: 52-78 ms against
 # the lift's 4-10 ms), and at k = 2 the lift wins per path from m d = 1024.
 DIRECT_MAX_MD = 128

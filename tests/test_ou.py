@@ -310,6 +310,21 @@ class TestStepOperatorValidation:
         assert resid <= 1e-10 * max(np.linalg.norm(C), 1e-30)
 
 
+@pytest.mark.parametrize("measure", [two_node_measure(), clamped_measure()],
+                         ids=["full_rank", "clamped"])
+def test_gain_equals_the_pinv_gain(measure):
+    # the gain reuses the eigenpairs of the noise factor with pinv's own
+    # arithmetic, so it equals the gain through np.linalg.pinv bit for bit
+    from mvolt.measures import decay_integral
+
+    dt = 0.6
+    op = StepOperator.build(measure, dt)
+    cross = np.einsum("j,jcb->cjb", decay_integral(measure.nodes, dt),
+                      measure.weights).reshape(2, 4)
+    pinv = np.linalg.pinv(node_covariance(measure, dt), rcond=1e-12, hermitian=True)
+    np.testing.assert_array_equal(op.cond_w_gain, cross @ pinv)
+
+
 def test_conditional_brownian_reconstruction_joint_law():
     # the (dW, node innovation) pair sampled through the conditional gain
     # must reproduce the exact joint Gaussian law: marginal Cov(dW) = dt I
