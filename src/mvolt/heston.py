@@ -43,8 +43,8 @@ class HestonModelSpec:
     def __post_init__(self):
         k, d = self.measure.k, self.measure.d
         g = np.array(self.gamma0, dtype=float)
-        if g.ndim != 3 or g.shape[0] != k or g.shape[2] != d:
-            raise ValueError(f"gamma0 must be (k={k}, n, d={d}), got {g.shape}")
+        if g.ndim != 3 or g.shape[0] != k or g.shape[1] < 1 or g.shape[2] != d:
+            raise ValueError(f"gamma0 must be (k={k}, n >= 1, d={d}), got {g.shape}")
         rho = np.array(self.rho, dtype=float).reshape(-1)
         if rho.size != d:
             raise ValueError(f"rho must have length d={d}")
@@ -112,6 +112,19 @@ def _poisson_from_uniform(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1) bit for bit, rows added in order, in one buffer."""
+    out = a[:, 0].copy()
+    for i in range(1, a.shape[1]):
+        out += a[:, i]
+    return out
+
+
+# Normals each path draws per pass of a jump-free block: a pass draws the
+# next CHUNK_DRAWS // _draws_per_step steps (at least one) of every path.
+CHUNK_DRAWS = 1024
+
+
 class HestonSimulator:
     """Vectorized terminal-state simulator for (P_T, auxiliary records).
 
@@ -128,6 +141,19 @@ class HestonSimulator:
       noise_factor^T cond_w_gain^T rho, the W draws through
       cond_w_factor^T rho, and sqrt(1 - rho^T rho) sqrt(dt) on the Btilde
       draws.
+
+    Path p draws from its own stream ``path_rng(seed, p)``: each step's
+    ``_draws_per_step`` normals in step order and, with price jumps, then
+    one uniform per atom and step.  A jump-free block draws in chunks of
+    S = ``_chunk_steps`` = CHUNK_DRAWS // _draws_per_step steps (at least
+    one, at most n_steps): every path fills its next S steps into one
+    (B, S, draws) buffer, the steps run over it, and the last chunk is
+    ragged.  A Philox stream and the ziggurat keep nothing between calls
+    but the stream position, so the draws are those of one whole-horizon
+    pass, and the buffer is at most B x CHUNK_DRAWS doubles whatever the
+    horizon.  A model with price jumps draws in one pass (S = n_steps): its
+    uniforms follow all of its normals, so chunking it would change the
+    streams.
     """
 
     def __init__(self, model: HestonModelSpec, horizon: float, n_steps: int,
@@ -179,6 +205,13 @@ class HestonSimulator:
         n, d = self.model.n, self.model.d
         return n * self.op.noise_factor.shape[1] + n * d + n
 
+    @property
+    def _chunk_steps(self) -> int:
+        """Steps drawn per pass: all of them with price jumps."""
+        if self.model.n_jumps:
+            return self.n_steps
+        return min(max(CHUNK_DRAWS // self._draws_per_step, 1), self.n_steps)
+
     def __call__(self, seed: int, start: int, stop: int) -> np.ndarray:
         """Samples of shape (paths, len(record_times), d), the log prices;
         with ``record_variance`` the last axis doubles to [P, diag V]."""
@@ -189,13 +222,9 @@ class HestonSimulator:
         # One path_rng per path, not mc.path_streams: the benchmark's tracing
         # wraps mvolt.heston.path_rng by name, so the move to path_streams
         # waits for a change to the benchmark.  The draws are the same.
-        gauss = np.empty((B, self.n_steps, self._draws_per_step))
-        jump_u = np.empty((B, self.n_steps, J)) if J else None
-        for row, p in enumerate(range(start, stop)):
-            rng = path_rng(seed, p)
-            rng.standard_normal(out=gauss[row])
-            if J:
-                jump_u[row] = rng.uniform(size=(self.n_steps, J))
+        rngs = [path_rng(seed, p) for p in range(start, stop)]
+        S = self._chunk_steps
+        gauss = np.empty((B, S, self._draws_per_step))
 
         half_dt = 0.5 * self.dt
         gamma = np.tile(self._gamma0, (B, 1))            # (B n, k d)
@@ -207,7 +236,7 @@ class HestonSimulator:
             out[:, pos, :d] = P
             if self.record_variance:
                 X = gamma @ self._sum_nodes
-                out[:, pos, d:] = (X * X).reshape(B, n, d).sum(axis=1)
+                out[:, pos, d:] = _sum_rows((X * X).reshape(B, n, d))
 
         rec_pos = 0
         while rec_pos < len(self.record_idx) and self.record_idx[rec_pos] == 0:
@@ -215,15 +244,22 @@ class HestonSimulator:
             rec_pos += 1
 
         for m in range(self.n_steps):
-            z = gauss[:, m]                               # (B, draws)
+            j = m % S
+            if j == 0:
+                chunk = gauss[:, :min(S, self.n_steps - m)]
+                for row, rng in enumerate(rngs):
+                    rng.standard_normal(out=chunk[row])
+                if J:  # one pass (S = n_steps): the uniforms follow the normals
+                    jump_u = np.stack([rng.uniform(size=(self.n_steps, J)) for rng in rngs])
+            z = chunk[:, j]                               # (B, draws)
             z_node = z[:, :n * r].reshape(B * n, r)
             X = gamma @ self._sum_nodes                   # (B n, d)
             dB = (z @ self._db_map).reshape(B * n, 1)
             # X^T dB - 1/2 diag(V) dt in one contraction over the n rows
-            P += (X * (dB - half_dt * X)).reshape(B, n, d).sum(axis=1)
+            P += _sum_rows((X * (dB - half_dt * X)).reshape(B, n, d))
             if J:
                 X3 = X.reshape(B, n, d)
-                V = (X3[:, :, :, None] * X3[:, :, None, :]).sum(axis=1)
+                V = _sum_rows(X3[:, :, :, None] * X3[:, :, None, :])
                 rates = np.clip(V.reshape(B, d * d) @ self._jump_trace, 0.0, None)
                 counts = _poisson_from_uniform(jump_u[:, m], rates * self.dt)
                 P += counts @ model.jump_atoms - rates @ self._jump_comp

@@ -104,6 +104,56 @@ def einsum_step_reference(sim, seed, start, stop):
     return out
 
 
+def whole_horizon_reference(sim, seed, start, stop):
+    """The simulator's step loop over one whole-horizon draw: every path
+    fills all of its normals, then its uniforms, before the first step, and
+    the n rows are summed with ``sum(axis=1)``."""
+    model = sim.model
+    n, d, r = model.n, model.d, sim.op.noise_factor.shape[1]
+    J = model.n_jumps
+    B = stop - start
+    gauss = np.empty((B, sim.n_steps, sim._draws_per_step))
+    jump_u = np.empty((B, sim.n_steps, J)) if J else None
+    for row, p in enumerate(range(start, stop)):
+        rng = path_rng(seed, p)
+        rng.standard_normal(out=gauss[row])
+        if J:
+            jump_u[row] = rng.uniform(size=(sim.n_steps, J))
+
+    half_dt = 0.5 * sim.dt
+    gamma = np.tile(sim._gamma0, (B, 1))
+    P = np.broadcast_to(model.p0, (B, d)).copy()
+    width = 2 * d if sim.record_variance else d
+    out = np.empty((B, len(sim.record_times), width))
+
+    def record(pos):
+        out[:, pos, :d] = P
+        if sim.record_variance:
+            X = gamma @ sim._sum_nodes
+            out[:, pos, d:] = (X * X).reshape(B, n, d).sum(axis=1)
+
+    for pos, m in enumerate(sim.record_idx):
+        if m == 0:
+            record(pos)
+    for m in range(sim.n_steps):
+        z = gauss[:, m]
+        z_node = z[:, :n * r].reshape(B * n, r)
+        X = gamma @ sim._sum_nodes
+        dB = (z @ sim._db_map).reshape(B * n, 1)
+        P += (X * (dB - half_dt * X)).reshape(B, n, d).sum(axis=1)
+        if J:
+            X3 = X.reshape(B, n, d)
+            V = (X3[:, :, :, None] * X3[:, :, None, :]).sum(axis=1)
+            rates = np.clip(V.reshape(B, d * d) @ sim._jump_trace, 0.0, None)
+            counts = _poisson_from_uniform(jump_u[:, m], rates * sim.dt)
+            P += counts @ model.jump_atoms - rates @ sim._jump_comp
+        sim.op.step(gamma, z_node)
+        for pos, rec in enumerate(sim.record_idx):
+            if rec == m + 1:
+                record(pos)
+    return out
+
+
 def degenerate_model():
     # nu = 0: deterministic covariance V_t = e^{-2 x t} gamma0^T gamma0
     measure = AtomicMatrixMeasure([0.3], [[[0.0]]])
@@ -122,6 +172,9 @@ class TestModelValidation:
         m = AtomicMatrixMeasure([0.5], np.zeros((1, 2, 2)))
         with pytest.raises(ValueError, match="gamma0"):
             HestonModelSpec(measure=m, gamma0=np.zeros((2, 2, 2)),
+                            rho=[0.0, 0.0], p0=[0.0, 0.0])
+        with pytest.raises(ValueError, match=r"n >= 1, d=2\), got \(1, 0, 2\)"):
+            HestonModelSpec(measure=m, gamma0=np.zeros((1, 0, 2)),
                             rho=[0.0, 0.0], p0=[0.0, 0.0])
 
     @pytest.mark.parametrize("atoms, weights", [
@@ -352,6 +405,51 @@ class TestSimulation:
         want = einsum_step_reference(sim, 11, 3, 403)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+    @pytest.mark.parametrize("case", ["reference", "clamped", "jumps", "records", "start"])
+    def test_chunked_draws_replay_whole_horizon_bitwise(self, case):
+        # 14 draws per step (10 clamped) give chunks of 73 (102) steps, so
+        # 200 (250) steps take two full chunks and a ragged third; the jump
+        # model draws in one pass
+        seed, start, stop = 11, 3, 43
+        if case == "reference":
+            sim = HestonSimulator(heston_reference_model(), 1.0, 200)
+        elif case == "clamped":
+            sim = HestonSimulator(clamped_model(), 1.0, 250)
+        elif case == "jumps":
+            sim = HestonSimulator(two_atom_jump_model(), 1.0, 64)
+        elif case == "records":
+            # inside chunks (30, 100, 150), on chunk edges (73, 146) and at both ends
+            sim = HestonSimulator(heston_reference_model(), 1.0, 200,
+                                  record_times=np.array([0, 30, 73, 100, 146, 150, 200]) / 200,
+                                  record_variance=True)
+        else:
+            sim = HestonSimulator(heston_reference_model(), 1.0, 200)
+            start, stop = 150, 161
+        expected_chunk = {"reference": 73, "clamped": 102, "jumps": 64, "records": 73,
+                          "start": 73}[case]
+        assert sim._chunk_steps == expected_chunk
+        got = sim(seed, start, stop)
+        assert np.array_equal(got, whole_horizon_reference(sim, seed, start, stop))
+
+    def test_noise_memory_does_not_grow_with_steps(self):
+        # one jump-free block of 512 paths: the whole-horizon draw peaked at
+        # 7.5 MB at 128 steps and 58.9 MB at 1024; the chunked buffer (512 x
+        # 73 x 14 doubles) peaks at 4.8 MB at both, 32 bytes apart
+        import tracemalloc
+
+        def peak(n_steps):
+            sim = HestonSimulator(heston_reference_model(), 1.0, n_steps)
+            tracemalloc.start()
+            try:
+                sim(3, 0, 512)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(128)
+        assert peak(1024) - peak(128) < 64 * 1024
 
 
 class TestFourierPricing:

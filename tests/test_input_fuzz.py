@@ -1,8 +1,10 @@
 """Fuzz of the model-file readers through ``main``.
 
 Small model files, valid or with one fault, run through ``transform
-laplace``, ``hawkes simulate`` (4 paths), ``heston charfn``, ``wishart
-simulate``, ``wishart transform`` and ``ou simulate``.  A broken file must exit 2 with exactly one line on stderr and
+laplace``, ``hawkes simulate`` (4 paths), ``heston charfn``, ``heston
+simulate`` (4 paths, 200 steps), ``wishart simulate``, ``wishart
+transform`` and ``ou simulate``.  Half of the Heston models have no price
+jumps.  A broken file must exit 2 with exactly one line on stderr and
 write no output; a valid one must exit 0 with finite output.  A traceback
 fails the test, and so does any other exit code.
 """
@@ -69,12 +71,15 @@ def hawkes_preset(rng, k, d):
 
 
 def heston_model(rng, k, d):
-    return {"model": {"measure": kernel(rng, k, d),
-                      "gamma0": {"weights": 0.3 * rng.normal(size=(k, 2, d))},
-                      "price": {"rho": rng.uniform(-0.5, 0.5, d) / np.sqrt(d),
-                                "p0": rng.normal(size=d),
-                                "jump_atoms": 0.1 * rng.normal(size=(1, d)),
-                                "jump_weights": psd_stack(rng, 1, d, 0.3)}}}
+    model = {"measure": kernel(rng, k, d),
+             "gamma0": {"weights": 0.3 * rng.normal(size=(k, 2, d))},
+             "price": {"rho": rng.uniform(-0.5, 0.5, d) / np.sqrt(d),
+                       "p0": rng.normal(size=d),
+                       "jump_atoms": 0.1 * rng.normal(size=(1, d)),
+                       "jump_weights": psd_stack(rng, 1, d, 0.3)}}
+    if rng.uniform() < 0.5:  # no price jumps: the simulator draws in chunks
+        del model["price"]["jump_atoms"], model["price"]["jump_weights"]
+    return {"model": model}
 
 
 def gaussian_lift(rng, k, d):
@@ -96,6 +101,10 @@ ROUTES = {
     "hawkes-preset": (hawkes_preset, "hawkes simulate --measure {measure} --lambda0 {lambda0} "
                                      "--T 0.5 --paths 4 --out-grid {grid}"),
     "heston": (heston_model, "heston charfn --model {model} --v {v} --t 0.5 --riccati-steps 40"),
+    # 200 steps span two chunks of a jump-free draw at every k, d <= 2: a
+    # chunk holds 1024 // draws steps, 170 at 6 draws (k = d = 1) and 73 at 14
+    "heston-simulate": (heston_model, "heston simulate --model {model} --T 0.5 --steps 200 "
+                                      "--paths 4"),
     "wishart": (gaussian_lift, "wishart simulate --measure {measure} --gamma0 {gamma0} "
                                "--dt 0.25 --steps 2 --paths 4"),
     "wishart-transform": (gaussian_transform, "wishart transform --measure {measure} "
@@ -121,20 +130,22 @@ GAUSSIAN = [("measure", "", "weights", ("inf", "asym", "k", "d")),
             ("measure", "", "nodes", ("inf", "missing")),
             ("gamma0", "", "weights", ("inf", "k", "d", "missing")),
             ("gamma0", "", "nodes", ("nodes", "missing"))]
+HESTON = [("model", "measure", "weights", ("inf", "asym", "k", "d")),
+          ("model", "gamma0", "weights", ("inf", "k", "d", "missing")),
+          ("model", "price", "rho", ("inf", "k")),
+          ("model", "price", "p0", ("inf", "k")),
+          ("model", "price", "jump_atoms", ("inf", "d")),
+          ("model", "price", "jump_weights", ("inf", "nsd")),
+          ("model", "gamma0", None, ("missing",)),
+          ("model", "price", None, ("missing",))]
 FAULTS = {
     "laplace": JUMP + [("u", "", "u", ("inf", "d", "missing"))],
     "hawkes-model": JUMP,
     "hawkes-preset": [("measure", "", "weights", ("inf", "asym", "nsd", "k", "d")),
                       ("lambda0", "", "weights", ("inf", "asym", "k", "d", "missing")),
                       ("lambda0", "", "nodes", ("nodes", "missing"))],
-    "heston": [("model", "measure", "weights", ("inf", "asym", "k", "d")),
-               ("model", "gamma0", "weights", ("inf", "k", "d", "missing")),
-               ("model", "price", "rho", ("inf", "k")),
-               ("model", "price", "p0", ("inf", "k")),
-               ("model", "price", "jump_atoms", ("inf", "d")),
-               ("model", "price", "jump_weights", ("inf", "nsd")),
-               ("model", "gamma0", None, ("missing",)),
-               ("model", "price", None, ("missing",))],
+    "heston": HESTON,
+    "heston-simulate": HESTON,
     "wishart": GAUSSIAN,
     "wishart-transform": GAUSSIAN + [("c", "", "c", ("inf", "d", "missing"))],
     "ou": GAUSSIAN,
@@ -226,6 +237,7 @@ def test_broken_model_exits_two_with_one_line(case, k, d, seed):
     assume(kind != "asym" or d == 2)  # an asymmetry needs an off-diagonal entry
     files = ROUTES[route][0](np.random.default_rng(seed), k, d)
     body = files[name]
+    assume(key is None or key in body.get(section, {}))  # a jump-free heston model
     if kind == "missing" and key is None:
         del body[section]
     elif kind == "missing":
