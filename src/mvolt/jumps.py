@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .mc import _with_hint, path_generators
 from .measures import AtomicMatrixMeasure, TimeGrid, check_psd, decay_sum, eval_kernel
@@ -211,12 +210,14 @@ class LinearFlow:
         M[kn:, :kn] = np.tile(np.eye(d * d), k)
         self.M = M
         self._eig_ok = False
+        from scipy.linalg import expm  # loaded at first use: slow to import
+
         try:
             evals, S = np.linalg.eig(M)
             Sinv = np.linalg.inv(S)
             probe = (S * np.exp(evals * 0.1)[None, :]) @ Sinv
             if np.allclose(probe.imag, 0.0, atol=1e-9) and np.allclose(
-                probe.real, scipy.linalg.expm(M * 0.1), atol=1e-9, rtol=1e-9
+                probe.real, expm(M * 0.1), atol=1e-9, rtol=1e-9
             ):
                 # contiguous, as in the pickled copy a worker receives, so
                 # that ``flow`` rounds the same in every process
@@ -246,7 +247,9 @@ class LinearFlow:
             growth = np.exp(self._evals * dt[..., None])[..., None]
             out = (self._S @ (growth * (self._Sinv @ z[..., None]))).real
         else:
-            out = scipy.linalg.expm(self.M * dt[..., None, None]) @ z[..., None]
+            from scipy.linalg import expm
+
+            out = expm(self.M * dt[..., None, None]) @ z[..., None]
         return np.where(dt[..., None] == 0.0, z, out[..., 0])
 
 

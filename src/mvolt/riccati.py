@@ -48,7 +48,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .measures import AtomicMatrixMeasure
 from .jumps import JumpLiftState, JumpMeasureSpec, jump_operators, lift_operator
@@ -104,7 +103,9 @@ def solve_lift_riccati_jump(
     aug = np.zeros((n_times, 4 * n, 4 * n))
     aug[:, :n, :n] = lin * (0.5 * h)
     aug[:, np.arange(3 * n), np.arange(n, 4 * n)] = 1.0
-    half = scipy.linalg.expm(aug)
+    from scipy.linalg import expm  # loaded at first use: slow to import
+
+    half = expm(aug)
     full = half[:, :n] @ half
     # p_j = h phi_j(L h) and q = (h/2) phi_1(L h/2); the propagators act as
     # y + (e^(L s) - I) y with e^(L s) - I = L s phi_1(L s), so that their
@@ -322,7 +323,9 @@ def solve_joint_riccati_heston(
              ((A, 1), (A, np.inf), (ham[:, :kd, kd:], 1), (ham[:, kd:, :kd], 1))]
     rate = max(norms[:2]) + np.sqrt(norms[2] * norms[3])
     J = int(np.ceil(np.log2(max(n_steps, 2.0 * rate * t, 1.0))))
-    S = scipy.linalg.expm(ham * (t / 2**J))
+    from scipy.linalg import expm  # loaded at first use: slow to import
+
+    S = expm(ham * (t / 2**J))
     R = np.linalg.inv(S[:, :kd, :kd])
     P, Q = S[:, kd:, :kd] @ R, R @ S[:, :kd, kd:]
     ell, turn = _logdet(S[:, :kd, :kd])

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.special
 
+from mvolt import fractional
 from mvolt.fractional import (
     FractionalKernelSpec,
     fit_fractional_measure,
     fractional_kernel_exact,
     fractional_kernel_quadrature,
     fractional_nodes,
+    gamma_fn,
 )
 from mvolt.measures import eval_kernel
 
@@ -96,3 +99,40 @@ class TestFit:
         spec = FractionalKernelSpec(np.array([[0.1]]), 1e-3, 10.0, 4)
         with pytest.raises(ValueError, match="infeasible"):
             fit_fractional_measure(spec, tol=1e-8)
+
+
+class TestGamma:
+    def test_bitwise_scipy_gamma_on_the_unit_interval(self):
+        small = np.geomspace(5e-324, 1e-9, 2001)
+        x = np.concatenate([
+            np.linspace(0.0, 1.0, 200_001)[1:], small, np.nextafter(small, 1.0),
+            [0.5, 1.0, np.nextafter(1.0, 0.0), np.nextafter(0.5, 1.0)],
+            np.random.default_rng(0).uniform(0.0, 1.0, 100_000),
+        ])
+        assert np.count_nonzero(x < 1e-9) > 2000
+        got = np.array([gamma_fn(v) for v in x])
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      scipy.special.gamma(x).view(np.int64))
+
+    def test_bitwise_scipy_gamma_up_to_33(self):
+        x = np.concatenate([np.linspace(1.0, 33.0, 64_001), np.arange(1.0, 34.0)])
+        got = np.array([gamma_fn(v) for v in x])
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      scipy.special.gamma(x).view(np.int64))
+
+    @pytest.mark.parametrize("x", [0.0, -0.5, 33.5, np.inf, np.nan])
+    def test_outside_the_port_raises(self, x):
+        with pytest.raises(ValueError, match="0 < x <= 33"):
+            gamma_fn(x)
+
+    @pytest.mark.parametrize("k", [10, 20, 40])
+    @pytest.mark.parametrize("hurst", [[[0.1, 0.2], [0.2, 0.3]], 0.1, 0.25, 0.4])
+    def test_fit_equals_the_scipy_gamma_fit(self, monkeypatch, hurst, k):
+        spec = FractionalKernelSpec(np.array(hurst, ndmin=2), 1e-3, 10.0, k)
+        fit = fit_fractional_measure(spec)
+        monkeypatch.setattr(fractional, "gamma_fn", scipy.special.gamma)
+        ref = fit_fractional_measure(spec)
+        assert np.array_equal(fit.measure.nodes, ref.measure.nodes)
+        assert np.array_equal(fit.measure.weights, ref.measure.weights)
+        assert np.array_equal(fit.entry_errors, ref.entry_errors)
+        assert fit.sup_rel_error == ref.sup_rel_error
