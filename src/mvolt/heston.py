@@ -8,13 +8,19 @@ d-dimensional log price P follows
     B  = W rho + sqrt(1 - rho^T rho) Btilde,
 
 with W the same n x d Brownian sheet that drives the lift.  Simulation
-keeps the node update exact and reconstructs the W increment from the
-sampled node innovations by conditional-Gaussian augmentation, so the
-leverage correlation survives the exact stepping; the price itself is an
-Euler step (weak error O(dt), every exp(P_i) remains a martingale of the
-discrete chain by construction).  The characteristic function delegates to
-the node-pair Riccati system, and a strike ladder is priced by a damped
-inverse transform along one asset direction from one solve of it.
+keeps the node update exact.  The price reads W only through dB, and given
+the node innovation zeta_a of lift row a, dB_a is Gaussian with mean
+rho^T cond_w_gain zeta_a and variance
+
+    sigma_perp^2 = |cond_w_factor^T rho|^2 + (1 - rho^T rho) dt,
+
+so a step draws one normal per row for dB beside the node normals (exact
+conditional-Gaussian sampling; Glasserman 2004, sec. 2.3) and the leverage
+correlation survives the exact stepping.  The price itself is an Euler
+step (weak error O(dt), every exp(P_i) remains a martingale of the discrete
+chain by construction).  The characteristic function delegates to the
+node-pair Riccati system, and a strike ladder is priced by a damped inverse
+transform along one asset direction from one solve of it.
 """
 
 from __future__ import annotations
@@ -138,9 +144,8 @@ class HestonSimulator:
       step of the Gaussian lift itself;
     - ``_db_map`` (draws, n), dB from a step's raw draws: the n r node
       draws (r = rank of ``noise_factor``, (k d, r)) through
-      noise_factor^T cond_w_gain^T rho, the W draws through
-      cond_w_factor^T rho, and sqrt(1 - rho^T rho) sqrt(dt) on the Btilde
-      draws.
+      noise_factor^T cond_w_gain^T rho, the conditional mean, and
+      sigma_perp on the one dB draw of each row, the rest of its law.
 
     Path p draws from its own stream ``path_rng(seed, p)``: each step's
     ``_draws_per_step`` normals in step order and, with price jumps, then
@@ -185,12 +190,15 @@ class HestonSimulator:
         op = self.op
         rho = model.rho
         rho_orth = float(np.sqrt(max(1.0 - rho @ rho, 0.0)))
+        # sd of dB_a given the node innovation of row a: the W part left
+        # after conditioning, and the Btilde part
+        sigma_perp = float(np.hypot(np.linalg.norm(op.cond_w_factor.T @ rho),
+                                    rho_orth * np.sqrt(self.dt)))
         self._sum_nodes = np.tile(np.eye(d), (k, 1))
         eye_n = np.eye(n)
         self._db_map = np.concatenate([
             np.kron(eye_n, (op.noise_factor.T @ (op.cond_w_gain.T @ rho))[:, None]),
-            np.kron(eye_n, (op.cond_w_factor.T @ rho)[:, None]),
-            rho_orth * np.sqrt(self.dt) * eye_n,
+            sigma_perp * eye_n,
         ])
         self._gamma0 = model.gamma0.transpose(1, 0, 2).reshape(n, k * d)
         # V (B, d^2) @ _jump_trace = Tr(V m_r); the compensator and the
@@ -200,10 +208,10 @@ class HestonSimulator:
 
     @property
     def _draws_per_step(self) -> int:
-        """n r node draws (r = rank of the step's noise_factor), n d W draws
-        and n Btilde draws."""
-        n, d = self.model.n, self.model.d
-        return n * self.op.noise_factor.shape[1] + n * d + n
+        """n r node draws (r = rank of the step's noise_factor) and one dB
+        draw per lift row."""
+        n = self.model.n
+        return n * self.op.noise_factor.shape[1] + n
 
     @property
     def _chunk_steps(self) -> int:

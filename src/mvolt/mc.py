@@ -18,7 +18,6 @@ final numbers byte-identical for 1 or many workers.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,6 +241,9 @@ def run_path_blocks(
     if workers <= 1 or len(blocks) <= 1:
         chunks = [task(b) for b in blocks]
     else:
+        # imported here: a serial run never loads the process pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(workers, len(blocks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(task, blocks))

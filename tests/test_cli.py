@@ -384,16 +384,16 @@ class TestSimulationCommands:
         # 500 paths fit in one block of BLOCK_SIZE; with 2 workers the run is
         # split into path-ordered blocks that a pool shares, and the files
         # stay byte-identical to the serial run
-        import mvolt.mc as mc_mod
+        import concurrent.futures
 
         mapped = []
 
-        class RecordingPool(mc_mod.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def map(self, fn, blocks, **kwargs):
                 mapped.append(list(blocks))
                 return super().map(fn, mapped[-1], **kwargs)
 
-        monkeypatch.setattr(mc_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         files = []
         for workers in ("1", "2"):
             out, grid = tmp_path / f"ev{workers}.csv", tmp_path / f"v{workers}.csv"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from mvolt.measures import AtomicMatrixMeasure
+from mvolt.measures import AtomicMatrixMeasure, decay_integral
 from mvolt.heston import (
     HestonModelSpec,
     HestonSimulator,
@@ -12,6 +12,7 @@ from mvolt.heston import (
     simulate_heston_terminal,
 )
 from mvolt.mc import path_rng
+from mvolt.ou import node_covariance
 from mvolt.riccati import solve_joint_riccati_heston
 from mvolt.validate import heston_reference_model
 
@@ -39,16 +40,30 @@ def clamped_model():
     return HestonModelSpec(measure=measure, gamma0=gamma0, rho=[-0.5, 0.3], p0=[0.0, 0.0])
 
 
+def conditional_db_sd(model, dt):
+    """sd of dB_a given the node innovation of row a, sqrt(dt - rho^T gain
+    cross^T rho), from the conditional covariance dt I - gain cross^T of W
+    built here, not from ``StepOperator.cond_w_factor``."""
+    measure, rho = model.measure, model.rho
+    k, d = measure.k, measure.d
+    F = decay_integral(measure.nodes, dt)
+    cross = np.einsum("j,jcb->cjb", F, measure.weights).reshape(d, k * d)
+    C = node_covariance(measure, dt)
+    gain = cross @ np.linalg.pinv(C, rcond=1e-12, hermitian=True)
+    cond_cov = dt * np.eye(d) - gain @ cross.T
+    return float(np.sqrt(max(rho @ cond_cov @ rho + (1.0 - rho @ rho) * dt, 0.0)))
+
+
 def einsum_step_reference(sim, seed, start, stop):
     """Reference step on per-path matrices: gamma as (B, k, n, d), one
-    einsum per contraction, the W increment rebuilt explicitly and dB taken
-    from it, from the same draws as ``sim``."""
+    einsum per contraction, dB from its conditional mean given the node
+    innovation and one normal per row, from the same draws as ``sim``."""
     model, op, dt = sim.model, sim.op, sim.dt
     n, d, k = model.n, model.d, model.measure.k
     J = model.n_jumps
     B = stop - start
     rank = op.noise_factor.shape[1]
-    draws = n * rank + n * d + n
+    draws = n * rank + n
     gauss = np.empty((B, sim.n_steps, draws))
     jump_u = np.empty((B, sim.n_steps, J)) if J else None
     for row, p in enumerate(range(start, stop)):
@@ -58,7 +73,7 @@ def einsum_step_reference(sim, seed, start, stop):
             jump_u[row] = rng.uniform(size=(sim.n_steps, J))
 
     rho = model.rho
-    rho_orth = float(np.sqrt(max(1.0 - rho @ rho, 0.0)))
+    sd_db = conditional_db_sd(model, dt)
     decay = np.exp(-model.measure.nodes * dt)
     gamma = np.broadcast_to(model.gamma0, (B, k, n, d)).copy()
     P = np.broadcast_to(model.p0, (B, d)).copy()
@@ -77,15 +92,13 @@ def einsum_step_reference(sim, seed, start, stop):
     for m in range(sim.n_steps):
         z = gauss[:, m]
         z_node = z[:, :n * rank].reshape(B, n, rank)
-        z_w = z[:, n * rank:n * rank + n * d].reshape(B, n, d)
-        z_bt = z[:, n * rank + n * d:]
+        z_db = z[:, n * rank:]
 
         X = gamma.sum(axis=1)
         V = np.einsum("bnx,bny->bxy", X, X)
         diagV = np.einsum("bxx->bx", V)
         zeta = z_node @ op.noise_factor.T
-        dW = zeta @ op.cond_w_gain.T + z_w @ op.cond_w_factor.T
-        dB = dW @ rho + rho_orth * np.sqrt(dt) * z_bt
+        dB = zeta @ op.cond_w_gain.T @ rho + sd_db * z_db
 
         dP = -0.5 * diagV * dt + np.einsum("bna,bn->ba", X, dB)
         if J:
@@ -380,14 +393,43 @@ class TestSimulation:
                 for w in (1, 4))
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("model, draws", [(heston_reference_model(), 14),
-                                              (clamped_model(), 10)],
+    @pytest.mark.parametrize("model, draws", [(heston_reference_model(), 10),
+                                              (clamped_model(), 6)],
                              ids=["reference", "clamped"])
     def test_draws_per_step(self, model, draws):
-        # n r node draws (r = k d = 4 at full rank, 2 after the clamp),
-        # n d W draws and n Btilde draws
+        # n r node draws (r = k d = 4 at full rank, 2 after the clamp) and
+        # n dB draws
         sim = HestonSimulator(model, 1.0, 64)
         assert sim._draws_per_step == draws
+
+    @pytest.mark.parametrize("rho", ["model", "zero", "unit"])
+    @pytest.mark.parametrize("make_model", [heston_reference_model, clamped_model],
+                             ids=["reference", "clamped"])
+    def test_db_map_keeps_the_joint_law_of_innovation_and_db(self, make_model, rho):
+        # the one-normal-per-row map and the construction it replaces, W =
+        # cond_w_gain zeta + cond_w_factor z_w and dB = W rho + rho_orth
+        # sqrt(dt) z_bt from n d W and n Btilde normals, give (zeta, dB) of
+        # all n rows the same covariance
+        base = make_model()
+        rho = {"model": base.rho, "zero": [0.0, 0.0], "unit": [-0.6, 0.8]}[rho]
+        model = HestonModelSpec(measure=base.measure, gamma0=base.gamma0, rho=rho,
+                                p0=base.p0)
+        sim = HestonSimulator(model, 1.0, 64)
+        op, n, d, rho = sim.op, model.n, model.d, model.rho
+        kd = op.noise_factor.shape[0]
+        eye_n = np.eye(n)
+        zeta_map = np.kron(eye_n, op.noise_factor)                # (n kd, n r)
+        rho_orth = np.sqrt(max(1.0 - rho @ rho, 0.0))
+        old = np.block([
+            [zeta_map, np.zeros((n * kd, n * d + n))],
+            [np.kron(eye_n, rho @ op.cond_w_gain @ op.noise_factor),
+             np.kron(eye_n, rho @ op.cond_w_factor),
+             rho_orth * np.sqrt(sim.dt) * eye_n],
+        ])
+        new = np.block([[zeta_map, np.zeros((n * kd, n))], [sim._db_map.T]])
+        assert sim._db_map.shape == (sim._draws_per_step, n)
+        cov_old, cov_new = old @ old.T, new @ new.T
+        assert np.max(np.abs(cov_new - cov_old)) <= 1e-15 * np.max(np.abs(cov_old))
 
     @pytest.mark.parametrize("case", ["reference", "clamped", "jumps", "variance_records"])
     def test_flat_step_matches_einsum_reference(self, case):
@@ -409,34 +451,34 @@ class TestSimulation:
 
     @pytest.mark.parametrize("case", ["reference", "clamped", "jumps", "records", "start"])
     def test_chunked_draws_replay_whole_horizon_bitwise(self, case):
-        # 14 draws per step (10 clamped) give chunks of 73 (102) steps, so
-        # 200 (250) steps take two full chunks and a ragged third; the jump
+        # 10 draws per step (6 clamped) give chunks of 102 (170) steps, so
+        # 250 (400) steps take two full chunks and a ragged third; the jump
         # model draws in one pass
         seed, start, stop = 11, 3, 43
         if case == "reference":
-            sim = HestonSimulator(heston_reference_model(), 1.0, 200)
+            sim = HestonSimulator(heston_reference_model(), 1.0, 250)
         elif case == "clamped":
-            sim = HestonSimulator(clamped_model(), 1.0, 250)
+            sim = HestonSimulator(clamped_model(), 1.0, 400)
         elif case == "jumps":
             sim = HestonSimulator(two_atom_jump_model(), 1.0, 64)
         elif case == "records":
-            # inside chunks (30, 100, 150), on chunk edges (73, 146) and at both ends
-            sim = HestonSimulator(heston_reference_model(), 1.0, 200,
-                                  record_times=np.array([0, 30, 73, 100, 146, 150, 200]) / 200,
+            # inside chunks (30, 150, 230), on chunk edges (102, 204) and at both ends
+            sim = HestonSimulator(heston_reference_model(), 1.0, 250,
+                                  record_times=np.array([0, 30, 102, 150, 204, 230, 250]) / 250,
                                   record_variance=True)
         else:
-            sim = HestonSimulator(heston_reference_model(), 1.0, 200)
+            sim = HestonSimulator(heston_reference_model(), 1.0, 250)
             start, stop = 150, 161
-        expected_chunk = {"reference": 73, "clamped": 102, "jumps": 64, "records": 73,
-                          "start": 73}[case]
+        expected_chunk = {"reference": 102, "clamped": 170, "jumps": 64, "records": 102,
+                          "start": 102}[case]
         assert sim._chunk_steps == expected_chunk
         got = sim(seed, start, stop)
         assert np.array_equal(got, whole_horizon_reference(sim, seed, start, stop))
 
     def test_noise_memory_does_not_grow_with_steps(self):
         # one jump-free block of 512 paths: the whole-horizon draw peaked at
-        # 7.5 MB at 128 steps and 58.9 MB at 1024; the chunked buffer (512 x
-        # 73 x 14 doubles) peaks at 4.8 MB at both, 32 bytes apart
+        # 7.5 MB at 128 steps and 58.9 MB at 1024; with the chunked buffer
+        # (512 x 102 x 10 doubles) the block peaks at 4.8 MB at both
         import tracemalloc
 
         def peak(n_steps):

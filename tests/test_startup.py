@@ -1,5 +1,5 @@
 """Start-up guard: the package and the commands that take no matrix
-exponential load no SciPy module.
+exponential load no SciPy module, and a serial run loads no process pool.
 
 SciPy takes longer to import than these commands take to run, so each is
 run in a fresh interpreter, where ``sys.modules`` shows what the import of
@@ -51,7 +51,10 @@ SCRIPT = textwrap.dedent("""
     codes = [main(cmd) for cmd in commands]
     print(json.dumps({"codes": codes,
                       "scipy": sorted(m for m in sys.modules
-                                      if m == "scipy" or m.startswith("scipy."))}))
+                                      if m == "scipy" or m.startswith("scipy.")),
+                      "pool": sorted(m for m in sys.modules
+                                     if m == "concurrent.futures.process"
+                                     or m.split(".")[0] == "multiprocessing")}))
 """)
 
 
@@ -63,4 +66,5 @@ def test_commands_without_expm_load_no_scipy(tmp_path):
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert got["codes"] == [0] * 5
     assert got["scipy"] == []
+    assert got["pool"] == []
     assert (tmp_path / "v.csv").read_text().startswith("path,t,V_11,")
