@@ -33,7 +33,7 @@ import numpy as np
 from . import configio
 from .configio import ConfigError
 from .fractional import FractionalKernelSpec, fit_fractional_measure
-from .heston import char_function, fourier_price_call, simulate_heston_terminal
+from .heston import char_function, fourier_price_call, simulate_heston_terminal, step_times
 from .jumps import HawkesPathSimulator, hawkes_jump_spec
 from .measures import eval_kernel
 from .mc import estimate_mean, run_path_blocks
@@ -107,6 +107,8 @@ def cmd_kernel_eval(args) -> int:
 def _simulation_times(dt: float, steps: int) -> np.ndarray:
     if not (dt > 0.0 and steps >= 1):
         raise ConfigError(f"need --dt > 0 and --steps >= 1, got {dt} and {steps}")
+    if not np.isfinite(steps * dt):
+        raise ConfigError(f"need a finite horizon --steps * --dt, got {steps} * {dt}")
     return np.linspace(dt, steps * dt, steps)
 
 
@@ -219,7 +221,7 @@ def cmd_transform_charfn(args) -> int:
 
 def cmd_heston_simulate(args) -> int:
     model = configio.read_heston_model(args.model)
-    times = np.linspace(0.0, args.T, args.steps + 1)
+    times = step_times(args.T, args.steps)
     ps = simulate_heston_terminal(
         model, args.T, args.steps, args.paths, args.seed,
         workers=args.workers, record_times=times,

@@ -131,6 +131,15 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
 CHUNK_DRAWS = 1024
 
 
+def step_times(horizon: float, n_steps: int) -> np.ndarray:
+    """The grid 0, dt, ..., horizon of n_steps >= 1 steps over a finite horizon."""
+    if not np.isfinite(horizon):
+        raise ValueError(f"horizon T must be finite, got {horizon}")
+    if n_steps < 1:
+        raise ValueError(f"need at least one step, got n_steps = {n_steps}")
+    return np.linspace(0.0, horizon, n_steps + 1)
+
+
 class HestonSimulator:
     """Vectorized terminal-state simulator for (P_T, auxiliary records).
 
@@ -167,11 +176,9 @@ class HestonSimulator:
         self.model = model
         self.horizon = float(horizon)
         self.n_steps = int(n_steps)
-        if self.n_steps < 1:
-            raise ValueError(f"need at least one step, got n_steps = {self.n_steps}")
+        times = step_times(self.horizon, self.n_steps)
         self.dt = self.horizon / self.n_steps
         self.op = StepOperator.build(model.measure, self.dt)
-        times = np.linspace(0.0, self.horizon, self.n_steps + 1)
         if record_times is None:
             record_times = times[-1:]
         self.record_times = np.asarray(record_times, dtype=float)

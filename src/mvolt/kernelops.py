@@ -1,63 +1,30 @@
-"""Grid convolution and the symmetrized resolvent of the second kind.
+"""The symmetrized resolvent of the second kind: grid scheme and exact flow.
 
-Matrix kernels sampled on a uniform grid are convolved with Simpson's
-rule.  The resolvent R of a kernel K solves
+The resolvent R of a kernel K solves K * R + R * K = K - R, where ``*`` is
+the time convolution (f * g)(t) = int_0^t f(t-s) g(s) ds.
 
-    K * R + R * K = K - R,
+:func:`resolvent_second_kind` steps it on samples of any kernel with the
+implicit trapezoid rule.  The unknown enters linearly on both sides of a
+matrix product, so each step is a small Sylvester equation A R_m + R_m A = C
+with A = I/2 + (dt/2) K(0), solvable for small dt since K(0) is symmetric.
 
-where ``*`` is the time convolution (f * g)(t) = int_0^t f(t-s) g(s) ds.
-Because the unknown enters linearly on both sides of a matrix product, each
-time step of the implicit scheme is a small Sylvester equation
-A R_m + R_m A = C with A = I/2 + (dt/2) K(0), which is always solvable for
-small dt since K(0) is symmetric.
+For an atomic kernel K(t) = sum_j e^{-x_j t} nu_j it is a linear ODE.  With
+z_i(t) = int_0^t e^{-x_i (t-s)} R(s) ds and w_j = e^{-x_j t} nu_j,
+
+    z' = (-diag(x) (x) I - 1_k (x) P) z + 1_k (x) sum_j w_j,
+    w_j' = -x_j w_j,     R = sum_j w_j - P z,
+
+with P the pairing of :func:`jumps.lift_operator`, so the z block is the lift
+operator of the measure with weights -nu.  :func:`atomic_resolvent` reads R
+off the exponential of this generator, a matrix of side 2 k d^2.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .measures import TimeGrid
-
-
-def _check_samples(f: np.ndarray, grid: TimeGrid, name: str) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 3 or f.shape[0] != len(grid):
-        raise ValueError(
-            f"{name} must be sampled on the grid with shape (N+1, ., .), "
-            f"got {f.shape} for {len(grid)} grid points"
-        )
-    return f
-
-
-def convolve_simpson(f: np.ndarray, g: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Simpson discretization of (f * g)(t) = int_0^t f(t-s) g(s) ds.
-
-    ``f`` and ``g`` are matrix samples of shape (N+1, a, b) and (N+1, b, c);
-    the result has shape (N+1, a, c) with a zero first entry.  Composite
-    Simpson on even prefixes; odd prefixes finish with one trapezoid panel.
-    First two entries fall back to the trapezoid value.
-    """
-    f = _check_samples(f, grid, "f")
-    g = _check_samples(g, grid, "g")
-    if f.shape[2] != g.shape[1]:
-        raise ValueError(f"inner matrix dimensions differ: {f.shape} vs {g.shape}")
-    n = len(grid)
-    dt = grid.dt
-    out = np.zeros((n, f.shape[1], g.shape[2]))
-    for m in range(1, n):
-        h = np.einsum("jab,jbc->jac", f[m::-1][: m + 1], g[: m + 1], optimize=True)
-        if m == 1:
-            out[m] = 0.5 * dt * (h[0] + h[1])
-            continue
-        acc = np.zeros_like(h[0])
-        j = 0
-        while m - j >= 2:
-            acc += (dt / 3.0) * (h[j] + 4.0 * h[j + 1] + h[j + 2])
-            j += 2
-        if m - j == 1:
-            acc += 0.5 * dt * (h[j] + h[j + 1])
-        out[m] = acc
-    return out
+from .jumps import lift_operator
+from .measures import AtomicMatrixMeasure, TimeGrid
 
 
 def resolvent_second_kind(K: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -69,10 +36,11 @@ def resolvent_second_kind(K: np.ndarray, grid: TimeGrid) -> np.ndarray:
     via the eigendecomposition of the symmetric A; a step where an
     eigenvalue pair sums to zero is reported with its grid index.
     """
-    K = _check_samples(K, grid, "K")
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 3 or K.shape[0] != len(grid) or K.shape[1] != K.shape[2]:
+        raise ValueError(f"K must be square matrix samples of shape (N+1, d, d) on the "
+                         f"grid, got {K.shape} for {len(grid)} grid points")
     d = K.shape[1]
-    if K.shape[2] != d:
-        raise ValueError("resolvent needs square matrix samples")
     n = len(grid)
     dt = grid.dt
     R = np.zeros_like(K)
@@ -101,13 +69,23 @@ def resolvent_second_kind(K: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return R
 
 
-def resolvent_residual(K: np.ndarray, R: np.ndarray, grid: TimeGrid) -> float:
-    """Sup-norm residual of K*R + R*K - (K - R), convolved with Simpson's rule.
+def resolvent_generator(measure: AtomicMatrixMeasure):
+    """Generator M, start state s0 and readout C of the resolvent flow of
+    the measure's kernel: vec R(t) = C e^{M t} s0 on the row-major state
+    (vec z_1, ..., vec z_k, vec w_1, ..., vec w_k), z(0) = 0, w(0) = nu."""
+    k, n = measure.k, measure.d * measure.d
+    lin, neg_pairing = lift_operator(AtomicMatrixMeasure(measure.nodes, -measure.weights))
+    sum_w = np.tile(np.eye(n), (1, k))
+    M = np.block([[lin, np.tile(sum_w, (k, 1))],
+                  [np.zeros((k * n, k * n)), np.diag(-np.repeat(measure.nodes, n))]])
+    start = np.concatenate([np.zeros(k * n), measure.weights.reshape(-1)])
+    return M, start, np.hstack([neg_pairing, sum_w])
 
-    The quadrature differs from the solver's trapezoid rule on purpose, so
-    the residual reflects genuine discretization error instead of the
-    scheme's own fixed point.
-    """
-    lhs = convolve_simpson(K, R, grid) + convolve_simpson(R, K, grid)
-    rhs = K - R
-    return float(np.max(np.abs(lhs - rhs)))
+
+def atomic_resolvent(measure: AtomicMatrixMeasure, times) -> np.ndarray:
+    """The exact resolvent R(t), shape (len(times), d, d), of an atomic kernel."""
+    from scipy.linalg import expm  # loaded at first use: slow to import
+
+    M, start, readout = resolvent_generator(measure)
+    t = np.asarray(times, dtype=float).reshape(-1)
+    return (expm(M * t[:, None, None]) @ start @ readout.T).reshape(-1, measure.d, measure.d)

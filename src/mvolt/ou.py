@@ -112,7 +112,7 @@ class StepOperator:
 
     @classmethod
     def build(cls, measure: AtomicMatrixMeasure, dt: float) -> "StepOperator":
-        if dt <= 0.0:
+        if not dt > 0.0:
             raise ValueError("step size must be positive")
         k, d = measure.k, measure.d
         C = node_covariance(measure, dt)
@@ -158,7 +158,7 @@ def check_lift_inputs(
     """gamma0 (k, n, d) and times as float arrays, checked against the measure.
 
     Raises ValueError unless gamma0 is finite with the measure's k and d and
-    the times form a nonempty, strictly increasing 1-d array of t >= 0.
+    the times form a nonempty, strictly increasing 1-d array of finite t >= 0.
     """
     gamma0 = np.asarray(gamma0, dtype=float)
     if gamma0.ndim != 3 or gamma0.shape[::2] != (measure.k, measure.d):
@@ -168,8 +168,8 @@ def check_lift_inputs(
     if not np.all(np.isfinite(gamma0)):
         raise ValueError("gamma0 entries must be finite")
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or not np.all(times >= 0.0):
-        raise ValueError("times must be a nonempty 1-d array of t >= 0")
+    if times.ndim != 1 or times.size == 0 or not np.all((times >= 0.0) & (times < np.inf)):
+        raise ValueError("times must be a nonempty 1-d array of finite t >= 0")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be strictly increasing")
     return gamma0, times

@@ -96,13 +96,14 @@ def test_criterion_5_compensator_identity():
 
 
 def test_criterion_6_resolvent_identity():
-    res = check_resolvent(dt_fine=1e-4)
+    res = check_resolvent()
     ok = report(
-        "criterion 6: resolvent identity, first-order residuals and scalar "
-        "closed form at dt=1e-4",
+        "criterion 6: resolvent grid scheme vs the exact atomic flow at 0.2 dt^2, "
+        "Laplace identity and scalar closed form at dt=1e-4",
         res,
         f"scalar err={res['scalar_closed_form_err']:.2e} "
-        f"residuals={['%.2e' % r for r in res['residuals']]}",
+        f"flow gaps={['%.2e' % g for g in res['flow_gaps']]} "
+        f"laplace={res['laplace_residual']:.1e}",
     )
     assert ok, res
     assert res["scalar_closed_form_err"] <= 1e-6

@@ -944,6 +944,45 @@ def test_validate_failing_check_exit_one(tmp_path, monkeypatch):
     assert rep["passed"] is False
 
 
+TIME_FLAGS = {
+    "heston-simulate-T": ["heston", "simulate", "--model", "{heston}", "--paths", "4", "--T"],
+    "heston-price-maturity": ["heston", "price", "--model", "{heston}", "--strikes", "1.0",
+                              "--paths", "4", "--maturity"],
+    "ou-simulate-dt": ["ou", "simulate", "--measure", "{measure}", "--gamma0", "{gamma0}",
+                       "--steps", "2", "--paths", "4", "--dt"],
+    "wishart-simulate-dt": ["wishart", "simulate", "--measure", "{measure}",
+                            "--gamma0", "{gamma0}", "--steps", "2", "--paths", "4", "--dt"],
+    "wishart-transform-times": ["wishart", "transform", "--measure", "{measure}",
+                                "--gamma0", "{gamma0}", "--c", "{c}", "--paths", "4",
+                                "--times"],
+    "transform-laplace-t": ["transform", "laplace", "--model", "{jump}", "--u", "{u}", "--t"],
+    "transform-charfn-t": ["transform", "charfn", "--model", "{heston}", "--v", "1.0,0.0",
+                           "--t"],
+    "heston-charfn-t": ["heston", "charfn", "--model", "{heston}", "--v", "1.0,0.0", "--t"],
+    "hawkes-simulate-T": ["hawkes", "simulate", "--model", "{jump}", "--paths", "4", "--T"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", sorted(TIME_FLAGS))
+def test_non_finite_time_exits_two_with_one_line(tmp_path, capsys, measure_file, gamma0_file,
+                                                 heston_model_file, jump_model_file, flag,
+                                                 value):
+    # heston simulate ended as a numerical failure (nan) or after a NumPy
+    # warning (inf), ou / wishart simulate warned before their error, and
+    # wishart transform --times inf wrote a report with "t": Infinity
+    files = {"measure": measure_file, "gamma0": gamma0_file, "heston": heston_model_file,
+             "jump": jump_model_file,
+             "c": write(tmp_path / "c.cfg", "c = [[0.5, 0.0], [0.0, 0.5]]\n"),
+             "u": write(tmp_path / "u.cfg", "u = [[-1.0]]\n")}
+    argv = [arg.format(**files) for arg in TIME_FLAGS[flag]]
+    out = tmp_path / "out.txt"
+    assert main([*argv, value, "--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_hawkes_requires_model_or_measure(tmp_path):
     rc = main(["hawkes", "simulate", "--T", "1.0", "--paths", "1",
                "--out", str(tmp_path / "e.csv")])

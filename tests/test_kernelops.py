@@ -1,55 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from mvolt.kernelops import convolve_simpson, resolvent_residual, resolvent_second_kind
-from mvolt.measures import TimeGrid
+from mvolt.kernelops import atomic_resolvent, resolvent_generator, resolvent_second_kind
+from mvolt.measures import AtomicMatrixMeasure, TimeGrid
+
+# criterion 6's matrix kernel
+CRITERION_6 = AtomicMatrixMeasure(
+    [0.7, 2.0], [[[0.8, 0.2], [0.2, 0.5]], [[0.3, -0.1], [-0.1, 0.4]]])
 
 
 def grid_of(n, horizon=1.0):
     return TimeGrid.regular(horizon, n)
-
-
-class TestConvolve:
-    def test_constants_exact(self):
-        g = grid_of(100)
-        one = np.ones((len(g), 1, 1))
-        out = convolve_simpson(one, one, g)
-        np.testing.assert_allclose(out[:, 0, 0], g.times, atol=1e-13)
-
-    def test_equal_exponentials_closed_form(self):
-        # (e^{-t} * e^{-t})(t) = t e^{-t}; the integrand is constant in s,
-        # so the quadrature is exact up to round-off
-        g = grid_of(100)
-        f = np.exp(-g.times)[:, None, None]
-        out = convolve_simpson(f, f, g)
-        assert np.max(np.abs(out[:, 0, 0] - g.times * np.exp(-g.times))) < 1e-13
-
-    def test_distinct_exponentials_second_order(self):
-        # (e^{-t} * e^{-2t})(t) = e^{-t} (1 - e^{-t}); the trapezoid panel
-        # that ends an odd prefix keeps the sup error at least O(dt^2)
-        errs = []
-        for n in (100, 200):
-            g = grid_of(n)
-            f = np.exp(-g.times)[:, None, None]
-            h = np.exp(-2.0 * g.times)[:, None, None]
-            exact = np.exp(-g.times) * (1.0 - np.exp(-g.times))
-            errs.append(np.max(np.abs(convolve_simpson(f, h, g)[:, 0, 0] - exact)))
-        assert errs[0] <= 2.0 * (1.0 / 100) ** 2
-        assert errs[1] <= 0.3 * errs[0]
-
-    def test_dimension_mismatch(self):
-        g = grid_of(10)
-        with pytest.raises(ValueError, match="dimension"):
-            convolve_simpson(np.ones((len(g), 2, 3)), np.ones((len(g), 2, 3)), g)
-
-    def test_simpson_beats_trapezoid(self):
-        # the trapezoid rule misses the exact value by 5.7867e-6 on this grid
-        g = grid_of(60)
-        f = np.exp(-g.times)[:, None, None]
-        h = np.exp(-2.0 * g.times)[:, None, None]
-        exact = np.exp(-g.times) * (1.0 - np.exp(-g.times))
-        err_s = np.max(np.abs(convolve_simpson(f, h, g)[:, 0, 0] - exact))
-        assert err_s < 0.2 * 5.786e-6
 
 
 class TestResolvent:
@@ -80,20 +42,41 @@ class TestResolvent:
         np.testing.assert_allclose(R[:, 1, 1], r11[:, 0, 0], atol=1e-12)
         assert np.max(np.abs(R[:, 0, 1])) <= 1e-12
 
-    def test_residual_first_order(self):
-        def kern(times):
-            base = np.array([[0.8, 0.2], [0.2, 0.5]])
-            bump = np.array([[0.3, -0.1], [-0.1, 0.4]])
-            return (np.exp(-0.7 * times)[:, None, None] * base
-                    + np.exp(-2.0 * times)[:, None, None] * bump)
 
-        residuals = []
-        for n in (50, 100, 200):
-            g = grid_of(n)
-            K = kern(g.times)
-            R = resolvent_second_kind(K, g)
-            res = resolvent_residual(K, R, g)
-            residuals.append(res)
-            assert res <= 5.0 / n
-        assert residuals[1] <= 0.55 * residuals[0]
-        assert residuals[2] <= 0.55 * residuals[1]
+def laplace_residual(measure, s):
+    """Sup residual of (Khat + I/2) Rhat + Rhat (Khat + I/2) = Khat at s, with
+    Rhat = C (sI - M)^-1 s0 read off the flow's generator, without expm."""
+    M, start, readout = resolvent_generator(measure)
+    d = measure.d
+    r_hat = (readout @ np.linalg.solve(s * np.eye(len(M)) - M, start)).reshape(d, d)
+    k_hat = sum(w / (s + x) for x, w in zip(measure.nodes, measure.weights))
+    a = k_hat + 0.5 * np.eye(d)
+    return np.max(np.abs(a @ r_hat + r_hat @ a - k_hat))
+
+
+@st.composite
+def psd_measures(draw):
+    """Small atomic measures with PSD weights: d <= 2, k <= 3."""
+    d, k = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=k, max_size=k))
+    nodes = np.cumsum(gaps) - gaps[0] * draw(st.sampled_from([0.0, 1.0]))
+    a = np.reshape(draw(st.lists(st.floats(-1.0, 1.0), min_size=k * d * d,
+                                 max_size=k * d * d)), (k, d, d))
+    return AtomicMatrixMeasure(nodes, a @ a.transpose(0, 2, 1))
+
+
+class TestAtomicFlow:
+    @settings(max_examples=40)
+    @given(measure=psd_measures())
+    @example(measure=CRITERION_6)
+    def test_laplace_identity_property(self, measure):
+        for s in (0.5, 1.0, 3.0):
+            assert laplace_residual(measure, s) <= 1e-12
+
+    @pytest.mark.parametrize("a", [0.0, 1.3])
+    def test_one_node_closed_form(self, a):
+        # K = c e^{-a t}: R = c e^{-(a + 2 c) t}
+        c = 0.8
+        times = np.linspace(0.0, 2.0, 41)
+        R = atomic_resolvent(AtomicMatrixMeasure([a], [[[c]]]), times)
+        assert np.max(np.abs(R[:, 0, 0] - c * np.exp(-(a + 2.0 * c) * times))) <= 1e-13
