@@ -76,7 +76,7 @@ class FractionalKernelSpec:
 
     ``hurst`` is a d x d symmetric matrix with entries in (0, 1/2); entry
     (i, j) of the fitted kernel approximates K_{H_ij}.  The window
-    [t_min, t_max] must satisfy 0 < t_min < t_max.
+    [t_min, t_max] must satisfy 0 < t_min < t_max < inf.
     """
 
     hurst: np.ndarray
@@ -85,6 +85,9 @@ class FractionalKernelSpec:
     node_count: int
 
     def __post_init__(self):
+        if not (0.0 < self.t_min < self.t_max < np.inf):
+            raise ValueError(f"need 0 < t_min < t_max < inf, got t_min = {self.t_min}, "
+                             f"t_max = {self.t_max}")
         h = np.atleast_2d(np.asarray(self.hurst, dtype=float))
         h.setflags(write=False)
         object.__setattr__(self, "hurst", h)
@@ -94,8 +97,6 @@ class FractionalKernelSpec:
             raise ValueError("hurst matrix must be symmetric")
         if np.any(h <= 0.0) or np.any(h >= 0.5):
             raise ValueError("Hurst indices must lie strictly inside (0, 1/2)")
-        if not (0.0 < self.t_min < self.t_max):
-            raise ValueError("need 0 < t_min < t_max")
         if self.node_count < 2:
             raise ValueError("need at least 2 nodes")
 
@@ -110,14 +111,15 @@ def fractional_kernel_exact(t, hurst: float) -> np.ndarray:
     return t ** (hurst - 0.5) / gamma_fn(hurst + 0.5)
 
 
-def fractional_kernel_quadrature(t, hurst: float, step: float = 0.25) -> np.ndarray:
+def fractional_kernel_quadrature(t, hurst: float) -> np.ndarray:
     """High-resolution quadrature of int_0^inf e^(-x t) dnu(x) for the
     normalized density nu(dx) = x^(-1/2-H) dx / (Gamma(H+1/2) Gamma(1/2-H)).
 
-    Log-substituted trapezoid rule with generous truncation; serves as the
-    independent oracle for the exponential-sum fit.  Relative accuracy is
-    far below 1e-9 for the default step.
+    Log-substituted trapezoid rule with generous truncation and step 0.25 in
+    log x; serves as the independent oracle for the exponential-sum fit.
+    Relative accuracy is far below 1e-9.
     """
+    step = 0.25
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t <= 0.0):
         raise ValueError("quadrature oracle needs t > 0")

@@ -8,13 +8,16 @@ d-dimensional log price P follows
     B  = W rho + sqrt(1 - rho^T rho) Btilde,
 
 with W the same n x d Brownian sheet that drives the lift.  Simulation
-keeps the node update exact.  The price reads W only through dB, and given
-the node innovation zeta_a of lift row a, dB_a is Gaussian with mean
-rho^T cond_w_gain zeta_a and variance
+keeps the node update exact (:class:`ou.StepOperator`, which knows nothing
+of B).  The price reads W only through dB, and this module builds its law:
+given the node innovation zeta_a of lift row a, with covariance C and
+Cov(dW_a, zeta_a) = cross, cross[c, (j, b)] = F_j(dt) (nu_j)_{cb}, dW_a
+has mean gain zeta_a, gain = cross C^+, and covariance dt I - gain cross^T,
+so dB_a is Gaussian with mean rho^T gain zeta_a and variance
 
-    sigma_perp^2 = |cond_w_factor^T rho|^2 + (1 - rho^T rho) dt,
+    sigma_perp^2 = rho^T (dt I - gain cross^T) rho + (1 - rho^T rho) dt.
 
-so a step draws one normal per row for dB beside the node normals (exact
+A step draws one normal per row for dB beside the node normals (exact
 conditional-Gaussian sampling; Glasserman 2004, sec. 2.3) and the leverage
 correlation survives the exact stepping.  The price itself is an Euler
 step (weak error O(dt), every exp(P_i) remains a martingale of the discrete
@@ -29,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import AtomicMatrixMeasure, check_psd
+from .measures import AtomicMatrixMeasure, check_psd, decay_integral
 from .mc import path_rng, run_path_blocks
-from .ou import StepOperator
+from .ou import StepOperator, _psd_factor, node_covariance
 from .riccati import solve_joint_riccati_heston
 
 
@@ -126,8 +129,8 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-# Normals each path draws per pass of a jump-free block: a pass draws the
-# next CHUNK_DRAWS // _draws_per_step steps (at least one) of every path.
+# Draws each path makes per pass of a block: a pass draws the next
+# CHUNK_DRAWS // (_draws_per_step + J) steps (at least one) of every path.
 CHUNK_DRAWS = 1024
 
 
@@ -153,21 +156,18 @@ class HestonSimulator:
       step of the Gaussian lift itself;
     - ``_db_map`` (draws, n), dB from a step's raw draws: the n r node
       draws (r = rank of ``noise_factor``, (k d, r)) through
-      noise_factor^T cond_w_gain^T rho, the conditional mean, and
-      sigma_perp on the one dB draw of each row, the rest of its law.
+      noise_factor^T gain^T rho, the conditional mean, and sigma_perp on
+      the one dB draw of each row, the rest of its law.
 
-    Path p draws from its own stream ``path_rng(seed, p)``: each step's
-    ``_draws_per_step`` normals in step order and, with price jumps, then
-    one uniform per atom and step.  A jump-free block draws in chunks of
-    S = ``_chunk_steps`` = CHUNK_DRAWS // _draws_per_step steps (at least
-    one, at most n_steps): every path fills its next S steps into one
-    (B, S, draws) buffer, the steps run over it, and the last chunk is
-    ragged.  A Philox stream and the ziggurat keep nothing between calls
-    but the stream position, so the draws are those of one whole-horizon
-    pass, and the buffer is at most B x CHUNK_DRAWS doubles whatever the
-    horizon.  A model with price jumps draws in one pass (S = n_steps): its
-    uniforms follow all of its normals, so chunking it would change the
-    streams.
+    Path p draws from its own stream ``path_rng(seed, p)``, in chunks of
+    S = ``_chunk_steps`` = CHUNK_DRAWS // (_draws_per_step + J) steps (at
+    least one, at most n_steps), J the number of price jump atoms: in each
+    pass every path draws the ``_draws_per_step`` normals of each of its
+    next S steps, in step order, and then, with price jumps, one uniform
+    per atom and step, into (B, S, draws) and (B, S, J) buffers; the steps
+    run over them, and the last chunk is ragged.  The buffers hold at most
+    B x CHUNK_DRAWS doubles whatever the horizon.  A horizon of one chunk
+    is the whole-horizon draw, all normals and then all uniforms.
     """
 
     def __init__(self, model: HestonModelSpec, horizon: float, n_steps: int,
@@ -194,17 +194,22 @@ class HestonSimulator:
         self.record_variance = bool(record_variance)
 
         n, d, k = model.n, model.d, model.measure.k
-        op = self.op
-        rho = model.rho
+        measure, rho = model.measure, model.rho
+        # the law of dW_a given the node innovation of row a (module docstring)
+        F = decay_integral(measure.nodes, self.dt)  # (k,)
+        cross = np.einsum("j,jcb->cjb", F, measure.weights).reshape(d, k * d)
+        gain = cross @ np.linalg.pinv(node_covariance(measure, self.dt), rcond=1e-12,
+                                      hermitian=True)
+        cond_factor = _psd_factor(self.dt * np.eye(d) - gain @ cross.T)
         rho_orth = float(np.sqrt(max(1.0 - rho @ rho, 0.0)))
         # sd of dB_a given the node innovation of row a: the W part left
         # after conditioning, and the Btilde part
-        sigma_perp = float(np.hypot(np.linalg.norm(op.cond_w_factor.T @ rho),
+        sigma_perp = float(np.hypot(np.linalg.norm(cond_factor.T @ rho),
                                     rho_orth * np.sqrt(self.dt)))
         self._sum_nodes = np.tile(np.eye(d), (k, 1))
         eye_n = np.eye(n)
         self._db_map = np.concatenate([
-            np.kron(eye_n, (op.noise_factor.T @ (op.cond_w_gain.T @ rho))[:, None]),
+            np.kron(eye_n, (self.op.noise_factor.T @ (gain.T @ rho))[:, None]),
             sigma_perp * eye_n,
         ])
         self._gamma0 = model.gamma0.transpose(1, 0, 2).reshape(n, k * d)
@@ -222,10 +227,9 @@ class HestonSimulator:
 
     @property
     def _chunk_steps(self) -> int:
-        """Steps drawn per pass: all of them with price jumps."""
-        if self.model.n_jumps:
-            return self.n_steps
-        return min(max(CHUNK_DRAWS // self._draws_per_step, 1), self.n_steps)
+        """Steps drawn per pass."""
+        draws = self._draws_per_step + self.model.n_jumps
+        return min(max(CHUNK_DRAWS // draws, 1), self.n_steps)
 
     def __call__(self, seed: int, start: int, stop: int) -> np.ndarray:
         """Samples of shape (paths, len(record_times), d), the log prices;
@@ -240,6 +244,7 @@ class HestonSimulator:
         rngs = [path_rng(seed, p) for p in range(start, stop)]
         S = self._chunk_steps
         gauss = np.empty((B, S, self._draws_per_step))
+        unif = np.empty((B, S, J))
 
         half_dt = 0.5 * self.dt
         gamma = np.tile(self._gamma0, (B, 1))            # (B n, k d)
@@ -261,12 +266,12 @@ class HestonSimulator:
         for m in range(self.n_steps):
             j = m % S
             if j == 0:
-                chunk = gauss[:, :min(S, self.n_steps - m)]
+                s = min(S, self.n_steps - m)
                 for row, rng in enumerate(rngs):
-                    rng.standard_normal(out=chunk[row])
-                if J:  # one pass (S = n_steps): the uniforms follow the normals
-                    jump_u = np.stack([rng.uniform(size=(self.n_steps, J)) for rng in rngs])
-            z = chunk[:, j]                               # (B, draws)
+                    rng.standard_normal(out=gauss[row, :s])
+                    if J:
+                        rng.random(out=unif[row, :s])
+            z = gauss[:, j]                               # (B, draws)
             z_node = z[:, :n * r].reshape(B * n, r)
             X = gamma @ self._sum_nodes                   # (B n, d)
             dB = (z @ self._db_map).reshape(B * n, 1)
@@ -276,7 +281,7 @@ class HestonSimulator:
                 X3 = X.reshape(B, n, d)
                 V = _sum_rows(X3[:, :, :, None] * X3[:, :, None, :])
                 rates = np.clip(V.reshape(B, d * d) @ self._jump_trace, 0.0, None)
-                counts = _poisson_from_uniform(jump_u[:, m], rates * self.dt)
+                counts = _poisson_from_uniform(unif[:, j], rates * self.dt)
                 P += counts @ model.jump_atoms - rates @ self._jump_comp
             self.op.step(gamma, z_node)
             while rec_pos < len(self.record_idx) and self.record_idx[rec_pos] == m + 1:

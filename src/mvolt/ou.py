@@ -18,8 +18,10 @@ each step exact in law for any dt, so downstream transform validations
 carry no time-discretization bias.  C is often numerically low rank (a
 rough k = 40 fit keeps about half of its k d eigenvalues), so L keeps only
 the r columns of the eigenvalues above the clamp and a step draws r normals
-per lift row, not k d.  :meth:`StepOperator.step` steps these rows of k d,
-which :mod:`mvolt.heston` shares.  The projection X_t = sum_i gamma_t(x_i)
+per lift row, not k d.  A :class:`StepOperator` holds the node decays and L
+and nothing else; :meth:`StepOperator.step` steps these rows of k d, which
+:mod:`mvolt.heston` shares, and the price noise that rides on the same W is
+built there.  The projection X_t = sum_i gamma_t(x_i)
 recovers the Volterra process.
 
 The rows of X are i.i.d. Gaussian, so at m output times one row has the
@@ -40,7 +42,7 @@ method for Gaussian Volterra processes; Dieker 2004, Asmussen & Glynn
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,16 +58,14 @@ def node_covariance(measure: AtomicMatrixMeasure, dt: float) -> np.ndarray:
     return C.transpose(0, 2, 1, 3).reshape(k * d, k * d)
 
 
-def _psd_factor(C: np.ndarray, clamp_rel: float = 1e-14,
-                drop_clamped: bool = False, eig=None) -> np.ndarray:
-    """Factor L with L L^T = C, eigenvalues below the clamp zeroed.
+def _psd_factor(C: np.ndarray, drop_clamped: bool = False) -> np.ndarray:
+    """Factor L with L L^T = C, eigenvalues below 1e-14 tr(C) zeroed.
 
     L is square, or with ``drop_clamped`` keeps only the r columns of the
-    eigenvalues above the clamp, (m, r), the same L L^T.  ``eig`` passes
-    the eigenpairs of the symmetric part of C when the caller has them.
+    eigenvalues above the clamp, (m, r), the same L L^T.
     """
-    evals, Q = np.linalg.eigh(0.5 * (C + C.T)) if eig is None else eig
-    floor = clamp_rel * max(float(np.trace(C)), 0.0)
+    evals, Q = np.linalg.eigh(0.5 * (C + C.T))
+    floor = 1e-14 * max(float(np.trace(C)), 0.0)
     kept = evals > floor
     if drop_clamped and not kept.all():
         # Q itself when nothing is clamped: a column copy would change the
@@ -74,10 +74,10 @@ def _psd_factor(C: np.ndarray, clamp_rel: float = 1e-14,
     return Q * np.sqrt(np.where(kept, evals, 0.0))[None, :]
 
 
-def _rank_factor(C: np.ndarray, eig=None) -> np.ndarray:
+def _rank_factor(C: np.ndarray) -> np.ndarray:
     """The (m, r) factor of :func:`_psd_factor` with ``drop_clamped``,
     checked: a residual ||L L^T - C|| above 1e-10 ||C|| raises LinAlgError."""
-    L = _psd_factor(C, drop_clamped=True, eig=eig)
+    L = _psd_factor(C, drop_clamped=True)
     resid = np.linalg.norm(L @ L.T - C)
     scale = max(np.linalg.norm(C), 1e-300)
     if resid > 1e-10 * scale:
@@ -88,52 +88,20 @@ def _rank_factor(C: np.ndarray, eig=None) -> np.ndarray:
     return L
 
 
-def _pinv_from_eig(evals: np.ndarray, Q: np.ndarray, rcond: float) -> np.ndarray:
-    """``np.linalg.pinv(C, rcond, hermitian=True)`` from C's eigenpairs,
-    with pinv's own arithmetic (singular values sorted descending, signs
-    moved into the right factor), so the result is bitwise pinv's."""
-    order = np.argsort(np.abs(evals))[::-1]
-    s = np.abs(evals[order])
-    u = Q[:, order]
-    large = s > rcond * s.max(initial=0.0)
-    s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
-    return (u * np.copysign(1.0, evals[order])) @ (s_inv[:, None] * u.T)
-
-
 @dataclass(frozen=True)
 class StepOperator:
     """Precomputed exact one-step sampler for a fixed (measure, dt) pair."""
 
-    dt: float
     decay: np.ndarray          # (k d,) e^(-x_i dt) on column (i, b) of a node row
     noise_factor: np.ndarray   # (k d, r) with L L^T = C, r = rank after the clamp
-    cond_w_factor: np.ndarray = field(repr=False)  # (d, d) factor of the cond. covariance
-    cond_w_gain: np.ndarray = field(repr=False)    # (d, k d) conditional-mean gain
 
     @classmethod
     def build(cls, measure: AtomicMatrixMeasure, dt: float) -> "StepOperator":
         if not dt > 0.0:
             raise ValueError("step size must be positive")
-        k, d = measure.k, measure.d
-        C = node_covariance(measure, dt)
-        eig = np.linalg.eigh(0.5 * (C + C.T))
-        L = _rank_factor(C, eig)
-        # Cov(dW_{a c}, innovation_{(j, b)}) = F_j(dt) (nu_j)_{c b}; the gain
-        # and conditional covariance let the price module reuse the same W
-        # realization that drove the node update.
-        from .measures import decay_integral
-
-        F = decay_integral(measure.nodes, dt)  # (k,)
-        cross = np.einsum("j,jcb->cjb", F, measure.weights).reshape(d, k * d)
-        gain = cross @ _pinv_from_eig(*eig, rcond=1e-12)
-        cond_cov = dt * np.eye(d) - gain @ cross.T
-        cond_factor = _psd_factor(cond_cov)
         return cls(
-            dt=float(dt),
-            decay=np.repeat(np.exp(-measure.nodes * dt), d),
-            noise_factor=L,
-            cond_w_factor=cond_factor,
-            cond_w_gain=gain,
+            decay=np.repeat(np.exp(-measure.nodes * dt), measure.d),
+            noise_factor=_rank_factor(node_covariance(measure, dt)),
         )
 
     def step(self, gamma: np.ndarray, noise: np.ndarray) -> None:

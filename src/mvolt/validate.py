@@ -46,9 +46,10 @@ def _result(name: str, passed: bool, **details) -> dict:
     return out
 
 
-def random_wishart_setup(seed: int = 2024, d: int = 2, n: int = 3, k: int = 4):
+def random_wishart_setup():
     """Reference randomized transform configuration (geometric nodes)."""
-    rng = np.random.default_rng(seed)
+    d, n, k = 2, 3, 4
+    rng = np.random.default_rng(2024)
     nodes = np.geomspace(0.25, 4.0, k)
     weights = []
     for _ in range(k):
@@ -153,15 +154,15 @@ def _diagonal_hawkes_model(d: int):
 
 
 def check_hawkes_compensator(
-    n_paths: int = 100_000, seed: int = 21, workers: int = 1, d: int = 2
+    n_paths: int = 100_000, seed: int = 21, workers: int = 1
 ) -> dict:
-    """E[N_i(T)] vs E[int_0^T V_ii dt] per component, diagonal preset."""
-    measure, lam0, spec = _diagonal_hawkes_model(d)
+    """E[N_i(T)] vs E[int_0^T V_ii dt] per component, diagonal preset, d = 2."""
+    measure, lam0, spec = _diagonal_hawkes_model(2)
     sim = HawkesPathSimulator(measure, lam0, spec, horizon=1.0, thinning_dt=0.25)
     counts, compens = run_path_blocks(partial(_final_counts_and_compensators, sim),
                                       n_paths, seed, workers=workers)
     points, worst = [], 0.0
-    for i in range(d):
+    for i in range(measure.d):
         diff = counts[:, i] - compens[:, i]
         est = estimate_mean(diff)
         z = float(est.z_score(0.0))
@@ -176,13 +177,15 @@ def check_hawkes_compensator(
 
 
 def check_jump_transform(
-    n_paths: int = 100_000, seed: int = 31, workers: int = 1, n_steps: int = 1000
+    n_paths: int = 100_000, seed: int = 31, workers: int = 1
 ) -> dict:
     """Scalar self-exciting benchmark: lift ODE vs Volterra form vs MC.
 
-    The two analytic routes must agree within max(1e-4, 5 dt) relative and
-    both must match the Monte Carlo estimate within 3 standard errors.
+    The two analytic routes, each in 1000 steps, must agree within
+    max(1e-4, 5 dt) relative and both must match the Monte Carlo estimate
+    within 3 standard errors.
     """
+    n_steps = 1000
     measure = AtomicMatrixMeasure([1.0], [[[0.4]]])
     lam0 = np.array([[[1.0]]])
     spec = JumpMeasureSpec(atoms=[[[1.0]]], weights=[[[0.3]]])
@@ -304,26 +307,31 @@ def check_fractional_fit() -> dict:
     return _result("fractional_fit", ok, points=points)
 
 
-def heston_reference_model(seed: int = 5) -> HestonModelSpec:
+def heston_reference_model() -> HestonModelSpec:
     """d=2, n=2, k=2, no jumps, rho = (-0.5, 0) reference model."""
     nodes = np.array([0.5, 2.0])
     weights = np.array(
         [[[0.10, 0.02], [0.02, 0.08]], [[0.06, -0.01], [-0.01, 0.09]]]
     )
     measure = AtomicMatrixMeasure(nodes, weights)
-    gamma0 = np.random.default_rng(seed).normal(size=(2, 2, 2)) * 0.15
+    gamma0 = np.random.default_rng(5).normal(size=(2, 2, 2)) * 0.15
     return HestonModelSpec(measure=measure, gamma0=gamma0,
                            rho=[-0.5, 0.0], p0=[0.0, 0.0])
 
 
+# price steps of the Heston Monte Carlo in the heston_charfn and
+# fourier_price checks
+HESTON_MC_STEPS = 256
+
+
 def check_heston_charfn(
-    n_paths: int = 200_000, seed: int = 51, workers: int = 1, n_steps: int = 256
+    n_paths: int = 200_000, seed: int = 51, workers: int = 1
 ) -> dict:
     """Characteristic function vs MC on a 5-point v grid; martingale per asset."""
     model = heston_reference_model()
     t = 1.0
     p_samples = simulate_heston_terminal(
-        model, t, n_steps, n_paths, seed, workers=workers
+        model, t, HESTON_MC_STEPS, n_paths, seed, workers=workers
     )[:, 0, :]
     vs = np.array([[1.0, 0.0], [0.0, 1.5], [1.0, 1.0], [-2.0, 0.5], [3.0, -1.0]])
     points, worst = [], 0.0
@@ -363,7 +371,7 @@ def _norm_cdf(x: float) -> float:
 
 
 def check_fourier_price(
-    n_paths: int = 200_000, seed: int = 61, workers: int = 1, n_steps: int = 256
+    n_paths: int = 200_000, seed: int = 61, workers: int = 1
 ) -> dict:
     """Degenerate model vs the Gaussian closed form; generic model vs MC.
 
@@ -391,7 +399,7 @@ def check_fourier_price(
     # generic model vs MC at three strikes
     model = heston_reference_model()
     p_samples = simulate_heston_terminal(
-        model, t, n_steps, n_paths, seed, workers=workers
+        model, t, HESTON_MC_STEPS, n_paths, seed, workers=workers
     )[:, 0, :]
     spot = np.exp(p_samples[:, 0])
     gen_points, worst = [], 0.0

@@ -61,8 +61,7 @@ def test_criterion_2_wishart_scalar_sanity():
 
 
 def test_criterion_3_jump_transform_identity():
-    res = check_jump_transform(n_paths=100_000, seed=103, workers=WORKERS,
-                               n_steps=1000)
+    res = check_jump_transform(n_paths=100_000, seed=103, workers=WORKERS)
     ok = report(
         "criterion 3: jump transform, lift ODE vs Volterra form vs MC "
         "(u in {-0.5,-1,-2}, t in {0.5,1})",

@@ -945,6 +945,10 @@ def test_validate_failing_check_exit_one(tmp_path, monkeypatch):
 
 
 TIME_FLAGS = {
+    "kernel-fit-tmin": ["kernel", "fit", "--hurst", "{hurst}", "--nodes", "4", "--tmax", "10",
+                        "--tmin"],
+    "kernel-fit-tmax": ["kernel", "fit", "--hurst", "{hurst}", "--nodes", "4", "--tmin", "1e-3",
+                        "--tmax"],
     "heston-simulate-T": ["heston", "simulate", "--model", "{heston}", "--paths", "4", "--T"],
     "heston-price-maturity": ["heston", "price", "--model", "{heston}", "--strikes", "1.0",
                               "--paths", "4", "--maturity"],
@@ -960,6 +964,8 @@ TIME_FLAGS = {
                            "--t"],
     "heston-charfn-t": ["heston", "charfn", "--model", "{heston}", "--v", "1.0,0.0", "--t"],
     "hawkes-simulate-T": ["hawkes", "simulate", "--model", "{jump}", "--paths", "4", "--T"],
+    "hawkes-simulate-thinning-dt": ["hawkes", "simulate", "--model", "{jump}", "--paths", "4",
+                                    "--T", "1.0", "--thinning-dt"],
 }
 
 
@@ -975,7 +981,8 @@ def test_non_finite_time_exits_two_with_one_line(tmp_path, capsys, measure_file,
     files = {"measure": measure_file, "gamma0": gamma0_file, "heston": heston_model_file,
              "jump": jump_model_file,
              "c": write(tmp_path / "c.cfg", "c = [[0.5, 0.0], [0.0, 0.5]]\n"),
-             "u": write(tmp_path / "u.cfg", "u = [[-1.0]]\n")}
+             "u": write(tmp_path / "u.cfg", "u = [[-1.0]]\n"),
+             "hurst": write(tmp_path / "h.cfg", "hurst = [[0.25]]\n")}
     argv = [arg.format(**files) for arg in TIME_FLAGS[flag]]
     out = tmp_path / "out.txt"
     assert main([*argv, value, "--out", str(out)]) == 2

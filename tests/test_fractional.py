@@ -36,9 +36,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="symmetric"):
             FractionalKernelSpec(np.array([[0.2, 0.1], [0.3, 0.2]]), 1e-2, 1.0, 10)
 
-    def test_window_order(self):
-        with pytest.raises(ValueError):
-            FractionalKernelSpec(np.array([[0.2]]), 1.0, 0.5, 10)
+    @pytest.mark.parametrize("t_min, t_max", [(1.0, 0.5), (0.0, 1.0), (1e-2, np.inf),
+                                              (np.nan, 1.0), (1e-2, np.nan)])
+    def test_window_order(self, t_min, t_max):
+        with pytest.raises(ValueError, match="0 < t_min < t_max < inf"):
+            FractionalKernelSpec(np.array([[0.2]]), t_min, t_max, 10)
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError, match="2 nodes"):

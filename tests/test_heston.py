@@ -40,18 +40,40 @@ def clamped_model():
     return HestonModelSpec(measure=measure, gamma0=gamma0, rho=[-0.5, 0.3], p0=[0.0, 0.0])
 
 
-def conditional_db_sd(model, dt):
-    """sd of dB_a given the node innovation of row a, sqrt(dt - rho^T gain
-    cross^T rho), from the conditional covariance dt I - gain cross^T of W
-    built here, not from ``StepOperator.cond_w_factor``."""
-    measure, rho = model.measure, model.rho
-    k, d = measure.k, measure.d
+def node_cross_covariance(measure, dt):
+    """Cov(dW_a, zeta_a) of one lift row, (d, k d): F_j(dt) (nu_j)_{cb} on
+    column (j, b)."""
     F = decay_integral(measure.nodes, dt)
-    cross = np.einsum("j,jcb->cjb", F, measure.weights).reshape(d, k * d)
+    return np.einsum("j,jcb->cjb", F, measure.weights).reshape(measure.d, -1)
+
+
+def conditional_db_law(model, dt):
+    """The gain of E[dW_a | zeta_a] = gain zeta_a and the sd of dB_a given
+    zeta_a, sqrt(rho^T (dt I - gain cross^T) rho + (1 - rho^T rho) dt)."""
+    measure, rho = model.measure, model.rho
+    cross = node_cross_covariance(measure, dt)
     C = node_covariance(measure, dt)
     gain = cross @ np.linalg.pinv(C, rcond=1e-12, hermitian=True)
-    cond_cov = dt * np.eye(d) - gain @ cross.T
-    return float(np.sqrt(max(rho @ cond_cov @ rho + (1.0 - rho @ rho) * dt, 0.0)))
+    cond_cov = dt * np.eye(measure.d) - gain @ cross.T
+    return gain, float(np.sqrt(max(rho @ cond_cov @ rho + (1.0 - rho @ rho) * dt, 0.0)))
+
+
+def path_draws(sim, seed, start, stop, chunk):
+    """Every path's normals (B, n_steps, draws) and jump uniforms (B,
+    n_steps, J) from its own stream, drawn in passes of ``chunk`` steps:
+    each pass the normals of its steps, then their uniforms."""
+    J = sim.model.n_jumps
+    B = stop - start
+    gauss = np.empty((B, sim.n_steps, sim._draws_per_step))
+    jump_u = np.empty((B, sim.n_steps, J))
+    for row, p in enumerate(range(start, stop)):
+        rng = path_rng(seed, p)
+        for m in range(0, sim.n_steps, chunk):
+            steps = slice(m, min(m + chunk, sim.n_steps))
+            gauss[row, steps] = rng.standard_normal(gauss[row, steps].shape)
+            if J:
+                jump_u[row, steps] = rng.uniform(size=jump_u[row, steps].shape)
+    return gauss, jump_u
 
 
 def einsum_step_reference(sim, seed, start, stop):
@@ -63,17 +85,10 @@ def einsum_step_reference(sim, seed, start, stop):
     J = model.n_jumps
     B = stop - start
     rank = op.noise_factor.shape[1]
-    draws = n * rank + n
-    gauss = np.empty((B, sim.n_steps, draws))
-    jump_u = np.empty((B, sim.n_steps, J)) if J else None
-    for row, p in enumerate(range(start, stop)):
-        rng = path_rng(seed, p)
-        gauss[row] = rng.standard_normal((sim.n_steps, draws))
-        if J:
-            jump_u[row] = rng.uniform(size=(sim.n_steps, J))
+    gauss, jump_u = path_draws(sim, seed, start, stop, sim._chunk_steps)
 
     rho = model.rho
-    sd_db = conditional_db_sd(model, dt)
+    gain, sd_db = conditional_db_law(model, dt)
     decay = np.exp(-model.measure.nodes * dt)
     gamma = np.broadcast_to(model.gamma0, (B, k, n, d)).copy()
     P = np.broadcast_to(model.p0, (B, d)).copy()
@@ -98,7 +113,7 @@ def einsum_step_reference(sim, seed, start, stop):
         V = np.einsum("bnx,bny->bxy", X, X)
         diagV = np.einsum("bxx->bx", V)
         zeta = z_node @ op.noise_factor.T
-        dB = zeta @ op.cond_w_gain.T @ rho + sd_db * z_db
+        dB = zeta @ gain.T @ rho + sd_db * z_db
 
         dP = -0.5 * diagV * dt + np.einsum("bna,bn->ba", X, dB)
         if J:
@@ -117,21 +132,15 @@ def einsum_step_reference(sim, seed, start, stop):
     return out
 
 
-def whole_horizon_reference(sim, seed, start, stop):
-    """The simulator's step loop over one whole-horizon draw: every path
-    fills all of its normals, then its uniforms, before the first step, and
-    the n rows are summed with ``sum(axis=1)``."""
+def flat_step_reference(sim, seed, start, stop, chunk):
+    """The simulator's step loop over draws made before the first step, in
+    passes of ``chunk`` steps (:func:`path_draws`), with the n rows summed
+    by ``sum(axis=1)``."""
     model = sim.model
     n, d, r = model.n, model.d, sim.op.noise_factor.shape[1]
     J = model.n_jumps
     B = stop - start
-    gauss = np.empty((B, sim.n_steps, sim._draws_per_step))
-    jump_u = np.empty((B, sim.n_steps, J)) if J else None
-    for row, p in enumerate(range(start, stop)):
-        rng = path_rng(seed, p)
-        rng.standard_normal(out=gauss[row])
-        if J:
-            jump_u[row] = rng.uniform(size=(sim.n_steps, J))
+    gauss, jump_u = path_draws(sim, seed, start, stop, chunk)
 
     half_dt = 0.5 * sim.dt
     gamma = np.tile(sim._gamma0, (B, 1))
@@ -402,43 +411,50 @@ class TestSimulation:
         sim = HestonSimulator(model, 1.0, 64)
         assert sim._draws_per_step == draws
 
+    @pytest.mark.parametrize("n_steps", [64, 400])
     @pytest.mark.parametrize("rho", ["model", "zero", "unit"])
     @pytest.mark.parametrize("make_model", [heston_reference_model, clamped_model],
                              ids=["reference", "clamped"])
-    def test_db_map_keeps_the_joint_law_of_innovation_and_db(self, make_model, rho):
-        # the one-normal-per-row map and the construction it replaces, W =
-        # cond_w_gain zeta + cond_w_factor z_w and dB = W rho + rho_orth
-        # sqrt(dt) z_bt from n d W and n Btilde normals, give (zeta, dB) of
-        # all n rows the same covariance
+    def test_db_map_keeps_the_joint_law_of_innovation_and_db(self, make_model, rho, n_steps):
+        # zeta = noise_factor z_node and dB = _db_map^T z of all n rows have
+        # the exact covariance: rows independent, each [[C, cross^T rho],
+        # [rho^T cross, dt]], Var(dB_a) = rho^T rho dt + (1 - rho^T rho) dt
         base = make_model()
         rho = {"model": base.rho, "zero": [0.0, 0.0], "unit": [-0.6, 0.8]}[rho]
         model = HestonModelSpec(measure=base.measure, gamma0=base.gamma0, rho=rho,
                                 p0=base.p0)
-        sim = HestonSimulator(model, 1.0, 64)
-        op, n, d, rho = sim.op, model.n, model.d, model.rho
-        kd = op.noise_factor.shape[0]
+        sim = HestonSimulator(model, 1.0, n_steps)
+        n, rho, dt = model.n, model.rho, sim.dt
+        L = sim.op.noise_factor
+        kd = L.shape[0]
         eye_n = np.eye(n)
-        zeta_map = np.kron(eye_n, op.noise_factor)                # (n kd, n r)
-        rho_orth = np.sqrt(max(1.0 - rho @ rho, 0.0))
-        old = np.block([
-            [zeta_map, np.zeros((n * kd, n * d + n))],
-            [np.kron(eye_n, rho @ op.cond_w_gain @ op.noise_factor),
-             np.kron(eye_n, rho @ op.cond_w_factor),
-             rho_orth * np.sqrt(sim.dt) * eye_n],
+        draws = np.block([[np.kron(eye_n, L), np.zeros((n * kd, n))], [sim._db_map.T]])
+        zeta_db = node_cross_covariance(model.measure, dt).T @ rho  # Cov(zeta_a, dB_a)
+        exact = np.block([
+            [np.kron(eye_n, node_covariance(model.measure, dt)),
+             np.kron(eye_n, zeta_db[:, None])],
+            [np.kron(eye_n, zeta_db[None, :]), dt * eye_n],
         ])
-        new = np.block([[zeta_map, np.zeros((n * kd, n))], [sim._db_map.T]])
         assert sim._db_map.shape == (sim._draws_per_step, n)
-        cov_old, cov_new = old @ old.T, new @ new.T
-        assert np.max(np.abs(cov_new - cov_old)) <= 1e-15 * np.max(np.abs(cov_old))
+        cov = draws @ draws.T
+        assert np.max(np.abs(cov - exact)) <= 1e-9 * np.max(np.abs(exact))
 
-    @pytest.mark.parametrize("case", ["reference", "clamped", "jumps", "variance_records"])
-    def test_flat_step_matches_einsum_reference(self, case):
+    @pytest.mark.parametrize("case", ["reference", "clamped", "jumps", "jump_chunks",
+                                      "variance_records"])
+    def test_flat_step_matches_einsum_reference(self, case, monkeypatch):
         if case == "reference":
             sim = HestonSimulator(heston_reference_model(), 1.0, 64)
         elif case == "clamped":
             sim = HestonSimulator(clamped_model(), 1.0, 64)
         elif case == "jumps":
             sim = HestonSimulator(two_atom_jump_model(), 1.0, 64)
+        elif case == "jump_chunks":
+            # 120 draws per pass: chunks of 10 steps, the last one ragged
+            import mvolt.heston as heston_mod
+
+            monkeypatch.setattr(heston_mod, "CHUNK_DRAWS", 120)
+            sim = HestonSimulator(two_atom_jump_model(), 1.0, 64)
+            assert sim._chunk_steps == 10
         else:
             sim = HestonSimulator(two_atom_jump_model(), 0.5, 16,
                                   record_times=np.linspace(0.0, 0.5, 9),
@@ -448,12 +464,11 @@ class TestSimulation:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
-
     @pytest.mark.parametrize("case", ["reference", "clamped", "jumps", "records", "start"])
     def test_chunked_draws_replay_whole_horizon_bitwise(self, case):
         # 10 draws per step (6 clamped) give chunks of 102 (170) steps, so
         # 250 (400) steps take two full chunks and a ragged third; the jump
-        # model draws in one pass
+        # model's 64 steps fit one chunk of 10 normals and 2 uniforms per step
         seed, start, stop = 11, 3, 43
         if case == "reference":
             sim = HestonSimulator(heston_reference_model(), 1.0, 250)
@@ -473,16 +488,30 @@ class TestSimulation:
                           "start": 102}[case]
         assert sim._chunk_steps == expected_chunk
         got = sim(seed, start, stop)
-        assert np.array_equal(got, whole_horizon_reference(sim, seed, start, stop))
+        assert np.array_equal(got, flat_step_reference(sim, seed, start, stop, sim.n_steps))
 
-    def test_noise_memory_does_not_grow_with_steps(self):
-        # one jump-free block of 512 paths: the whole-horizon draw peaked at
-        # 7.5 MB at 128 steps and 58.9 MB at 1024; with the chunked buffer
-        # (512 x 102 x 10 doubles) the block peaks at 4.8 MB at both
+    def test_jump_chunks_replay_chunk_by_chunk_draw_bitwise(self):
+        # 10 normals and 2 uniforms per step give chunks of 1024 // 12 = 85
+        # steps, so 250 steps take two full chunks and a ragged third; each
+        # pass draws the normals of its steps and then their uniforms, which
+        # is not the whole-horizon draw
+        seed, start, stop = 11, 3, 43
+        sim = HestonSimulator(two_atom_jump_model(), 1.0, 250)
+        assert sim._chunk_steps == 85
+        got = sim(seed, start, stop)
+        assert np.array_equal(got, flat_step_reference(sim, seed, start, stop, 85))
+        assert not np.array_equal(got, flat_step_reference(sim, seed, start, stop, 250))
+
+    @pytest.mark.parametrize("make_model", [heston_reference_model, two_atom_jump_model],
+                             ids=["reference", "jumps"])
+    def test_noise_memory_does_not_grow_with_steps(self, make_model):
+        # one block of 512 paths: the whole-horizon draw peaked at 7.5 MB at
+        # 128 steps and 58.9 MB at 1024 (jumps: 8.0 and 59.4 MB); the chunked
+        # buffers hold 512 x 1024 doubles at most whatever the horizon
         import tracemalloc
 
         def peak(n_steps):
-            sim = HestonSimulator(heston_reference_model(), 1.0, n_steps)
+            sim = HestonSimulator(make_model(), 1.0, n_steps)
             tracemalloc.start()
             try:
                 sim(3, 0, 512)

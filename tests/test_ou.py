@@ -310,47 +310,6 @@ class TestStepOperatorValidation:
         assert resid <= 1e-10 * max(np.linalg.norm(C), 1e-30)
 
 
-@pytest.mark.parametrize("measure", [two_node_measure(), clamped_measure()],
-                         ids=["full_rank", "clamped"])
-def test_gain_equals_the_pinv_gain(measure):
-    # the gain reuses the eigenpairs of the noise factor with pinv's own
-    # arithmetic, so it equals the gain through np.linalg.pinv bit for bit
-    from mvolt.measures import decay_integral
-
-    dt = 0.6
-    op = StepOperator.build(measure, dt)
-    cross = np.einsum("j,jcb->cjb", decay_integral(measure.nodes, dt),
-                      measure.weights).reshape(2, 4)
-    pinv = np.linalg.pinv(node_covariance(measure, dt), rcond=1e-12, hermitian=True)
-    np.testing.assert_array_equal(op.cond_w_gain, cross @ pinv)
-
-
-def test_conditional_brownian_reconstruction_joint_law():
-    # the (dW, node innovation) pair sampled through the conditional gain
-    # must reproduce the exact joint Gaussian law: marginal Cov(dW) = dt I
-    # and the closed-form cross covariance F_j(dt) (nu_j)_{cb}
-    from mvolt.measures import decay_integral
-
-    m = two_node_measure()
-    dt = 0.6
-    op = StepOperator.build(m, dt)
-    rng = np.random.default_rng(8)
-    n_m = 150_000
-    z1 = rng.standard_normal((n_m, op.noise_factor.shape[1]))
-    z2 = rng.standard_normal((n_m, 2))
-    zeta = z1 @ op.noise_factor.T
-    dw = zeta @ op.cond_w_gain.T + z2 @ op.cond_w_factor.T
-
-    cov_w = np.cov(dw.T)
-    tol = 6.0 * dt / np.sqrt(n_m / 4)
-    assert np.max(np.abs(cov_w - dt * np.eye(2))) <= tol
-
-    cross_emp = (dw.T @ zeta) / (n_m - 1)
-    F = decay_integral(m.nodes, dt)
-    cross_exact = np.einsum("j,jcb->cjb", F, m.weights).reshape(2, 4)
-    assert np.max(np.abs(cross_emp - cross_exact)) <= 6.0 * np.sqrt(dt) / np.sqrt(n_m / 30)
-
-
 def test_step_covariance_against_fine_grid_euler():
     # independent oracle: Euler-discretize d gamma_i = -x_i gamma_i dt
     # + dW nu_i on a fine grid and compare the empirical one-step covariance

@@ -42,6 +42,30 @@ def test_tracing_install_and_off_restore_originals(monkeypatch):
     assert mvolt.heston.HestonSimulator.__dict__["__call__"] is call
 
 
+def test_tracing_counts_a_chunked_price_jump_block(monkeypatch):
+    # the block wrapper reads ``_draws_per_step``, ``model.n_jumps`` and
+    # ``n_steps`` of the simulator; a price-jump model whose horizon takes
+    # more than one chunk of draws runs through it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    base = heston_reference_model()
+    model = mvolt.heston.HestonModelSpec(
+        measure=base.measure, gamma0=base.gamma0, rho=base.rho, p0=base.p0,
+        jump_atoms=np.array([[0.15, 0.0]]), jump_weights=np.array([np.eye(2) * 0.5]))
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        sim = mvolt.heston.HestonSimulator(model, 1.0, 200)
+        assert sim._chunk_steps < sim.n_steps
+        assert sim(0, 0, 8).shape == (8, 1, 2)
+        metrics = tracing.layer_metrics(tracer, rounds=1)
+        assert metrics["heston.HestonSimulator.ns_per_path_step"] > 0.0
+        assert metrics["heston.noise_mb_per_block"] > 0.0
+    finally:
+        patches.off()
+
+
 def test_tracing_wraps_the_hawkes_entry_points(monkeypatch, tmp_path):
     # a 20-path ``hawkes simulate`` and one single-stream path through the
     # wrappers: the block runs the lockstep engine, whose flows are counted,
