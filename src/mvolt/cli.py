@@ -428,7 +428,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, FileNotFoundError) as exc:

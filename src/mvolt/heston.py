@@ -24,10 +24,16 @@ step (weak error O(dt), every exp(P_i) remains a martingale of the discrete
 chain by construction).  The characteristic function delegates to the
 node-pair Riccati system, and a strike ladder is priced by a damped inverse
 transform along one asset direction from one solve of it.
+
+The draws dominate a simulated block, and each path draws from its own
+counter-based stream, so the rows of a pass are filled on several threads
+(NumPy's Generator fills release the GIL): each row by one thread, in its
+own order, so the samples do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +139,42 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
 # CHUNK_DRAWS // (_draws_per_step + J) steps (at least one) of every path.
 CHUNK_DRAWS = 1024
 
+# The thread rule: a pass whose B rows fill w doubles each is split over
+# T = min(CPUs, B, B w // THREAD_MIN_DOUBLES) threads, and stays on the
+# calling thread (T = 1) when w < THREAD_MIN_ROW_DOUBLES.  A row's fill
+# releases the GIL; its Python call and each hand-off of the GIL between
+# threads do not, so short rows lose more to the hand-offs than the second
+# thread saves, and a pass of few rows does not pay for the pool.  Time of
+# one thread over two, per pass (2-vCPU Xeon, one BLAS thread, median of 5):
+#
+#   rows \ w     256   384   512   768  1024  2048
+#      4        0.24  0.29  0.40  0.69  0.80  1.16
+#      8        0.34  0.41  0.64  0.92  1.23  1.22
+#     16        0.40  0.51  0.96  1.25  1.34  1.58
+#     32        0.52  0.58  1.19  1.24  1.60  1.70
+#   1024        0.63  0.89  1.27  1.68  1.76  1.90
+#
+# Every pass of the table that the rule splits was faster split; a row of
+# w = 1020 with two jump atoms (850 normals, then 170 uniforms) gained 1.78x
+# on 1024 rows.  Every pass but a horizon's last fills w > CHUNK_DRAWS / 2.
+THREAD_MIN_ROW_DOUBLES = 512
+THREAD_MIN_DOUBLES = 8192
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_threads(rows: int, row_doubles: int) -> int:
+    """Threads that fill a pass of ``rows`` rows of ``row_doubles`` doubles
+    each, by the thread rule."""
+    if row_doubles < THREAD_MIN_ROW_DOUBLES:
+        return 1
+    return max(min(_usable_cpus(), rows, rows * row_doubles // THREAD_MIN_DOUBLES), 1)
+
 
 def step_times(horizon: float, n_steps: int) -> np.ndarray:
     """The grid 0, dt, ..., horizon of n_steps >= 1 steps over a finite horizon."""
@@ -168,6 +210,16 @@ class HestonSimulator:
     run over them, and the last chunk is ragged.  The buffers hold at most
     B x CHUNK_DRAWS doubles whatever the horizon.  A horizon of one chunk
     is the whole-horizon draw, all normals and then all uniforms.
+
+    A pass splits its B rows into T contiguous ranges by the thread rule
+    (``THREAD_MIN_ROW_DOUBLES``, ``THREAD_MIN_DOUBLES``): the calling thread
+    fills the first, T - 1 threads of a pool that lives for the call fill
+    the others.  A row is filled by one thread from its own Generator in the
+    order above, so the samples are bitwise those of the serial fill for
+    every T.  The streams are built on the calling thread, one ``path_rng``
+    per path in path order, and the pool threads call only the Generators'
+    fill methods: the benchmark's tracing wraps ``path_rng`` with spans on
+    one stack, which is not thread-safe.
     """
 
     def __init__(self, model: HestonModelSpec, horizon: float, n_steps: int,
@@ -178,6 +230,10 @@ class HestonSimulator:
         self.n_steps = int(n_steps)
         times = step_times(self.horizon, self.n_steps)
         self.dt = self.horizon / self.n_steps
+        # the step's decay integrals take (x_i + x_j) dt on every node pair
+        if 2.0 * float(model.measure.nodes[-1]) * self.dt == np.inf:
+            raise OverflowError(f"step dt = {self.dt:.6g} overflows the decay of node "
+                                f"x = {model.measure.nodes[-1]:.6g} (2 x dt = inf)")
         self.op = StepOperator.build(model.measure, self.dt)
         if record_times is None:
             record_times = times[-1:]
@@ -234,17 +290,39 @@ class HestonSimulator:
     def __call__(self, seed: int, start: int, stop: int) -> np.ndarray:
         """Samples of shape (paths, len(record_times), d), the log prices;
         with ``record_variance`` the last axis doubles to [P, diag V]."""
+        row_doubles = self._chunk_steps * (self._draws_per_step + self.model.n_jumps)
+        threads = _fill_threads(stop - start, row_doubles)
+        if threads == 1:
+            return self._simulate(seed, start, stop, None)
+        # imported here: a block below the thread rule never loads the pool
+        from concurrent.futures.thread import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads - 1) as pool:
+            return self._simulate(seed, start, stop, pool)
+
+    def _simulate(self, seed: int, start: int, stop: int, pool) -> np.ndarray:
+        """The block's samples; ``pool`` (None or a thread pool) takes the
+        rows of each pass beyond the calling thread's share."""
         model = self.model
         n, d, r = model.n, model.d, self.op.noise_factor.shape[1]
         J = model.n_jumps
         B = stop - start
-        # One path_rng per path, not mc.path_streams: the benchmark's tracing
-        # wraps mvolt.heston.path_rng by name, so the move to path_streams
-        # waits for a change to the benchmark.  The draws are the same.
+        # One path_rng per path, in path order on the calling thread, not
+        # mc.path_generators: the benchmark's tracing wraps
+        # mvolt.heston.path_rng by name, so the move to path_generators waits
+        # for a change to the benchmark.  The draws are the same.
         rngs = [path_rng(seed, p) for p in range(start, stop)]
-        S = self._chunk_steps
-        gauss = np.empty((B, S, self._draws_per_step))
+        S, draws = self._chunk_steps, self._draws_per_step
+        gauss = np.empty((B, S, draws))
         unif = np.empty((B, S, J))
+
+        def fill(lo, hi, s):
+            """Draw the next s steps of rows [lo, hi): each row's normals,
+            then its uniforms, from its own stream."""
+            for row in range(lo, hi):
+                rngs[row].standard_normal(out=gauss[row, :s])
+                if J:
+                    rngs[row].random(out=unif[row, :s])
 
         half_dt = 0.5 * self.dt
         gamma = np.tile(self._gamma0, (B, 1))            # (B n, k d)
@@ -267,10 +345,13 @@ class HestonSimulator:
             j = m % S
             if j == 0:
                 s = min(S, self.n_steps - m)
-                for row, rng in enumerate(rngs):
-                    rng.standard_normal(out=gauss[row, :s])
-                    if J:
-                        rng.random(out=unif[row, :s])
+                T = 1 if pool is None else _fill_threads(B, s * (draws + J))
+                edges = [B * i // T for i in range(T + 1)]
+                futures = [pool.submit(fill, lo, hi, s)
+                           for lo, hi in zip(edges[1:-1], edges[2:])]
+                fill(0, edges[1], s)
+                for future in futures:
+                    future.result()
             z = gauss[:, j]                               # (B, draws)
             z_node = z[:, :n * r].reshape(B * n, r)
             X = gamma @ self._sum_nodes                   # (B n, d)

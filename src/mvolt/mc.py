@@ -148,17 +148,27 @@ def path_generators(seed: int, start: int, stop: int) -> list[np.random.Generato
     """The streams ``path_rng(seed, p)`` for p in [start, stop), one
     Generator each, so that a block can draw from all of them in turn.
 
-    Each is a Philox seeded from one shared, throwaway SeedSequence and then
-    reset to path p's key and a zero counter, which is cheaper than hashing
-    a SeedSequence per path.
+    Each is a Philox built from path p's key in :func:`path_keys`, with a
+    zero counter, which is cheaper than hashing a SeedSequence per path.
     """
-    seed_seq = np.random.SeedSequence(0)
-    out = []
-    for key in path_keys(seed, start, stop).tolist():
-        bit_gen = np.random.Philox(seed_seq)
-        bit_gen.state = _philox_state(key)
-        out.append(np.random.Generator(bit_gen))
-    return out
+    # imported here: ``import numpy`` does not load numpy.random
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        """A seed sequence that knows one Philox key and nothing else:
+        Philox asks it for ``generate_state(2, np.uint64)`` and gets the key."""
+
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds one Philox key, 2 uint64 words; asked for "
+                                 f"{n_words} of {np.dtype(dtype)}")
+            return self.key
+
+    return [np.random.Generator(np.random.Philox(PhiloxKey(key)))
+            for key in path_keys(seed, start, stop)]
 
 
 @dataclass(frozen=True)

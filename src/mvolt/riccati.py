@@ -292,7 +292,8 @@ def solve_joint_riccati_heston(
     Tr(Psi Lambda) + w^T P_0), Lambda_ij = gamma0_i^T gamma0_j.  A doubling
     (or the application to psi0) at which det X turns by over a quarter turn,
     log det X is not finite or |Psi| exceeds ``BLOWUP_LIMIT`` raises.
-    Raises ValueError unless 0 <= t < inf and n_steps >= 1.
+    Raises ValueError unless 0 <= t < inf and n_steps >= 1, and
+    OverflowError when 2 rate t overflows.
     """
     if not (0.0 <= t < np.inf and n_steps >= 1):
         raise ValueError(f"need 0 <= t < inf and n_steps >= 1, got t = {t}, "
@@ -322,7 +323,11 @@ def solve_joint_riccati_heston(
     norms = [np.linalg.norm(a, o, axis=(1, 2)).max(initial=0.0) for a, o in
              ((A, 1), (A, np.inf), (ham[:, :kd, kd:], 1), (ham[:, kd:, :kd], 1))]
     rate = max(norms[:2]) + np.sqrt(norms[2] * norms[3])
-    J = int(np.ceil(np.log2(max(n_steps, 2.0 * rate * t, 1.0))))
+    span = 2.0 * float(rate) * t
+    if span == np.inf:
+        raise OverflowError(f"t = {t:.6g} overflows the flow map's doubling count "
+                            f"(2 rate t = inf, rate = {rate:.6g})")
+    J = int(np.ceil(np.log2(max(n_steps, span, 1.0))))
     from scipy.linalg import expm  # loaded at first use: slow to import
 
     S = expm(ham * (t / 2**J))

@@ -990,6 +990,22 @@ def test_non_finite_time_exits_two_with_one_line(tmp_path, capsys, measure_file,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag", ["heston-simulate-T", "heston-price-maturity"])
+def test_overflowing_finite_time_exits_three_with_one_line(tmp_path, capsys,
+                                                          heston_model_file, flag):
+    # heston simulate --T 1e308 --steps 2 wrote prices near -5.6e305 after an
+    # overflow warning; heston price --maturity 1e308 ended in an
+    # OverflowError traceback
+    argv = [arg.format(heston=heston_model_file) for arg in TIME_FLAGS[flag]]
+    out = tmp_path / "out.txt"
+    assert main([*argv, "1e308", "--steps", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert "overflows" in err[0]
+    assert not out.exists()
+
+
 def test_hawkes_requires_model_or_measure(tmp_path):
     rc = main(["hawkes", "simulate", "--T", "1.0", "--paths", "1",
                "--out", str(tmp_path / "e.csv")])

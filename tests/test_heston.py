@@ -1,7 +1,13 @@
+import concurrent.futures.thread
+import sys
+import threading
+from concurrent.futures.thread import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import mvolt.heston as heston_mod
 from mvolt.measures import AtomicMatrixMeasure, decay_integral
 from mvolt.heston import (
     HestonModelSpec,
@@ -450,8 +456,6 @@ class TestSimulation:
             sim = HestonSimulator(two_atom_jump_model(), 1.0, 64)
         elif case == "jump_chunks":
             # 120 draws per pass: chunks of 10 steps, the last one ragged
-            import mvolt.heston as heston_mod
-
             monkeypatch.setattr(heston_mod, "CHUNK_DRAWS", 120)
             sim = HestonSimulator(two_atom_jump_model(), 1.0, 64)
             assert sim._chunk_steps == 10
@@ -523,6 +527,82 @@ class TestSimulation:
         assert peak(1024) - peak(128) < 64 * 1024
 
 
+class SpyPool(ThreadPoolExecutor):
+    """A thread pool that records its size and the rows handed to it."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.ranges = []
+        SpyPool.made.append(self)
+
+    def submit(self, fn, *args):
+        self.ranges.append(args[:2])
+        return super().submit(fn, *args)
+
+
+@pytest.fixture
+def spy_pool(monkeypatch):
+    SpyPool.made = []
+    monkeypatch.setattr(concurrent.futures.thread, "ThreadPoolExecutor", SpyPool)
+    return SpyPool.made
+
+
+class TestThreadedFill:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("case", ["reference", "clamped", "jumps"])
+    def test_block_is_the_serial_fill_for_any_thread_count(self, case, cpus, monkeypatch,
+                                                           spy_pool):
+        # 85 rows of about 1020 doubles a pass take min(cpus, 85 * 1020 // 8192
+        # = 10) threads.  Passes: reference 102, 102, 102 and 94 steps of 10
+        # draws; clamped 170, 170 and 60 steps of 6 (the last, 360 doubles a
+        # row, below the rule); jumps 85, 85 and 80 steps of 10 normals and 2
+        # uniforms
+        seed, start, stop = 11, 5, 90
+        model, n_steps, chunk, split_passes = {
+            "reference": (heston_reference_model(), 400, 102, 4),
+            "clamped": (clamped_model(), 400, 170, 2),
+            "jumps": (two_atom_jump_model(), 250, 85, 3),
+        }[case]
+        monkeypatch.setattr(heston_mod, "_usable_cpus", lambda: cpus)
+        sim = HestonSimulator(model, 1.0, n_steps)
+        assert sim._chunk_steps == chunk
+        threads_before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sim(seed, start, stop)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads_before
+        assert np.array_equal(got, flat_step_reference(sim, seed, start, stop, chunk))
+        if cpus == 1:
+            assert spy_pool == []
+        else:
+            (pool,) = spy_pool
+            assert pool._max_workers == cpus - 1
+            edges = [85 * i // cpus for i in range(cpus + 1)]
+            pool_rows = list(zip(edges[1:-1], edges[2:]))
+            assert pool.ranges == pool_rows * split_passes
+
+    def test_pass_below_the_rule_starts_no_thread(self, monkeypatch, spy_pool):
+        # 4 steps of 10 draws: 40 doubles a row
+        monkeypatch.setattr(heston_mod, "_usable_cpus", lambda: 8)
+        before = threading.active_count()
+        HestonSimulator(heston_reference_model(), 1.0, 4)(3, 0, 1000)
+        assert spy_pool == []
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus, rows, row_doubles, threads", [
+        (2, 1024, 511, 1), (2, 1024, 512, 2), (2, 16, 512, 1), (2, 16, 1024, 2),
+        (2, 8, 1024, 1), (2, 1, 10**6, 1), (8, 1024, 1020, 8), (8, 40, 1024, 5),
+    ])
+    def test_thread_rule(self, monkeypatch, cpus, rows, row_doubles, threads):
+        monkeypatch.setattr(heston_mod, "_usable_cpus", lambda: cpus)
+        assert heston_mod._fill_threads(rows, row_doubles) == threads
+
+
 class TestFourierPricing:
     def test_degenerate_matches_gaussian_closed_form(self):
         model = degenerate_model()
@@ -572,8 +652,6 @@ class TestFourierPricing:
             assert fp.truncation_error == ladder.truncation_error[i]
 
     def test_one_riccati_solve_per_ladder(self, monkeypatch):
-        import mvolt.heston as heston_mod
-
         solves = []
 
         def counting(*args, **kwargs):

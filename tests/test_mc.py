@@ -80,11 +80,28 @@ def test_path_generators_draw_what_path_rng_draws(seed, start, stop):
     assert len(gens) == stop - start
     assert len({id(rng) for rng in gens}) == len(gens)
     refs = [path_rng(seed, p) for p in range(start, stop)]
+    # counter, key, output buffer and half-used word, before any draw
+    for rng, ref in zip(gens, refs):
+        got, want = rng.bit_generator.state, ref.bit_generator.state
+        assert got.keys() == want.keys()
+        for name in ("counter", "key"):
+            np.testing.assert_array_equal(got["state"][name], want["state"][name])
+        np.testing.assert_array_equal(got["buffer"], want["buffer"])
+        for name in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
+            assert got[name] == want[name]
     # draw from all paths in turn, as lockstep thinning does
     for _ in range(3):
         for rng, ref in zip(gens, refs):
             for got, want in zip(_thinning_draws(rng), _thinning_draws(ref)):
                 np.testing.assert_array_equal(got, want)
+
+
+def test_path_generators_seed_sequence_gives_only_the_key():
+    seed_seq = path_generators(3, 0, 1)[0].bit_generator.seed_seq
+    np.testing.assert_array_equal(seed_seq.generate_state(2, np.uint64), path_keys(3, 0, 1)[0])
+    for n_words, dtype in ((4, np.uint32), (2, np.uint32), (1, np.uint64), (4, np.uint64)):
+        with pytest.raises(ValueError, match="holds one Philox key"):
+            seed_seq.generate_state(n_words, dtype)
 
 
 def test_negative_seed_is_rejected():

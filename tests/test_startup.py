@@ -1,5 +1,6 @@
 """Start-up guard: the package and the commands that take no matrix
-exponential load no SciPy module, and a serial run loads no process pool.
+exponential load no SciPy module, and a serial run loads no process pool
+(nor, below the thread rule of ``heston``, the thread pool).
 
 SciPy takes longer to import than these commands take to run, so each is
 run in a fresh interpreter, where ``sys.modules`` shows what the import of
@@ -53,7 +54,8 @@ SCRIPT = textwrap.dedent("""
                       "scipy": sorted(m for m in sys.modules
                                       if m == "scipy" or m.startswith("scipy.")),
                       "pool": sorted(m for m in sys.modules
-                                     if m == "concurrent.futures.process"
+                                     if m in ("concurrent.futures.process",
+                                              "concurrent.futures.thread")
                                      or m.split(".")[0] == "multiprocessing")}))
 """)
 
