@@ -3,13 +3,12 @@
 Simulators (exact Gaussian OU lift, squared lift, PSD jump/Hawkes lift,
 covariance-modulated log price) paired with their analytic Laplace and
 characteristic transforms (closed forms and matrix Riccati solvers), plus
-kernel tooling (fractional fits, resolvents) and a reproducible parallel
-Monte Carlo engine.
+kernel tooling (fractional fits, the exact resolvent flow) and a
+reproducible parallel Monte Carlo engine.
 """
 
 from .measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
 from .fractional import FractionalKernelSpec, fit_fractional_measure
-from .kernelops import resolvent_second_kind
 from .ou import StepOperator
 from .wishart import (
     WishartTransformQuery,
@@ -40,7 +39,6 @@ __all__ = [
     "eval_kernel",
     "FractionalKernelSpec",
     "fit_fractional_measure",
-    "resolvent_second_kind",
     "StepOperator",
     "WishartTransformQuery",
     "affine_transform_wishart",

@@ -63,22 +63,16 @@ def _write_path_csv(path: str | None, prefix: str, times, samples) -> None:
     _write_text(path, configio.format_csv(["path", "t"] + names, columns))
 
 
+def _json_default(x):
+    """A NumPy scalar or array as its Python value: the hook json.dumps calls
+    on what it cannot write itself.  A bool stays a JSON boolean."""
+    if isinstance(x, (np.generic, np.ndarray)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
 def _json_report(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _clean(x):
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return _clean(x.tolist())
-    if isinstance(x, dict):
-        return {k: _clean(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_clean(v) for v in x]
-    return x
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 # kernel --------------------------------------------------------------------
@@ -143,9 +137,8 @@ def cmd_wishart_transform(args) -> int:
     vs = simulate_wishart(measure, gamma0, times, args.paths, args.seed,
                           workers=args.workers)
     entries = wishart_transform_points(measure, queries, vs)
-    _write_text(args.out, _json_report(_clean({"entries": entries,
-                                               "paths": args.paths,
-                                               "seed": args.seed})))
+    _write_text(args.out, _json_report({"entries": entries, "paths": args.paths,
+                                        "seed": args.seed}))
     return 0
 
 
@@ -195,7 +188,7 @@ def cmd_transform_laplace(args) -> int:
                 "volterra_value": res.volterra_value,
                 "route_rel_gap": res.discrepancy}
                for t, res in zip(times, results)]
-    _write_text(args.out, _json_report(_clean({"entries": entries})))
+    _write_text(args.out, _json_report({"entries": entries}))
     return 0
 
 
@@ -213,7 +206,7 @@ def cmd_transform_charfn(args) -> int:
          "modulus": float(abs(val))}
         for v, val in zip(vmat, np.atleast_1d(values))
     ]
-    _write_text(args.out, _json_report(_clean({"t": args.t, "entries": entries})))
+    _write_text(args.out, _json_report({"t": args.t, "entries": entries}))
     return 0
 
 
@@ -275,7 +268,7 @@ def cmd_validate(args) -> int:
     paths, seed = run_number("paths"), run_number("seed")
     workers = configio.int_field(run_sec, "workers", f"{args.config}[run]", args.workers)
     results = run_checks(names, n_paths=paths, seed=seed, workers=workers)
-    report = {"checks": _clean(results), "passed": all(r["passed"] for r in results)}
+    report = {"checks": results, "passed": all(r["passed"] for r in results)}
     text = _json_report(report)
     out_target = args.out if args.out != "-" else out_sec.get("json", "-")
     _write_text(out_target, text)

@@ -25,10 +25,10 @@ every path's state in arrays and advances them together, while path p
 draws from its own stream exactly what it would draw alone, so each path
 is bit-identical to the one a lone path gets.  A control interval whose
 dominating rate runs away raises FloatingPointError.  The result is one
-:class:`JumpPathBlock` of arrays over the block's paths: V and the
-cumulative atom counts on a time grid, the compensators int_0^T rate_r dt
-and the jump log as flat columns (path, time, atom, total rate just before
-the jump), ordered by path and then by time.  With
+:class:`JumpPathBlock` of arrays over the block's paths: V on a time grid,
+the compensators int_0^T rate_r dt and the jump log as flat columns (path,
+time, atom, total rate just before the jump), ordered by path and then by
+time; a path's atom counts are those of its jump log.  With
 X^jump_t = sum_{jumps <= t} xi, the Volterra representation
 
     V_t = h(t) + int_0^t K(t-s+eps) dX^jump_s + (mirror)
@@ -56,9 +56,8 @@ THINNING_ETA = 0.5
 # interval; beyond it the rate has run away within the interval.
 MAX_INTERVAL_CANDIDATES = 1e6
 # Largest number of grid intervals of a thinning run, grid_steps or the
-# control intervals T / thinning_dt: every path records V and its jump counts
-# at each grid point, (grid_steps + 1)(d^2 + atoms) doubles, 16 MB per path
-# at this bound for d = 1 and one atom.
+# control intervals T / thinning_dt: every path records V at each grid point,
+# (grid_steps + 1) d^2 doubles, 8 MB per path at this bound for d = 1.
 MAX_GRID_STEPS = 10**6
 # Tolerance of Generator.choice on the sum of a float64 probability vector.
 CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
@@ -139,7 +138,12 @@ def hawkes_jump_spec(d: int, excitation: np.ndarray | None = None) -> JumpMeasur
 class JumpLiftState:
     """Initial lift state: the node matrices lam(x_i) of the driving measure.
 
-    The measure's weights nu_i must be PSD, or V leaves the PSD cone.
+    The measure's weights nu_i must be PSD, or V leaves the PSD cone, and so
+    must V_0 = sum_i lam(x_i).  These conditions are necessary, not
+    sufficient: the lam(x_i) decay at their own rates x_i, so a lam with a
+    PSD sum can still carry V out of the cone (nodes 0 and 10, lam = (-0.5,
+    1) and nu = 0 give V_t = e^(-10 t) - 0.5).  The rule on lam that keeps V
+    PSD is not derived here.
     """
 
     lam: np.ndarray            # (k, d, d) symmetric
@@ -157,6 +161,7 @@ class JumpLiftState:
         if not np.allclose(lam, np.swapaxes(lam, 1, 2), atol=1e-9):
             raise ValueError("lam matrices must be symmetric")
         check_psd(self.measure.weights, "kernel weight")
+        check_psd(lam.sum(axis=0), "initial V = sum_i lam(x_i)")
 
 
 def lift_operator(measure: AtomicMatrixMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -254,12 +259,11 @@ class LinearFlow:
 
 
 class JumpPathBlock(NamedTuple):
-    """Simulated lift paths of one block, as arrays over its B paths: V and
-    the atom counts on the grid, the compensators and the jump log, whose
-    flat columns are ordered by path and then by time."""
+    """Simulated lift paths of one block, as arrays over its B paths: V on
+    the grid, the compensators and the jump log, whose flat columns are
+    ordered by path and then by time."""
 
     v_path: np.ndarray              # (B, N+1, d, d) V at grid times
-    counts_path: np.ndarray         # (B, N+1, m) cumulative atom counts at grid times
     compensators: np.ndarray        # (B, m) int_0^T rate_r dt
     jump_paths: np.ndarray          # (J,) path index of each jump
     jump_times: np.ndarray          # (J,)
@@ -379,9 +383,7 @@ def _thin_paths(
     lam0 = state0.lam
     z = np.tile(flow.pack(lam0, np.zeros((d, d))), (n_paths, 1))
     t = np.zeros(n_paths)
-    counts = np.zeros((n_paths, m))
     v_path = np.zeros((n_paths, n_rec, d, d))
-    counts_path = np.zeros((n_paths, n_rec, m))
     v_path[:, 0] = lam0.sum(axis=0)
     rec_idx = np.ones(n_paths, dtype=np.intp)
 
@@ -399,7 +401,6 @@ def _thin_paths(
             t[j] = tj
             r = rec_idx[j]
             v_path[j, r] = z[j, :kn].reshape(-1, k, d, d).sum(axis=1)
-            counts_path[j, r] = counts[j]
             rec_idx[j] += 1
         go = target > t[idx]
         j = idx[go]
@@ -480,7 +481,6 @@ def _thin_paths(
         else:
             atoms = np.zeros(j.size, dtype=int)
         z[j, :kn] += jump_incs[atoms]
-        counts[j, atoms] += 1.0
         events.append((j, t[j], atoms, total_j))
         # the rate jumped up: restart the control interval from here
         h_ctrl[j] = thinning_dt
@@ -495,8 +495,8 @@ def _thin_paths(
 
     paths, ev_t, ev_atom, ev_rate = (np.concatenate(cols) for cols in zip(*events))
     order = np.argsort(paths, kind="stable")
-    return JumpPathBlock(v_path, counts_path, compens, paths[order], ev_t[order],
-                         ev_atom[order], ev_rate[order])
+    return JumpPathBlock(v_path, compens, paths[order], ev_t[order], ev_atom[order],
+                         ev_rate[order])
 
 
 class HawkesPathSimulator:

@@ -34,17 +34,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def check_psd(stack, name: str) -> None:
-    """Raise ValueError unless every matrix of the (m, d, d) stack has a
-    symmetric part that is PSD up to the EPS_PSD slack; the message names
-    the first failing matrix as ``name i``."""
+    """Raise ValueError unless every matrix of the (m, d, d) stack, or the
+    one (d, d) matrix, has a symmetric part that is PSD up to the EPS_PSD
+    slack; the message names the first failing matrix of a stack as
+    ``name i`` and a lone matrix as ``name``."""
     stack = np.asarray(stack, dtype=float)
     if not stack.size:
         return
-    lo = np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack, -1, -2)))[:, 0]
+    lo = np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack, -1, -2)))[..., 0]
     slack = EPS_PSD * (1.0 + np.abs(np.trace(stack, axis1=-2, axis2=-1)))
     bad = np.flatnonzero(lo < -slack)
     if bad.size:
-        raise ValueError(f"{name} {bad[0]} must be PSD, min eigenvalue {lo[bad[0]]:.3e}")
+        label = name if stack.ndim == 2 else f"{name} {bad[0]}"
+        raise ValueError(f"{label} must be PSD, min eigenvalue {lo.flat[bad[0]]:.3e}")
 
 
 @dataclass(frozen=True)

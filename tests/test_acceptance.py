@@ -97,15 +97,15 @@ def test_criterion_5_compensator_identity():
 def test_criterion_6_resolvent_identity():
     res = check_resolvent()
     ok = report(
-        "criterion 6: resolvent grid scheme vs the exact atomic flow at 0.2 dt^2, "
-        "Laplace identity and scalar closed form at dt=1e-4",
+        "criterion 6: exact atomic resolvent flow, Laplace identity to 1e-12 "
+        "and scalar closed form c e^(-2ct) to 1e-14",
         res,
         f"scalar err={res['scalar_closed_form_err']:.2e} "
-        f"flow gaps={['%.2e' % g for g in res['flow_gaps']]} "
         f"laplace={res['laplace_residual']:.1e}",
     )
     assert ok, res
-    assert res["scalar_closed_form_err"] <= 1e-6
+    assert res["scalar_closed_form_err"] <= 1e-14
+    assert res["laplace_residual"] <= 1e-12
 
 
 def test_criterion_7_fractional_fit():

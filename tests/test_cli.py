@@ -272,6 +272,25 @@ class TestSimulationCommands:
                            f"got atoms (1, 1, 1) and weights (0, 1, 1)"], cmd
             assert not out.exists()
 
+    def test_indefinite_lambda0_is_config_error(self, tmp_path, capsys):
+        # V_0 = lam0 = -1 is not PSD; run anyway, every path ends with
+        # V_T < 0 and the Laplace transform reads 2.16, outside (0, 1]
+        model = write(
+            tmp_path / "m.cfg",
+            "[measure]\nnodes = [1.0]\nweights = [[[0.4]]]\nd = 1\n"
+            "[lambda0]\nweights = [[[-1.0]]]\n"
+            "[jumps]\natoms = [[[1.0]]]\nweights = [[[1.0]]]\n")
+        out = tmp_path / "events.csv"
+        for cmd in (["hawkes", "simulate", "--T", "1.0", "--paths", "5"],
+                    ["transform", "laplace", "--u", write(tmp_path / "u.cfg", "u = [[-0.5]]\n"),
+                     "--t", "1.0"]):
+            rc = main([*cmd, "--model", model, "--out", str(out)])
+            assert rc == 2, cmd
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"config error: {model}: initial V = sum_i lam(x_i) must be PSD, "
+                           f"min eigenvalue -1.000e+00"], cmd
+            assert not out.exists()
+
     @pytest.mark.parametrize("cmd", [["hawkes", "simulate", "--T", "1.0", "--paths", "3"],
                                      ["transform", "laplace", "--t", "0.5"]],
                              ids=["hawkes-simulate", "transform-laplace"])

@@ -115,13 +115,14 @@ ROUTES = {
 
 # the entries each route must reject, (file, section, key), and how to break
 # them: "inf" sets one entry to inf, "asym" and "nsd" break the first matrix
-# of a stack (a PSD check only where the model needs it), "k" drops the last
+# of a stack (a PSD check only where the model needs it), "indef" makes the
+# node matrices of lambda0 sum to -I/2, not PSD, "k" drops the last
 # node's entry, "d" adds a row and a column, "nodes" moves the nodes and
 # "missing" deletes the key, or the whole section for key None.  Every key
 # is also replaced by the dict literal {1: 2}
 JUMP = [("model", "measure", "weights", ("inf", "asym", "nsd", "k", "d")),
         ("model", "measure", "nodes", ("inf", "missing")),
-        ("model", "lambda0", "weights", ("inf", "asym", "k", "d", "missing")),
+        ("model", "lambda0", "weights", ("inf", "asym", "indef", "k", "d", "missing")),
         ("model", "jumps", "atoms", ("inf", "asym", "nsd", "k", "d")),
         ("model", "jumps", "weights", ("inf", "asym", "nsd")),
         ("model", "measure", None, ("missing",)),
@@ -142,7 +143,8 @@ FAULTS = {
     "laplace": JUMP + [("u", "", "u", ("inf", "d", "missing"))],
     "hawkes-model": JUMP,
     "hawkes-preset": [("measure", "", "weights", ("inf", "asym", "nsd", "k", "d")),
-                      ("lambda0", "", "weights", ("inf", "asym", "k", "d", "missing")),
+                      ("lambda0", "", "weights", ("inf", "asym", "indef", "k", "d",
+                                                  "missing")),
                       ("lambda0", "", "nodes", ("nodes", "missing"))],
     "heston": HESTON,
     "heston-simulate": HESTON,
@@ -162,6 +164,8 @@ def break_entry(value, kind, d):
         a[0, 0, -1] += 0.5
     elif kind == "nsd":
         a[0] = -0.5 * np.eye(d)
+    elif kind == "indef":
+        a[0] = -0.5 * np.eye(d) - a[1:].sum(axis=0)
     elif kind == "k":  # one entry short: a node, an atom or a vector entry
         a = a[:-1]
     elif kind == "d":

@@ -21,6 +21,7 @@ from mvolt.jumps import (
     simulate_jump_path,
     volterra_projection,
 )
+from mvolt.validate import _final_counts_and_compensators
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -195,11 +196,17 @@ class TestSimulatePath:
             assert np.linalg.eigvalsh(rec.v_path[0])[:, 0].min() >= -1e-12
 
     def test_counts_match_jump_log(self):
-        _, spec, state = diagonal_preset()
-        rec = simulate_jump_path(state, spec, 3.0, np.random.default_rng(11),
-                                 0.25, TimeGrid.regular(3.0, 6))
-        for r in range(2):
-            assert rec.counts_path[0, -1, r] == np.sum(rec.jump_atoms == r)
+        # the compensator check counts each path's jumps per atom from the
+        # block's jump log, whose paths are numbered from the block's start
+        measure, spec, state = diagonal_preset()
+        sim = HawkesPathSimulator(measure, state.lam, spec, 3.0, 0.25, grid_steps=6)
+        counts, compens = _final_counts_and_compensators(sim, 11, 5, 25)
+        block = sim.block(11, 5, 25)
+        assert block.jump_times.size > 0
+        for i, p in enumerate(range(5, 25)):
+            atoms = block.jump_atoms[block.jump_paths == p]
+            np.testing.assert_array_equal(counts[i], np.bincount(atoms, minlength=2))
+        np.testing.assert_array_equal(compens, block.compensators)
 
     def test_compensator_identity_small_sample(self):
         _, spec, state = diagonal_preset()
@@ -213,7 +220,7 @@ class TestSimulatePath:
             rec = simulate_jump_path(state, spec, 1.0,
                                      np.random.default_rng(p), 0.25, grid,
                                      flow=fl)
-            diffs[p] = rec.counts_path[0, -1] - rec.compensators[0]
+            diffs[p] = np.bincount(rec.jump_atoms, minlength=2) - rec.compensators[0]
         se = diffs.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(diffs.mean(axis=0)) <= 3.5 * se)
 
@@ -416,7 +423,6 @@ def test_hawkes_paths_do_not_depend_on_workers():
     np.testing.assert_array_equal(serial.jump_atoms, pooled.jump_atoms)
     np.testing.assert_array_equal(serial.intensity_at_jumps, pooled.intensity_at_jumps)
     np.testing.assert_array_equal(serial.v_path, pooled.v_path)
-    np.testing.assert_array_equal(serial.counts_path, pooled.counts_path)
     np.testing.assert_array_equal(serial.compensators, pooled.compensators)
 
 
@@ -489,11 +495,9 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
     m_atoms = spec.n_atoms
     z = flow.pack(np.array(state0.lam), np.zeros((d, d)))
     t = 0.0
-    counts = np.zeros(m_atoms)
 
     n_rec = len(grid)
     v_path = np.zeros((n_rec, d, d))
-    counts_path = np.zeros((n_rec, m_atoms))
     lam0_arr, _ = flow.unpack(z)
     v_path[0] = lam0_arr.sum(axis=0)
     rec_idx = 1
@@ -507,7 +511,6 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
             t = grid.times[rec_idx]
             lam, _ = flow.unpack(z)
             v_path[rec_idx] = lam.sum(axis=0)
-            counts_path[rec_idx] = counts
             rec_idx += 1
         if target > t:
             z = _flow_one(flow, z, target - t)
@@ -518,7 +521,6 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
     while t < horizon - 1e-14:
         h = min(h_ctrl, horizon - t)
         z_start, t_start = z, t
-        counts_start = counts.copy()
         rec_start = rec_idx
         lam_now, _ = flow.unpack(z)
         rates_now = rates_of(lam_now)
@@ -551,13 +553,11 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
                 lam_c = lam_c + jump_incs[r]
                 _, intv_c = flow.unpack(z)
                 z = flow.pack(lam_c, intv_c)
-                counts[r] += 1.0
                 local_jumps.append((t, r, total_c))
                 jumped = True
                 break
         if violated:
             z, t = z_start, t_start
-            counts = counts_start
             rec_idx = rec_start
             h_ctrl = h / 2.0
             rewinds += 1
@@ -576,7 +576,6 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
     _, intv_T = flow.unpack(z)
     fields = {
         "v_path": v_path,
-        "counts_path": counts_path,
         "jump_times": np.asarray(jump_times, dtype=float),
         "jump_atoms": np.asarray(jump_atoms, dtype=int),
         "intensity_at_jumps": np.asarray(jump_rates, dtype=float),
@@ -635,7 +634,7 @@ def _reference_records(name):
 
 def path_field(block, p, field):
     """``field`` of path p of a block whose paths are numbered from 0."""
-    if field in ("v_path", "counts_path", "compensators"):
+    if field in ("v_path", "compensators"):
         return getattr(block, field)[p]
     return getattr(block, field)[block.jump_paths == p]
 
@@ -707,7 +706,8 @@ def test_mean_counts_match_the_lift_mean_ode(monkeypatch):
     v = block.v_path
     assert np.einsum("ptab,rab->ptr", v, spec.rate_weights()).min() >= 0.0
     assert np.all(block.intensity_at_jumps > 0.0)
-    counts = block.counts_path[:, -1]
+    counts = np.zeros((len(v), spec.n_atoms))
+    np.add.at(counts, (block.jump_paths, block.jump_atoms), 1.0)
     want = reference.jump_lift_mean_counts(measure.nodes, measure.weights, lam0, spec.atoms,
                                            spec.weights, spec.epsilon_shift, sim.horizon)
     z = (counts.mean(axis=0) - want) / (counts.std(axis=0, ddof=1) / np.sqrt(len(counts)))

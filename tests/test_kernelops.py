@@ -2,45 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mvolt.kernelops import atomic_resolvent, resolvent_generator, resolvent_second_kind
-from mvolt.measures import AtomicMatrixMeasure, TimeGrid
+from mvolt.kernelops import atomic_resolvent, resolvent_generator
+from mvolt.measures import AtomicMatrixMeasure
 
 # criterion 6's matrix kernel
 CRITERION_6 = AtomicMatrixMeasure(
     [0.7, 2.0], [[[0.8, 0.2], [0.2, 0.5]], [[0.3, -0.1], [-0.1, 0.4]]])
-
-
-def grid_of(n, horizon=1.0):
-    return TimeGrid.regular(horizon, n)
-
-
-class TestResolvent:
-    def test_scalar_constant_kernel(self):
-        # K == c: R(t) = c e^{-2 c t}
-        c = 1.0
-        g = grid_of(1000)
-        K = np.full((len(g), 1, 1), c)
-        R = resolvent_second_kind(K, g)
-        exact = c * np.exp(-2.0 * c * g.times)
-        assert np.max(np.abs(R[:, 0, 0] - exact)) <= 5e-7
-        assert R[0, 0, 0] == pytest.approx(c)
-
-    def test_zero_kernel(self):
-        g = grid_of(50)
-        R = resolvent_second_kind(np.zeros((len(g), 2, 2)), g)
-        np.testing.assert_array_equal(R, 0.0)
-
-    def test_diagonal_decouples(self):
-        g = grid_of(200)
-        diag = np.zeros((len(g), 2, 2))
-        diag[:, 0, 0] = 1.0
-        diag[:, 1, 1] = 0.5 * np.exp(-g.times)
-        R = resolvent_second_kind(diag, g)
-        r00 = resolvent_second_kind(diag[:, :1, :1], g)
-        r11 = resolvent_second_kind(diag[:, 1:, 1:], g)
-        np.testing.assert_allclose(R[:, 0, 0], r00[:, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(R[:, 1, 1], r11[:, 0, 0], atol=1e-12)
-        assert np.max(np.abs(R[:, 0, 1])) <= 1e-12
 
 
 def laplace_residual(measure, s):
@@ -80,3 +47,21 @@ class TestAtomicFlow:
         times = np.linspace(0.0, 2.0, 41)
         R = atomic_resolvent(AtomicMatrixMeasure([a], [[[c]]]), times)
         assert np.max(np.abs(R[:, 0, 0] - c * np.exp(-(a + 2.0 * c) * times))) <= 1e-13
+
+    def test_zero_kernel(self):
+        R = atomic_resolvent(AtomicMatrixMeasure([0.5], [np.zeros((2, 2))]),
+                             np.linspace(0.0, 2.0, 41))
+        np.testing.assert_array_equal(R, 0.0)
+
+    def test_diagonal_decouples(self):
+        # a diagonal kernel's resolvent is diagonal, entry i the resolvent of
+        # the scalar kernel K_ii on the same nodes
+        nodes = [0.0, 1.0]
+        weights = np.array([np.diag([1.0, 0.2]), np.diag([0.3, 0.5])])
+        times = np.linspace(0.0, 2.0, 41)
+        R = atomic_resolvent(AtomicMatrixMeasure(nodes, weights), times)
+        for i in range(2):
+            r = atomic_resolvent(AtomicMatrixMeasure(nodes, weights[:, i:i + 1, i:i + 1]),
+                                 times)
+            np.testing.assert_allclose(R[:, i, i], r[:, 0, 0], rtol=0.0, atol=1e-13)
+        assert np.max(np.abs(R[:, [0, 1], [1, 0]])) <= 1e-14

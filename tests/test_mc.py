@@ -150,7 +150,7 @@ def test_hawkes_paths_match_path_rng_loop(workers):
     assert len(got.v_path) == len(want)
     for p, b in enumerate(want):
         for field in ("jump_times", "jump_atoms", "intensity_at_jumps", "v_path",
-                      "counts_path", "compensators"):
+                      "compensators"):
             np.testing.assert_array_equal(path_field(got, p, field), path_field(b, 0, field))
 
 
