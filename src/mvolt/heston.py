@@ -33,13 +33,12 @@ own order, so the samples do not depend on the thread count.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import AtomicMatrixMeasure, check_psd, decay_integral
-from .mc import path_rng, run_path_blocks
+from .mc import _usable_cpus, path_rng, run_path_blocks
 from .ou import StepOperator, _psd_factor, node_covariance
 from .riccati import solve_joint_riccati_heston
 
@@ -159,13 +158,6 @@ CHUNK_DRAWS = 1024
 # on 1024 rows.  Every pass but a horizon's last fills w > CHUNK_DRAWS / 2.
 THREAD_MIN_ROW_DOUBLES = 512
 THREAD_MIN_DOUBLES = 8192
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _fill_threads(rows: int, row_doubles: int) -> int:

@@ -1,18 +1,18 @@
-"""Reproducible parallel Monte Carlo with counter-based per-path streams.
+"""Reproducible parallel Monte Carlo with counter-based streams.
 
-Every path index owns an independent Philox stream derived from
-(master seed, path index), so a draw sequence is bit-identical no matter
-how paths are scheduled across workers.  :func:`path_rng` defines the
-stream of one path.  A block draws the same streams in one pass:
-:func:`path_keys` computes the Philox keys of all its paths at once, and
-:func:`path_streams` resets the counter and key of one reused Philox per
-path (counter-based generators make this a plain state reset; Salmon et al.
-2011, "Parallel random numbers: as easy as 1, 2, 3").  The Generator it
-yields is valid only until the next path's reset; :func:`path_generators`
-builds one Generator per path instead, for a block that draws from all its
-paths in turn.  :func:`run_path_blocks` evaluates a block simulator over
-path blocks and joins the block results in block order, which makes the
-final numbers byte-identical for 1 or many workers.
+Every draw is a function of (master seed, path index) alone, so a draw
+sequence is bit-identical no matter how paths are scheduled across workers
+(counter-based generators make this cheap; Salmon et al. 2011, "Parallel
+random numbers: as easy as 1, 2, 3").  :func:`path_rng` defines the stream
+of one path, for simulators whose draw counts differ from path to path.
+:func:`path_keys` computes the Philox keys of a range of stream indices in
+one pass, and :func:`path_generators` builds one Generator per index from
+them.  Fixed-count Gaussian noise is drawn by :func:`group_normals` from one
+stream per group of ``STREAM_GROUP`` consecutive paths, group g from
+``path_rng(seed, 2**32 + g)``, so a block pays one stream per 256 paths.
+:func:`run_path_blocks` evaluates a block simulator over path blocks and
+joins the block results in block order, which makes the final numbers
+byte-identical for 1 or many workers.
 """
 
 from __future__ import annotations
@@ -23,6 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 BLOCK_SIZE = 8192
+# Paths per noise stream of group_normals.  One stream per path cost 1.6-3.3
+# us of set-up per path on a 2-vCPU Xeon, most of the time of a 16-double
+# draw; 256 paths share the set-up, and a block that starts and ends inside
+# a group draws at most 2 * 255 rows it does not keep.
+STREAM_GROUP = 256
+# Group g draws from stream 2**32 + g: spawn key (g, 1), never a path's (p,).
+_GROUP_STREAMS = 2**32
 _MASK32 = 0xFFFFFFFF
 # The pool size and hash constants of numpy's SeedSequence.
 _POOL_SIZE = 4
@@ -119,31 +126,6 @@ def path_keys(seed: int, start: int, stop: int) -> np.ndarray:
     return keys
 
 
-def _philox_state(key) -> dict:
-    """The state of a freshly seeded Philox with this key: zero counter,
-    empty output buffer, no half-used 64-bit word."""
-    return {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def path_streams(seed: int, start: int, stop: int):
-    """Yield the streams ``path_rng(seed, p)`` for p in [start, stop).
-
-    One Generator on one Philox is reset to path p's key and a zero counter
-    before it is yielded, so it draws exactly what ``path_rng(seed, p)``
-    draws.  It is the same object for every path: use it only until the
-    next one is yielded.
-    """
-    keys = path_keys(seed, start, stop).tolist()
-    bit_gen = np.random.Philox(0)
-    rng = np.random.Generator(bit_gen)
-    state = _philox_state(None)
-    for key in keys:
-        state["state"]["key"] = key
-        bit_gen.state = state
-        yield rng
-
-
 def path_generators(seed: int, start: int, stop: int) -> list[np.random.Generator]:
     """The streams ``path_rng(seed, p)`` for p in [start, stop), one
     Generator each, so that a block can draw from all of them in turn.
@@ -169,6 +151,37 @@ def path_generators(seed: int, start: int, stop: int) -> list[np.random.Generato
 
     return [np.random.Generator(np.random.Philox(PhiloxKey(key)))
             for key in path_keys(seed, start, stop)]
+
+
+def group_normals(seed: int, start: int, stop: int):
+    """A function ``draw(count)`` that returns (stop - start, count)
+    standard normals, row p - start for path p, from the group streams.
+
+    Path p lies in group g = p // ``STREAM_GROUP`` and the group draws from
+    ``path_rng(seed, 2**32 + g)`` (SeedSequence spawn key (g, 1)).  Each
+    call takes one (``STREAM_GROUP``, count) draw from every group that
+    [start, stop) touches, row i of group g for path g ``STREAM_GROUP`` + i,
+    and slices out the block's rows.  So, for the same sequence of counts,
+    a path's rows depend on (seed, p) alone, not on the block it is in.
+    """
+    first, last = start // STREAM_GROUP, -(-stop // STREAM_GROUP)
+    gens = path_generators(seed, _GROUP_STREAMS + first, _GROUP_STREAMS + last)
+    rows = slice(start - first * STREAM_GROUP, stop - first * STREAM_GROUP)
+
+    def draw(count: int) -> np.ndarray:
+        out = np.empty((len(gens), STREAM_GROUP, count))
+        for gen, group in zip(gens, out):
+            gen.standard_normal(out=group)
+        return out.reshape(len(gens) * STREAM_GROUP, count)[rows]
+
+    return draw
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -229,14 +242,16 @@ def run_path_blocks(
     """Evaluate a block simulator over path blocks.
 
     ``block_fn(seed, start, stop)`` returns the values of paths
-    [start, stop), drawing the noise of path p from ``path_rng(seed, p)``
-    only: an array, or a tuple (or named tuple) of arrays.  Block results
+    [start, stop), drawing the noise of path p as a function of (seed, p)
+    only (``path_rng(seed, p)``, or its rows of :func:`group_normals`): an
+    array, or a tuple (or named tuple) of arrays.  Block results
     are joined in path order, arrays concatenated along their first axis and
     tuples field by field into a tuple of the same type, so the output is
     independent of the worker count.  An exception keeps its type and names
     the failing paths and the seed.  With ``workers`` > 1 and at most ``block_size``
     paths, the run is split into min(workers, n_paths) path-ordered blocks
-    so that the workers share it.
+    so that the workers share it.  At most one process per usable CPU
+    runs.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -254,7 +269,7 @@ def run_path_blocks(
         # imported here: a serial run never loads the process pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(workers, len(blocks), os.cpu_count() or 1)
+        workers = min(workers, len(blocks), _usable_cpus())
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(task, blocks))
     if isinstance(chunks[0], tuple):

@@ -35,9 +35,13 @@ method for Gaussian Volterra processes; Dieker 2004, Asmussen & Glynn
 
 * m d <= ``DIRECT_MAX_MD`` (a size rule fixed in code): one factor L of
   the joint covariance per path block, r <= m d columns after the clamp;
-  path p draws n r normals z from its own stream and X = mean + z L^T;
-* otherwise: exact lift steps between consecutive times; path p draws n r_m
+  path p gets n r normals z and X = mean + z L^T;
+* otherwise: exact lift steps between consecutive times; path p gets n r_m
   normals per step, r_m the rank of that step's ``noise_factor``.
+
+Both draw their normals through :func:`mvolt.mc.group_normals`, one stream
+per group of ``STREAM_GROUP`` consecutive paths, so a path's noise depends
+on (seed, path index) alone.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mc import group_normals
 from .measures import AtomicMatrixMeasure, decay_sum, pair_decay_integrals
 
 
@@ -172,22 +177,15 @@ def joint_covariance(measure: AtomicMatrixMeasure, times) -> np.ndarray:
 # factor per block, (m d)^3, and m d r <= (m d)^2 per path and lift row; the
 # lift costs k d r_m per step, path and row, linear in m.  At the bound the
 # covariance and factor take 2-6 ms per block and 128 kB, and the direct law
-# was 1.6-2.1x (k = 2) and 8.5-11x (k = 40) faster per path on 8192-path
-# blocks in two runs, so k need not enter.  Above it they grow as (m d)^3 and (m d)^2 with nothing to
-# pay them back on a small block (16 paths at m d = 512: 52-78 ms against
-# the lift's 4-10 ms), and at k = 2 the lift wins per path from m d = 1024.
+# was 1.50-1.55x (k = 2) and 11.8-12.0x (k = 40) faster per block of 8192
+# paths in two runs (n = 2, one BLAS thread), and 0.92-1.03x and 3.4-3.5x on
+# 16-path blocks, so k need not enter.  Above it they grow as (m d)^3 and
+# (m d)^2 with nothing to pay them back on a small block (16 paths at
+# m d = 512: 42-74 ms against the lift's 10-63 ms, which draws whole
+# 256-path stream groups), and at k = 2 the lift wins per path from
+# m d = 512 (0.73-0.77 of the direct time on 2048 paths; at k = 40 the
+# direct law is still 4.0-4.3x faster there).
 DIRECT_MAX_MD = 128
-
-
-def _path_normals(seed: int, start: int, stop: int, count: int) -> np.ndarray:
-    """(stop - start, count) standard normals, row p - start from path p's
-    stream ``path_rng(seed, p)``, drawn through :func:`~mvolt.mc.path_streams`."""
-    from .mc import path_streams
-
-    noise = np.empty((stop - start, count))
-    for row, rng in enumerate(path_streams(seed, start, stop)):
-        rng.standard_normal(out=noise[row])
-    return noise
 
 
 def _draw_direct(measure, gamma0, times, seed, start, stop) -> np.ndarray:
@@ -197,7 +195,7 @@ def _draw_direct(measure, gamma0, times, seed, start, stop) -> np.ndarray:
     first = int(times[0] == 0.0)  # X_0 = sum_i gamma_0(x_i) carries no noise
     L = _rank_factor(joint_covariance(measure, times[first:]))
     r = L.shape[1]
-    z = _path_normals(seed, start, stop, n * r).reshape(n_paths * n, r)
+    z = group_normals(seed, start, stop)(n * r).reshape(n_paths * n, r)
     mean = decay_sum(measure.nodes, gamma0, times)   # (m, n, d)
     out = np.broadcast_to(mean, (n_paths,) + mean.shape).copy()
     noise = (z @ L.T).reshape(n_paths, n, times.size - first, d)
@@ -216,18 +214,16 @@ def _draw_lift(measure, gamma0, times, seed, start, stop) -> np.ndarray:
         if dt > 0 and key not in cache:
             cache[key] = StepOperator.build(measure, float(dt))
         ops.append(cache.get(key))
-    ranks = [0 if op is None else op.noise_factor.shape[1] for op in ops]
-    bounds = n * np.cumsum([0] + ranks)
 
     n_paths = stop - start
-    noise = _path_normals(seed, start, stop, bounds[-1])
+    normals = group_normals(seed, start, stop)
     out = np.empty((n_paths, times.size, n, d))
     sum_nodes = np.tile(np.eye(d), (k, 1))         # 1_k (x) I_d: X = gamma @ sum_nodes
     gamma = np.tile(gamma0.transpose(1, 0, 2).reshape(n, k * d), (n_paths, 1))
     for m, op in enumerate(ops):
         if op is not None:
-            z = noise[:, bounds[m]:bounds[m + 1]].reshape(n_paths * n, ranks[m])
-            op.step(gamma, z)
+            r = op.noise_factor.shape[1]
+            op.step(gamma, normals(n * r).reshape(n_paths * n, r))
         out[:, m] = (gamma @ sum_nodes).reshape(n_paths, n, d)
     return out
 
@@ -242,19 +238,20 @@ def simulate_lift_blocks(
 ) -> np.ndarray:
     """The projection X = sum_i gamma(x_i) for paths [start, stop).
 
-    Returns X samples of shape (stop-start, len(times), n, d).  Path p draws
-    its noise from ``path_rng(seed, p)`` exclusively, through
-    :func:`~mvolt.mc.path_streams`, so results are scheduling-independent.
+    Returns X samples of shape (stop-start, len(times), n, d).  The noise
+    comes from :func:`~mvolt.mc.group_normals`: path p takes its rows of
+    each draw from the stream of its group of ``STREAM_GROUP`` paths, so
+    results depend on (seed, p) alone, not on workers or blocking.
     Where m d <= ``DIRECT_MAX_MD``, m = len(times), X comes from its
     joint law: L (m' d, r) is the checked rank factor of
-    :func:`joint_covariance` at the m' times t > 0, path p draws n r
-    normals z (row a of z for lift row a) and X = mean + z L^T, with the
+    :func:`joint_covariance` at the m' times t > 0, one draw gives path p
+    n r normals z (row a of z for lift row a) and X = mean + z L^T, with the
     mean sum_i e^(-x_i t) gamma_0(x_i) (a time t = 0 keeps the mean alone).
-    Otherwise the lift steps between consecutive times: path p draws one
-    flat vector of n * sum_m r_m normals, step m taking the next n r_m of
-    them (r_m = the rank of its ``noise_factor``, 0 for a zero-length first
-    step), and the nodes are summed after each step, so no per-node record
-    is kept.  Both draws are exact in law.
+    Otherwise the lift steps between consecutive times: step m draws n r_m
+    normals per path (r_m = the rank of its ``noise_factor``; a zero-length
+    first step draws none), so the block holds one step's noise, and the
+    nodes are summed after each step, so no per-node record is kept.  Both
+    draws are exact in law.
     """
     gamma0, times = check_lift_inputs(measure, gamma0, times)
     draw = _draw_direct if times.size * measure.d <= DIRECT_MAX_MD else _draw_lift

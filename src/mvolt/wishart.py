@@ -123,13 +123,18 @@ def simulate_wishart(
 ) -> np.ndarray:
     """Monte Carlo V_t samples, shape (n_paths, len(times), d, d).
 
-    Deterministic given (seed, n_paths): path p consumes only its own
-    stream, so the result is independent of workers and blocking.
+    Deterministic given (seed, n_paths): path p's noise depends on (seed,
+    p) alone (see :func:`~mvolt.ou.simulate_lift_blocks`), so the result is
+    independent of workers and blocking.  V = X^T X is summed over the n
+    rows of X as outer products, row by row.
     """
     gamma0, times = check_lift_inputs(measure, gamma0, times)
     X = run_path_blocks(partial(simulate_lift_blocks, measure, gamma0, times),
                         n_paths, seed, workers=workers)
-    return np.einsum("ptna,ptnb->ptab", X, X)
+    V = X[:, :, 0, :, None] * X[:, :, 0, None, :]
+    for a in range(1, X.shape[2]):
+        V += X[:, :, a, :, None] * X[:, :, a, None, :]
+    return V
 
 
 def mean_wishart(measure: AtomicMatrixMeasure, gamma0, t: float) -> np.ndarray:

@@ -1,16 +1,18 @@
+import concurrent.futures
+import os
 from functools import partial
 
 import numpy as np
 import pytest
 
-import mvolt.mc
 from mvolt.jumps import HawkesPathSimulator, JumpMeasureSpec
 from mvolt.mc import (
+    STREAM_GROUP,
     estimate_mean,
+    group_normals,
     path_generators,
     path_keys,
     path_rng,
-    path_streams,
     run_path_blocks,
 )
 from mvolt.measures import AtomicMatrixMeasure
@@ -22,8 +24,8 @@ PATH_RANGES = [(0, 50), (2**32 - 3, 2**32 + 3)]
 
 
 def _stream_block(fn, seed, start, stop):
-    """Block function: fn of each path's stream, drawn through path_streams."""
-    return np.array([fn(rng) for rng in path_streams(seed, start, stop)])
+    """Block function: fn of each path's stream, drawn through path_generators."""
+    return np.array([fn(rng) for rng in path_generators(seed, start, stop)])
 
 
 def run_paths(fn, n_paths, seed, *, workers=1, block_size=8192):
@@ -63,17 +65,6 @@ def _thinning_draws(rng):
 
 
 @pytest.mark.parametrize("start, stop", PATH_RANGES)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_path_streams_draw_what_path_rng_draws(seed, start, stop):
-    n = 0
-    for p, rng in zip(range(start, stop), path_streams(seed, start, stop)):
-        for got, want in zip(_thinning_draws(rng), _thinning_draws(path_rng(seed, p))):
-            np.testing.assert_array_equal(got, want)
-        n += 1
-    assert n == stop - start
-
-
-@pytest.mark.parametrize("start, stop", PATH_RANGES)
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_path_generators_draw_what_path_rng_draws(seed, start, stop):
     gens = path_generators(seed, start, stop)
@@ -110,7 +101,7 @@ def test_negative_seed_is_rejected():
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         path_keys(-1, 0, 4)
     with pytest.raises(ValueError, match="got -1"):
-        next(path_streams(-1, 0, 4))
+        group_normals(-1, 0, 4)
     with pytest.raises(ValueError, match="got -2"):
         run_path_blocks(_failing_block, 10, seed=-2)
 
@@ -120,19 +111,20 @@ def _path_rng_loop(seed, start, stop):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_x_block_matches_path_rng_loop(workers, monkeypatch):
-    # three times draw X from its joint law, DIRECT_MAX_MD // 2 + 1 step the lift
+def test_x_blocks_do_not_change_the_draws(workers):
+    # three times draw X from its joint law, DIRECT_MAX_MD // 2 + 1 step the
+    # lift; neither the block size nor the path count is a multiple of
+    # STREAM_GROUP, so blocks start and end inside a group
     rng = np.random.default_rng(8)
     measure = AtomicMatrixMeasure([0.4, 3.0], [np.eye(2) * 0.3, [[0.2, 0.05], [0.05, 0.1]]])
     gamma0 = rng.normal(size=(2, 3, 2)) * 0.2
-    seed = 2**40 + 3
+    seed, n_paths = 2**40 + 3, 2 * STREAM_GROUP + 45
     for n_times in (3, DIRECT_MAX_MD // 2 + 1):
         block = partial(simulate_lift_blocks, measure, gamma0, 0.25 * np.arange(1, n_times + 1))
-        with monkeypatch.context() as m:
-            m.setattr(mvolt.mc, "path_streams", _path_rng_loop)
-            want = block(seed, 0, 300)
-        got = run_path_blocks(block, 300, seed, workers=workers, block_size=128)
-        np.testing.assert_array_equal(got, want)
+        want = block(seed, 0, n_paths)
+        for block_size in (STREAM_GROUP // 2 + 1, STREAM_GROUP + 7, n_paths):
+            got = run_path_blocks(block, n_paths, seed, workers=workers, block_size=block_size)
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -176,6 +168,33 @@ def _normals_block(seed, start, stop):
     return np.stack(
         [path_rng(seed, p).standard_normal(2) for p in range(start, stop)]
     )
+
+
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
+    # 3 of the machine's 64 CPUs are usable: 8 workers on 10 blocks get a
+    # pool of 3 processes; the fake pool maps in process and starts none
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks):
+            return map(fn, blocks)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    got = run_path_blocks(_normals_block, 100, seed=3, workers=8, block_size=10)
+    assert sizes == [3]
+    np.testing.assert_array_equal(got, run_path_blocks(_normals_block, 100, seed=3,
+                                                       block_size=10))
 
 
 def test_worker_count_does_not_change_estimate():

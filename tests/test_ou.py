@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mvolt.fractional import FractionalKernelSpec, fit_fractional_measure
-from mvolt.mc import path_rng, path_streams
+from mvolt.mc import path_generators
 from mvolt.measures import AtomicMatrixMeasure, decay_sum
 from mvolt.ou import (
     DIRECT_MAX_MD,
@@ -142,7 +142,7 @@ def test_tower_property_of_forward_curve():
     s, t = 0.5, 1.2
     op = StepOperator.build(m, s)
     r = op.noise_factor.shape[1]
-    noise = np.array([rng.standard_normal((1, r)) for rng in path_streams(13, 0, 30_000)])
+    noise = np.array([rng.standard_normal((1, r)) for rng in path_generators(13, 0, 30_000)])
     gam = np.broadcast_to(g0.transpose(1, 0, 2).reshape(1, 4), (30_000, 1, 4)).copy()
     op.step(gam, noise)
     damp = np.exp(-m.nodes * (t - s))
@@ -205,20 +205,36 @@ def rank_one_measure():
     return AtomicMatrixMeasure([1.5], np.outer(a, a)[None])
 
 
+def group_stream(seed, group):
+    """The stream of a path group, built from its SeedSequence directly."""
+    seed_seq = np.random.SeedSequence(entropy=seed, spawn_key=(group, 1))
+    return np.random.Generator(np.random.Philox(seed_seq))
+
+
+# paths per stream group, part of the stream definition; a replayed block
+# straddles the edge of groups 0 and 1
+STREAM_GROUP = 256
+REPLAY_PATHS = (STREAM_GROUP - 2, STREAM_GROUP + 1)
+
+
 @pytest.mark.parametrize("measure, rank", [(two_node_measure(), 6), (rank_one_measure(), 3)],
                          ids=["full_rank", "clamped"])
 def test_direct_block_stream_replay(measure, rank):
-    # below the size rule path p draws n r normals from path_rng(seed, p),
-    # row a of z (n, r) for lift row a, and X = mean + z L^T with L the rank
-    # factor of the joint covariance at the times t > 0; X_0 is the mean
+    # below the size rule each group g of STREAM_GROUP paths draws
+    # (STREAM_GROUP, n r) normals from the SeedSequence of spawn key (g, 1);
+    # path p takes row p % STREAM_GROUP as z (n, r), row a of z for lift
+    # row a, and X = mean + z L^T with L the rank factor of the joint
+    # covariance at the times t > 0; X_0 is the mean
     g0 = np.random.default_rng(6).normal(size=(measure.k, 3, 2))
     times = np.array([0.0, 0.25, 0.5, 1.0])
-    xs = simulate_lift_blocks(measure, g0, times, seed=21, start=4, stop=7)
+    start, stop = REPLAY_PATHS
+    xs = simulate_lift_blocks(measure, g0, times, seed=21, start=start, stop=stop)
     L = _rank_factor(joint_covariance(measure, times[1:]))
     assert L.shape == (6, rank)
     mean = decay_sum(measure.nodes, g0, times)
-    for row, p in enumerate(range(4, 7)):
-        z = path_rng(21, p).standard_normal(3 * rank).reshape(3, rank)
+    draws = [group_stream(21, g).standard_normal((STREAM_GROUP, 3 * rank)) for g in (0, 1)]
+    for row, p in enumerate(range(start, stop)):
+        z = draws[p // STREAM_GROUP][p % STREAM_GROUP].reshape(3, rank)
         want = mean.copy()
         want[1:] += (z @ L.T).reshape(3, 3, 2).transpose(1, 0, 2)
         np.testing.assert_array_equal(xs[row], want)
@@ -241,24 +257,26 @@ def test_direct_block_has_the_joint_law():
 @pytest.mark.parametrize("measure", [two_node_measure(), clamped_measure()],
                          ids=["full_rank", "clamped"])
 def test_lift_block_stream_replay(measure):
-    # above the size rule path p draws n * sum_m r_m normals from
-    # path_rng(seed, p), step m taking the next n rows of r_m; the
-    # zero-length first step draws none
+    # above the size rule step m draws (STREAM_GROUP, n r_m) normals from
+    # each group g's stream, the SeedSequence of spawn key (g, 1), and path
+    # p steps with row p % STREAM_GROUP as (n, r_m); the zero-length first
+    # step draws none
     g0 = np.random.default_rng(6).normal(size=(2, 3, 2))
     times = np.concatenate([[0.0, 0.25, 0.5], np.arange(1, DIRECT_MAX_MD // 2) * 1.0])
     assert times.size * 2 > DIRECT_MAX_MD
-    xs = simulate_lift_blocks(measure, g0, times, seed=21, start=4, stop=7)
+    start, stop = REPLAY_PATHS
+    xs = simulate_lift_blocks(measure, g0, times, seed=21, start=start, stop=stop)
     ops = [StepOperator.build(measure, dt) for dt in (0.25, 0.25, 0.5, 1.0)]
     ops += [ops[-1]] * (times.size - 5)
     ranks = [op.noise_factor.shape[1] for op in ops]
+    streams = [group_stream(21, g) for g in (0, 1)]
+    draws = [[rng.standard_normal((STREAM_GROUP, 3 * r)) for r in ranks] for rng in streams]
     sum_nodes = np.tile(np.eye(2), (2, 1))
-    for row, p in enumerate(range(4, 7)):
-        z = path_rng(21, p).standard_normal(3 * sum(ranks))
+    for row, p in enumerate(range(start, stop)):
         gamma = g0.transpose(1, 0, 2).reshape(3, 4).copy()
         want = [gamma @ sum_nodes]
-        for op, r in zip(ops, ranks):
-            op.step(gamma, z[:3 * r].reshape(3, r))
-            z = z[3 * r:]
+        for op, r, z in zip(ops, ranks, draws[p // STREAM_GROUP]):
+            op.step(gamma, z[p % STREAM_GROUP].reshape(3, r))
             want.append(gamma @ sum_nodes)
         np.testing.assert_array_equal(xs[row], want)
 

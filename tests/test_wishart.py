@@ -170,16 +170,19 @@ class TestSimulation:
 
 
 class TestPathRecord:
-    def test_construction_identity_enforced(self):
-        # V = X^T X holds sample by sample, so every V sample is PSD
-        measure, gamma0, _ = random_setup(23)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_construction_identity_enforced(self, n, d):
+        # V = X^T X holds sample by sample, so every V sample is PSD; the
+        # sum of the n row outer products is the einsum to the last bits
+        # (an ulp apart at d = 1, n >= 3)
+        measure, gamma0, _ = random_setup(23, d=d, n=n)
         times = [0.5, 1.0]
         x = simulate_lift_blocks(measure, gamma0, times, 3, 0, 5)
         v = simulate_wishart(measure, gamma0, times, 5, seed=3)
-        assert x.shape == (5, 2, 3, 2)
-        np.testing.assert_allclose(v, np.einsum("ptna,ptnb->ptab", x, x),
-                                   rtol=1e-12, atol=1e-12)
-        for mat in v.reshape(-1, 2, 2):
+        assert x.shape == (5, 2, n, d)
+        np.testing.assert_allclose(v, np.einsum("ptna,ptnb->ptab", x, x), rtol=1e-14, atol=0)
+        for mat in v.reshape(-1, d, d):
             assert np.linalg.eigvalsh(mat)[0] >= -1e-12 * max(np.trace(mat), 1.0)
 
     def test_simulated_records(self):
