@@ -21,10 +21,11 @@ dominating rate and automatic bisection when the bound is violated, so the
 jump times are exact in law (Lewis & Shedler 1979; Ogata 1981); between
 jumps :class:`LinearFlow` applies the exact exponential of the drift to a
 batch of states.  A block of paths is thinned in lockstep: one loop keeps
-every path's state in arrays and advances them together, while path p
-draws from its own stream exactly what it would draw alone, so each path
-is bit-identical to the one a lone path gets.  A control interval whose
-dominating rate runs away raises FloatingPointError.  The result is one
+every path's state in arrays and advances them together.  Thinning draws
+only uniforms, path p's j-th from double j of its own stream, which it
+takes in chunks of ``UNIFORM_CHUNK``; so each path is bit-identical to the
+one a lone path gets.  A control interval whose dominating rate runs away
+raises FloatingPointError.  The result is one
 :class:`JumpPathBlock` of arrays over the block's paths: V on a time grid,
 the compensators int_0^T rate_r dt and the jump log as flat columns (path,
 time, atom, total rate just before the jump), ordered by path and then by
@@ -61,6 +62,13 @@ MAX_INTERVAL_CANDIDATES = 1e6
 MAX_GRID_STEPS = 10**6
 # Tolerance of Generator.choice on the sum of a float64 probability vector.
 CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+# Uniforms a thinning path draws from its stream at once.  A path of the
+# benchmark's d = 2 Hawkes model (T = 1, thinning_dt = 0.25) uses 18 in the
+# median and 61-63 at the 99th percentile, so one chunk serves almost every
+# path.  A 1000-path block took 23.5-27.5 ms at 32, 64 and 128 alike,
+# 31-37 ms at 1024, which fills doubles no path uses, and 33.5-40 ms at 4,
+# which refills often (medians of 7, three runs, one thread, 2-vCPU Xeon).
+UNIFORM_CHUNK = 64
 
 
 def _matrix_stack(values) -> np.ndarray:
@@ -302,7 +310,8 @@ def simulate_jump_path(
     bound restarts the interval with half the length, never silently
     biasing.  The deterministic flow and int V ds between events are exact
     (linear propagator).  This is :func:`_thin_paths` on the one stream
-    ``rng``: a one-path block, path index 0.
+    ``rng``: a one-path block, path index 0, which draws the uniforms of
+    path p of a block when ``rng`` is ``path_rng(seed, p)``.
     """
     steps = _thinning_steps(horizon, thinning_dt)
     if grid is None:
@@ -314,15 +323,15 @@ def simulate_jump_path(
     return _thin_paths(state0, spec, horizon, [rng], thinning_dt, grid, flow)
 
 
-def _choice_rows(p: np.ndarray, rngs) -> np.ndarray:
-    """Index drawn from each row of p as ``rngs[i].choice(m, p=p[i])`` draws it.
+def _choice_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index drawn from each row of p by the uniform u[i], as
+    ``Generator.choice(m, p=p[i])`` draws it from its ``random()`` u[i].
 
     Like ``Generator.choice``, rejects a row with a negative entry or a sum
     off 1 by more than ``CHOICE_ATOL``, then takes cdf = cumsum(p_i) /
-    its last entry, one ``random()`` u from ``rngs[i]`` and the index
-    ``searchsorted(cdf, u, side="right")``, here the count of cdf <= u.
-    Every row makes the draw and the rounding of ``choice``, so it returns
-    the same index and leaves its stream at the same position.
+    its last entry and the index ``searchsorted(cdf, u[i], side="right")``,
+    here the count of cdf <= u[i].  Every row makes the rounding of
+    ``choice``, so a stream whose next double is u[i] gives the same index.
     """
     if (p < 0.0).any():
         raise ValueError("probabilities are not non-negative")
@@ -330,7 +339,6 @@ def _choice_rows(p: np.ndarray, rngs) -> np.ndarray:
         raise ValueError("probabilities do not sum to 1")
     cdf = np.cumsum(p, axis=1)
     cdf /= cdf[:, -1:]
-    u = np.array([rng.random() for rng in rngs])
     return np.count_nonzero(cdf <= u[:, None], axis=1)
 
 
@@ -350,14 +358,17 @@ def _thin_paths(
     grid position in per-path arrays.  Each pass of the loop starts the
     control interval of the paths that need one (one batched flow to its end
     and one rate evaluation) and tests one candidate on every other path.
-    Path i draws from ``rngs[i]`` only and in the order of a per-path loop:
-    ``exponential(1 / bound)`` per candidate, ``uniform()`` per tested
-    candidate and, with more than one atom, the atom of an accepted one as
-    ``choice(m, p=rates / total)`` would draw it, one ``random()`` per path
-    and the cdf arithmetic batched over the paths that jumped
-    (:func:`_choice_rows`).  Flows, rates, grid records, the rewind of a
-    violated interval and jumps are masked array operations that round as a
-    lone path's do; so each path is the one it would be on its own.
+    Path i draws only uniforms, in the order of a per-path loop: per
+    candidate the gap -log1p(-U) / bound (inversion), per tested candidate
+    the accept test U * bound <= total and, with more than one atom, per
+    accepted one the atom as ``choice(m, p=rates / total)`` draws it from U
+    (:func:`_choice_rows`).  Its j-th U is double j of ``rngs[i]``: the path
+    keeps a chunk of ``UNIFORM_CHUNK`` of them, drawn as
+    ``rngs[i].uniform(size=UNIFORM_CHUNK)`` when its last chunk is spent,
+    and each draw of a pass is one gather over the paths that make it.
+    Flows, rates, grid records, the rewind of a violated interval and jumps
+    are masked array operations that round as a lone path's do; so each
+    path is the one it would be on its own.
 
     A control interval whose expected candidate count bound * h is not
     finite or exceeds ``MAX_INTERVAL_CANDIDATES`` raises FloatingPointError;
@@ -407,6 +418,20 @@ def _thin_paths(
         z[j] = flow.flow(z[j], target[go] - t[j])
         t[j] = target[go]
 
+    # per-path uniforms: a chunk of each path's stream and the next unused
+    # entry; a spent chunk is refilled from the stream before a draw
+    chunk = np.empty((n_paths, UNIFORM_CHUNK))
+    used = np.full(n_paths, UNIFORM_CHUNK, dtype=np.intp)
+
+    def uniforms(idx):
+        """The next uniform of each path in idx."""
+        for i in idx[used[idx] == UNIFORM_CHUNK].tolist():
+            chunk[i] = rngs[i].uniform(size=UNIFORM_CHUNK)
+            used[i] = 0
+        u = chunk[idx, used[idx]]
+        used[idx] += 1
+        return u
+
     # per-path thinning state: control step, the interval's start (for a
     # rewind), length, end and dominating rate, and the last candidate time
     h_ctrl = np.full(n_paths, float(thinning_dt))
@@ -452,8 +477,7 @@ def _thin_paths(
         b = np.flatnonzero(live & ~starting)
         if not b.size:
             continue
-        scale = (1.0 / bound[b]).tolist()
-        tau[b] += [rngs[i].exponential(s) for i, s in zip(b.tolist(), scale)]
+        tau[b] -= np.log1p(-uniforms(b)) / bound[b]
         over = tau[b] >= t_end[b] - 1e-15
         ended = b[over]
         advance_to(ended, t_end[ended])
@@ -471,13 +495,12 @@ def _thin_paths(
         starting[back] = True
 
         c, rates_c, total_c = c[~violated], rates_c[~violated], total_c[~violated]
-        u = np.array([rngs[i].uniform() for i in c.tolist()])
-        hit = u * bound[c] <= total_c
+        hit = uniforms(c) * bound[c] <= total_c
         j, rates_j, total_j = c[hit], rates_c[hit], total_c[hit]
         if not j.size:
             continue
         if m > 1:
-            atoms = _choice_rows(rates_j / total_j[:, None], [rngs[i] for i in j.tolist()])
+            atoms = _choice_rows(rates_j / total_j[:, None], uniforms(j))
         else:
             atoms = np.zeros(j.size, dtype=int)
         z[j, :kn] += jump_incs[atoms]
@@ -504,11 +527,13 @@ class HawkesPathSimulator:
 
     The initial state, the recording grid (``grid_steps`` intervals,
     default horizon / thinning_dt) and the :class:`LinearFlow` are built
-    once.  ``sim(rng)`` returns the one-path :class:`JumpPathBlock` drawn
-    from ``rng``; ``sim.block(seed, start, stop)``, the block entry of
+    once.  ``sim(rng)`` returns the one-path :class:`JumpPathBlock` whose
+    uniforms are the doubles of ``rng`` in order (drawn in chunks of
+    ``UNIFORM_CHUNK``); ``sim.block(seed, start, stop)``, the block entry of
     :func:`mc.run_path_blocks`, thins paths [start, stop) in lockstep, path
     p drawn from ``path_rng(seed, p)`` and named p in the jump log, so that
-    the joined blocks of a run form one block.
+    the joined blocks of a run form one block and each path is bitwise
+    ``sim(path_rng(seed, p))``.
     """
 
     def __init__(self, measure: AtomicMatrixMeasure, lam0, spec: JumpMeasureSpec,
@@ -530,7 +555,8 @@ class HawkesPathSimulator:
                                   self.thinning_dt, self.grid, flow=self.flow)
 
     def block(self, seed: int, start: int, stop: int) -> JumpPathBlock:
-        """Paths [start, stop) as one block."""
+        """Paths [start, stop) as one block; path p takes its uniforms from
+        ``path_rng(seed, p)``, so it equals ``sim(path_rng(seed, p))``."""
         def hint(i):
             return f"path {start + i} (seed {seed}); replay with path_rng({seed}, {start + i})"
 

@@ -10,6 +10,7 @@ from mvolt.measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
 from mvolt.jumps import (
     CHOICE_ATOL,
     THINNING_ETA,
+    UNIFORM_CHUNK,
     HawkesPathSimulator,
     JumpLiftState,
     JumpMeasureSpec,
@@ -236,8 +237,11 @@ class TestSimulatePath:
                 epsilon_shift=eps,
             )
             rec = simulate_jump_path(state, spec, 1.0,
-                                     np.random.default_rng(42), 0.25, grid)
+                                     np.random.default_rng(43), 0.25, grid)
             if base is None:
+                # eps only shifts what jumps add: a path without one has
+                # nothing to shift (about 1 in 40 seeds on this model)
+                assert rec.jump_times.size > 0
                 base = rec.v_path[0]
             else:
                 sups.append(np.max(np.abs(rec.v_path[0] - base)))
@@ -444,9 +448,10 @@ def test_choice_rows_draws_as_generator_choice(m):
     p = _choice_test_rows(m, n, np.random.default_rng(m))
     batched = [path_rng(m, i) for i in range(n)]
     single = [path_rng(m, i) for i in range(n)]
-    # two rounds over interleaved subsets, as the thinning loop calls it
+    # two rounds over interleaved subsets, as the thinning loop calls it;
+    # choice draws one random() per row, the uniform _choice_rows is given
     for rows in (np.arange(0, n, 2), np.arange(n)):
-        got = _choice_rows(p[rows], [batched[i] for i in rows])
+        got = _choice_rows(p[rows], np.array([batched[i].random() for i in rows]))
         want = [single[i].choice(m, p=p[i]) for i in rows]
         np.testing.assert_array_equal(got, want)
     assert [g.random() for g in batched] == [g.random() for g in single]
@@ -458,7 +463,7 @@ def test_choice_rows_rejects_what_choice_rejects(bad):
     with pytest.raises(ValueError):
         np.random.default_rng(0).choice(3, p=p[1])
     with pytest.raises(ValueError):
-        _choice_rows(p, [np.random.default_rng(0), np.random.default_rng(1)])
+        _choice_rows(p, np.array([0.25, 0.75]))
 
 
 # Reference for the lockstep engine: the per-path thinning loop it replaced,
@@ -475,7 +480,8 @@ def _flow_one(flow, z, dt):
 
 
 def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
-    """Per-path thinning; returns the record's fields and the rewind count."""
+    """Per-path thinning; returns the record's fields, the rewind count and
+    the number of uniforms drawn (choice draws one random() of them)."""
     measure = state0.measure
     eps = spec.epsilon_shift
     norms = np.minimum(spec.atom_norms(), 1.0).clip(min=1e-300) if spec.n_atoms else np.zeros(0)
@@ -502,7 +508,7 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
     v_path[0] = lam0_arr.sum(axis=0)
     rec_idx = 1
     jump_times, jump_atoms, jump_rates = [], [], []
-    rewinds = 0
+    rewinds = draws = 0
 
     def advance_to(z, t, target):
         nonlocal rec_idx
@@ -537,7 +543,8 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
         tau = t
         t_end = t_start + h
         while True:
-            tau = tau + rng.exponential(1.0 / bound)
+            tau = tau - np.log1p(-rng.uniform()) / bound
+            draws += 1
             if tau >= t_end - 1e-15:
                 break
             z_c, t_c = advance_to(z, t, tau)
@@ -548,8 +555,10 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
                 violated = True
                 break
             z, t = z_c, t_c
+            draws += 1
             if rng.uniform() * bound <= total_c:
                 r = int(rng.choice(m_atoms, p=rates_c / total_c)) if m_atoms > 1 else 0
+                draws += m_atoms > 1
                 lam_c = lam_c + jump_incs[r]
                 _, intv_c = flow.unpack(z)
                 z = flow.pack(lam_c, intv_c)
@@ -582,7 +591,7 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
         "compensators": np.einsum("ab,rab->r", intv_T, weights_scaled)
         if m_atoms else np.zeros(0),
     }
-    return fields, rewinds
+    return fields, rewinds, draws
 
 
 def _critical_model():
@@ -599,14 +608,14 @@ def _reference_models():
     diag_m, diag_spec, diag_state = diagonal_preset()
     rng = np.random.default_rng(23)
     a = rng.normal(size=(2, 2, 2)) * 0.3
+    two_atoms = JumpMeasureSpec(atoms=[np.diag([1.0, 0.3]), [[0.5, 0.5], [0.5, 0.5]]],
+                                weights=[eye, eye * 0.5], epsilon_shift=0.05)
     yield "d1", HawkesPathSimulator(scalar_m, scalar_state.lam, scalar_spec, 1.0, 0.25), 3
     yield "diagonal_d2", HawkesPathSimulator(diag_m, diag_state.lam, diag_spec, 1.0, 0.25,
                                              grid_steps=8), 4
     yield "two_atom_eps", HawkesPathSimulator(
         AtomicMatrixMeasure([0.7, 3.0], a @ a.transpose(0, 2, 1)), [eye * 0.6, eye * 0.3],
-        JumpMeasureSpec(atoms=[np.diag([1.0, 0.3]), [[0.5, 0.5], [0.5, 0.5]]],
-                        weights=[eye, eye * 0.5], epsilon_shift=0.05),
-        1.0, 0.25, grid_steps=16), 5
+        two_atoms, 1.0, 0.25, grid_steps=16), 5
     yield "critical", HawkesPathSimulator(*_critical_model(), 1.0, 0.25, grid_steps=8), 6
     # V = 5 e^(-2t) - 4.75 e^(-50t) peaks inside a control interval of 0.5
     # well above 1.5 times its value at either end, so candidates there
@@ -614,6 +623,11 @@ def _reference_models():
     yield "rewind", HawkesPathSimulator(
         AtomicMatrixMeasure([2.0, 50.0], [[[0.1]], [[0.05]]]), [[[5.0]], [[-4.75]]],
         JumpMeasureSpec(atoms=[[[1.0]]], weights=[[[1.0]]]), 1.0, 0.5, grid_steps=3), 7
+    # two_atom_eps at 20 times its lam0: each path draws 228 to 563
+    # uniforms, so it refills its chunk of UNIFORM_CHUNK at least three times
+    yield "refill", HawkesPathSimulator(
+        AtomicMatrixMeasure([0.7, 3.0], a @ a.transpose(0, 2, 1)), [eye * 12.0, eye * 6.0],
+        two_atoms, 1.0, 0.25, grid_steps=16), 8
 
 
 REFERENCE_PATHS = 100
@@ -662,14 +676,42 @@ def test_batched_flow_matches_one_state_flow(name):
     np.testing.assert_array_equal(sim.flow.flow(z, dt), want)
 
 
+class _ChunkCount:
+    """A stream that counts its ``uniform`` calls, the chunks thinning draws."""
+
+    def __init__(self, rng):
+        self.rng, self.chunks = rng, 0
+
+    def uniform(self, *args, **kwargs):
+        self.chunks += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+def test_refill_model_refills_every_path():
+    # every path of "refill" spends at least three chunks, so its lockstep
+    # comparison runs the refill; a lone path draws a new chunk only when
+    # its last one is spent, and is the block's path p
+    sim, seed = _reference_model("refill")
+    want = _reference_records("refill")
+    chunks = [-(-draws // UNIFORM_CHUNK) for _, _, draws in want]
+    assert min(chunks) >= 3
+    for p in range(5):
+        rng = _ChunkCount(path_rng(seed, p))
+        rec = sim(rng)
+        assert rng.chunks == chunks[p]
+        for field, value in want[p][0].items():
+            np.testing.assert_array_equal(path_field(rec, 0, field), value, err_msg=field)
+
+
 def test_reference_model_rewinds_an_interval():
-    rewinds = [r for _, r in _reference_records("rewind")]
+    rewinds = [r for _, r, _ in _reference_records("rewind")]
     assert sum(rewinds) > 0
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("block_size", [1, 7, 64])
-@pytest.mark.parametrize("name", ["d1", "diagonal_d2", "two_atom_eps", "critical", "rewind"])
+@pytest.mark.parametrize("name", ["d1", "diagonal_d2", "two_atom_eps", "critical", "rewind",
+                                  "refill"])
 def test_lockstep_thinning_matches_per_path_loop(name, block_size, workers):
     sim, seed = _reference_model(name)
     got = run_path_blocks(sim.block, REFERENCE_PATHS, seed, workers=workers,
@@ -679,7 +721,7 @@ def test_lockstep_thinning_matches_per_path_loop(name, block_size, workers):
     assert len(got.v_path) == len(want)
     # the jump log is ordered by path, then by time
     assert np.all(np.diff(got.jump_paths) >= 0)
-    for p, (fields, _) in enumerate(want):
+    for p, (fields, _, _) in enumerate(want):
         for field, value in fields.items():
             np.testing.assert_array_equal(path_field(got, p, field), value, err_msg=field)
 

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mvolt.jumps import HawkesPathSimulator, JumpMeasureSpec
+from mvolt.jumps import UNIFORM_CHUNK, HawkesPathSimulator, JumpMeasureSpec
 from mvolt.mc import (
     STREAM_GROUP,
     estimate_mean,
@@ -56,10 +56,9 @@ def test_path_keys_match_seed_sequence(seed, start, stop):
 
 
 def _thinning_draws(rng):
-    """The draw mix of Hawkes thinning, interleaved, plus a block of normals."""
+    """What Hawkes thinning draws, chunks of uniforms, between blocks of normals."""
     out = [rng.standard_normal(3)]
-    for _ in range(4):
-        out += [rng.exponential(0.5), rng.uniform(), rng.choice(3, p=[0.2, 0.5, 0.3])]
+    out += [rng.uniform(size=UNIFORM_CHUNK) for _ in range(2)]
     out.append(rng.standard_normal((2, 5)))
     return out
 
@@ -153,9 +152,13 @@ def test_constant_simulator():
     assert est.n_paths == 500
 
 
+def _group_normal_block(seed, start, stop):
+    return group_normals(seed, start, stop)(1)[:, 0]
+
+
 def test_normal_mean_within_four_se():
-    est = run_paths(lambda rng: rng.standard_normal(), 1_000_000, seed=1,
-                    block_size=65536)
+    values = run_path_blocks(_group_normal_block, 1_000_000, seed=1, block_size=65536)
+    est = estimate_mean(values, 65536)
     assert abs(est.mean) <= 4.0 * est.stderr
     assert est.stderr == pytest.approx(1e-3, rel=0.05)
 
