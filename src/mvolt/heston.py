@@ -169,9 +169,10 @@ def _fill_threads(rows: int, row_doubles: int) -> int:
 
 
 def step_times(horizon: float, n_steps: int) -> np.ndarray:
-    """The grid 0, dt, ..., horizon of n_steps >= 1 steps over a finite horizon."""
-    if not np.isfinite(horizon):
-        raise ValueError(f"horizon T must be finite, got {horizon}")
+    """The grid 0, dt, ..., horizon of n_steps >= 1 steps over a positive,
+    finite horizon."""
+    if not 0.0 < horizon < np.inf:
+        raise ValueError(f"horizon T must be positive and finite, got {horizon}")
     if n_steps < 1:
         raise ValueError(f"need at least one step, got n_steps = {n_steps}")
     return np.linspace(0.0, horizon, n_steps + 1)
@@ -389,13 +390,15 @@ def char_function(model: HestonModelSpec, v, t: float, n_steps: int = 400):
     damped-transform use (the argument passed down is w = i v).  The
     transform is exact; ``n_steps`` is the floor on 2^J for the J doublings
     of its flow map (:func:`riccati.solve_joint_riccati_heston`), so the cost
-    grows with log2 n_steps.
+    grows with log2 n_steps.  A non-finite v raises ValueError.
     """
     v_arr = np.asarray(v)
     single = v_arr.ndim == 1
-    v_arr = np.atleast_2d(v_arr)
+    # i inf is nan + inf i, which the solver rejects: no warning on the way
+    with np.errstate(invalid="ignore"):
+        w = 1j * np.atleast_2d(v_arr)
     res = solve_joint_riccati_heston(
-        1j * v_arr,
+        w,
         model.measure,
         model.gamma0,
         model.rho,

@@ -292,13 +292,17 @@ def solve_joint_riccati_heston(
     Tr(Psi Lambda) + w^T P_0), Lambda_ij = gamma0_i^T gamma0_j.  A doubling
     (or the application to psi0) at which det X turns by over a quarter turn,
     log det X is not finite or |Psi| exceeds ``BLOWUP_LIMIT`` raises.
-    Raises ValueError unless 0 <= t < inf and n_steps >= 1, and
-    OverflowError when 2 rate t overflows.
+    Raises ValueError unless 0 <= t < inf, n_steps >= 1 and every entry of
+    w is finite, and OverflowError when 2 rate t overflows.
     """
     if not (0.0 <= t < np.inf and n_steps >= 1):
         raise ValueError(f"need 0 <= t < inf and n_steps >= 1, got t = {t}, "
                          f"n_steps = {n_steps}")
     w = np.atleast_2d(np.asarray(w, dtype=complex))
+    bad = np.flatnonzero(~np.isfinite(w).all(axis=1))
+    if bad.size:
+        raise ValueError(f"transform argument w must be finite, got w[{bad[0]}] = "
+                         f"{w[bad[0]].tolist()}")
     k, d = measure.k, measure.d
     kd, B = k * d, w.shape[0]
     gamma0 = np.asarray(gamma0, dtype=float)

@@ -1009,6 +1009,38 @@ def test_non_finite_time_exits_two_with_one_line(tmp_path, capsys, measure_file,
     assert not out.exists()
 
 
+HESTON_ARGS = {
+    "heston-charfn-v": ["heston", "charfn", "--model", "{heston}", "--t", "1.0", "--v"],
+    "transform-charfn-v": ["transform", "charfn", "--model", "{heston}", "--t", "1.0", "--v"],
+    "heston-simulate-T": TIME_FLAGS["heston-simulate-T"],
+    "heston-price-maturity": TIME_FLAGS["heston-price-maturity"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, value", [
+    *[(flag, v) for flag in ("heston-charfn-v", "transform-charfn-v")
+      for v in ("nan,1.0", "inf,1.0")],
+    *[(flag, t) for flag in ("heston-simulate-T", "heston-price-maturity")
+      for t in ("nan", "0", "-1")],
+])
+def test_bad_heston_argument_exits_two_with_one_line(tmp_path, capsys, heston_model_file,
+                                                     flag, value):
+    # --v nan or inf exited 3 as a Riccati blow-up after a NumPy warning, and
+    # --T or --maturity of 0 or -1 failed with "step size must be positive";
+    # heston price checks the maturity in its Riccati solve (t) before the
+    # simulation does (horizon T)
+    argv = [arg.format(heston=heston_model_file) for arg in HESTON_ARGS[flag]]
+    out = tmp_path / "out.txt"
+    assert main([*argv, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    names = (["transform argument w must be finite"] if flag.endswith("-v")
+             else ["horizon T must be positive and finite", "0 <= t < inf"])
+    assert any(name in err[0] for name in names), err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag", ["heston-simulate-T", "heston-price-maturity"])
 def test_overflowing_finite_time_exits_three_with_one_line(tmp_path, capsys,

@@ -412,6 +412,14 @@ class TestJointRiccati:
             solve_joint_riccati_heston(1j * np.array([[1.0, 0.5]]), measure, gamma0,
                                        np.array([-0.5, 0.0]), t, n_steps=n_steps)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [[1j, np.nan], [complex(0.0, np.inf), 0.5j]])
+    def test_rejects_non_finite_argument(self, w):
+        measure, gamma0 = self.heston_like()
+        with pytest.raises(ValueError, match=r"w must be finite, got w\[1\]"):
+            solve_joint_riccati_heston(np.array([[0.5j, 1j], w]), measure, gamma0,
+                                       np.array([-0.5, 0.0]), 1.0)
+
     def test_time_zero_is_the_initial_price(self):
         measure, gamma0 = self.heston_like()
         v, p0 = np.array([[1.0, 0.5], [-2.0, 3.0]]), np.array([0.1, -0.2])
