@@ -34,6 +34,7 @@ own order, so the samples do not depend on the thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -411,6 +412,20 @@ def char_function(model: HestonModelSpec, v, t: float, n_steps: int = 400):
     return complex(res.char[0]) if single else res.char
 
 
+# Slack of the no-arbitrage check in fourier_price_call, in units of the
+# forward e^(p0_asset), on top of the truncation error.
+PRICE_BOUND_TOL = 1e-6
+
+
+@cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-point Gauss-Legendre rule on [-1, 1], computed at first use."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 @dataclass(frozen=True)
 class CallPrice:
     price: float | np.ndarray
@@ -444,6 +459,13 @@ def fourier_price_call(
     of the last decade of the quadrature range, in price units (scaled by
     e^(-alpha kappa) / pi like the price).  ``riccati_steps`` is the
     ``n_steps`` floor of :func:`char_function`.
+
+    Raises ValueError ("retry with a smaller alpha") when the probe fails
+    or a price leaves the no-arbitrage bounds [(F - K)^+, F], F = e^(p0_asset)
+    (e^P is a martingale), by more than its truncation error plus
+    ``PRICE_BOUND_TOL`` F = 1e-6 F: too large an alpha can pass the probe
+    and still ruin the quadrature.  A price inside the bounds is not proof
+    of accuracy.
     """
     strikes = np.array(strike, dtype=float)
     if strikes.ndim > 1 or strikes.size == 0:
@@ -456,9 +478,10 @@ def fourier_price_call(
     if not 0 <= asset < model.d:
         raise ValueError(f"asset must lie in [0, {model.d}), got {asset}")
     e_i = np.eye(model.d)[asset]
-    kappa = np.log(strikes.reshape(-1))
+    ladder = strikes.reshape(-1)
+    kappa = np.log(ladder)
     # Gauss-Legendre panels on [0, v_max]
-    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes, weights = _legendre_rule()
     n_panels = max(n_quad // 64, 8)
     edges = np.linspace(0.0, v_max, n_panels + 1)
     vs = np.concatenate(
@@ -487,6 +510,18 @@ def fourier_price_call(
     scale = np.exp(-alpha * kappa) / np.pi
     tail = scale * float(np.sum(np.abs(phi[tail_mask] / denom[tail_mask]) * ws[tail_mask]))
     price = scale * integral
+    forward = float(np.exp(model.p0[asset]))
+    low = np.maximum(forward - ladder, 0.0)
+    slack = tail + PRICE_BOUND_TOL * forward
+    outside = ~((price >= low - slack) & (price <= forward + slack))
+    if outside.any():
+        j = int(np.flatnonzero(outside)[0])
+        raise ValueError(
+            f"call price {price[j]:.6g} at strike {ladder[j]:.6g} leaves the "
+            f"no-arbitrage bounds [{low[j]:.6g}, {forward:.6g}] by more than the "
+            f"truncation error {tail[j]:.3g} + {PRICE_BOUND_TOL:g} * forward "
+            f"(damping alpha = {alpha}); retry with a smaller alpha"
+        )
     if strikes.ndim == 0:
         price, strikes, tail = float(price[0]), float(strikes), float(tail[0])
     return CallPrice(

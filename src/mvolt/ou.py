@@ -54,12 +54,23 @@ from .mc import group_normals
 from .measures import AtomicMatrixMeasure, decay_sum, pair_decay_integrals
 
 
+def _pair_products(weights: np.ndarray) -> np.ndarray:
+    """nu_i nu_j for every node pair, (k, k, d, d) indexed [i, j].
+
+    Summed over the inner index b by d broadcast multiply-adds, b in order,
+    which gives the bits of einsum("iab,jbc->ijac") (a matmul would not).
+    """
+    prods = weights[:, None, :, 0, None] * weights[None, :, None, 0, :]
+    for b in range(1, weights.shape[2]):
+        prods += weights[:, None, :, b, None] * weights[None, :, None, b, :]
+    return prods
+
+
 def node_covariance(measure: AtomicMatrixMeasure, dt: float) -> np.ndarray:
     """Cross-node innovation covariance C, a (k d) x (k d) PSD matrix."""
     k, d = measure.k, measure.d
     E = pair_decay_integrals(measure.nodes, dt)  # (k, k)
-    prods = np.einsum("iab,jbc->ijac", measure.weights, measure.weights)
-    C = prods * E[:, :, None, None]
+    C = _pair_products(measure.weights) * E[:, :, None, None]
     return C.transpose(0, 2, 1, 3).reshape(k * d, k * d)
 
 
@@ -162,7 +173,7 @@ def joint_covariance(measure: AtomicMatrixMeasure, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     m, k, d = times.size, measure.k, measure.d
     E = pair_decay_integrals(measure.nodes, times[:, None, None])         # (m, k, k)
-    prods = np.einsum("iab,jbc->jiac", measure.weights, measure.weights)  # [b, a] = nu_a nu_b
+    prods = _pair_products(measure.weights).transpose(1, 0, 2, 3)        # [b, a] = nu_a nu_b
     # at_tj[j, b] = sum_a nu_a nu_b E_ab(t_j), one product per node b
     at_tj = np.matmul(E.transpose(2, 0, 1), prods.reshape(k, k, d * d)).transpose(1, 0, 2)
     lag = np.clip(times[None, :] - times[:, None], 0.0, None)            # t_l - t_j

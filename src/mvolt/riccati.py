@@ -355,7 +355,9 @@ def solve_joint_riccati_heston(
     lam0 = np.einsum("ina,jnb->iajb", gamma0, gamma0).reshape(kd, kd)
     phi = 0.5 * gamma0.shape[1] * (ell + t * np.trace(A, axis1=1, axis2=2))
     shift = 0.0 if p0 is None else w @ np.asarray(p0, dtype=float)
-    char = np.exp(-phi - np.einsum("bxy,yx->b", P, lam0) + shift)
+    # an inf here is the answer a caller checks (the damping-strip probe)
+    with np.errstate(over="ignore"):
+        char = np.exp(-phi - np.einsum("bxy,yx->b", P, lam0) + shift)
     psi = P.reshape(B, k, d, k, d).transpose(0, 1, 3, 2, 4)
     return JointRiccatiResult(phi=phi, psi=psi, char=char)
 

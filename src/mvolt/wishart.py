@@ -58,9 +58,16 @@ class WishartTransformQuery:
 
 
 def noise_variance(measure: AtomicMatrixMeasure, t: float) -> np.ndarray:
-    """Q_t = int_0^t K(s)^2 ds, the per-row covariance of the OU projection."""
+    """Q_t = int_0^t K(s)^2 ds, the per-row covariance of the OU projection.
+
+    Formed as two matrix products over the long axes: T_j = sum_i E_ij(t)
+    nu_i as E^T @ nu (k, d^2), then Q = sum_j T_j nu_j as one (d, k d) @
+    (k d, d) product.
+    """
+    k, d = measure.k, measure.d
     E = pair_decay_integrals(measure.nodes, t)
-    return np.einsum("ij,iab,jbc->ac", E, measure.weights, measure.weights)
+    T = (E.T @ measure.weights.reshape(k, d * d)).reshape(k, d, d)
+    return T.transpose(1, 0, 2).reshape(d, k * d) @ measure.weights.reshape(k * d, d)
 
 
 def _transform_pieces(query: WishartTransformQuery, measure: AtomicMatrixMeasure):
@@ -125,15 +132,29 @@ def simulate_wishart(
 
     Deterministic given (seed, n_paths): path p's noise depends on (seed,
     p) alone (see :func:`~mvolt.ou.simulate_lift_blocks`), so the result is
-    independent of workers and blocking.  V = X^T X is summed over the n
-    rows of X as outer products, row by row.
+    independent of workers and blocking.  V = X^T X is formed one entry
+    pair a <= b at a time: V_ab = sum_row X_row,a X_row,b, accumulated over
+    the n rows in order along the (paths, times) axes of strided views of X,
+    and written to V_ab and V_ba.
     """
     gamma0, times = check_lift_inputs(measure, gamma0, times)
     X = run_path_blocks(partial(simulate_lift_blocks, measure, gamma0, times),
                         n_paths, seed, workers=workers)
-    V = X[:, :, 0, :, None] * X[:, :, 0, None, :]
-    for a in range(1, X.shape[2]):
-        V += X[:, :, a, :, None] * X[:, :, a, None, :]
+    return _gram(X)
+
+
+def _gram(X: np.ndarray) -> np.ndarray:
+    """X^T X for each (path, time) of X (paths, times, n, d), as in
+    :func:`simulate_wishart`: bitwise the sum of the n row outer products."""
+    n, d = X.shape[2:]
+    V = np.empty(X.shape[:2] + (d, d))
+    for a in range(d):
+        for b in range(a, d):
+            acc = X[:, :, 0, a] * X[:, :, 0, b]
+            for row in range(1, n):
+                acc += X[:, :, row, a] * X[:, :, row, b]
+            V[..., a, b] = acc
+            V[..., b, a] = acc
     return V
 
 

@@ -1042,6 +1042,26 @@ def test_bad_heston_argument_exits_two_with_one_line(tmp_path, capsys, heston_mo
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("start, alpha, message", [
+    (30.0, "3", "finite-moment strip"),
+    (10.0, "1.5", "no-arbitrage bounds"),
+], ids=["strip-probe-overflow", "price-out-of-bounds"])
+def test_bad_damping_price_exits_two_with_one_line(tmp_path, capsys, start, alpha, message):
+    # the strip probe overflowed with a NumPy warning before its error, and
+    # a price of 2.1e26 for a call worth at most 1 was written with exit 0
+    rows = ", ".join([f"[[{start}], [{start}]]"] * 2)
+    model = write(tmp_path / "strong.cfg",
+                  "[measure]\nnodes = [0.5, 3.0]\nweights = [[[0.83]], [[0.007]]]\nd = 1\n"
+                  f"[gamma0]\nweights = [{rows}]\n[price]\nrho = [0.0]\np0 = [0.0]\n")
+    out = tmp_path / "out.txt"
+    assert main(["heston", "price", "--model", model, "--strikes", "1.0", "--maturity",
+                 "0.05", "--alpha", alpha, "--paths", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0] and "retry with a smaller alpha" in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag", ["heston-simulate-T", "heston-price-maturity"])
 def test_overflowing_finite_time_exits_three_with_one_line(tmp_path, capsys,
                                                           heston_model_file, flag):

@@ -189,6 +189,15 @@ def degenerate_model():
                            rho=[0.0], p0=[0.0])
 
 
+def strong_start_model(start):
+    # k = 2, d = 1, n = 2 with every gamma0 entry at ``start``: a large
+    # variance whose moments explode soon (the strip probe fails at alpha
+    # = 3 for start = 30, and for start = 10 passes at alpha = 1, 1.5, 3)
+    measure = AtomicMatrixMeasure([0.5, 3.0], [[[0.83]], [[0.007]]])
+    return HestonModelSpec(measure=measure, gamma0=np.full((2, 2, 1), start),
+                           rho=[0.0], p0=[0.0])
+
+
 class TestModelValidation:
     def test_correlation_norm_bound(self):
         m = AtomicMatrixMeasure([0.5], np.zeros((1, 2, 2)))
@@ -707,6 +716,33 @@ class TestFourierPricing:
         with pytest.raises(ValueError, match="0 <= t < inf"):
             fourier_price_call(heston_reference_model(), 0, 1.0, maturity,
                                n_quad=512, riccati_steps=100)
+
+    @pytest.mark.filterwarnings("error")
+    def test_strip_probe_overflow_raises_without_warning(self):
+        # Phi(-i (alpha + 1)) overflows to inf: the strip error alone, no
+        # NumPy overflow warning before it
+        with pytest.raises(ValueError, match="finite-moment strip.*smaller alpha"):
+            fourier_price_call(strong_start_model(30.0), 0, 1.0, 0.05, alpha=3.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 3.0])
+    def test_price_outside_no_arbitrage_bounds_raises(self, alpha):
+        # the probe passes, yet the quadrature gave 2.8e8, 2.1e26 and
+        # -4.5e93 for a call worth at most e^(p0) = 1, with a truncation
+        # error of 0
+        with pytest.raises(ValueError, match="no-arbitrage bounds.*smaller alpha"):
+            fourier_price_call(strong_start_model(10.0), 0, 1.0, 0.05, alpha=alpha)
+
+    def test_price_inside_no_arbitrage_bounds_passes(self):
+        fp = fourier_price_call(strong_start_model(10.0), 0, 1.0, 0.05, alpha=0.25)
+        assert 0.99 < fp.price <= 1.0
+
+    def test_legendre_rule_computed_once(self):
+        nodes, weights = heston_mod._legendre_rule()
+        assert heston_mod._legendre_rule()[0] is nodes
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(64)
+        np.testing.assert_array_equal(nodes, want_nodes)
+        np.testing.assert_array_equal(weights, want_weights)
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_bad_damping_reported(self):
         model = heston_reference_model()

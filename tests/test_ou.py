@@ -3,7 +3,7 @@ import pytest
 
 from mvolt.fractional import FractionalKernelSpec, fit_fractional_measure
 from mvolt.mc import path_generators
-from mvolt.measures import AtomicMatrixMeasure, decay_sum
+from mvolt.measures import AtomicMatrixMeasure, decay_sum, pair_decay_integrals
 from mvolt.ou import (
     DIRECT_MAX_MD,
     StepOperator,
@@ -196,6 +196,36 @@ def test_joint_covariance_equals_the_lift(measure, step_covariance):
     direct = joint_covariance(measure, times)
     lift = lift_joint_covariance(measure, times, step_covariance)
     assert np.linalg.norm(lift - direct) <= 1e-13 * np.linalg.norm(direct)
+
+
+def random_d3_measure():
+    a = np.random.default_rng(5).normal(size=(3, 3, 3))
+    return AtomicMatrixMeasure([0.3, 1.0, 4.0], a @ a.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("measure", [rough_fit_measure(), clamped_measure(),
+                                     random_d3_measure()],
+                         ids=["rough_fit", "clamped", "random_d3"])
+def test_pair_products_give_the_einsum_bits(measure):
+    # the node pair products nu_i nu_j are summed over the inner index in
+    # order, so C and the joint covariance keep the bits of the einsums
+    # they replaced, and with them every drawn X
+    k, d, nu = measure.k, measure.d, measure.weights
+    dt, times = 0.3, np.array([0.25, 0.5, 1.0, 2.0])
+    E = pair_decay_integrals(measure.nodes, dt)
+    C = np.einsum("iab,jbc->ijac", nu, nu) * E[:, :, None, None]
+    np.testing.assert_array_equal(node_covariance(measure, dt),
+                                  C.transpose(0, 2, 1, 3).reshape(k * d, k * d))
+    m = times.size
+    E = pair_decay_integrals(measure.nodes, times[:, None, None])
+    prods = np.einsum("iab,jbc->jiac", nu, nu)
+    at_tj = np.matmul(E.transpose(2, 0, 1), prods.reshape(k, k, d * d)).transpose(1, 0, 2)
+    lag = np.clip(times[None, :] - times[:, None], 0.0, None)
+    upper = np.matmul(np.exp(-lag[..., None] * measure.nodes), at_tj).reshape(m, m, d, d)
+    j_le_l = np.arange(m)[:, None] <= np.arange(m)[None, :]
+    blocks = np.where(j_le_l[..., None, None], upper, upper.transpose(1, 0, 3, 2))
+    np.testing.assert_array_equal(joint_covariance(measure, times),
+                                  blocks.transpose(0, 2, 1, 3).reshape(m * d, m * d))
 
 
 def rank_one_measure():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvolt.fractional import FractionalKernelSpec, fit_fractional_measure
 from mvolt.mc import run_path_blocks
-from mvolt.measures import AtomicMatrixMeasure
+from mvolt.measures import AtomicMatrixMeasure, pair_decay_integrals
 from mvolt.ou import simulate_lift_blocks
 from mvolt.wishart import (
     WishartTransformQuery,
+    _gram,
     affine_transform_wishart,
     closed_form_laplace,
     mean_wishart,
@@ -167,6 +169,32 @@ class TestSimulation:
         a = simulate_wishart(measure, gamma0, [0.5], 64, seed=5)
         b = simulate_wishart(measure, gamma0, [0.5], 64, seed=5)
         np.testing.assert_array_equal(a, b)
+
+
+class TestFormation:
+    """The contractions keep the law's numbers: V to the bit, Q_t to rounding."""
+
+    @pytest.mark.parametrize("shape", [(7, 3, 1, 1), (5, 2, 3, 3), (4, 4, 2, 2)])
+    def test_gram_equals_row_outer_products_bitwise(self, shape):
+        x = np.random.default_rng(sum(shape)).normal(size=shape)
+        # the reference: the outer products of the n rows, summed in row order
+        want = x[:, :, 0, :, None] * x[:, :, 0, None, :]
+        for row in range(1, shape[2]):
+            want += x[:, :, row, :, None] * x[:, :, row, None, :]
+        np.testing.assert_array_equal(_gram(x), want)
+
+    @pytest.mark.parametrize("measure", [
+        fit_fractional_measure(FractionalKernelSpec(
+            np.array([[0.1, 0.2], [0.2, 0.3]]), 1e-3, 10.0, 40)).measure,
+        random_setup(29, d=3, k=5)[0],
+    ], ids=["rough_fit_k40", "random_d3"])
+    @pytest.mark.parametrize("t", [0.25, 1.0, 2.0])
+    def test_noise_variance_equals_pair_sum(self, measure, t):
+        E = pair_decay_integrals(measure.nodes, t)
+        nu = measure.weights
+        want = sum(E[i, j] * nu[i] @ nu[j] for i in range(measure.k) for j in range(measure.k))
+        got = noise_variance(measure, t)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestPathRecord:
