@@ -25,10 +25,12 @@ chain by construction).  The characteristic function delegates to the
 node-pair Riccati system, and a strike ladder is priced by a damped inverse
 transform along one asset direction from one solve of it.
 
-The draws dominate a simulated block, and each path draws from its own
-counter-based stream, so the rows of a pass are filled on several threads
-(NumPy's Generator fills release the GIL): each row by one thread, in its
-own order, so the samples do not depend on the thread count.
+The draws dominate a simulated block.  They come from one counter-based
+stream per group of ``mc.STREAM_GROUP`` consecutive paths, the streams of
+:func:`mc.group_normals`, so a path's samples depend on (seed, path) alone,
+and the groups of a pass are filled on several threads (NumPy's Generator
+fills release the GIL): each group by one thread, in its own order, so the
+samples do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import cache
 import numpy as np
 
 from .measures import AtomicMatrixMeasure, check_psd, decay_integral
-from .mc import _usable_cpus, path_rng, run_path_blocks
+from .mc import _GROUP_STREAMS, STREAM_GROUP, _usable_cpus, path_rng, run_path_blocks
 from .ou import StepOperator, _psd_factor, node_covariance
 from .riccati import solve_joint_riccati_heston
 
@@ -137,36 +139,13 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
 
 # Draws each path makes per pass of a block: a pass draws the next
 # CHUNK_DRAWS // (_draws_per_step + J) steps (at least one) of every path.
+# A block whose passes draw fewer than CHUNK_DRAWS // 2 per path stays on
+# one thread: the pool's start-up and hand-offs cost it 0.3 ms.  1024 paths
+# of 10 draws a step, ms on one thread and on two (2-vCPU Xeon): 1 step 0.58
+# and 0.84-0.94, 4 steps 2.0 and 2.3, 16 steps 4.2-4.4 and 4.3-4.7; a full
+# pass of 102 steps filled 1.4-1.8x faster on two while the second vCPU
+# was free, and as fast while it was busy.
 CHUNK_DRAWS = 1024
-
-# The thread rule: a pass whose B rows fill w doubles each is split over
-# T = min(CPUs, B, B w // THREAD_MIN_DOUBLES) threads, and stays on the
-# calling thread (T = 1) when w < THREAD_MIN_ROW_DOUBLES.  A row's fill
-# releases the GIL; its Python call and each hand-off of the GIL between
-# threads do not, so short rows lose more to the hand-offs than the second
-# thread saves, and a pass of few rows does not pay for the pool.  Time of
-# one thread over two, per pass (2-vCPU Xeon, one BLAS thread, median of 5):
-#
-#   rows \ w     256   384   512   768  1024  2048
-#      4        0.24  0.29  0.40  0.69  0.80  1.16
-#      8        0.34  0.41  0.64  0.92  1.23  1.22
-#     16        0.40  0.51  0.96  1.25  1.34  1.58
-#     32        0.52  0.58  1.19  1.24  1.60  1.70
-#   1024        0.63  0.89  1.27  1.68  1.76  1.90
-#
-# Every pass of the table that the rule splits was faster split; a row of
-# w = 1020 with two jump atoms (850 normals, then 170 uniforms) gained 1.78x
-# on 1024 rows.  Every pass but a horizon's last fills w > CHUNK_DRAWS / 2.
-THREAD_MIN_ROW_DOUBLES = 512
-THREAD_MIN_DOUBLES = 8192
-
-
-def _fill_threads(rows: int, row_doubles: int) -> int:
-    """Threads that fill a pass of ``rows`` rows of ``row_doubles`` doubles
-    each, by the thread rule."""
-    if row_doubles < THREAD_MIN_ROW_DOUBLES:
-        return 1
-    return max(min(_usable_cpus(), rows, rows * row_doubles // THREAD_MIN_DOUBLES), 1)
 
 
 def step_times(horizon: float, n_steps: int) -> np.ndarray:
@@ -195,25 +174,30 @@ class HestonSimulator:
       noise_factor^T gain^T rho, the conditional mean, and sigma_perp on
       the one dB draw of each row, the rest of its law.
 
-    Path p draws from its own stream ``path_rng(seed, p)``, in chunks of
-    S = ``_chunk_steps`` = CHUNK_DRAWS // (_draws_per_step + J) steps (at
-    least one, at most n_steps), J the number of price jump atoms: in each
-    pass every path draws the ``_draws_per_step`` normals of each of its
-    next S steps, in step order, and then, with price jumps, one uniform
-    per atom and step, into (B, S, draws) and (B, S, J) buffers; the steps
-    run over them, and the last chunk is ragged.  The buffers hold at most
-    B x CHUNK_DRAWS doubles whatever the horizon.  A horizon of one chunk
-    is the whole-horizon draw, all normals and then all uniforms.
+    Path p lies in group g = p // ``STREAM_GROUP`` and draws from the
+    group's stream ``path_rng(seed, 2**32 + g)``, the stream of
+    :func:`mc.group_normals`, in chunks of S = ``_chunk_steps`` =
+    CHUNK_DRAWS // (_draws_per_step + J) steps (at least one, at most
+    n_steps), J the number of price jump atoms: in each pass every group
+    the block touches draws a (STREAM_GROUP, s, _draws_per_step) normal
+    array for the next s <= S steps and then, with price jumps, a
+    (STREAM_GROUP, s, J) uniform array, and path p takes row
+    p % STREAM_GROUP of both; the steps run over them, and the last chunk
+    is ragged.  The counts of a pass do not depend on the block, so a
+    path's samples depend on (seed, p) alone.  The buffers hold G x
+    STREAM_GROUP x CHUNK_DRAWS doubles at most, G the groups touched,
+    whatever the horizon; a ragged pass uses their prefix.
 
-    A pass splits its B rows into T contiguous ranges by the thread rule
-    (``THREAD_MIN_ROW_DOUBLES``, ``THREAD_MIN_DOUBLES``): the calling thread
-    fills the first, T - 1 threads of a pool that lives for the call fill
-    the others.  A row is filled by one thread from its own Generator in the
-    order above, so the samples are bitwise those of the serial fill for
-    every T.  The streams are built on the calling thread, one ``path_rng``
-    per path in path order, and the pool threads call only the Generators'
-    fill methods: the benchmark's tracing wraps ``path_rng`` with spans on
-    one stack, which is not thread-safe.
+    The G groups of a pass are split into T = min(usable CPUs, G)
+    contiguous ranges: the calling thread fills the first, T - 1 threads of
+    a pool that lives for the call fill the others.  A block inside one
+    group, or whose passes draw fewer than CHUNK_DRAWS // 2 per path,
+    starts no pool.  A group is filled by one thread from its own
+    Generator in the order above, so the samples are bitwise equal for every
+    T.  The streams are built on the calling thread, one ``path_rng`` per
+    group, and the pool threads call only the Generators' fill methods: the
+    benchmark's tracing wraps ``path_rng`` with spans on one stack, which is
+    not thread-safe.
     """
 
     def __init__(self, model: HestonModelSpec, horizon: float, n_steps: int,
@@ -284,39 +268,44 @@ class HestonSimulator:
     def __call__(self, seed: int, start: int, stop: int) -> np.ndarray:
         """Samples of shape (paths, len(record_times), d), the log prices;
         with ``record_variance`` the last axis doubles to [P, diag V]."""
-        row_doubles = self._chunk_steps * (self._draws_per_step + self.model.n_jumps)
-        threads = _fill_threads(stop - start, row_doubles)
-        if threads == 1:
-            return self._simulate(seed, start, stop, None)
-        # imported here: a block below the thread rule never loads the pool
+        # One path_rng per group, in group order on the calling thread, not
+        # mc.path_generators, which builds the same streams: the benchmark's
+        # tracing wraps mvolt.heston.path_rng by name.
+        rngs = [path_rng(seed, _GROUP_STREAMS + g)
+                for g in range(start // STREAM_GROUP, -(-stop // STREAM_GROUP))]
+        rows = slice(start % STREAM_GROUP, start % STREAM_GROUP + stop - start)
+        threads = min(_usable_cpus(), len(rngs))
+        pass_draws = self._chunk_steps * (self._draws_per_step + self.model.n_jumps)
+        if threads == 1 or pass_draws < CHUNK_DRAWS // 2:
+            return self._simulate(rngs, rows, None, 1)
+        # imported here: a block that stays on one thread never loads the pool
         from concurrent.futures.thread import ThreadPoolExecutor
 
         with ThreadPoolExecutor(threads - 1) as pool:
-            return self._simulate(seed, start, stop, pool)
+            return self._simulate(rngs, rows, pool, threads)
 
-    def _simulate(self, seed: int, start: int, stop: int, pool) -> np.ndarray:
-        """The block's samples; ``pool`` (None or a thread pool) takes the
-        rows of each pass beyond the calling thread's share."""
+    def _simulate(self, rngs: list, rows: slice, pool, threads: int) -> np.ndarray:
+        """The samples of the block's ``rows`` of the groups that draw from
+        ``rngs``; the groups of each pass are split into ``threads``
+        ranges, and ``pool`` (None for one thread) takes those beyond the
+        calling thread's."""
         model = self.model
         n, d, r = model.n, model.d, self.op.noise_factor.shape[1]
         J = model.n_jumps
-        B = stop - start
-        # One path_rng per path, in path order on the calling thread, not
-        # mc.path_generators: the benchmark's tracing wraps
-        # mvolt.heston.path_rng by name, so the move to path_generators waits
-        # for a change to the benchmark.  The draws are the same.
-        rngs = [path_rng(seed, p) for p in range(start, stop)]
+        B = rows.stop - rows.start
+        G = len(rngs)
+        edges = [G * i // threads for i in range(threads + 1)]
         S, draws = self._chunk_steps, self._draws_per_step
-        gauss = np.empty((B, S, draws))
-        unif = np.empty((B, S, J))
+        gauss_buf = np.empty(G * STREAM_GROUP * S * draws)
+        unif_buf = np.empty(G * STREAM_GROUP * S * J)
 
-        def fill(lo, hi, s):
-            """Draw the next s steps of rows [lo, hi): each row's normals,
+        def fill(lo, hi, gauss, unif):
+            """Draw the next steps of groups [lo, hi): each group's normals,
             then its uniforms, from its own stream."""
-            for row in range(lo, hi):
-                rngs[row].standard_normal(out=gauss[row, :s])
+            for g in range(lo, hi):
+                rngs[g].standard_normal(out=gauss[g])
                 if J:
-                    rngs[row].random(out=unif[row, :s])
+                    rngs[g].random(out=unif[g])
 
         half_dt = 0.5 * self.dt
         gamma = np.tile(self._gamma0, (B, 1))            # (B n, k d)
@@ -339,14 +328,18 @@ class HestonSimulator:
             j = m % S
             if j == 0:
                 s = min(S, self.n_steps - m)
-                T = 1 if pool is None else _fill_threads(B, s * (draws + J))
-                edges = [B * i // T for i in range(T + 1)]
-                futures = [pool.submit(fill, lo, hi, s)
+                # prefix views, so the block's rows below stay views
+                gauss = gauss_buf[:G * STREAM_GROUP * s * draws].reshape(
+                    G, STREAM_GROUP, s, draws)
+                unif = unif_buf[:G * STREAM_GROUP * s * J].reshape(G, STREAM_GROUP, s, J)
+                futures = [pool.submit(fill, lo, hi, gauss, unif)
                            for lo, hi in zip(edges[1:-1], edges[2:])]
-                fill(0, edges[1], s)
+                fill(0, edges[1], gauss, unif)
                 for future in futures:
                     future.result()
-            z = gauss[:, j]                               # (B, draws)
+                gauss_rows = gauss.reshape(G * STREAM_GROUP, s, draws)[rows]
+                unif_rows = unif.reshape(G * STREAM_GROUP, s, J)[rows]
+            z = gauss_rows[:, j]                          # (B, draws)
             z_node = z[:, :n * r].reshape(B * n, r)
             X = gamma @ self._sum_nodes                   # (B n, d)
             dB = (z @ self._db_map).reshape(B * n, 1)
@@ -356,7 +349,7 @@ class HestonSimulator:
                 X3 = X.reshape(B, n, d)
                 V = _sum_rows(X3[:, :, :, None] * X3[:, :, None, :])
                 rates = np.clip(V.reshape(B, d * d) @ self._jump_trace, 0.0, None)
-                counts = _poisson_from_uniform(unif[:, j], rates * self.dt)
+                counts = _poisson_from_uniform(unif_rows[:, j], rates * self.dt)
                 P += counts @ model.jump_atoms - rates @ self._jump_comp
             self.op.step(gamma, z_node)
             while rec_pos < len(self.record_idx) and self.record_idx[rec_pos] == m + 1:
@@ -465,7 +458,7 @@ def fourier_price_call(
     (e^P is a martingale), by more than its truncation error plus
     ``PRICE_BOUND_TOL`` F = 1e-6 F: too large an alpha can pass the probe
     and still ruin the quadrature.  A price inside the bounds is not proof
-    of accuracy.
+    of accuracy.  The maturity must be positive and finite.
     """
     strikes = np.array(strike, dtype=float)
     if strikes.ndim > 1 or strikes.size == 0:
@@ -475,6 +468,8 @@ def fourier_price_call(
             raise ValueError(f"strike must be positive and finite, got {k}")
     if not 0.0 < alpha < np.inf:
         raise ValueError(f"damping alpha must be positive and finite, got {alpha}")
+    if not 0.0 < maturity < np.inf:
+        raise ValueError(f"maturity must be positive and finite, got {maturity}")
     if not 0 <= asset < model.d:
         raise ValueError(f"asset must lie in [0, {model.d}), got {asset}")
     e_i = np.eye(model.d)[asset]

@@ -7,9 +7,10 @@ random numbers: as easy as 1, 2, 3").  :func:`path_rng` defines the stream
 of one path, for simulators whose draw counts differ from path to path.
 :func:`path_keys` computes the Philox keys of a range of stream indices in
 one pass, and :func:`path_generators` builds one Generator per index from
-them.  Fixed-count Gaussian noise is drawn by :func:`group_normals` from one
-stream per group of ``STREAM_GROUP`` consecutive paths, group g from
-``path_rng(seed, 2**32 + g)``, so a block pays one stream per 256 paths.
+them.  Fixed-count noise is drawn from one stream per group of
+``STREAM_GROUP`` consecutive paths, group g from ``path_rng(seed, 2**32 +
+g)`` (:func:`group_normals`, and the Heston simulator's own fill), so a
+block pays one stream per 256 paths.
 :func:`run_path_blocks` evaluates a block simulator over path blocks and
 joins the block results in block order, which makes the final numbers
 byte-identical for 1 or many workers.
@@ -243,15 +244,15 @@ def run_path_blocks(
 
     ``block_fn(seed, start, stop)`` returns the values of paths
     [start, stop), drawing the noise of path p as a function of (seed, p)
-    only (``path_rng(seed, p)``, or its rows of :func:`group_normals`): an
-    array, or a tuple (or named tuple) of arrays.  Block results
-    are joined in path order, arrays concatenated along their first axis and
-    tuples field by field into a tuple of the same type, so the output is
-    independent of the worker count.  An exception keeps its type and names
-    the failing paths and the seed.  With ``workers`` > 1 and at most ``block_size``
-    paths, the run is split into min(workers, n_paths) path-ordered blocks
-    so that the workers share it.  At most one process per usable CPU
-    runs.
+    only (``path_rng(seed, p)``, or its rows of the group streams of
+    :func:`group_normals`): an array, or a tuple (or named tuple) of
+    arrays.  Block results are joined in path order, arrays concatenated
+    along their first axis and tuples field by field into a tuple of the
+    same type, so the output is independent of the worker count.  An
+    exception keeps its type and names the failing paths and the seed.
+    With ``workers`` > 1 and at most ``block_size`` paths, the run is split
+    into min(workers, n_paths) path-ordered blocks so that the workers share
+    it.  At most one process per usable CPU runs.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")

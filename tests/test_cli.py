@@ -832,6 +832,25 @@ class TestTransformCommands:
         assert len(err) == 1 and err[0].startswith(message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("maturity", ["0", "-1", "nan", "inf"])
+    def test_heston_price_bad_maturity(self, tmp_path, capsys, monkeypatch,
+                                       heston_model_file, maturity):
+        # maturity 0 priced a call at the money at 0.00159 instead of 0, and
+        # -1, nan and inf failed in the Riccati solve with a message on t
+        import mvolt.cli as cli_mod
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking --maturity")
+
+        monkeypatch.setattr(cli_mod, "simulate_heston_terminal", no_simulation)
+        out = tmp_path / "price.csv"
+        rc = main(["heston", "price", "--model", heston_model_file, "--strikes", "0.9,1.0,1.1",
+                   f"--maturity={maturity}", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: maturity must be positive and finite, got {float(maturity)}"]
+        assert not out.exists()
+
     def test_heston_price_csv(self, tmp_path, heston_model_file, monkeypatch):
         import mvolt.heston as heston_mod
 
@@ -1028,16 +1047,17 @@ def test_bad_heston_argument_exits_two_with_one_line(tmp_path, capsys, heston_mo
                                                      flag, value):
     # --v nan or inf exited 3 as a Riccati blow-up after a NumPy warning, and
     # --T or --maturity of 0 or -1 failed with "step size must be positive";
-    # heston price checks the maturity in its Riccati solve (t) before the
-    # simulation does (horizon T)
+    # heston price checks the maturity before its Riccati solve and the
+    # simulation
     argv = [arg.format(heston=heston_model_file) for arg in HESTON_ARGS[flag]]
     out = tmp_path / "out.txt"
     assert main([*argv, value, "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    names = (["transform argument w must be finite"] if flag.endswith("-v")
-             else ["horizon T must be positive and finite", "0 <= t < inf"])
-    assert any(name in err[0] for name in names), err
+    name = {"heston-simulate-T": "horizon T must be positive and finite",
+            "heston-price-maturity": "error: maturity must be positive and finite"}.get(
+                flag, "transform argument w must be finite")
+    assert name in err[0], err
     assert not out.exists()
 
 

@@ -17,7 +17,6 @@ from mvolt.heston import (
     fourier_price_call,
     simulate_heston_terminal,
 )
-from mvolt.mc import path_rng
 from mvolt.ou import node_covariance
 from mvolt.riccati import solve_joint_riccati_heston
 from mvolt.validate import heston_reference_model
@@ -64,21 +63,38 @@ def conditional_db_law(model, dt):
     return gain, float(np.sqrt(max(rho @ cond_cov @ rho + (1.0 - rho @ rho) * dt, 0.0)))
 
 
+# paths per stream group, part of the stream definition
+STREAM_GROUP = 256
+
+
+def group_stream(seed, g):
+    """The stream of path group g, built from its SeedSequence."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(g, 1))
+    return np.random.Generator(np.random.Philox(ss))
+
+
 def path_draws(sim, seed, start, stop, chunk):
     """Every path's normals (B, n_steps, draws) and jump uniforms (B,
-    n_steps, J) from its own stream, drawn in passes of ``chunk`` steps:
-    each pass the normals of its steps, then their uniforms."""
+    n_steps, J), drawn in passes of ``chunk`` steps from the stream of its
+    group of STREAM_GROUP paths, SeedSequence spawn key (g, 1): each pass of
+    s steps a (STREAM_GROUP, s, draws) normal array, then a (STREAM_GROUP,
+    s, J) uniform array, of which path p takes row p % STREAM_GROUP."""
     J = sim.model.n_jumps
     B = stop - start
     gauss = np.empty((B, sim.n_steps, sim._draws_per_step))
     jump_u = np.empty((B, sim.n_steps, J))
-    for row, p in enumerate(range(start, stop)):
-        rng = path_rng(seed, p)
+    for g in range(start // STREAM_GROUP, -(-stop // STREAM_GROUP)):
+        rng = group_stream(seed, g)
+        lo, hi = max(start, g * STREAM_GROUP), min(stop, (g + 1) * STREAM_GROUP)
+        block, group = slice(lo - start, hi - start), slice(lo - g * STREAM_GROUP,
+                                                           hi - g * STREAM_GROUP)
         for m in range(0, sim.n_steps, chunk):
             steps = slice(m, min(m + chunk, sim.n_steps))
-            gauss[row, steps] = rng.standard_normal(gauss[row, steps].shape)
+            s = steps.stop - m
+            gauss[block, steps] = rng.standard_normal(
+                (STREAM_GROUP, s, sim._draws_per_step))[group]
             if J:
-                jump_u[row, steps] = rng.uniform(size=jump_u[row, steps].shape)
+                jump_u[block, steps] = rng.uniform(size=(STREAM_GROUP, s, J))[group]
     return gauss, jump_u
 
 
@@ -478,10 +494,12 @@ class TestSimulation:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("case", ["reference", "clamped", "jumps", "records", "start"])
-    def test_chunked_draws_replay_whole_horizon_bitwise(self, case):
+    def test_chunked_draws_replay_pass_by_pass_draw_bitwise(self, case):
         # 10 draws per step (6 clamped) give chunks of 102 (170) steps, so
         # 250 (400) steps take two full chunks and a ragged third; the jump
-        # model's 64 steps fit one chunk of 10 normals and 2 uniforms per step
+        # model's 64 steps fit one chunk of 10 normals and 2 uniforms per
+        # step.  A group draws each pass as one (STREAM_GROUP, s, draws)
+        # array, so more than one chunk is not the whole-horizon draw
         seed, start, stop = 11, 3, 43
         if case == "reference":
             sim = HestonSimulator(heston_reference_model(), 1.0, 250)
@@ -501,7 +519,20 @@ class TestSimulation:
                           "start": 102}[case]
         assert sim._chunk_steps == expected_chunk
         got = sim(seed, start, stop)
-        assert np.array_equal(got, flat_step_reference(sim, seed, start, stop, sim.n_steps))
+        assert np.array_equal(got, flat_step_reference(sim, seed, start, stop, expected_chunk))
+        whole = flat_step_reference(sim, seed, start, stop, sim.n_steps)
+        assert np.array_equal(got, whole) == (case == "jumps")
+
+    @pytest.mark.parametrize("make_model", [heston_reference_model, two_atom_jump_model],
+                             ids=["reference", "jumps"])
+    def test_block_is_its_rows_of_a_larger_block(self, make_model):
+        # a path's draws depend on (seed, p) alone: paths [150, 161) inside
+        # group 0 and [250, 262) across the edge of groups 0 and 1 are those
+        # rows of the 600-path block over groups 0, 1 and 2
+        sim = HestonSimulator(make_model(), 1.0, 250)
+        whole = sim(11, 0, 600)
+        for start, stop in ((150, 161), (250, 262)):
+            assert np.array_equal(sim(11, start, stop), whole[start:stop])
 
     def test_jump_chunks_replay_chunk_by_chunk_draw_bitwise(self):
         # 10 normals and 2 uniforms per step give chunks of 1024 // 12 = 85
@@ -535,9 +566,30 @@ class TestSimulation:
         peak(128)
         assert peak(1024) - peak(128) < 64 * 1024
 
+    def test_ragged_pass_draws_into_a_prefix_of_the_buffers(self):
+        # 200 steps of 10 draws are passes of 102 and 98 steps, 204 steps
+        # two full ones: the ragged pass fills a prefix of the same buffer,
+        # so the shorter horizon peaks no higher, up to the array views'
+        # headers; a buffer of its own for the ragged pass would add
+        # 512 x 98 x 10 doubles (4.0 MB)
+        import tracemalloc
+
+        def peak(n_steps):
+            sim = HestonSimulator(heston_reference_model(), 1.0, n_steps)
+            assert sim._chunk_steps == 102
+            tracemalloc.start()
+            try:
+                sim(3, 0, 512)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(200)
+        assert peak(200) - peak(204) < 4 * 1024
+
 
 class SpyPool(ThreadPoolExecutor):
-    """A thread pool that records its size and the rows handed to it."""
+    """A thread pool that records its size and the group ranges handed to it."""
 
     made = []
 
@@ -563,15 +615,15 @@ class TestThreadedFill:
     @pytest.mark.parametrize("case", ["reference", "clamped", "jumps"])
     def test_block_is_the_serial_fill_for_any_thread_count(self, case, cpus, monkeypatch,
                                                            spy_pool):
-        # 85 rows of about 1020 doubles a pass take min(cpus, 85 * 1020 // 8192
-        # = 10) threads.  Passes: reference 102, 102, 102 and 94 steps of 10
-        # draws; clamped 170, 170 and 60 steps of 6 (the last, 360 doubles a
-        # row, below the rule); jumps 85, 85 and 80 steps of 10 normals and 2
+        # paths [100, 1100) touch groups 0 to 4, so T = min(cpus, 5) threads
+        # each take a contiguous range of whole groups every pass.  Passes:
+        # reference 102, 102, 102 and 94 steps of 10 draws; clamped 170, 170
+        # and 60 steps of 6; jumps 85, 85 and 80 steps of 10 normals and 2
         # uniforms
-        seed, start, stop = 11, 5, 90
-        model, n_steps, chunk, split_passes = {
+        seed, start, stop = 11, 100, 1100
+        model, n_steps, chunk, passes = {
             "reference": (heston_reference_model(), 400, 102, 4),
-            "clamped": (clamped_model(), 400, 170, 2),
+            "clamped": (clamped_model(), 400, 170, 3),
             "jumps": (two_atom_jump_model(), 250, 85, 3),
         }[case]
         monkeypatch.setattr(heston_mod, "_usable_cpus", lambda: cpus)
@@ -586,30 +638,35 @@ class TestThreadedFill:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads_before
         assert np.array_equal(got, flat_step_reference(sim, seed, start, stop, chunk))
-        if cpus == 1:
+        threads = min(cpus, 5)
+        if threads == 1:
             assert spy_pool == []
         else:
             (pool,) = spy_pool
-            assert pool._max_workers == cpus - 1
-            edges = [85 * i // cpus for i in range(cpus + 1)]
-            pool_rows = list(zip(edges[1:-1], edges[2:]))
-            assert pool.ranges == pool_rows * split_passes
+            assert pool._max_workers == threads - 1
+            edges = [5 * i // threads for i in range(threads + 1)]
+            pool_groups = list(zip(edges[1:-1], edges[2:]))
+            assert pool.ranges == pool_groups * passes
 
-    def test_pass_below_the_rule_starts_no_thread(self, monkeypatch, spy_pool):
-        # 4 steps of 10 draws: 40 doubles a row
-        monkeypatch.setattr(heston_mod, "_usable_cpus", lambda: 8)
-        before = threading.active_count()
-        HestonSimulator(heston_reference_model(), 1.0, 4)(3, 0, 1000)
-        assert spy_pool == []
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("cpus, rows, row_doubles, threads", [
-        (2, 1024, 511, 1), (2, 1024, 512, 2), (2, 16, 512, 1), (2, 16, 1024, 2),
-        (2, 8, 1024, 1), (2, 1, 10**6, 1), (8, 1024, 1020, 8), (8, 40, 1024, 5),
+    @pytest.mark.parametrize("cpus, start, stop, n_steps, threads", [
+        (8, 0, 256, 52, 1), (8, 300, 500, 52, 1), (8, 0, 32, 52, 1), (1, 0, 1024, 52, 1),
+        (2, 255, 257, 52, 2), (2, 0, 1024, 52, 2), (8, 0, 1024, 52, 4),
+        (8, 100, 1100, 52, 5), (8, 0, 1024, 51, 1), (8, 0, 1024, 4, 1),
     ])
-    def test_thread_rule(self, monkeypatch, cpus, rows, row_doubles, threads):
+    def test_one_thread_per_group_at_most(self, monkeypatch, spy_pool, cpus, start, stop,
+                                          n_steps, threads):
+        # T = min(CPUs, groups touched); a block inside one group, or whose
+        # passes draw fewer than CHUNK_DRAWS // 2 = 512 per path (51 steps
+        # of 10 draws), starts no pool
         monkeypatch.setattr(heston_mod, "_usable_cpus", lambda: cpus)
-        assert heston_mod._fill_threads(rows, row_doubles) == threads
+        before = threading.active_count()
+        HestonSimulator(heston_reference_model(), 1.0, n_steps)(3, start, stop)
+        assert threading.active_count() == before
+        if threads == 1:
+            assert spy_pool == []
+        else:
+            (pool,) = spy_pool
+            assert pool._max_workers == threads - 1
 
 
 class TestFourierPricing:
@@ -710,11 +767,13 @@ class TestFourierPricing:
         with pytest.raises(ValueError, match="asset"):
             fourier_price_call(heston_reference_model(), asset, 1.0, 1.0)
 
-    @pytest.mark.parametrize("maturity", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("maturity", [0.0, -1.0, np.nan, np.inf])
     def test_maturity_outside_zero_to_inf(self, maturity):
-        # T = -1 used to return a price of -0.856
-        with pytest.raises(ValueError, match="0 <= t < inf"):
-            fourier_price_call(heston_reference_model(), 0, 1.0, maturity,
+        # T = -1 used to return a price of -0.856, and T = 0 priced strikes
+        # 0.9, 1.0 and 1.1 at 0.0999, 0.00159 and -6.4e-6 inside the bounds
+        with pytest.raises(ValueError, match=f"^maturity must be positive and finite, "
+                                             f"got {maturity}$"):
+            fourier_price_call(heston_reference_model(), 0, [0.9, 1.0, 1.1], maturity,
                                n_quad=512, riccati_steps=100)
 
     @pytest.mark.filterwarnings("error")

@@ -1,6 +1,6 @@
 """Start-up guard: the package and the commands that take no matrix
 exponential load no SciPy module, and a serial run loads no process pool
-(nor, below the thread rule of ``heston``, the thread pool).
+(nor, for a ``heston`` block inside one stream group, the thread pool).
 
 SciPy takes longer to import than these commands take to run, so each is
 run in a fresh interpreter, where ``sys.modules`` shows what the import of
@@ -48,6 +48,9 @@ SCRIPT = textwrap.dedent("""
         ["wishart", "simulate", *lift, "--out", str(tmp / "v.csv")],
         ["heston", "simulate", "--model", str(tmp / "heston"), "--T", "0.5",
          "--steps", "4", "--paths", "3", "--out", str(tmp / "s.csv")],
+        # one stream group: 32 paths, 200 steps in passes of 102 and 98
+        ["heston", "simulate", "--model", str(tmp / "heston"), "--T", "0.5",
+         "--steps", "200", "--paths", "32", "--out", str(tmp / "s32.csv")],
     ]
     codes = [main(cmd) for cmd in commands]
     print(json.dumps({"codes": codes,
@@ -66,7 +69,7 @@ def test_commands_without_expm_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert got["codes"] == [0] * 5
+    assert got["codes"] == [0] * 6
     assert got["scipy"] == []
     assert got["pool"] == []
     assert (tmp_path / "v.csv").read_text().startswith("path,t,V_11,")
