@@ -268,9 +268,9 @@ class HestonSimulator:
     def __call__(self, seed: int, start: int, stop: int) -> np.ndarray:
         """Samples of shape (paths, len(record_times), d), the log prices;
         with ``record_variance`` the last axis doubles to [P, diag V]."""
-        # One path_rng per group, in group order on the calling thread, not
-        # mc.path_generators, which builds the same streams: the benchmark's
-        # tracing wraps mvolt.heston.path_rng by name.
+        # One path_rng per group, in group order on the calling thread: the
+        # kind 1 streams of mc.group_streams, built here because the
+        # benchmark's tracing wraps mvolt.heston.path_rng by name.
         rngs = [path_rng(seed, _GROUP_STREAMS + g)
                 for g in range(start // STREAM_GROUP, -(-stop // STREAM_GROUP))]
         rows = slice(start % STREAM_GROUP, start % STREAM_GROUP + stop - start)

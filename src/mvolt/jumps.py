@@ -22,14 +22,16 @@ jump times are exact in law (Lewis & Shedler 1979; Ogata 1981); between
 jumps :class:`LinearFlow` applies the exact exponential of the drift to a
 batch of states.  A block of paths is thinned in lockstep: one loop keeps
 every path's state in arrays and advances them together.  Thinning draws
-only uniforms, path p's j-th from double j of its own stream, which it
-takes in chunks of ``UNIFORM_CHUNK``; so each path is bit-identical to the
-one a lone path gets.  A control interval whose dominating rate runs away
-raises FloatingPointError.  The result is one
-:class:`JumpPathBlock` of arrays over the block's paths: V on a time grid,
-the compensators int_0^T rate_r dt and the jump log as flat columns (path,
-time, atom, total rate just before the jump), ordered by path and then by
-time; a path's atom counts are those of its jump log.  With
+only uniforms, one triple per path and pass of the loop: a block of paths
+takes them from the 256-path group streams of :func:`mc.group_streams`,
+path p's k-th triple from row p mod 256 of the k-th draw of its group, so
+each path depends on (seed, p) alone, not on its block.  A control
+interval whose dominating rate runs away raises FloatingPointError.  The
+result is one :class:`JumpPathBlock` of arrays over the block's paths: V
+on a time grid, the compensators int_0^T rate_r dt and the jump log as flat
+columns (path, time, atom, total rate just before the jump), ordered by
+path and then by time; a path's atom counts are those of its jump log.
+With
 X^jump_t = sum_{jumps <= t} xi, the Volterra representation
 
     V_t = h(t) + int_0^t K(t-s+eps) dX^jump_s + (mirror)
@@ -48,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mc import _with_hint, path_generators
+from .mc import STREAM_GROUP, _with_hint, group_streams
 from .measures import AtomicMatrixMeasure, TimeGrid, check_psd, decay_sum, eval_kernel
 
 # Safety factor for the per-interval dominating rate.
@@ -62,13 +64,6 @@ MAX_INTERVAL_CANDIDATES = 1e6
 MAX_GRID_STEPS = 10**6
 # Tolerance of Generator.choice on the sum of a float64 probability vector.
 CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
-# Uniforms a thinning path draws from its stream at once.  A path of the
-# benchmark's d = 2 Hawkes model (T = 1, thinning_dt = 0.25) uses 18 in the
-# median and 61-63 at the 99th percentile, so one chunk serves almost every
-# path.  A 1000-path block took 23.5-27.5 ms at 32, 64 and 128 alike,
-# 31-37 ms at 1024, which fills doubles no path uses, and 33.5-40 ms at 4,
-# which refills often (medians of 7, three runs, one thread, 2-vCPU Xeon).
-UNIFORM_CHUNK = 64
 
 
 def _matrix_stack(values) -> np.ndarray:
@@ -310,8 +305,8 @@ def simulate_jump_path(
     bound restarts the interval with half the length, never silently
     biasing.  The deterministic flow and int V ds between events are exact
     (linear propagator).  This is :func:`_thin_paths` on the one stream
-    ``rng``: a one-path block, path index 0, which draws the uniforms of
-    path p of a block when ``rng`` is ``path_rng(seed, p)``.
+    ``rng``: a one-path block, path index 0, whose k-th pass takes the k-th
+    triple ``rng.uniform(size=(1, 3))``.
     """
     steps = _thinning_steps(horizon, thinning_dt)
     if grid is None:
@@ -320,7 +315,8 @@ def simulate_jump_path(
         raise ValueError("grid horizon must match the simulation horizon")
     if flow is None:
         flow = LinearFlow(state0.measure)
-    return _thin_paths(state0, spec, horizon, [rng], thinning_dt, grid, flow)
+    return _thin_paths(state0, spec, horizon, [rng], 1, slice(0, 1), thinning_dt, grid,
+                       flow)
 
 
 def _choice_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -346,39 +342,42 @@ def _thin_paths(
     state0: JumpLiftState,
     spec: JumpMeasureSpec,
     horizon: float,
-    rngs,
+    streams,
+    lanes: int,
+    rows: slice,
     thinning_dt: float,
     grid: TimeGrid,
     flow: LinearFlow,
     path_hint=None,
 ) -> JumpPathBlock:
-    """Thin one path per stream in ``rngs``, all paths in lockstep.
+    """Thin the paths ``rows`` of the streams' lanes, all paths in lockstep.
 
     Every path keeps its own state, time, control step, dominating rate and
-    grid position in per-path arrays.  Each pass of the loop starts the
-    control interval of the paths that need one (one batched flow to its end
-    and one rate evaluation) and tests one candidate on every other path.
-    Path i draws only uniforms, in the order of a per-path loop: per
-    candidate the gap -log1p(-U) / bound (inversion), per tested candidate
-    the accept test U * bound <= total and, with more than one atom, per
-    accepted one the atom as ``choice(m, p=rates / total)`` draws it from U
-    (:func:`_choice_rows`).  Its j-th U is double j of ``rngs[i]``: the path
-    keeps a chunk of ``UNIFORM_CHUNK`` of them, drawn as
-    ``rngs[i].uniform(size=UNIFORM_CHUNK)`` when its last chunk is spent,
-    and each draw of a pass is one gather over the paths that make it.
-    Flows, rates, grid records, the rewind of a violated interval and jumps
-    are masked array operations that round as a lone path's do; so each
-    path is the one it would be on its own.
+    grid position in per-path arrays.  At the top of each pass of the loop every stream draws
+    ``uniform(size=(lanes, 3))``; stacked in stream order, row ``rows.start
+    + i`` is path i's triple U.  In the pass every live path takes one step
+    of its own: it finishes at the horizon, or it skips a control interval
+    whose dominating rate is 0, or it tests a candidate, after starting a
+    control interval if it needs one (one batched flow to its end and one
+    rate evaluation).  A candidate's gap is -log1p(-U[0]) / bound
+    (inversion), its accept test U[1] * bound <= total and, with more than
+    one atom, an accepted one's atom is drawn from U[2] as ``choice(m,
+    p=rates / total)`` draws it from its uniform (:func:`_choice_rows`);
+    entries a path does not use are discarded.  Flows, rates, grid records,
+    the rewind of a violated interval and jumps are masked array operations
+    that round as a lone path's do.  So path i's k-th pass and its k-th
+    triple depend on that path alone, and the path is the same in any
+    block that draws the same rows for it.
 
     A control interval whose expected candidate count bound * h is not
     finite or exceeds ``MAX_INTERVAL_CANDIDATES`` raises FloatingPointError;
     ``path_hint(i)``, if given, names path i in the message.  Returns the
-    block, its jumps numbered by their position i in ``rngs``.
+    block, its jumps numbered by their position i in ``rows``.
     """
     measure = state0.measure
     k, d, m = measure.k, measure.d, spec.n_atoms
     kn = k * d * d
-    n_paths = len(rngs)
+    n_paths = rows.stop - rows.start
     times = grid.times
     n_rec = len(times)
     jump_incs, rate_weights = jump_operators(measure, spec)
@@ -418,20 +417,6 @@ def _thin_paths(
         z[j] = flow.flow(z[j], target[go] - t[j])
         t[j] = target[go]
 
-    # per-path uniforms: a chunk of each path's stream and the next unused
-    # entry; a spent chunk is refilled from the stream before a draw
-    chunk = np.empty((n_paths, UNIFORM_CHUNK))
-    used = np.full(n_paths, UNIFORM_CHUNK, dtype=np.intp)
-
-    def uniforms(idx):
-        """The next uniform of each path in idx."""
-        for i in idx[used[idx] == UNIFORM_CHUNK].tolist():
-            chunk[i] = rngs[i].uniform(size=UNIFORM_CHUNK)
-            used[i] = 0
-        u = chunk[idx, used[idx]]
-        used[idx] += 1
-        return u
-
     # per-path thinning state: control step, the interval's start (for a
     # rewind), length, end and dominating rate, and the last candidate time
     h_ctrl = np.full(n_paths, float(thinning_dt))
@@ -446,6 +431,7 @@ def _thin_paths(
                np.zeros(0))]
 
     while live.any():
+        u = np.concatenate([rng.uniform(size=(lanes, 3)) for rng in streams])[rows]
         done = np.flatnonzero(live & starting & (t >= horizon - 1e-14))
         if done.size:
             advance_to(done, np.full(done.size, float(horizon)))
@@ -477,7 +463,7 @@ def _thin_paths(
         b = np.flatnonzero(live & ~starting)
         if not b.size:
             continue
-        tau[b] -= np.log1p(-uniforms(b)) / bound[b]
+        tau[b] -= np.log1p(-u[b, 0]) / bound[b]
         over = tau[b] >= t_end[b] - 1e-15
         ended = b[over]
         advance_to(ended, t_end[ended])
@@ -495,12 +481,12 @@ def _thin_paths(
         starting[back] = True
 
         c, rates_c, total_c = c[~violated], rates_c[~violated], total_c[~violated]
-        hit = uniforms(c) * bound[c] <= total_c
+        hit = u[c, 1] * bound[c] <= total_c
         j, rates_j, total_j = c[hit], rates_c[hit], total_c[hit]
         if not j.size:
             continue
         if m > 1:
-            atoms = _choice_rows(rates_j / total_j[:, None], uniforms(j))
+            atoms = _choice_rows(rates_j / total_j[:, None], u[j, 2])
         else:
             atoms = np.zeros(j.size, dtype=int)
         z[j, :kn] += jump_incs[atoms]
@@ -527,13 +513,11 @@ class HawkesPathSimulator:
 
     The initial state, the recording grid (``grid_steps`` intervals,
     default horizon / thinning_dt) and the :class:`LinearFlow` are built
-    once.  ``sim(rng)`` returns the one-path :class:`JumpPathBlock` whose
-    uniforms are the doubles of ``rng`` in order (drawn in chunks of
-    ``UNIFORM_CHUNK``); ``sim.block(seed, start, stop)``, the block entry of
+    once.  ``sim.block(seed, start, stop)``, the block entry of
     :func:`mc.run_path_blocks`, thins paths [start, stop) in lockstep, path
-    p drawn from ``path_rng(seed, p)`` and named p in the jump log, so that
-    the joined blocks of a run form one block and each path is bitwise
-    ``sim(path_rng(seed, p))``.
+    p drawn from its lane of the kind 2 group streams of
+    :func:`mc.group_streams` and named p in the jump log, so that the
+    joined blocks of a run form one block whatever the block sizes.
     """
 
     def __init__(self, measure: AtomicMatrixMeasure, lam0, spec: JumpMeasureSpec,
@@ -550,19 +534,17 @@ class HawkesPathSimulator:
         self.grid = TimeGrid.regular(self.horizon, grid_steps)
         self.flow = LinearFlow(measure)
 
-    def __call__(self, rng: np.random.Generator) -> JumpPathBlock:
-        return simulate_jump_path(self.state0, self.spec, self.horizon, rng,
-                                  self.thinning_dt, self.grid, flow=self.flow)
-
     def block(self, seed: int, start: int, stop: int) -> JumpPathBlock:
-        """Paths [start, stop) as one block; path p takes its uniforms from
-        ``path_rng(seed, p)``, so it equals ``sim(path_rng(seed, p))``."""
+        """Paths [start, stop) as one block; path p takes its triples from
+        row p mod ``STREAM_GROUP`` of its group's kind 2 stream (kind 1
+        is the Gaussian noise's), so it equals the one path of
+        ``block(seed, p, p + 1)``, the replay a failure names."""
         def hint(i):
-            return f"path {start + i} (seed {seed}); replay with path_rng({seed}, {start + i})"
+            return f"paths [{start + i}, {start + i + 1}) (seed {seed})"
 
-        out = _thin_paths(self.state0, self.spec, self.horizon,
-                          path_generators(seed, start, stop), self.thinning_dt,
-                          self.grid, self.flow, path_hint=hint)
+        streams, rows = group_streams(seed, start, stop, 2)
+        out = _thin_paths(self.state0, self.spec, self.horizon, streams, STREAM_GROUP, rows,
+                          self.thinning_dt, self.grid, self.flow, path_hint=hint)
         return out._replace(jump_paths=out.jump_paths + start)
 
 

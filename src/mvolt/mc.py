@@ -3,14 +3,14 @@
 Every draw is a function of (master seed, path index) alone, so a draw
 sequence is bit-identical no matter how paths are scheduled across workers
 (counter-based generators make this cheap; Salmon et al. 2011, "Parallel
-random numbers: as easy as 1, 2, 3").  :func:`path_rng` defines the stream
-of one path, for simulators whose draw counts differ from path to path.
-:func:`path_keys` computes the Philox keys of a range of stream indices in
-one pass, and :func:`path_generators` builds one Generator per index from
-them.  Fixed-count noise is drawn from one stream per group of
-``STREAM_GROUP`` consecutive paths, group g from ``path_rng(seed, 2**32 +
-g)`` (:func:`group_normals`, and the Heston simulator's own fill), so a
-block pays one stream per 256 paths.
+random numbers: as easy as 1, 2, 3").  :func:`path_rng` defines one stream.
+Paths draw from one stream per group of ``STREAM_GROUP`` consecutive paths,
+path p on row p mod ``STREAM_GROUP`` of each draw of its group's stream, so
+a block pays one stream per 256 paths: :func:`group_streams` builds the
+streams of the groups a block touches, group g of kind q from
+``path_rng(seed, q * 2**32 + g)``.  The Gaussian noise of the OU/Wishart
+and Heston simulators is kind 1 (:func:`group_normals`, and the Heston
+simulator's own fill), the uniforms of Hawkes thinning kind 2.
 :func:`run_path_blocks` evaluates a block simulator over path blocks and
 joins the block results in block order, which makes the final numbers
 byte-identical for 1 or many workers.
@@ -24,20 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 BLOCK_SIZE = 8192
-# Paths per noise stream of group_normals.  One stream per path cost 1.6-3.3
-# us of set-up per path on a 2-vCPU Xeon, most of the time of a 16-double
-# draw; 256 paths share the set-up, and a block that starts and ends inside
-# a group draws at most 2 * 255 rows it does not keep.
+# Paths per group stream.  One stream per path cost 1.6-3.3 us of set-up
+# per path on a 2-vCPU Xeon, most of the time of a 16-double draw; 256 paths
+# share the set-up, and a block that starts and ends inside a group draws at
+# most 2 * 255 rows it does not keep.
 STREAM_GROUP = 256
-# Group g draws from stream 2**32 + g: spawn key (g, 1), never a path's (p,).
+# Group g of kind q >= 1 draws from stream q * 2**32 + g: spawn key (g, q),
+# never a path's (p,) nor a group's of another kind.
 _GROUP_STREAMS = 2**32
-_MASK32 = 0xFFFFFFFF
-# The pool size and hash constants of numpy's SeedSequence.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = np.uint32(16)
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
@@ -53,121 +47,31 @@ def _check_seed(seed) -> int:
     return seed
 
 
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of n >= 0, as SeedSequence splits an int."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
+def group_streams(seed: int, start: int, stop: int, kind: int):
+    """The streams of the groups that paths [start, stop) touch, and the
+    block's rows of a draw stacked over them.
 
-
-def _seed_sequence_keys(entropy: np.ndarray) -> np.ndarray:
-    """``generate_state(2, np.uint64)`` of the SeedSequences whose assembled
-    entropy words are the columns of ``entropy`` (uint32, (words, paths))."""
-    hash_a = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_a
-        value = value ^ np.uint32(hash_a)
-        hash_a = hash_a * _MULT_A & _MASK32
-        value = value * np.uint32(hash_a)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return out ^ (out >> _XSHIFT)
-
-    # A spawned SeedSequence pads its run entropy to the pool size, so the
-    # pool is filled from entropy words alone.
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-
-    hash_b = _INIT_B
-    state = []
-    for word in pool:
-        word = word ^ np.uint32(hash_b)
-        hash_b = hash_b * _MULT_B & _MASK32
-        word = word * np.uint32(hash_b)
-        state.append((word ^ (word >> _XSHIFT)).astype(np.uint64))
-    shift = np.uint64(32)
-    return np.stack([state[0] | state[1] << shift, state[2] | state[3] << shift], axis=1)
-
-
-def path_keys(seed: int, start: int, stop: int) -> np.ndarray:
-    """Philox keys of paths [start, stop), shape (stop - start, 2), uint64.
-
-    Row p - start equals ``SeedSequence(entropy=seed, spawn_key=(p,))
-    .generate_state(2, np.uint64)``, the key of ``path_rng(seed, p)``,
-    computed for the whole block in one pass of uint32 array arithmetic.
-    Path indices must lie in [0, 2**64).
+    Path p lies in group g = p // ``STREAM_GROUP``, and group g of kind q
+    draws from ``path_rng(seed, q * 2**32 + g)`` (SeedSequence spawn key
+    (g, q)).  If every stream draws the same (``STREAM_GROUP``, ...) array
+    and the draws are stacked in group order, the returned slice picks the
+    rows of paths [start, stop), row i of group g for path g
+    ``STREAM_GROUP`` + i.  So, for the same sequence of draws, a path's rows
+    depend on (seed, p) alone, not on the block it is in.
     """
-    run = _uint32_words(_check_seed(seed))
-    run += [0] * (_POOL_SIZE - len(run))
-    if not 0 <= start <= stop <= 2**64:
-        raise ValueError(f"need 0 <= start <= stop <= 2**64, got [{start}, {stop})")
-    keys = np.empty((stop - start, 2), dtype=np.uint64)
-    # A path index below 2**32 is one spawn-key word, above it two.
-    for lo, hi, n_words in ((start, min(stop, 2**32), 1), (max(start, 2**32), stop, 2)):
-        if lo >= hi:
-            continue
-        paths = np.arange(lo, hi, dtype=np.uint64)
-        entropy = np.empty((len(run) + n_words, hi - lo), dtype=np.uint32)
-        entropy[: len(run)] = np.array(run, dtype=np.uint32)[:, None]
-        for j in range(n_words):
-            entropy[len(run) + j] = (paths >> np.uint64(32 * j)) & np.uint64(_MASK32)
-        keys[lo - start : hi - start] = _seed_sequence_keys(entropy)
-    return keys
-
-
-def path_generators(seed: int, start: int, stop: int) -> list[np.random.Generator]:
-    """The streams ``path_rng(seed, p)`` for p in [start, stop), one
-    Generator each, so that a block can draw from all of them in turn.
-
-    Each is a Philox built from path p's key in :func:`path_keys`, with a
-    zero counter, which is cheaper than hashing a SeedSequence per path.
-    """
-    # imported here: ``import numpy`` does not load numpy.random
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PhiloxKey(ISeedSequence):
-        """A seed sequence that knows one Philox key and nothing else:
-        Philox asks it for ``generate_state(2, np.uint64)`` and gets the key."""
-
-        def __init__(self, key):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"holds one Philox key, 2 uint64 words; asked for "
-                                 f"{n_words} of {np.dtype(dtype)}")
-            return self.key
-
-    return [np.random.Generator(np.random.Philox(PhiloxKey(key)))
-            for key in path_keys(seed, start, stop)]
+    seed = _check_seed(seed)
+    first, last = start // STREAM_GROUP, -(-stop // STREAM_GROUP)
+    streams = [path_rng(seed, kind * _GROUP_STREAMS + g) for g in range(first, last)]
+    return streams, slice(start - first * STREAM_GROUP, stop - first * STREAM_GROUP)
 
 
 def group_normals(seed: int, start: int, stop: int):
     """A function ``draw(count)`` that returns (stop - start, count)
-    standard normals, row p - start for path p, from the group streams.
-
-    Path p lies in group g = p // ``STREAM_GROUP`` and the group draws from
-    ``path_rng(seed, 2**32 + g)`` (SeedSequence spawn key (g, 1)).  Each
-    call takes one (``STREAM_GROUP``, count) draw from every group that
-    [start, stop) touches, row i of group g for path g ``STREAM_GROUP`` + i,
-    and slices out the block's rows.  So, for the same sequence of counts,
-    a path's rows depend on (seed, p) alone, not on the block it is in.
+    standard normals, row p - start for path p, from the kind 1 streams of
+    :func:`group_streams`: each call takes one (``STREAM_GROUP``, count)
+    draw from every group that [start, stop) touches.
     """
-    first, last = start // STREAM_GROUP, -(-stop // STREAM_GROUP)
-    gens = path_generators(seed, _GROUP_STREAMS + first, _GROUP_STREAMS + last)
-    rows = slice(start - first * STREAM_GROUP, stop - first * STREAM_GROUP)
+    gens, rows = group_streams(seed, start, stop, 1)
 
     def draw(count: int) -> np.ndarray:
         out = np.empty((len(gens), STREAM_GROUP, count))
@@ -244,8 +148,8 @@ def run_path_blocks(
 
     ``block_fn(seed, start, stop)`` returns the values of paths
     [start, stop), drawing the noise of path p as a function of (seed, p)
-    only (``path_rng(seed, p)``, or its rows of the group streams of
-    :func:`group_normals`): an array, or a tuple (or named tuple) of
+    only (its rows of the streams of :func:`group_streams`, or
+    ``path_rng(seed, p)``): an array, or a tuple (or named tuple) of
     arrays.  Block results are joined in path order, arrays concatenated
     along their first axis and tuples field by field into a tuple of the
     same type, so the output is independent of the worker count.  An

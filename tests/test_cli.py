@@ -427,13 +427,12 @@ class TestSimulationCommands:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_hawkes_files_match_per_path_loop_and_per_cell_csv(self, tmp_path, workers):
         # the two-atom model with non-diagonal nu and eps = 0.05, thinned by
-        # the per-path loop that draws atoms with rng.choice and written by
+        # the per-path loop on each path's lane of triples and written by
         # the per-cell formatter: the CLI's files are the same bytes
         from test_configio import per_cell_csv
-        from test_jumps import _reference_model, _reference_path
+        from test_jumps import _lane_triples, _reference_model, _reference_path
 
         from mvolt.configio import measure_to_dict, write_sections
-        from mvolt.mc import path_rng
 
         sim, _ = _reference_model("two_atom_eps")
         spec = sim.spec
@@ -444,7 +443,7 @@ class TestSimulationCommands:
             "jumps": {"atoms": spec.atoms, "weights": spec.weights,
                       "epsilon": spec.epsilon_shift}})
         seed, paths = 12, 200
-        records = [_reference_path(sim.state0, spec, sim.horizon, path_rng(seed, p),
+        records = [_reference_path(sim.state0, spec, sim.horizon, _lane_triples(seed, p),
                                    sim.thinning_dt, sim.grid, sim.flow)[0]
                    for p in range(paths)]
         want_events = per_cell_csv(
@@ -735,7 +734,7 @@ class TestTransformCommands:
         # node 0.5 with weight 200 grows the rate by about e^100 over one
         # control interval of 0.25; the dominating rate of 1.2e44 would make
         # thinning crawl forever, so the first interval stops the run and
-        # the message names the path to replay
+        # the message names the one-path block that replays it
         model = write(
             tmp_path / "runaway.cfg",
             "[measure]\nnodes = [0.5, 3.0]\nweights = [[[200.0]], [[1.0]]]\nd = 1\n"
@@ -752,8 +751,15 @@ class TestTransformCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("numerical failure: runaway thinning at t = 0: ")
-        assert err[0].endswith("on path 0 (seed 5); replay with path_rng(5, 0)")
+        assert err[0].endswith("on paths [0, 1) (seed 5)")
         assert not out.exists()
+        from mvolt.configio import read_jump_model
+        from mvolt.jumps import HawkesPathSimulator
+
+        sim = HawkesPathSimulator(*read_jump_model(model), 10.0, 0.25)
+        with pytest.raises(FloatingPointError) as replay:
+            sim.block(5, 0, 1)
+        assert f"numerical failure: {replay.value}" == err[0]
 
     def test_singular_solve_exit_three(self, tmp_path, capsys, monkeypatch):
         # LinAlgError is a ValueError; it must still exit 3, not 2

@@ -10,7 +10,6 @@ from mvolt.measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
 from mvolt.jumps import (
     CHOICE_ATOL,
     THINNING_ETA,
-    UNIFORM_CHUNK,
     HawkesPathSimulator,
     JumpLiftState,
     JumpMeasureSpec,
@@ -182,7 +181,8 @@ class TestSimulatePath:
         # the recorded V is not symmetrized, and on this model's non-diagonal
         # nodes and atoms the flow and the jumps could break its symmetry
         sim, _ = _reference_model("two_atom_eps")
-        rec = sim(np.random.default_rng(3))
+        rec = simulate_jump_path(sim.state0, sim.spec, sim.horizon, np.random.default_rng(3),
+                                 sim.thinning_dt, sim.grid, sim.flow)
         assert rec.jump_times.size > 0
         v = rec.v_path[0]
         np.testing.assert_allclose(v, np.swapaxes(v, 1, 2), atol=1e-12)
@@ -467,7 +467,7 @@ def test_choice_rows_rejects_what_choice_rejects(bad):
 
 
 # Reference for the lockstep engine: the per-path thinning loop it replaced,
-# kept here as it was, one path and one stream at a time.
+# one path at a time, fed the uniform triples of that path's lane.
 
 def _flow_one(flow, z, dt):
     """One state flowed as the per-path loop flowed it."""
@@ -479,9 +479,25 @@ def _flow_one(flow, z, dt):
     return scipy.linalg.expm(flow.M * dt) @ z
 
 
-def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
-    """Per-path thinning; returns the record's fields, the rewind count and
-    the number of uniforms drawn (choice draws one random() of them)."""
+def _lane_triples(seed, p):
+    """The triples of path p of a block: row p % 256 of each (256, 3) draw
+    of its group's thinning stream, group p // 256 with spawn key (g, 2)."""
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(p // 256, 2))))
+    return lambda: rng.uniform(size=(256, 3))[p % 256]
+
+
+def _rng_triples(rng):
+    """The consecutive triples of one stream, as a lone path draws them."""
+    return lambda: rng.uniform(size=(1, 3))[0]
+
+
+def _reference_path(state0, spec, horizon, triples, thinning_dt, grid, flow):
+    """Per-path thinning; returns the record's fields and the rewind count.
+
+    ``triples()`` gives the next uniform triple; the path takes one per
+    candidate it tests (the gap from entry 0, the accept test from 1, the
+    atom from 2) and one per control interval without a bound."""
     measure = state0.measure
     eps = spec.epsilon_shift
     norms = np.minimum(spec.atom_norms(), 1.0).clip(min=1e-300) if spec.n_atoms else np.zeros(0)
@@ -508,7 +524,7 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
     v_path[0] = lam0_arr.sum(axis=0)
     rec_idx = 1
     jump_times, jump_atoms, jump_rates = [], [], []
-    rewinds = draws = 0
+    rewinds = 0
 
     def advance_to(z, t, target):
         nonlocal rec_idx
@@ -534,6 +550,7 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
         rates_end = rates_of(lam_end)
         bound = (1.0 + THINNING_ETA) * max(rates_now.sum(), rates_end.sum())
         if bound <= 0.0:
+            triples()
             z, t = advance_to(z, t, t + h)
             h_ctrl = thinning_dt
             continue
@@ -543,8 +560,8 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
         tau = t
         t_end = t_start + h
         while True:
-            tau = tau - np.log1p(-rng.uniform()) / bound
-            draws += 1
+            u = triples()
+            tau = tau - np.log1p(-u[0]) / bound
             if tau >= t_end - 1e-15:
                 break
             z_c, t_c = advance_to(z, t, tau)
@@ -555,10 +572,10 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
                 violated = True
                 break
             z, t = z_c, t_c
-            draws += 1
-            if rng.uniform() * bound <= total_c:
-                r = int(rng.choice(m_atoms, p=rates_c / total_c)) if m_atoms > 1 else 0
-                draws += m_atoms > 1
+            if u[1] * bound <= total_c:
+                # the atom as Generator.choice(m, p) draws it from its random()
+                cdf = np.cumsum(rates_c / total_c)
+                r = int(np.searchsorted(cdf / cdf[-1], u[2], side="right")) if m_atoms > 1 else 0
                 lam_c = lam_c + jump_incs[r]
                 _, intv_c = flow.unpack(z)
                 z = flow.pack(lam_c, intv_c)
@@ -591,7 +608,7 @@ def _reference_path(state0, spec, horizon, rng, thinning_dt, grid, flow):
         "compensators": np.einsum("ab,rab->r", intv_T, weights_scaled)
         if m_atoms else np.zeros(0),
     }
-    return fields, rewinds, draws
+    return fields, rewinds
 
 
 def _critical_model():
@@ -623,9 +640,9 @@ def _reference_models():
     yield "rewind", HawkesPathSimulator(
         AtomicMatrixMeasure([2.0, 50.0], [[[0.1]], [[0.05]]]), [[[5.0]], [[-4.75]]],
         JumpMeasureSpec(atoms=[[[1.0]]], weights=[[[1.0]]]), 1.0, 0.5, grid_steps=3), 7
-    # two_atom_eps at 20 times its lam0: each path draws 228 to 563
-    # uniforms, so it refills its chunk of UNIFORM_CHUNK at least three times
-    yield "refill", HawkesPathSimulator(
+    # two_atom_eps at 20 times its lam0: each path tests about a hundred
+    # candidates or more, so a block keeps drawing for paths that are done
+    yield "busy", HawkesPathSimulator(
         AtomicMatrixMeasure([0.7, 3.0], a @ a.transpose(0, 2, 1)), [eye * 12.0, eye * 6.0],
         two_atoms, 1.0, 0.25, grid_steps=16), 8
 
@@ -638,12 +655,12 @@ def _reference_model(name):
 
 
 @functools.cache
-def _reference_records(name):
+def _reference_records(name, n_paths=REFERENCE_PATHS):
     """Per-path reference records of one model, computed once per session."""
     sim, seed = _reference_model(name)
-    return [_reference_path(sim.state0, sim.spec, sim.horizon, path_rng(seed, p),
+    return [_reference_path(sim.state0, sim.spec, sim.horizon, _lane_triples(seed, p),
                             sim.thinning_dt, sim.grid, sim.flow)
-            for p in range(REFERENCE_PATHS)]
+            for p in range(n_paths)]
 
 
 def path_field(block, p, field):
@@ -676,54 +693,57 @@ def test_batched_flow_matches_one_state_flow(name):
     np.testing.assert_array_equal(sim.flow.flow(z, dt), want)
 
 
-class _ChunkCount:
-    """A stream that counts its ``uniform`` calls, the chunks thinning draws."""
-
-    def __init__(self, rng):
-        self.rng, self.chunks = rng, 0
-
-    def uniform(self, *args, **kwargs):
-        self.chunks += 1
-        return self.rng.uniform(*args, **kwargs)
-
-
-def test_refill_model_refills_every_path():
-    # every path of "refill" spends at least three chunks, so its lockstep
-    # comparison runs the refill; a lone path draws a new chunk only when
-    # its last one is spent, and is the block's path p
-    sim, seed = _reference_model("refill")
-    want = _reference_records("refill")
-    chunks = [-(-draws // UNIFORM_CHUNK) for _, _, draws in want]
-    assert min(chunks) >= 3
+@pytest.mark.parametrize("name", ["d1", "two_atom_eps", "critical", "rewind"])
+def test_lone_path_draws_consecutive_triples(name):
+    # simulate_jump_path on one stream is a one-path block whose k-th pass
+    # takes the stream's k-th triple
+    sim, seed = _reference_model(name)
     for p in range(5):
-        rng = _ChunkCount(path_rng(seed, p))
-        rec = sim(rng)
-        assert rng.chunks == chunks[p]
-        for field, value in want[p][0].items():
+        want, _ = _reference_path(sim.state0, sim.spec, sim.horizon,
+                                  _rng_triples(np.random.default_rng([seed, p])),
+                                  sim.thinning_dt, sim.grid, sim.flow)
+        rec = simulate_jump_path(sim.state0, sim.spec, sim.horizon,
+                                 np.random.default_rng([seed, p]), sim.thinning_dt,
+                                 sim.grid, sim.flow)
+        for field, value in want.items():
             np.testing.assert_array_equal(path_field(rec, 0, field), value, err_msg=field)
 
 
 def test_reference_model_rewinds_an_interval():
-    rewinds = [r for _, r, _ in _reference_records("rewind")]
+    rewinds = [r for _, r in _reference_records("rewind")]
     assert sum(rewinds) > 0
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("block_size", [1, 7, 64])
 @pytest.mark.parametrize("name", ["d1", "diagonal_d2", "two_atom_eps", "critical", "rewind",
-                                  "refill"])
+                                  "busy"])
 def test_lockstep_thinning_matches_per_path_loop(name, block_size, workers):
     sim, seed = _reference_model(name)
     got = run_path_blocks(sim.block, REFERENCE_PATHS, seed, workers=workers,
                           block_size=block_size)
-    want = _reference_records(name)
+    _assert_matches_reference(got, _reference_records(name))
+
+
+def _assert_matches_reference(got, want):
     assert got.jump_times.size > 0
     assert len(got.v_path) == len(want)
     # the jump log is ordered by path, then by time
     assert np.all(np.diff(got.jump_paths) >= 0)
-    for p, (fields, _, _) in enumerate(want):
+    for p, (fields, _) in enumerate(want):
         for field, value in fields.items():
             np.testing.assert_array_equal(path_field(got, p, field), value, err_msg=field)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lockstep_thinning_across_group_edges(workers):
+    # 600 paths over groups 0-2; blocks of 129 and 263 start and end inside
+    # a group, and a block that straddles a group edge draws from two
+    sim, seed = _reference_model("two_atom_eps")
+    want = _reference_records("two_atom_eps", 600)
+    for block_size in (129, 263):
+        got = run_path_blocks(sim.block, 600, seed, workers=workers, block_size=block_size)
+        _assert_matches_reference(got, want)
 
 
 @functools.cache

@@ -5,13 +5,12 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mvolt.jumps import UNIFORM_CHUNK, HawkesPathSimulator, JumpMeasureSpec
+from mvolt.jumps import HawkesPathSimulator, JumpMeasureSpec
 from mvolt.mc import (
     STREAM_GROUP,
     estimate_mean,
     group_normals,
-    path_generators,
-    path_keys,
+    group_streams,
     path_rng,
     run_path_blocks,
 )
@@ -19,13 +18,9 @@ from mvolt.measures import AtomicMatrixMeasure
 from mvolt.ou import DIRECT_MAX_MD, simulate_lift_blocks
 from test_jumps import path_field
 
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7]
-PATH_RANGES = [(0, 50), (2**32 - 3, 2**32 + 3)]
-
-
 def _stream_block(fn, seed, start, stop):
-    """Block function: fn of each path's stream, drawn through path_generators."""
-    return np.array([fn(rng) for rng in path_generators(seed, start, stop)])
+    """Block function: fn of each path's stream ``path_rng(seed, p)``."""
+    return np.array([fn(path_rng(seed, p)) for p in range(start, stop)])
 
 
 def run_paths(fn, n_paths, seed, *, workers=1, block_size=8192):
@@ -43,70 +38,29 @@ def test_streams_are_reproducible_and_distinct():
     assert not np.allclose(a1, b)
 
 
-@pytest.mark.parametrize("start, stop", PATH_RANGES)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_path_keys_match_seed_sequence(seed, start, stop):
-    want = np.array([
-        np.random.SeedSequence(entropy=seed, spawn_key=(p,)).generate_state(2, np.uint64)
-        for p in range(start, stop)
-    ])
-    got = path_keys(seed, start, stop)
-    assert got.dtype == np.uint64
-    np.testing.assert_array_equal(got, want)
-
-
-def _thinning_draws(rng):
-    """What Hawkes thinning draws, chunks of uniforms, between blocks of normals."""
-    out = [rng.standard_normal(3)]
-    out += [rng.uniform(size=UNIFORM_CHUNK) for _ in range(2)]
-    out.append(rng.standard_normal((2, 5)))
-    return out
-
-
-@pytest.mark.parametrize("start, stop", PATH_RANGES)
-@pytest.mark.parametrize("seed", SEEDS[:3])
-def test_path_generators_draw_what_path_rng_draws(seed, start, stop):
-    gens = path_generators(seed, start, stop)
-    assert len(gens) == stop - start
-    assert len({id(rng) for rng in gens}) == len(gens)
-    refs = [path_rng(seed, p) for p in range(start, stop)]
-    # counter, key, output buffer and half-used word, before any draw
-    for rng, ref in zip(gens, refs):
-        got, want = rng.bit_generator.state, ref.bit_generator.state
-        assert got.keys() == want.keys()
-        for name in ("counter", "key"):
-            np.testing.assert_array_equal(got["state"][name], want["state"][name])
-        np.testing.assert_array_equal(got["buffer"], want["buffer"])
-        for name in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
-            assert got[name] == want[name]
-    # draw from all paths in turn, as lockstep thinning does
-    for _ in range(3):
-        for rng, ref in zip(gens, refs):
-            for got, want in zip(_thinning_draws(rng), _thinning_draws(ref)):
-                np.testing.assert_array_equal(got, want)
-
-
-def test_path_generators_seed_sequence_gives_only_the_key():
-    seed_seq = path_generators(3, 0, 1)[0].bit_generator.seed_seq
-    np.testing.assert_array_equal(seed_seq.generate_state(2, np.uint64), path_keys(3, 0, 1)[0])
-    for n_words, dtype in ((4, np.uint32), (2, np.uint32), (1, np.uint64), (4, np.uint64)):
-        with pytest.raises(ValueError, match="holds one Philox key"):
-            seed_seq.generate_state(n_words, dtype)
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**130 + 7])
+def test_group_streams_have_spawn_key_group_and_kind(seed, kind):
+    # paths [300, 700) touch groups 1 and 2, rows 44-443 of a draw stacked
+    # over them
+    streams, rows = group_streams(seed, 300, 700, kind)
+    assert rows == slice(300 - STREAM_GROUP, 700 - STREAM_GROUP)
+    assert len(streams) == 2
+    for g, rng in zip((1, 2), streams):
+        seed_seq = np.random.SeedSequence(entropy=seed, spawn_key=(g, kind))
+        want = np.random.Generator(np.random.Philox(seed_seq)).uniform(size=(4, 3))
+        np.testing.assert_array_equal(rng.uniform(size=(4, 3)), want)
 
 
 def test_negative_seed_is_rejected():
     with pytest.raises(ValueError):
         path_rng(-1, 0)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
-        path_keys(-1, 0, 4)
+        group_streams(-1, 0, 4, 2)
     with pytest.raises(ValueError, match="got -1"):
         group_normals(-1, 0, 4)
     with pytest.raises(ValueError, match="got -2"):
         run_path_blocks(_failing_block, 10, seed=-2)
-
-
-def _path_rng_loop(seed, start, stop):
-    return (path_rng(seed, p) for p in range(start, stop))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -127,19 +81,22 @@ def test_x_blocks_do_not_change_the_draws(workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_hawkes_paths_match_path_rng_loop(workers):
+def test_hawkes_paths_match_one_path_blocks(workers):
     measure = AtomicMatrixMeasure([0.6, 2.5], [np.eye(2) * 0.35, np.eye(2) * 0.2])
     # two atoms, so that accepted candidates draw their atom with ``choice``
     spec = JumpMeasureSpec(atoms=[np.eye(2), [[0.5, 0.5], [0.5, 0.5]]],
                            weights=[np.eye(2) * 0.4, np.eye(2) * 0.3])
     sim = HawkesPathSimulator(measure, [np.eye(2) * 0.8, np.eye(2) * 0.4], spec,
                               horizon=1.0, thinning_dt=0.25, grid_steps=8)
-    want = [sim(rng) for rng in _path_rng_loop(17, 0, 120)]
+    # each path is the one-path block a failure names for its replay
+    want = [sim.block(17, p, p + 1) for p in range(120)]
     got = run_path_blocks(sim.block, 120, 17, workers=workers, block_size=50)
     assert sum(rec.jump_times.size for rec in want) > 0
     assert len(np.unique(np.concatenate([rec.jump_atoms for rec in want]))) == 2
     assert len(got.v_path) == len(want)
     for p, b in enumerate(want):
+        assert np.all(b.jump_paths == p)
+        b = b._replace(jump_paths=b.jump_paths - p)
         for field in ("jump_times", "jump_atoms", "intensity_at_jumps", "v_path",
                       "compensators"):
             np.testing.assert_array_equal(path_field(got, p, field), path_field(b, 0, field))

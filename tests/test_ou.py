@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mvolt.fractional import FractionalKernelSpec, fit_fractional_measure
-from mvolt.mc import path_generators
+from mvolt.mc import path_rng
 from mvolt.measures import AtomicMatrixMeasure, decay_sum, pair_decay_integrals
 from mvolt.ou import (
     DIRECT_MAX_MD,
@@ -142,7 +142,7 @@ def test_tower_property_of_forward_curve():
     s, t = 0.5, 1.2
     op = StepOperator.build(m, s)
     r = op.noise_factor.shape[1]
-    noise = np.array([rng.standard_normal((1, r)) for rng in path_generators(13, 0, 30_000)])
+    noise = np.array([path_rng(13, p).standard_normal((1, r)) for p in range(30_000)])
     gam = np.broadcast_to(g0.transpose(1, 0, 2).reshape(1, 4), (30_000, 1, 4)).copy()
     op.step(gam, noise)
     damp = np.exp(-m.nodes * (t - s))

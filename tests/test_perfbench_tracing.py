@@ -68,8 +68,9 @@ def test_tracing_counts_a_chunked_price_jump_block(monkeypatch):
 
 def test_tracing_wraps_the_hawkes_entry_points(monkeypatch, tmp_path):
     # a 20-path ``hawkes simulate`` and one single-stream path through the
-    # wrappers: the block runs the lockstep engine, whose flows are counted,
-    # and ``simulate_jump_path`` still takes its stream as the 4th argument
+    # wrappers: the block runs the lockstep engine, whose flows and group
+    # stream are counted, and ``simulate_jump_path`` still takes its stream
+    # as the 4th argument
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -95,12 +96,15 @@ def test_tracing_wraps_the_hawkes_entry_points(monkeypatch, tmp_path):
             "--out-grid", str(tmp_path / "v.csv")]) == 0
         metrics = tracing.layer_metrics(tracer, rounds=1)
         assert metrics["jumps.LinearFlow.flow.calls"] > 0
+        assert metrics["mc.path_rng.calls"] == 1  # one stream for the 20-path group
         assert metrics["cli.hawkes_simulate.self_ms"] > 0.0
         assert metrics["configio.format_csv.mb"] > 0.0
 
         measure, lam0, spec = mvolt.configio.read_jump_model(str(model))
         sim = mvolt.jumps.HawkesPathSimulator(measure, lam0, spec, 1.0, 0.25)
-        sim(mvolt.mc.path_rng(3, 0))
+        mvolt.jumps.simulate_jump_path(sim.state0, sim.spec, sim.horizon,
+                                       np.random.default_rng(3), sim.thinning_dt,
+                                       sim.grid, sim.flow)
         metrics = tracing.layer_metrics(tracer, rounds=1)
         assert metrics["jumps.simulate_jump_path.us_per_path"] > 0.0
         assert metrics["jumps.thinning.candidates"] > 0
@@ -138,6 +142,7 @@ def test_tracing_counts_the_gaussian_lift_blocks(monkeypatch):
         assert metrics["ou.simulate_lift_blocks.ns_per_path_step"] > 0.0
         assert metrics["ou.StepOperator.build.ms"] > 0.0
         assert metrics["ou.noise_mb_per_block"] == paths * len(times) * n * k * d * 8 / 1e6
+        assert metrics["mc.path_rng.calls"] == 1  # one stream for the 16-path group
     finally:
         patches.off()
     assert mvolt.wishart.simulate_lift_blocks is blocks
