@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mvolt.mc import path_rng, run_path_blocks
+from mvolt.mc import STREAM_GROUP, group_streams, path_rng, run_path_blocks
 from mvolt.measures import AtomicMatrixMeasure, TimeGrid, eval_kernel
 from mvolt.jumps import (
     CHOICE_ATOL,
@@ -493,7 +493,8 @@ def _rng_triples(rng):
 
 
 def _reference_path(state0, spec, horizon, triples, thinning_dt, grid, flow):
-    """Per-path thinning; returns the record's fields and the rewind count.
+    """Per-path thinning; returns the record's fields, the rewind count and
+    the number of triples the path took.
 
     ``triples()`` gives the next uniform triple; the path takes one per
     candidate it tests (the gap from entry 0, the accept test from 1, the
@@ -524,7 +525,7 @@ def _reference_path(state0, spec, horizon, triples, thinning_dt, grid, flow):
     v_path[0] = lam0_arr.sum(axis=0)
     rec_idx = 1
     jump_times, jump_atoms, jump_rates = [], [], []
-    rewinds = 0
+    rewinds = taken = 0
 
     def advance_to(z, t, target):
         nonlocal rec_idx
@@ -551,6 +552,7 @@ def _reference_path(state0, spec, horizon, triples, thinning_dt, grid, flow):
         bound = (1.0 + THINNING_ETA) * max(rates_now.sum(), rates_end.sum())
         if bound <= 0.0:
             triples()
+            taken += 1
             z, t = advance_to(z, t, t + h)
             h_ctrl = thinning_dt
             continue
@@ -561,6 +563,7 @@ def _reference_path(state0, spec, horizon, triples, thinning_dt, grid, flow):
         t_end = t_start + h
         while True:
             u = triples()
+            taken += 1
             tau = tau - np.log1p(-u[0]) / bound
             if tau >= t_end - 1e-15:
                 break
@@ -608,7 +611,7 @@ def _reference_path(state0, spec, horizon, triples, thinning_dt, grid, flow):
         "compensators": np.einsum("ab,rab->r", intv_T, weights_scaled)
         if m_atoms else np.zeros(0),
     }
-    return fields, rewinds
+    return fields, rewinds, taken
 
 
 def _critical_model():
@@ -699,7 +702,7 @@ def test_lone_path_draws_consecutive_triples(name):
     # takes the stream's k-th triple
     sim, seed = _reference_model(name)
     for p in range(5):
-        want, _ = _reference_path(sim.state0, sim.spec, sim.horizon,
+        want, _, _ = _reference_path(sim.state0, sim.spec, sim.horizon,
                                   _rng_triples(np.random.default_rng([seed, p])),
                                   sim.thinning_dt, sim.grid, sim.flow)
         rec = simulate_jump_path(sim.state0, sim.spec, sim.horizon,
@@ -709,8 +712,94 @@ def test_lone_path_draws_consecutive_triples(name):
             np.testing.assert_array_equal(path_field(rec, 0, field), value, err_msg=field)
 
 
+class _CountingStream:
+    """A stream that records the size of each ``uniform`` call."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def uniform(self, *, size):
+        self.sizes.append(size)
+        return self.rng.uniform(size=size)
+
+
+@pytest.mark.parametrize("name", ["d1", "diagonal_d2", "two_atom_eps", "critical", "rewind",
+                                  "busy"])
+def test_lone_path_draws_one_triple_per_pass(name):
+    # every pass draws one (1, 3) triple: one per triple the per-path loop
+    # takes, and one for the pass in which the path finishes at the horizon
+    sim, seed = _reference_model(name)
+    for p in range(3):
+        _, _, taken = _reference_path(sim.state0, sim.spec, sim.horizon,
+                                      _rng_triples(np.random.default_rng([seed, p])),
+                                      sim.thinning_dt, sim.grid, sim.flow)
+        rng = _CountingStream(np.random.default_rng([seed, p]))
+        simulate_jump_path(sim.state0, sim.spec, sim.horizon, rng, sim.thinning_dt,
+                           sim.grid, sim.flow)
+        assert rng.sizes == [(1, 3)] * (taken + 1)
+
+
+def _counting_group_streams(monkeypatch):
+    """Make HawkesPathSimulator.block draw through counting streams; returns
+    the list that collects each block's streams."""
+    import mvolt.jumps
+
+    made = []
+
+    def counted(seed, start, stop, kind):
+        streams, rows = group_streams(seed, start, stop, kind)
+        made.append([_CountingStream(rng) for rng in streams])
+        return made[-1], rows
+
+    monkeypatch.setattr(mvolt.jumps, "group_streams", counted)
+    return made
+
+
+@pytest.mark.parametrize("name", ["d1", "diagonal_d2", "two_atom_eps", "critical", "rewind",
+                                  "busy"])
+def test_block_draws_one_triple_array_per_pass(name, monkeypatch):
+    # a block runs until its busiest path finishes, and every pass draws one
+    # (256, 3) array from its group's stream, also for paths that are done
+    made = _counting_group_streams(monkeypatch)
+    sim, seed = _reference_model(name)
+    want = _reference_records(name)
+    for start, stop in ((0, 64), (64, REFERENCE_PATHS)):
+        sim.block(seed, start, stop)
+        (stream,) = made[-1]
+        passes = max(taken for _, _, taken in want[start:stop]) + 1
+        assert stream.sizes == [(STREAM_GROUP, 3)] * passes
+
+
+def test_block_across_a_group_edge_draws_from_both_groups(monkeypatch):
+    # paths [200, 300) lie in groups 0 and 1; each stream draws a (256, 3)
+    # array in every pass that one of its paths needs, and in no pass after
+    # the block's last
+    made = _counting_group_streams(monkeypatch)
+    sim, seed = _reference_model("two_atom_eps")
+    want = _reference_records("two_atom_eps", 600)
+    sim.block(seed, 200, 300)
+    passes = [max(taken for _, _, taken in want[lo:hi]) + 1
+              for lo, hi in ((200, 256), (256, 300))]
+    assert len(made[-1]) == 2
+    for stream, need in zip(made[-1], passes):
+        assert need <= len(stream.sizes) <= max(passes)
+        assert set(stream.sizes) == {(STREAM_GROUP, 3)}
+
+
+def test_lockstep_thinning_at_high_path_indices():
+    # paths 2**32 - 3 to 2**32 + 2 lie in groups 2**24 - 1 and 2**24; they
+    # take the lanes of those groups' kind 2 streams
+    sim, seed = _reference_model("two_atom_eps")
+    start, stop = 2**32 - 3, 2**32 + 3
+    got = sim.block(seed, start, stop)
+    want = [_reference_path(sim.state0, sim.spec, sim.horizon, _lane_triples(seed, p),
+                            sim.thinning_dt, sim.grid, sim.flow)
+            for p in range(start, stop)]
+    _assert_matches_reference(got._replace(jump_paths=got.jump_paths - start), want)
+
+
 def test_reference_model_rewinds_an_interval():
-    rewinds = [r for _, r in _reference_records("rewind")]
+    rewinds = [r for _, r, _ in _reference_records("rewind")]
     assert sum(rewinds) > 0
 
 
@@ -730,7 +819,7 @@ def _assert_matches_reference(got, want):
     assert len(got.v_path) == len(want)
     # the jump log is ordered by path, then by time
     assert np.all(np.diff(got.jump_paths) >= 0)
-    for p, (fields, _) in enumerate(want):
+    for p, (fields, _, _) in enumerate(want):
         for field, value in fields.items():
             np.testing.assert_array_equal(path_field(got, p, field), value, err_msg=field)
 

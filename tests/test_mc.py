@@ -52,6 +52,34 @@ def test_group_streams_have_spawn_key_group_and_kind(seed, kind):
         np.testing.assert_array_equal(rng.uniform(size=(4, 3)), want)
 
 
+@pytest.mark.parametrize("start, stop, groups, rows", [
+    (0, 1, [0], slice(0, 1)),
+    (255, 257, [0, 1], slice(255, 257)),
+    (512, 768, [2], slice(0, 256)),
+    (2**32 - 3, 2**32 + 3, [2**24 - 1, 2**24], slice(253, 259)),
+])
+def test_group_streams_of_a_block(start, stop, groups, rows):
+    # one stream per group that [start, stop) touches, in group order, and
+    # the block's rows of a draw stacked over them
+    streams, got_rows = group_streams(9, start, stop, 2)
+    assert got_rows == rows
+    assert len(streams) == len(groups)
+    for g, rng in zip(groups, streams):
+        seed_seq = np.random.SeedSequence(entropy=9, spawn_key=(g, 2))
+        want = np.random.Generator(np.random.Philox(seed_seq)).uniform(size=(2, 3))
+        np.testing.assert_array_equal(rng.uniform(size=(2, 3)), want)
+
+
+def test_group_kinds_and_path_streams_are_distinct():
+    # group 0's noise (kind 1), its thinning uniforms (kind 2) and path 0's
+    # own stream are three different streams
+    draws = [group_streams(4, 0, 1, kind)[0][0].random(8) for kind in (1, 2)]
+    draws.append(path_rng(4, 0).random(8))
+    for i in range(3):
+        for j in range(i):
+            assert not np.any(draws[i] == draws[j])
+
+
 def test_negative_seed_is_rejected():
     with pytest.raises(ValueError):
         path_rng(-1, 0)
