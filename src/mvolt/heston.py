@@ -25,8 +25,8 @@ chain by construction).  The characteristic function delegates to the
 node-pair Riccati system, and a strike ladder is priced by a damped inverse
 transform along one asset direction from one solve of it.
 
-The draws dominate a simulated block.  They come from one counter-based
-stream per group of ``mc.STREAM_GROUP`` consecutive paths, the streams of
+The draws dominate a simulated block.  They come from one SFC64 stream
+per group of ``mc.STREAM_GROUP`` consecutive paths, the streams of
 :func:`mc.group_normals`, so a path's samples depend on (seed, path) alone,
 and the groups of a pass are filled on several threads (NumPy's Generator
 fills release the GIL): each group by one thread, in its own order, so the
@@ -141,10 +141,13 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
 # CHUNK_DRAWS // (_draws_per_step + J) steps (at least one) of every path.
 # A block whose passes draw fewer than CHUNK_DRAWS // 2 per path stays on
 # one thread: the pool's start-up and hand-offs cost it 0.3 ms.  1024 paths
-# of 10 draws a step, ms on one thread and on two (2-vCPU Xeon): 1 step 0.58
-# and 0.84-0.94, 4 steps 2.0 and 2.3, 16 steps 4.2-4.4 and 4.3-4.7; a full
-# pass of 102 steps filled 1.4-1.8x faster on two while the second vCPU
-# was free, and as fast while it was busy.
+# of 10 draws a step on SFC64 streams, median ms on one thread and on two
+# (2-vCPU Xeon, two series of 20 alternating pairs): 1 step 0.28-0.36 and
+# 0.51-0.63, 4 steps 0.8-1.0 and 1.0-1.3, 16 steps 3.3-3.7 and 3.5-3.8,
+# 51 steps 14.5-14.6 and 14.8-15.3, two winning at most 9 of 20 pairs
+# below the floor; a full pass of 102 steps took 25-30 ms on either.  On
+# Philox streams such a pass filled 1.4-1.8x faster on two while the
+# second vCPU was free.
 CHUNK_DRAWS = 1024
 
 

@@ -353,21 +353,22 @@ def _thin_paths(
     """Thin the paths ``rows`` of the streams' lanes, all paths in lockstep.
 
     Every path keeps its own state, time, control step, dominating rate and
-    grid position in per-path arrays.  At the top of each pass of the loop every stream draws
-    ``uniform(size=(lanes, 3))``; stacked in stream order, row ``rows.start
-    + i`` is path i's triple U.  In the pass every live path takes one step
-    of its own: it finishes at the horizon, or it skips a control interval
-    whose dominating rate is 0, or it tests a candidate, after starting a
-    control interval if it needs one (one batched flow to its end and one
-    rate evaluation).  A candidate's gap is -log1p(-U[0]) / bound
-    (inversion), its accept test U[1] * bound <= total and, with more than
-    one atom, an accepted one's atom is drawn from U[2] as ``choice(m,
-    p=rates / total)`` draws it from its uniform (:func:`_choice_rows`);
-    entries a path does not use are discarded.  Flows, rates, grid records,
-    the rewind of a violated interval and jumps are masked array operations
-    that round as a lone path's do.  So path i's k-th pass and its k-th
-    triple depend on that path alone, and the path is the same in any
-    block that draws the same rows for it.
+    grid position in per-path arrays.  At the top of each pass of the loop
+    every stream with a live path draws ``uniform(size=(lanes, 3))``;
+    stacked in stream order, row ``rows.start + i`` is path i's triple U.
+    In the pass every live path takes one step of its own: it finishes at
+    the horizon, or it skips a control interval whose dominating rate is 0,
+    or it tests a candidate, after starting a control interval if it needs
+    one (one batched flow to its end and one rate evaluation).  A
+    candidate's gap is -log1p(-U[0]) / bound (inversion), its accept test
+    U[1] * bound <= total and, with more than one atom, an accepted one's
+    atom is drawn from U[2] as ``choice(m, p=rates / total)`` draws it from
+    its uniform (:func:`_choice_rows`); entries a path does not use are
+    discarded.  Flows, rates, grid records, the rewind of a violated
+    interval and jumps are masked array operations that round as a lone
+    path's do.  So path i's k-th pass and its k-th triple depend on that
+    path alone, and the path is the same in any block that draws the same
+    rows for it.
 
     A control interval whose expected candidate count bound * h is not
     finite or exceeds ``MAX_INTERVAL_CANDIDATES`` raises FloatingPointError;
@@ -430,12 +431,22 @@ def _thin_paths(
     events = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.intp),
                np.zeros(0))]
 
+    # a stream draws only in the passes where one of its paths is live: its
+    # paths finish in passes 1..K, so their k-th triple is still its k-th
+    # draw.  group_starts[g] is the block's first path in stream g; the
+    # drawing streams change only in a pass where paths finish.
+    group_starts = np.maximum(np.arange(len(streams)) * lanes - rows.start, 0)
+    drawing = range(len(streams))
+    u_lanes = np.empty((len(streams) * lanes, 3))
     while live.any():
-        u = np.concatenate([rng.uniform(size=(lanes, 3)) for rng in streams])[rows]
+        for g in drawing:
+            u_lanes[g * lanes:(g + 1) * lanes] = streams[g].uniform(size=(lanes, 3))
+        u = u_lanes[rows]
         done = np.flatnonzero(live & starting & (t >= horizon - 1e-14))
         if done.size:
             advance_to(done, np.full(done.size, float(horizon)))
             live[done] = False
+            drawing = np.flatnonzero(np.logical_or.reduceat(live, group_starts))
 
         a = np.flatnonzero(live & starting)
         if a.size:

@@ -1,9 +1,14 @@
-"""Reproducible parallel Monte Carlo with counter-based streams.
+"""Reproducible parallel Monte Carlo on SeedSequence-keyed group streams.
 
 Every draw is a function of (master seed, path index) alone, so a draw
-sequence is bit-identical no matter how paths are scheduled across workers
-(counter-based generators make this cheap; Salmon et al. 2011, "Parallel
-random numbers: as easy as 1, 2, 3").  :func:`path_rng` defines one stream.
+sequence is bit-identical no matter how paths are scheduled across workers.
+:func:`path_rng` defines one stream: an SFC64 generator seeded by
+``SeedSequence(seed, spawn_key=(key,))``, whose spawn keys give independent
+streams (O'Neill's SeedSequence hashing, as NumPy's ``spawn`` does).  SFC64
+(Doty-Humphrey's Small Fast Chaotic generator) is the fastest of NumPy's
+bit generators at the ziggurat normal fill that dominates a simulated
+block; no stream is ever keyed per path, so a counter-based generator's
+cheap keying would buy nothing here.
 Paths draw from one stream per group of ``STREAM_GROUP`` consecutive paths,
 path p on row p mod ``STREAM_GROUP`` of each draw of its group's stream, so
 a block pays one stream per 256 paths: :func:`group_streams` builds the
@@ -24,20 +29,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 BLOCK_SIZE = 8192
-# Paths per group stream.  One stream per path cost 1.6-3.3 us of set-up
-# per path on a 2-vCPU Xeon, most of the time of a 16-double draw; 256 paths
-# share the set-up, and a block that starts and ends inside a group draws at
-# most 2 * 255 rows it does not keep.
+# Paths per group stream.  Setting up one stream (SeedSequence, SFC64 and
+# Generator) takes 11-12 us on a 2-vCPU Xeon, twelve times a 16-normal draw;
+# 256 paths share the set-up, and a block that starts and ends inside a
+# group draws at most 2 * 255 rows it does not keep.
 STREAM_GROUP = 256
 # Group g of kind q >= 1 draws from stream q * 2**32 + g: spawn key (g, q),
 # never a path's (p,) nor a group's of another kind.
 _GROUP_STREAMS = 2**32
 
 
-def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """Independent, scheduling-invariant stream for one path."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(path_index),))
-    return np.random.Generator(np.random.Philox(ss))
+def path_rng(seed: int, key: int) -> np.random.Generator:
+    """The SFC64 stream with SeedSequence spawn key (key,): independent of
+    every other key's.  :func:`group_streams` keys group g of kind q by
+    q * 2**32 + g; a lone caller may key its one stream by any index."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(key),))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _check_seed(seed) -> int:

@@ -70,7 +70,7 @@ STREAM_GROUP = 256
 def group_stream(seed, g):
     """The stream of path group g, built from its SeedSequence."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(g, 1))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def path_draws(sim, seed, start, stop, chunk):

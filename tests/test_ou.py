@@ -238,7 +238,7 @@ def rank_one_measure():
 def group_stream(seed, group):
     """The stream of a path group, built from its SeedSequence directly."""
     seed_seq = np.random.SeedSequence(entropy=seed, spawn_key=(group, 1))
-    return np.random.Generator(np.random.Philox(seed_seq))
+    return np.random.Generator(np.random.SFC64(seed_seq))
 
 
 # paths per stream group, part of the stream definition; a replayed block
